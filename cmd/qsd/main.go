@@ -8,19 +8,10 @@
 //	qsd serve [flags]
 //	qsd loadtest [flags]
 //
-// Experiments: table1, table2, table3, table4, table5, table6, table7,
-// table8, table9, fig4, fig7, fig8, fig15, fowler, shor, simple-factory,
-// zero-factory, pi8-factory, qalypso, all, plus the event-driven scenarios
-// fig15buf (Figure 15 with finite ancilla buffers), buffersweep (execution
-// time vs buffer capacity), contention (co-scheduled benchmarks sharing one
-// factory bank), factory-sim (factory pipelines on the event kernel),
-// netsweep (the teleportation interconnect's link-bandwidth × tile-count
-// grid), netcontention (co-scheduled benchmarks sharing one routed mesh),
-// netfault (the benchmark replayed under dead and degraded EPR links with
-// fault-aware rerouting) and netdegrade (link failures swept until the mesh
-// partitions); -buffer sets the finite buffer capacity (0 = infinite),
-// -tiles bounds the network scenarios' mesh size and -faults bounds the
-// netdegrade failure sweep.
+// Run without arguments, qsd prints its usage: every registered experiment
+// id with its aliases and title, then the flags.  The experiment parameter
+// flags are generated from the core parameter table (core.Params), one per
+// row, and each one's help names the experiments that honour it.
 //
 // Every experiment runs as a job batch on the shared experiment engine
 // (internal/engine): -parallel selects the worker count, a progress line on
@@ -73,6 +64,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net"
@@ -88,11 +80,8 @@ import (
 	"speedofdata/internal/core"
 	"speedofdata/internal/engine"
 	"speedofdata/internal/loadgen"
-	"speedofdata/internal/microarch"
-	"speedofdata/internal/noise"
 	"speedofdata/internal/obs"
 	"speedofdata/internal/report"
-	"speedofdata/internal/schedule"
 	"speedofdata/internal/server"
 	"speedofdata/internal/store"
 )
@@ -106,20 +95,8 @@ func main() {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("qsd", flag.ContinueOnError)
-	bits := fs.Int("bits", 32, "benchmark operand width")
-	trials := fs.Int("trials", noise.DefaultTrials, "Monte Carlo trials for fig4")
-	seed := fs.Int64("seed", 1, "Monte Carlo seed for fig4")
-	sparse := fs.Bool("sparse", false, "use the sparse Monte Carlo sampler for fig4 (faster, statistically equivalent; the default dense sampler is byte-reproducible)")
-	bitsliced := fs.Bool("bitsliced", false, "use the bit-sliced Monte Carlo executor for fig4 (64 trials per word op, statistically equivalent; mutually exclusive with -sparse)")
-	ci := fs.Float64("ci", 0, "fig4 sequential sampling: run the bit-sliced executor until the uncorrectable rate's relative confidence-interval half-width reaches this value, capped at -trials (0 = fixed -trials budget; mutually exclusive with -sparse)")
-	conf := fs.Float64("conf", 0, "confidence level for -ci (0 = 0.95)")
-	buckets := fs.Int("buckets", schedule.DefaultDemandBuckets, "time buckets for fig7")
-	maxScale := fs.Int("max-scale", microarch.DefaultMaxScale, "largest resource scale for fig15")
-	benchName := fs.String("benchmark", "QCLA", "benchmark for fig15/fig15buf/buffersweep (QRCA, QCLA, QFT)")
-	arch := fs.String("arch", "", "restrict fig15/fig15buf/buffersweep to one architecture (QLA, GQLA, CQLA, GCQLA, Fully-Multiplexed)")
-	buffer := fs.Int("buffer", core.DefaultBufferAncillae, "buffer capacity for fig15buf/contention/factory-sim/netsweep/netcontention (0 = infinite)")
-	tiles := fs.Int("tiles", core.DefaultTiles, "mesh tile bound for netsweep/netcontention/netfault/netdegrade")
-	faults := fs.Int("faults", core.DefaultFaults, "netdegrade: boundary failures swept (capped at the mesh's boundary count)")
+	e, p := core.NewExperiments(), core.DefaultRunParams()
+	paramFlags(fs, &e, &p)
 	format := fs.String("format", "text", "output format: text, json or csv")
 	parallel := fs.Int("parallel", 0, "experiment engine workers (0 = GOMAXPROCS, 1 = sequential)")
 	progress := fs.Bool("progress", true, "print a job progress line on stderr")
@@ -146,7 +123,7 @@ func run(args []string, out *os.File) error {
 	ltCacheHit := fs.Float64("lt-cache-hit", 0, "loadtest: fraction of requests replaying an earlier URL (cache hits)")
 	ltSSE := fs.Float64("lt-sse", 0, "loadtest: fraction of arrivals opening a progress subscription")
 	if len(args) == 0 {
-		usage(fs)
+		usage(os.Stderr, fs)
 		return fmt.Errorf("missing experiment id")
 	}
 	id := args[0]
@@ -182,14 +159,8 @@ func run(args []string, out *os.File) error {
 				*storeDir, stats.Hits, stats.Misses, stats.Puts, stats.Entries, stats.FileBytes)
 		}()
 	}
-	e := core.NewExperiments()
-	e.Bits = *bits
 	e.Engine = eng
-	p := core.RunParams{Trials: *trials, Seed: *seed, Sparse: *sparse, BitSliced: *bitsliced,
-		CI: *ci, Conf: *conf, Buckets: *buckets,
-		MaxScale: *maxScale, Benchmark: *benchName, Arch: *arch, Buffer: *buffer, Tiles: *tiles,
-		Faults: *faults}
-	if err := p.Validate(); err != nil {
+	if err := core.ValidateParams(&e, &p, false); err != nil {
 		return err
 	}
 
@@ -271,7 +242,7 @@ func run(args []string, out *os.File) error {
 			BaseURL:  base,
 			Rate:     *ltRate,
 			Duration: *ltDuration,
-			Seed:     *seed,
+			Seed:     p.Seed,
 			Mix:      mix,
 		})
 		if err != nil {
@@ -292,7 +263,7 @@ func run(args []string, out *os.File) error {
 	if id == "all" {
 		ids = core.AllExperimentOrder
 	} else if _, ok := core.CanonicalExperimentID(id); !ok {
-		usage(fs)
+		usage(os.Stderr, fs)
 		return fmt.Errorf("unknown experiment %q", id)
 	}
 
@@ -429,13 +400,40 @@ func clearProgress(w *os.File, enabled bool) {
 	}
 }
 
-func usage(fs *flag.FlagSet) {
-	fmt.Fprintln(os.Stderr, "usage: qsd <experiment> [flags]")
-	fmt.Fprintln(os.Stderr, "       qsd serve [flags]")
-	fmt.Fprintln(os.Stderr, "       qsd loadtest [flags]")
-	fmt.Fprintln(os.Stderr, "experiments: table1..table9, fig4, fig7, fig8, fig15, fowler, shor,")
-	fmt.Fprintln(os.Stderr, "             simple-factory, zero-factory, pi8-factory, qalypso, all,")
-	fmt.Fprintln(os.Stderr, "             fig15buf, buffersweep, contention, factory-sim (event-driven),")
-	fmt.Fprintln(os.Stderr, "             netsweep, netcontention (teleportation interconnect)")
+// paramFlags registers one flag per row of the core parameter table, bound
+// to e and p, whose current values become the defaults.  Each flag's help
+// ends with the experiments that honour it.
+func paramFlags(fs *flag.FlagSet, e *core.Experiments, p *core.RunParams) {
+	for _, prm := range core.Params {
+		help := prm.Help + " (used by " + strings.Join(prm.UsedBy(), ", ") + ")"
+		switch f := prm.Field(e, p).(type) {
+		case *int:
+			fs.IntVar(f, prm.Name, *f, help)
+		case *int64:
+			fs.Int64Var(f, prm.Name, *f, help)
+		case *float64:
+			fs.Float64Var(f, prm.Name, *f, help)
+		case *bool:
+			fs.BoolVar(f, prm.Name, *f, help)
+		case *string:
+			fs.StringVar(f, prm.Name, *f, help)
+		}
+	}
+}
+
+func usage(w io.Writer, fs *flag.FlagSet) {
+	fmt.Fprintln(w, "usage: qsd <experiment> [flags]")
+	fmt.Fprintln(w, "       qsd serve [flags]")
+	fmt.Fprintln(w, "       qsd loadtest [flags]")
+	fmt.Fprintln(w, "experiments (aliases in parentheses):")
+	for _, info := range core.ExperimentInfos() {
+		name := info.ID
+		if len(info.Aliases) > 0 {
+			name += " (" + strings.Join(info.Aliases, ", ") + ")"
+		}
+		fmt.Fprintf(w, "  %-34s %s\n", name, info.Title)
+	}
+	fmt.Fprintf(w, "  %-34s %s\n", "all", "the batch "+strings.Join(core.AllExperimentOrder, ", "))
+	fs.SetOutput(w)
 	fs.PrintDefaults()
 }

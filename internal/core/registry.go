@@ -18,7 +18,8 @@ import (
 )
 
 // RunParams carries the per-request experiment settings shared by the qsd
-// command-line flags and the HTTP API query parameters.  Every field has a
+// command-line flags and the HTTP API query parameters, each field bound by
+// one row of the parameter table (Params).  Every field has a
 // stable %v rendering, so a RunParams value participates directly in engine
 // job fingerprints: two requests with equal parameters map to the same job
 // key and the second is served from the engine cache (or coalesced onto the
@@ -75,10 +76,6 @@ const DefaultBufferAncillae = 16
 // DefaultTiles is the standard mesh tile bound of the network scenarios.
 const DefaultTiles = 4
 
-// DefaultFaults is the standard boundary-failure bound of netdegrade: on the
-// default 2x2 mesh it sweeps past the partition point.
-const DefaultFaults = 4
-
 // DefaultRunParams returns the paper's standard settings.
 func DefaultRunParams() RunParams {
 	return RunParams{
@@ -89,7 +86,9 @@ func DefaultRunParams() RunParams {
 		Benchmark: circuits.QCLA.String(),
 		Buffer:    DefaultBufferAncillae,
 		Tiles:     DefaultTiles,
-		Faults:    DefaultFaults,
+		// On the default 2x2 mesh, four boundary failures sweep past the
+		// partition point.
+		Faults: 4,
 	}
 }
 
@@ -107,61 +106,6 @@ func (e *SamplingConflictError) Error() string {
 		strings.Join(e.Selected, "+"))
 }
 
-// Validate rejects parameter combinations no experiment can run.
-func (p RunParams) Validate() error {
-	if p.Trials <= 0 {
-		return fmt.Errorf("trials must be positive, got %d", p.Trials)
-	}
-	// Sparse cannot combine with the bit-sliced executor or the CI mode
-	// (which implies bit-sliced); ci+bitsliced is redundant but consistent,
-	// so it stays allowed.
-	if p.Sparse && (p.BitSliced || p.CI > 0) {
-		conflict := []string{"sparse"}
-		if p.BitSliced {
-			conflict = append(conflict, "bitsliced")
-		}
-		if p.CI > 0 {
-			conflict = append(conflict, "ci")
-		}
-		return &SamplingConflictError{Selected: conflict}
-	}
-	if p.CI < 0 || p.CI >= 1 {
-		return fmt.Errorf("ci must be a relative half-width in (0, 1), or 0 for a fixed trial budget; got %v", p.CI)
-	}
-	if p.Conf != 0 {
-		if p.CI == 0 {
-			return fmt.Errorf("conf requires ci (a confidence level needs a half-width target)")
-		}
-		if p.Conf < 0 || p.Conf >= 1 {
-			return fmt.Errorf("conf must be a confidence level in (0, 1), got %v", p.Conf)
-		}
-	}
-	if p.Buckets <= 0 {
-		return fmt.Errorf("buckets must be positive, got %d", p.Buckets)
-	}
-	if p.MaxScale <= 0 {
-		return fmt.Errorf("max scale must be positive, got %d", p.MaxScale)
-	}
-	if _, err := circuits.ParseBenchmark(p.Benchmark); err != nil {
-		return err
-	}
-	if p.Arch != "" {
-		if _, err := microarch.ParseArchitecture(p.Arch); err != nil {
-			return err
-		}
-	}
-	if p.Buffer < 0 {
-		return fmt.Errorf("buffer must be non-negative (0 = infinite), got %d", p.Buffer)
-	}
-	if p.Tiles <= 0 {
-		return fmt.Errorf("tiles must be positive, got %d", p.Tiles)
-	}
-	if p.Faults < 0 {
-		return fmt.Errorf("faults must be non-negative, got %d", p.Faults)
-	}
-	return nil
-}
-
 // ExperimentInfo describes one registered experiment for listings (the qsd
 // usage text and the HTTP API index).
 type ExperimentInfo struct {
@@ -171,8 +115,8 @@ type ExperimentInfo struct {
 	Title string
 	// Aliases are alternate ids accepted for the same experiment.
 	Aliases []string
-	// Params names the RunParams fields the experiment honours, as their
-	// flag/query spellings.
+	// Params names the rows of the parameter table (Params) the experiment
+	// honours.
 	Params []string
 }
 

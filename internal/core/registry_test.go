@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -49,28 +50,50 @@ func TestRegistryCoversAllOrder(t *testing.T) {
 	}
 }
 
+// validate checks p as the CLI does, at the default operand width.
+func validate(p RunParams) error {
+	e := NewExperiments()
+	return ValidateParams(&e, &p, false)
+}
+
 func TestRunParamsValidate(t *testing.T) {
 	p := DefaultRunParams()
-	if err := p.Validate(); err != nil {
+	if err := validate(p); err != nil {
 		t.Fatalf("defaults invalid: %v", err)
 	}
 	bad := p
 	bad.Trials = 0
-	if err := bad.Validate(); err == nil {
+	if err := validate(bad); err == nil {
 		t.Error("zero trials should fail")
+	}
+	// NaN compares false with every bound, so it must fail each range.
+	bad = p
+	bad.CI = math.NaN()
+	if err := validate(bad); err == nil {
+		t.Error("NaN ci should fail")
+	}
+	bad = p
+	bad.CI, bad.Conf = 0.1, math.NaN()
+	if err := validate(bad); err == nil {
+		t.Error("NaN conf should fail")
+	}
+	e := NewExperiments()
+	e.Bits = 0
+	if err := ValidateParams(&e, &p, false); err == nil {
+		t.Error("zero bits should fail")
 	}
 	bad = p
 	bad.Benchmark = "QXYZ"
-	if err := bad.Validate(); err == nil {
+	if err := validate(bad); err == nil {
 		t.Error("unknown benchmark should fail")
 	}
 	bad = p
 	bad.Arch = "warp"
-	if err := bad.Validate(); err == nil {
+	if err := validate(bad); err == nil {
 		t.Error("unknown arch should fail")
 	}
 	p.Arch = "cqla"
-	if err := p.Validate(); err != nil {
+	if err := validate(p); err != nil {
 		t.Errorf("compact arch spelling rejected: %v", err)
 	}
 }
@@ -171,7 +194,7 @@ func TestEventDrivenScenarioSections(t *testing.T) {
 	// Negative buffer is rejected by parameter validation.
 	bad := p
 	bad.Buffer = -1
-	if err := bad.Validate(); err == nil {
+	if err := validate(bad); err == nil {
 		t.Error("negative buffer should fail validation")
 	}
 }
@@ -270,12 +293,12 @@ func TestNetworkScenarioRegistration(t *testing.T) {
 	}
 	bad := p
 	bad.Tiles = 0
-	if err := bad.Validate(); err == nil {
+	if err := validate(bad); err == nil {
 		t.Error("zero tiles should fail validation")
 	}
 	bad = p
 	bad.Faults = -1
-	if err := bad.Validate(); err == nil {
+	if err := validate(bad); err == nil {
 		t.Error("negative faults should fail validation")
 	}
 }

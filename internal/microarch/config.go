@@ -64,7 +64,7 @@ func Architectures() []Architecture {
 // legend names ("Fully-Multiplexed") and compact spellings ("fm",
 // "fullymultiplexed") suitable for query strings.
 func ParseArchitecture(name string) (Architecture, error) {
-	canon := strings.ToLower(strings.NewReplacer("-", "", "_", "").Replace(name))
+	canon := strings.ToLower(strings.ReplaceAll(strings.ReplaceAll(name, "-", ""), "_", ""))
 	for _, a := range Architectures() {
 		if canon == strings.ToLower(strings.ReplaceAll(a.String(), "-", "")) {
 			return a, nil

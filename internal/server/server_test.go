@@ -7,9 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -392,13 +395,12 @@ func TestSparseSamplingParameter(t *testing.T) {
 	}
 }
 
-// TestParamBoundsTable is the single table covering every bounded
-// client-controlled parameter: each is probed one past its limit (rejected
-// with 400 naming the bound) and at its limit (accepted by queryParams — the
-// unit seam, so nothing heavy actually runs).  A closing coverage sweep
-// cross-checks the registry's advertised params and the admission Config
-// knobs against this table, so adding a parameter without a bound — or
-// without an explicit justification for having none — fails here.
+// TestParamBoundsTable probes the HTTP cap or floor of every row of the core
+// parameter table under each of its spellings: the bound itself passes
+// queryParams (the unit seam, so nothing heavy runs) and one step past it is
+// a real HTTP 400 naming the bound.  Two coverage checks close it: every
+// parameter an experiment advertises is a table row, and every RunParams
+// field is bound by exactly one row.
 func TestParamBoundsTable(t *testing.T) {
 	ts, _ := newTestServer(t)
 	exp := core.NewExperiments()
@@ -410,57 +412,62 @@ func TestParamBoundsTable(t *testing.T) {
 		return err
 	}
 
-	bounded := []struct {
-		param  string
-		over   string // query one past the bound: must be rejected
-		atMax  string // query at the bound: must be accepted
-		errStr string // substring the rejection must carry
-	}{
-		{"bits", fmt.Sprintf("bits=%d", maxBits+1), fmt.Sprintf("bits=%d", maxBits), "server limit"},
-		{"trials", fmt.Sprintf("trials=%d", maxTrials+1), fmt.Sprintf("trials=%d", maxTrials), "server limit"},
-		{"buckets", fmt.Sprintf("buckets=%d", maxBuckets+1), fmt.Sprintf("buckets=%d", maxBuckets), "server limit"},
-		{"scale", fmt.Sprintf("scale=%d", maxRequestScale+1), fmt.Sprintf("scale=%d", maxRequestScale), "server limit"},
-		{"max-scale", fmt.Sprintf("max-scale=%d", maxRequestScale+1), fmt.Sprintf("max-scale=%d", maxRequestScale), "server limit"},
-		{"buffer", fmt.Sprintf("buffer=%d", maxRequestBuffer+1), fmt.Sprintf("buffer=%d", maxRequestBuffer), "server limit"},
-		{"tiles", fmt.Sprintf("tiles=%d", maxRequestTiles+1), fmt.Sprintf("tiles=%d", maxRequestTiles), "server limit"},
-		{"faults", fmt.Sprintf("faults=%d", maxRequestFaults+1), fmt.Sprintf("faults=%d", maxRequestFaults), "server limit"},
-		{"ci", fmt.Sprintf("ci=%v", minRequestCI/2), fmt.Sprintf("ci=%v", minRequestCI), "server minimum"},
-		{"conf", fmt.Sprintf("ci=0.1&conf=%v", (1+maxRequestConfidence)/2), fmt.Sprintf("ci=0.1&conf=%v", maxRequestConfidence), "server maximum"},
-	}
-	for _, tc := range bounded {
-		// Over the bound: a real HTTP 400 naming the limit, before dispatch.
-		status, body, _ := get(t, ts.URL+"/v1/experiments/fig4?"+tc.over)
-		if status != http.StatusBadRequest {
-			t.Errorf("%s over bound (%s): status %d, want 400 (%s)", tc.param, tc.over, status, body)
+	var e core.Experiments
+	var p core.RunParams
+	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	for _, prm := range core.Params {
+		bound, toward, errStr := prm.Cap, math.Inf(1), "server limit"
+		if prm.Floor != 0 {
+			bound, toward, errStr = prm.Floor, math.Inf(-1), "server minimum"
 		}
-		if !strings.Contains(body, tc.errStr) {
-			t.Errorf("%s over bound: error should mention %q: %s", tc.param, tc.errStr, body)
+		if bound == 0 {
+			continue
 		}
-		// At the bound: queryParams accepts (unit seam — nothing executes).
-		if err := parse(tc.atMax); err != nil {
-			t.Errorf("%s at bound (%s): unexpectedly rejected: %v", tc.param, tc.atMax, err)
+		past := math.Nextafter(bound, toward)
+		if _, ok := prm.Field(&e, &p).(*int); ok {
+			past = bound + math.Copysign(1, toward)
+		}
+		prefix := ""
+		if prm.Name == "conf" {
+			prefix = "ci=0.1&" // a confidence level needs a half-width target
+		}
+		for _, name := range []string{prm.Name, prm.Alias} {
+			if name == "" {
+				continue
+			}
+			over := prefix + name + "=" + num(past)
+			status, body, _ := get(t, ts.URL+"/v1/experiments/fig4?"+over)
+			if status != http.StatusBadRequest || !strings.Contains(body, errStr) {
+				t.Errorf("%s past its bound: status %d, want 400 mentioning %q: %s", over, status, errStr, body)
+			}
+			at := prefix + name + "=" + num(bound)
+			if err := parse(at); err != nil {
+				t.Errorf("%s at its bound: rejected: %v", at, err)
+			}
 		}
 	}
 
-	// Coverage sweep: every parameter any experiment advertises must either
-	// appear in the bounded table above or be explicitly justified here as
-	// unbounded.  A new registry param that is neither fails this test.
-	probed := map[string]bool{}
-	for _, tc := range bounded {
-		probed[tc.param] = true
-	}
-	unboundedOK := map[string]string{
-		"seed":      "any int64 costs the same effort",
-		"sparse":    "boolean selector",
-		"bitsliced": "boolean selector",
-		"benchmark": "validated against the registry's benchmark set",
-		"arch":      "validated against the registry's architecture set",
+	rows := map[string]bool{}
+	for _, prm := range core.Params {
+		rows[prm.Name] = true
 	}
 	for _, info := range core.ExperimentInfos() {
 		for _, param := range info.Params {
-			if !probed[param] && unboundedOK[param] == "" {
-				t.Errorf("experiment %s advertises param %q with neither a bound probe nor an unbounded justification; extend TestParamBoundsTable", info.ID, param)
+			if !rows[param] {
+				t.Errorf("experiment %s advertises param %q, which is not a row of core.Params", info.ID, param)
 			}
+		}
+	}
+	fields := reflect.ValueOf(&p).Elem()
+	for i := 0; i < fields.NumField(); i++ {
+		bound := 0
+		for _, prm := range core.Params {
+			if prm.Field(&e, &p) == fields.Field(i).Addr().Interface() {
+				bound++
+			}
+		}
+		if bound != 1 {
+			t.Errorf("RunParams.%s is bound by %d rows of core.Params, want 1", fields.Type().Field(i).Name, bound)
 		}
 	}
 
@@ -887,8 +894,8 @@ func TestSamplingSelectorConflicts(t *testing.T) {
 	if status != http.StatusBadRequest || !strings.Contains(body, "requires ci") {
 		t.Errorf("conf without ci: status %d body %s", status, body)
 	}
-	// CI precision is server-bounded.
-	for _, q := range []string{"ci=0.00001", "ci=0.1&conf=0.99999"} {
+	// CI precision is server-bounded, and NaN is outside every range.
+	for _, q := range []string{"ci=0.00001", "ci=0.1&conf=0.99999", "ci=NaN", "ci=0.1&conf=NaN"} {
 		status, body, _ := get(t, ts.URL+"/v1/experiments/fig4?"+q)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", q, status, body)
@@ -917,5 +924,58 @@ func TestBitSlicedSamplingParameter(t *testing.T) {
 	status, bs2, _ := get(t, ts.URL+"/v1/experiments/fig4?format=json&trials=20000&seed=5&bitsliced=1")
 	if status != http.StatusOK || bs2 != bs {
 		t.Errorf("bitsliced fig4 not deterministic across requests")
+	}
+}
+
+// FuzzQueryParams feeds arbitrary raw query strings to queryParams: it must
+// never panic, and every query it accepts must leave each numeric setting of
+// the core parameter table inside its range and HTTP cap or floor, and not
+// NaN.
+func FuzzQueryParams(f *testing.F) {
+	for _, seed := range []string{
+		"", "bits=8&trials=2000", "scale=4096&max-scale=1", "ci=0.001&conf=0.999",
+		"ci=NaN", "ci=0.1&conf=NaN", "ci=Inf", "buffer=-1", "tiles=1e3", "bits=0x10",
+		"arch=fm&benchmark=qft", "sparse=1&bitsliced=t", "=5&%zz;", "seed=-9223372036854775808",
+	} {
+		f.Add(seed)
+	}
+	srv := New(core.NewExperiments(), core.DefaultRunParams())
+	f.Fuzz(func(t *testing.T, raw string) {
+		exp, p, err := srv.queryParams(&http.Request{URL: &url.URL{RawQuery: raw}})
+		if err != nil {
+			return
+		}
+		for _, prm := range core.Params {
+			var v float64
+			switch field := prm.Field(&exp, &p).(type) {
+			case *int:
+				v = float64(*field)
+			case *float64:
+				v = *field
+			default:
+				continue
+			}
+			if math.IsNaN(v) || v < prm.Min || prm.Max != 0 && v >= prm.Max ||
+				prm.Cap != 0 && v > prm.Cap || v != 0 && v < prm.Floor {
+				t.Errorf("query %q accepted %s = %v, outside its range or HTTP bound", raw, prm.Name, v)
+			}
+		}
+	})
+}
+
+// TestQueryParamsAllocs guards the per-request cost of reading a warm-path
+// query.  ParseArchitecture once built a strings.Replacer on every call:
+// 22 allocations and 7.5 KB per call of this query, most of it the
+// replacer's tables.
+func TestQueryParamsAllocs(t *testing.T) {
+	srv := New(core.NewExperiments(), core.DefaultRunParams())
+	req := httptest.NewRequest("GET", "/v1/experiments/fig15buf?bits=8&benchmark=QCLA&arch=Fully-Multiplexed&buffer=8&format=json", nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := srv.queryParams(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 17 {
+		t.Errorf("queryParams: %v allocations per request, want at most 17", allocs)
 	}
 }

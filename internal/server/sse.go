@@ -135,6 +135,10 @@ func (h *progressHub) handleSSE(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
+	// Subscribe before the headers go out: a client that has seen the
+	// response must not miss the events that follow it.
+	ch := h.subscribe()
+	defer h.unsubscribe(ch)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
@@ -142,8 +146,6 @@ func (h *progressHub) handleSSE(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, ": connected\n\n")
 	flusher.Flush()
 
-	ch := h.subscribe()
-	defer h.unsubscribe(ch)
 	for {
 		select {
 		case <-r.Context().Done():

@@ -109,6 +109,7 @@ func TestSSEHubNoGoroutineLeaks(t *testing.T) {
 
 	const clients = 8
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // a failed check must not leave streams holding hts.Close
 	var got [clients]atomic.Int64
 	var readers sync.WaitGroup
 	for i := 0; i < clients; i++ {
