@@ -415,7 +415,7 @@ func BenchmarkFigure8_ThroughputSweep(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			var atAverage float64
 			for i := 0; i < b.N; i++ {
-				sweep, err := schedule.ThroughputSweep(c, model, schedule.DefaultSweepRates(ch.ZeroBandwidthPerMs))
+				sweep, err := schedule.ThroughputSweepEngine(context.Background(), nil, c, model, schedule.DefaultSweepRates(ch.ZeroBandwidthPerMs))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -442,7 +442,7 @@ func BenchmarkFigure15_Microarchitectures(b *testing.B) {
 	base.CacheSlots = 16
 	var fmPlateau, qlaTime float64
 	for i := 0; i < b.N; i++ {
-		curves, err := microarch.Figure15(c, microarch.Figure15Config{Base: base, MaxScale: 32})
+		curves, err := microarch.Figure15Engine(context.Background(), nil, c, microarch.Figure15Config{Base: base, MaxScale: 32})
 		if err != nil {
 			b.Fatal(err)
 		}

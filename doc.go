@@ -16,7 +16,8 @@
 //	                      internal/layout     — data regions, movement, Qalypso tiles (§4.2, §5.3)
 //	    │
 //	simulation kernel     internal/sim        — deterministic discrete-event kernel: event queue,
-//	    │                                       finite-buffer resources, rate producers
+//	    │                                       finite-buffer resources, rate producers,
+//	    │                                       the one dataflow dispatcher of every replay
 //	evaluation layer      internal/microarch  — QLA/CQLA/GQLA/GCQLA/fully-multiplexed sim (§5.2)
 //	                      internal/network    — teleportation interconnect: routed 2D mesh,
 //	                                            EPR-channel contention, multi-tile replay (§5.3, §6)

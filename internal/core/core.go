@@ -147,15 +147,9 @@ func AnalyzeBenchmark(b circuits.Benchmark, bits int, opts Options) (Analysis, e
 	return Analyze(c, opts)
 }
 
-// AnalyzeAllBenchmarks analyses the paper's three kernels at the given width
-// (32 in the paper).  It runs sequentially; AnalyzeAllBenchmarksEngine is
-// the parallel form.
-func AnalyzeAllBenchmarks(bits int, opts Options) ([]Analysis, error) {
-	return AnalyzeAllBenchmarksEngine(context.Background(), nil, bits, opts)
-}
-
-// AnalyzeAllBenchmarksEngine analyses the paper's three kernels through the
-// experiment engine, one job per kernel, in benchmark order.
+// AnalyzeAllBenchmarksEngine analyses the paper's three kernels at the given
+// width (32 in the paper) through the experiment engine, one job per kernel,
+// in benchmark order.
 func AnalyzeAllBenchmarksEngine(ctx context.Context, eng *engine.Engine, bits int, opts Options) ([]Analysis, error) {
 	benchmarks := circuits.Benchmarks()
 	jobs := make([]engine.Job[Analysis], len(benchmarks))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestAnalyzeBenchmarkQRCA(t *testing.T) {
 }
 
 func TestAnalyzeAllBenchmarksShape(t *testing.T) {
-	analyses, err := AnalyzeAllBenchmarks(16, DefaultOptions())
+	analyses, err := AnalyzeAllBenchmarksEngine(context.Background(), nil, 16, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

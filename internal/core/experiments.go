@@ -529,7 +529,7 @@ const NetSupplyHeadroom = 2
 // linkBufferPairs bounds each link's EPR channel buffer (0 = unbounded).
 func (e Experiments) NetSweep(b circuits.Benchmark, maxTiles, linkBufferPairs int) ([]network.SweepPoint, error) {
 	if maxTiles < 2 {
-		return nil, fmt.Errorf("netsweep needs a tile bound of at least 2, got %d (a 1-tile mesh has no links to sweep)", maxTiles)
+		return nil, requestErrorf("netsweep needs a tile bound of at least 2, got %d (a 1-tile mesh has no links to sweep)", maxTiles)
 	}
 	c, ch, err := e.characterizedBenchmark(b)
 	if err != nil {
@@ -635,6 +635,9 @@ func (e Experiments) NetContention(tiles, linkBufferPairs int) ([]NetContentionL
 // dead — sweeping the bandwidth around the Section 6 balance point.
 // linkBufferPairs bounds each link's EPR channel buffer (0 = unbounded).
 func (e Experiments) NetFault(b circuits.Benchmark, tiles, linkBufferPairs int) ([]network.FaultSweepPoint, error) {
+	if tiles < 2 {
+		return nil, requestErrorf("netfault needs at least 2 tiles, got %d (a 1-tile mesh has no links to fail)", tiles)
+	}
 	c, ch, err := e.characterizedBenchmark(b)
 	if err != nil {
 		return nil, err
@@ -655,6 +658,9 @@ func (e Experiments) NetFault(b circuits.Benchmark, tiles, linkBufferPairs int) 
 // boundaries die one by one, up to maxFailures, reporting Partitioned rows
 // once the failures disconnect the routed traffic.
 func (e Experiments) NetDegrade(b circuits.Benchmark, tiles, linkBufferPairs, maxFailures int) ([]network.DegradePoint, error) {
+	if tiles < 2 {
+		return nil, requestErrorf("netdegrade needs at least 2 tiles, got %d (a 1-tile mesh has no links to fail)", tiles)
+	}
 	c, ch, err := e.characterizedBenchmark(b)
 	if err != nil {
 		return nil, err

@@ -69,6 +69,18 @@ var Params = []Param{
 		Field: func(_ *Experiments, p *RunParams) any { return &p.Conf }},
 }
 
+// RequestError is an experiment refusing a setting the parameter table's
+// ranges admit but the experiment cannot run with: a mesh scenario on one
+// tile, Shor on a 1-bit modulus.  Like a range violation it is a property
+// of the request, so the server answers it with 400.
+type RequestError struct{ msg string }
+
+func (e *RequestError) Error() string { return e.msg }
+
+func requestErrorf(format string, args ...any) error {
+	return &RequestError{msg: fmt.Sprintf(format, args...)}
+}
+
 // Set parses a query value into the row's setting: numbers in base 10,
 // booleans as strconv.ParseBool reads them, names verbatim.
 func (prm Param) Set(e *Experiments, p *RunParams, s string) error {

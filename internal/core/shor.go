@@ -81,7 +81,7 @@ func (s ShorEstimate) ExecutionTimeSeconds() float64 {
 // speed-of-data execution model.
 func EstimateShor(bits int, adder ShorAdder, opts Options) (ShorEstimate, error) {
 	if bits < 2 {
-		return ShorEstimate{}, fmt.Errorf("core: Shor estimate needs a modulus of at least 2 bits, got %d", bits)
+		return ShorEstimate{}, requestErrorf("core: Shor estimate needs a modulus of at least 2 bits, got %d", bits)
 	}
 	var adderKind circuits.Benchmark
 	switch adder {
@@ -139,15 +139,9 @@ func EstimateShor(bits int, adder ShorAdder, opts Options) (ShorEstimate, error)
 	return est, nil
 }
 
-// CompareShorAdders estimates Shor's algorithm with both adder kernels,
-// exposing the latency/area trade-off the paper's two adder benchmarks stand
-// for.
-func CompareShorAdders(bits int, opts Options) (ripple, lookahead ShorEstimate, err error) {
-	return CompareShorAddersEngine(context.Background(), nil, bits, opts)
-}
-
-// CompareShorAddersEngine estimates both adder variants as concurrent engine
-// jobs.
+// CompareShorAddersEngine estimates Shor's algorithm with both adder
+// kernels as concurrent engine jobs, exposing the latency/area trade-off the
+// paper's two adder benchmarks stand for.
 func CompareShorAddersEngine(ctx context.Context, eng *engine.Engine, bits int, opts Options) (ripple, lookahead ShorEstimate, err error) {
 	adders := []ShorAdder{ShorRippleCarry, ShorCarryLookahead}
 	jobs := make([]engine.Job[ShorEstimate], len(adders))

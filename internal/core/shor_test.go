@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
@@ -60,7 +61,7 @@ func TestCompareShorAddersTradeoff(t *testing.T) {
 	// The latency/area trade-off the paper's two adders stand for: the
 	// carry-lookahead build finishes sooner but needs a bigger chip (more
 	// ancilla factories).
-	ripple, lookahead, err := CompareShorAdders(16, DefaultOptions())
+	ripple, lookahead, err := CompareShorAddersEngine(context.Background(), nil, 16, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,6 +103,12 @@ func (u *unitProc) Fire(idx int) {
 	}
 }
 
+// horizon is the event that ends a pipeline run.
+type horizon struct{ k *sim.Kernel }
+
+// Fire implements sim.Handler.
+func (h horizon) Fire(int) { h.k.Stop() }
+
 func (u *unitProc) start() { u.k.AtFire(0, sim.PriorityNormal, u, procStart) }
 
 // request begins one operation by acquiring the input qubits.
@@ -246,7 +252,7 @@ func SimulatePipeline(d Design, horizonMs, bufferQubits float64) (PipelineRun, e
 	for _, p := range procs {
 		p.start()
 	}
-	k.At(iontrap.Microseconds(horizonMs*1000.0), sim.PriorityLate, k.Stop)
+	k.AtFire(iontrap.Microseconds(horizonMs*1000.0), sim.PriorityLate, horizon{k}, 0)
 	stats := k.Run()
 	for _, p := range procs {
 		p.finish(k.Now())

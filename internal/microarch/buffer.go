@@ -38,15 +38,9 @@ func DefaultBufferCaps() []float64 {
 	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 0}
 }
 
-// BufferSweep simulates the circuit at each ancilla buffer capacity and
-// returns one point per capacity, in input order.  It runs sequentially;
-// BufferSweepEngine is the parallel form.
-func BufferSweep(c *quantum.Circuit, base Config, caps []float64) ([]BufferPoint, error) {
-	return BufferSweepEngine(context.Background(), nil, c, base, caps)
-}
-
-// BufferSweepEngine runs the buffer-capacity sweep through the experiment
-// engine, one job per capacity.
+// BufferSweepEngine simulates the circuit at each ancilla buffer capacity
+// and returns one point per capacity, in input order, one engine job per
+// capacity.
 func BufferSweepEngine(ctx context.Context, eng *engine.Engine, c *quantum.Circuit, base Config, caps []float64) ([]BufferPoint, error) {
 	if len(caps) == 0 {
 		return nil, fmt.Errorf("microarch: no buffer capacities to sweep")

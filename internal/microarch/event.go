@@ -10,194 +10,35 @@ import (
 )
 
 // simulateEvents is the event-driven core behind Simulate: the circuit's
-// dataflow graph executes on a sim.Kernel, with gate completions as events
-// and a late-priority dispatcher that issues newly ready gates in (readiness,
-// gate index) order — the same order the closed form uses, so with infinite
-// buffers (the fluid sources) the two models perform identical arithmetic
-// and produce bit-identical results.
+// dataflow graph replays on a sim.Dataflow, which issues ready gates in
+// (readiness, gate index) order — the closed form's order, so with infinite
+// buffers (fluid sources) the two models perform identical arithmetic and
+// produce bit-identical results.  This layer adds the architecture's cost
+// model and its ancilla sources, one per site: with cfg.BufferAncillae > 0
+// each is a finite buffer fed by a rate-matched producer, so gates stall
+// until their demand is delivered and producers stall when the buffer fills,
+// the dynamics the closed form cannot express.
 //
-// With cfg.BufferAncillae > 0 each ancilla source becomes a finite
-// sim.Resource fed by a rate-matched sim.Producer: gates drain the buffer
-// (stalling until their demand is delivered) and producers stall when the
-// buffer fills, which is the dynamics the closed form cannot express.
-//
-// The run state implements sim.Handler, so the per-event schedule — one
-// completion per gate, one grant per buffered acquire, the dispatcher —
-// carries a gate index instead of allocating a closure, and the whole state
-// (kernel, ready queue, per-gate arrays, sources) is pooled across runs.
-// Sweeps call Simulate thousands of times; the steady-state scheduling path
-// allocates nothing (see TestSimulateEventsSteadyStateAllocations).
-
-// pendGate carries a buffered gate's dispatch results to its grant event
-// (the closure-free replacement for capturing them).
-type pendGate struct {
-	start, extra, weight float64
-}
+// The run state is pooled across runs; sweeps call Simulate thousands of
+// times and the steady state allocates a constant handful per run (see
+// TestSimulateEventsSteadyStateAllocations).
 
 // eventRun is the pooled per-run state.
 type eventRun struct {
-	k   *sim.Kernel
-	rq  *sim.TaskQueue
-	c   *quantum.Circuit
-	dag *quantum.DAG
-	cfg Config
-
-	model  *costModel
-	fluid  bool
-	fluids []sim.FluidSource
-	bufs   []*sim.Resource
-	prods  []*sim.Producer
-
-	ready []float64
-	indeg []int
-	pend  []pendGate
-
-	n                 int
-	finished          int
-	makespan          float64
-	stall             float64
-	dispatchScheduled bool
+	df    sim.Dataflow
+	c     *quantum.Circuit
+	cfg   Config
+	model *costModel
 }
 
 var eventRunPool = sync.Pool{New: func() any { return new(eventRun) }}
 
-// Handler payloads: gate completions carry the gate index, buffered grants
-// carry n+gate, and the dispatcher uses -1.
-const dispatchIdx = -1
-
-// Fire implements sim.Handler.
-func (r *eventRun) Fire(idx int) {
-	switch {
-	case idx == dispatchIdx:
-		r.dispatch()
-	case idx >= r.n:
-		r.granted(idx - r.n)
-	default:
-		r.completed(idx)
-	}
-}
-
-// grow resizes the per-gate arrays, reusing capacity.
-func (r *eventRun) grow(n int) {
-	r.n = n
-	if cap(r.ready) < n {
-		r.ready = make([]float64, n)
-		r.indeg = make([]int, n)
-		r.pend = make([]pendGate, n)
-	}
-	r.ready = r.ready[:n]
-	r.indeg = r.indeg[:n]
-	r.pend = r.pend[:n]
-	for i := range r.ready {
-		r.ready[i] = 0
-	}
-	copy(r.indeg, r.dag.InDegree)
-}
-
-// sources (re)builds the run's ancilla supplies from the per-source rates,
-// reusing pooled fluid sources, buffers and producers.
-func (r *eventRun) sources(rates []float64) error {
-	if r.fluid {
-		if cap(r.fluids) < len(rates) {
-			r.fluids = make([]sim.FluidSource, len(rates))
-		}
-		r.fluids = r.fluids[:len(rates)]
-		for i, rate := range rates {
-			if err := r.fluids[i].Reset(rate); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i, rate := range rates {
-		name := fmt.Sprintf("%v ancilla source %d", r.cfg.Arch, i)
-		if i < len(r.bufs) {
-			r.bufs[i].Reset(r.k, name, r.cfg.BufferAncillae)
-			if err := r.prods[i].Reset(r.k, name, r.bufs[i], rate, 1); err != nil {
-				return err
-			}
-		} else {
-			buf := sim.NewResource(r.k, name, r.cfg.BufferAncillae)
-			prod, err := sim.NewProducer(r.k, name, buf, rate, 1)
-			if err != nil {
-				return err
-			}
-			r.bufs = append(r.bufs, buf)
-			r.prods = append(r.prods, prod)
-		}
-		r.prods[i].Start()
-	}
-	r.bufs = r.bufs[:len(rates)]
-	r.prods = r.prods[:len(rates)]
-	return nil
-}
-
-// scheduleDispatch arms the late-priority dispatcher for the current time.
-func (r *eventRun) scheduleDispatch() {
-	if !r.dispatchScheduled {
-		r.dispatchScheduled = true
-		r.k.AtFire(r.k.Now(), sim.PriorityLate, r, dispatchIdx)
-	}
-}
-
-// finishGate records a gate's finish time and schedules its completion.
-func (r *eventRun) finishGate(gi int, finishAt float64) {
-	if finishAt > r.makespan {
-		r.makespan = finishAt
-	}
-	r.k.AtFire(iontrap.Microseconds(finishAt), sim.PriorityNormal, r, gi)
-}
-
-// completed fires at a gate's finish time: successors become ready and the
-// dispatcher is armed.
-func (r *eventRun) completed(gi int) {
-	finishAt := float64(r.k.Now())
-	r.finished++
-	for _, s := range r.dag.Succ[gi] {
-		if finishAt > r.ready[s] {
-			r.ready[s] = finishAt
-		}
-		r.indeg[s]--
-		if r.indeg[s] == 0 {
-			r.rq.Push(sim.Task{Index: s, Ready: r.ready[s]})
-			r.scheduleDispatch()
-		}
-	}
-	if r.finished == r.n {
-		// The workload is done; drop any still-ticking producers.
-		r.k.Stop()
-	}
-}
-
-// granted fires when a buffered gate's ancilla demand has been delivered.
-func (r *eventRun) granted(gi int) {
-	issue := float64(r.k.Now())
-	p := r.pend[gi]
-	r.stall += issue - p.start
-	r.finishGate(gi, issue+p.extra+p.weight)
-}
-
-// dispatch issues every ready gate in (readiness, gate index) order.
-func (r *eventRun) dispatch() {
-	r.dispatchScheduled = false
-	for r.rq.Len() > 0 {
-		item := r.rq.Pop()
-		gi := item.Index
-		start := item.Ready
-		site, extraLatency, ancillae := r.model.dispatch(r.c.Gates[gi])
-		weight := float64(r.cfg.Latency.GateWeightSpeedOfData(r.c.Gates[gi]))
-		if r.fluid {
-			issue := start
-			if t := r.fluids[site].AvailableAt(ancillae); t > issue {
-				issue = t
-			}
-			r.stall += issue - start
-			r.finishGate(gi, issue+extraLatency+weight)
-		} else {
-			r.pend[gi] = pendGate{start: start, extra: extraLatency, weight: weight}
-			r.bufs[site].AcquireFire(ancillae, r, r.n+gi)
-		}
-	}
+// Issue implements sim.Issuer: price the gate on the architecture, then draw
+// its ancillae from its site's source.
+func (r *eventRun) Issue(fi, _, _ int, ready float64) {
+	g := r.c.Gates[fi]
+	site, extraLatency, ancillae := r.model.dispatch(g)
+	r.df.Acquire(fi, site, ancillae, ready, extraLatency, float64(r.cfg.Latency.GateWeightSpeedOfData(g)))
 }
 
 func simulateEvents(c *quantum.Circuit, cfg Config) (Result, error) {
@@ -219,47 +60,23 @@ func simulateEvents(c *quantum.Circuit, cfg Config) (Result, error) {
 
 	r := eventRunPool.Get().(*eventRun)
 	defer func() {
-		r.c, r.dag, r.model, r.k, r.rq = nil, nil, nil, nil, nil
+		r.c, r.model = nil, nil
 		eventRunPool.Put(r)
 	}()
-	r.k = sim.AcquireKernel()
-	defer r.k.Release()
-	r.rq = sim.AcquireTaskQueue()
-	defer r.rq.Release()
-	r.c, r.cfg = c, cfg
-	r.dag = c.DAG()
-	r.model = newCostModel(cfg, &res)
-	r.fluid = cfg.BufferAncillae <= 0
-	r.finished, r.makespan, r.stall, r.dispatchScheduled = 0, 0, 0, false
-	r.grow(len(c.Gates))
-	if err := r.sources(rates); err != nil {
+	r.c, r.cfg, r.model = c, cfg, newCostModel(cfg, &res)
+	r.df.Reset(r, c)
+	defer r.df.Release()
+	if err := r.df.Sources(cfg.BufferAncillae, "ancilla source", rates...); err != nil {
 		return Result{}, err
 	}
-
-	for i, d := range r.indeg {
-		if d == 0 {
-			r.rq.Push(sim.Task{Index: i, Ready: 0})
-		}
+	stats, err := r.df.Run()
+	if err != nil {
+		return Result{}, fmt.Errorf("microarch: %q: %w", c.Name, err)
 	}
-	r.k.AtFire(0, sim.PriorityLate, r, dispatchIdx)
-	r.dispatchScheduled = true
-	stats := r.k.Run()
-
-	if r.finished != r.n {
-		return Result{}, fmt.Errorf("microarch: dependence graph of %q is cyclic", c.Name)
-	}
-	res.ExecutionTime = iontrap.Microseconds(r.makespan)
-	res.AncillaStallTime = iontrap.Microseconds(r.stall)
+	res.ExecutionTime = iontrap.Microseconds(r.df.Makespan())
+	res.AncillaStallTime = iontrap.Microseconds(r.df.Wait(0))
+	res.BufferHighWater = r.df.BufferHighWater()
+	res.ProducerStallTime = r.df.ProducerStall()
 	res.Events = stats.Events
-	if !r.fluid {
-		for _, b := range r.bufs {
-			if b.HighWater() > res.BufferHighWater {
-				res.BufferHighWater = b.HighWater()
-			}
-		}
-		for _, p := range r.prods {
-			res.ProducerStallTime += p.StallTime()
-		}
-	}
 	return res, nil
 }

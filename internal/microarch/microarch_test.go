@@ -190,7 +190,7 @@ func TestFigure15Shape(t *testing.T) {
 	c := benchmarkCircuit(t, circuits.QCLA, 32)
 	base := DefaultConfig(FullyMultiplexed)
 	base.CacheSlots = 16
-	curves, err := Figure15(c, Figure15Config{Base: base, MaxScale: 64})
+	curves, err := Figure15Engine(context.Background(), nil, c, Figure15Config{Base: base, MaxScale: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +262,10 @@ func TestFigure15Shape(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	c := benchmarkCircuit(t, circuits.QRCA, 4)
-	if _, err := Sweep(c, DefaultConfig(FullyMultiplexed), nil); err == nil {
+	if _, err := SweepEngine(context.Background(), nil, c, DefaultConfig(FullyMultiplexed), nil); err == nil {
 		t.Error("empty sweep should fail")
 	}
-	if _, err := Sweep(c, DefaultConfig(FullyMultiplexed), []int{0}); err == nil {
+	if _, err := SweepEngine(context.Background(), nil, c, DefaultConfig(FullyMultiplexed), []int{0}); err == nil {
 		t.Error("non-positive scale should fail")
 	}
 	bad := DefaultConfig(QLA)
@@ -355,7 +355,7 @@ func TestFigure15EngineMatchesSequential(t *testing.T) {
 	base := DefaultConfig(FullyMultiplexed)
 	base.CacheSlots = 8
 	cfg := Figure15Config{Base: base, MaxScale: 16}
-	seq, err := Figure15(c, cfg)
+	seq, err := Figure15Engine(context.Background(), nil, c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,5 +505,63 @@ func TestNetworkDelegatedTeleportAccounting(t *testing.T) {
 	bad.Network = network.Topology{Cols: 0, Rows: 1, TileQubits: 1}
 	if _, err := Simulate(c, bad); err == nil {
 		t.Error("invalid mesh topology should fail validation")
+	}
+}
+
+// Buffered replays allocate a constant handful per run too: the pooled run
+// state and the resources' reused request and waiter arrays make each
+// count the same at 8 and 16 bits (QRCA: 482 and 994 gates), buffers of 16.
+func TestBufferedReplaysSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop objects at random")
+	}
+	m := schedule.DefaultLatencyModel()
+	replays := []struct {
+		name  string
+		setup func(c *quantum.Circuit, zeroPerMs float64) (func() error, error)
+	}{
+		{"Fully-Multiplexed Simulate", func(c *quantum.Circuit, _ float64) (func() error, error) {
+			cfg := DefaultConfig(FullyMultiplexed)
+			cfg.BufferAncillae = 16
+			return func() error { _, err := Simulate(c, cfg); return err }, nil
+		}},
+		{"schedule.Replay", func(c *quantum.Circuit, zeroPerMs float64) (func() error, error) {
+			supply := schedule.Supply{RatePerMs: zeroPerMs, BufferAncillae: 16}
+			return func() error { _, err := schedule.Replay(c, m, supply); return err }, nil
+		}},
+		{"4-tile network.Replay", func(c *quantum.Circuit, zeroPerMs float64) (func() error, error) {
+			cfg, err := network.PlanConfig(m, c.NumQubits, 4, zeroPerMs*2, 0)
+			if err != nil {
+				return nil, err
+			}
+			cfg.LinkBufferPairs = 16
+			part, err := network.PartitionCircuit(c, len(cfg.Machine.Tiles))
+			cfg.Partitions = []network.Partition{part}
+			return func() error { _, err := network.Replay(c, cfg); return err }, err
+		}},
+	}
+	allocs := func(bits int, setup func(*quantum.Circuit, float64) (func() error, error)) float64 {
+		c := benchmarkCircuit(t, circuits.QRCA, bits)
+		ch, err := schedule.Characterize(c, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := setup(c, ch.ZeroBandwidthPerMs)
+		if err == nil {
+			err = run() // warm pools and caches
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, r := range replays {
+		if small, large := allocs(8, r.setup), allocs(16, r.setup); small != large {
+			t.Errorf("buffered %s allocations grow with the circuit: %v per run at 8 bits, %v at 16", r.name, small, large)
+		}
 	}
 }

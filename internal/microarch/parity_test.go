@@ -1,10 +1,14 @@
 package microarch
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"speedofdata/internal/circuits"
+	"speedofdata/internal/network"
 	"speedofdata/internal/quantum"
 	"speedofdata/internal/sim"
 )
@@ -74,6 +78,59 @@ func TestEventSimulatorMatchesClosedFormAt32Bits(t *testing.T) {
 				event.ExecutionTime, event.AncillaeConsumed, closed.ExecutionTime, closed.AncillaeConsumed)
 		}
 	}
+}
+
+// randomCircuit draws a small circuit over the whole gate set: up to
+// maxQubits qubits and maxGates gates on random distinct operands.
+func randomCircuit(rng *rand.Rand, maxQubits, maxGates int) *quantum.Circuit {
+	n := 1 + rng.Intn(maxQubits)
+	c := quantum.NewCircuit(fmt.Sprintf("random-%d", n), n)
+	kinds := quantum.GateKinds()
+	for i, gates := 0, rng.Intn(maxGates+1); i < gates; i++ {
+		if k := kinds[rng.Intn(len(kinds))]; k.Arity() <= n {
+			c.Add(k, rng.Perm(n)[:k.Arity()]...)
+		}
+	}
+	return c
+}
+
+// FuzzSimulateParity runs the closed-form oracle against the event-driven
+// simulator over random small circuits, architectures, scales, cache sizes
+// and meshes, all at infinite buffer: every Result field must agree (the
+// closed form reports no kernel events).
+func FuzzSimulateParity(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(15), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(2), uint8(3), uint8(1), uint8(4), uint8(1))
+	f.Add(int64(3), uint8(3), uint8(1), uint8(0), uint8(5), uint8(2))
+	f.Add(int64(4), uint8(4), uint8(7), uint8(3), uint8(9), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, arch, scale, cache, tiles, block uint8) {
+		c := randomCircuit(rand.New(rand.NewSource(seed)), 12, 80)
+		archs := Architectures()
+		cfg := DefaultConfig(archs[int(arch)%len(archs)])
+		cfg.GeneratorsPerQubit = 1 + int(scale%8)
+		cfg.SharedFactories = 1 + int(scale%8)
+		cfg.CacheSlots = 1 + int(cache%16)
+		if n := int(tiles % 10); n > 0 {
+			cfg.Network = network.NewTopology(n)
+			cfg.Network.TileQubits = 1 + int(block%4)
+		}
+		event, err := Simulate(c, cfg)
+		closed, cerr := SimulateClosedForm(c, cfg)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("event error %v, closed-form error %v", err, cerr)
+		}
+		if err != nil {
+			return
+		}
+		if len(c.Gates) > 0 && event.Events == 0 {
+			t.Fatalf("%v: event-driven run of %d gates reported no kernel events", cfg.Arch, len(c.Gates))
+		}
+		event.Events = 0
+		if event != closed {
+			t.Fatalf("%v on %d qubits, %d gates: event %+v != closed form %+v",
+				cfg.Arch, c.NumQubits, len(c.Gates), event, closed)
+		}
+	})
 }
 
 func TestZeroGenerationRateIsTypedError(t *testing.T) {
@@ -182,7 +239,7 @@ func TestBufferSweepShape(t *testing.T) {
 	c := benchmarkCircuit(t, circuits.QRCA, 8)
 	cfg := DefaultConfig(FullyMultiplexed)
 	cfg.SharedFactories = 2
-	points, err := BufferSweep(c, cfg, DefaultBufferCaps())
+	points, err := BufferSweepEngine(context.Background(), nil, c, cfg, DefaultBufferCaps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +258,10 @@ func TestBufferSweepShape(t *testing.T) {
 				p.BufferAncillae, p.ExecutionTimeMs, ref.ExecutionTimeMs)
 		}
 	}
-	if _, err := BufferSweep(c, cfg, nil); err == nil {
+	if _, err := BufferSweepEngine(context.Background(), nil, c, cfg, nil); err == nil {
 		t.Error("empty capacity list should fail")
 	}
-	if _, err := BufferSweep(c, cfg, []float64{-2}); err == nil {
+	if _, err := BufferSweepEngine(context.Background(), nil, c, cfg, []float64{-2}); err == nil {
 		t.Error("negative capacity should fail")
 	}
 }

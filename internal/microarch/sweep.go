@@ -33,17 +33,11 @@ type Curve struct {
 	Points []CurvePoint
 }
 
-// Sweep simulates the circuit at each resource scale for one architecture
-// and returns the resulting curve.  For QLA/GQLA and CQLA/GCQLA the scale is
-// the number of generators per data qubit (or cache slot); for
-// Fully-Multiplexed it is the number of shared pipelined factories.  It runs
-// sequentially; SweepEngine is the parallel form.
-func Sweep(c *quantum.Circuit, base Config, scales []int) (Curve, error) {
-	return SweepEngine(context.Background(), nil, c, base, scales)
-}
-
-// SweepEngine runs one architecture's resource sweep through the experiment
-// engine, simulating each scale as an independent job.
+// SweepEngine simulates the circuit at each resource scale for one
+// architecture and returns the resulting curve, one engine job per scale (a
+// nil engine runs them sequentially).  For QLA/GQLA and CQLA/GCQLA the scale
+// is the number of generators per data qubit (or cache slot); for
+// Fully-Multiplexed it is the number of shared pipelined factories.
 func SweepEngine(ctx context.Context, eng *engine.Engine, c *quantum.Circuit, base Config, scales []int) (Curve, error) {
 	if len(scales) == 0 {
 		return Curve{}, fmt.Errorf("microarch: no scales to sweep")
@@ -147,20 +141,14 @@ type Figure15Config struct {
 	Archs []Architecture
 }
 
-// Figure15 produces the execution-time/area curves of Figure 15 for one
-// benchmark circuit: QLA and CQLA as proposed (single generator per site),
-// their generalisations GQLA and GCQLA swept over generators per site, and
-// Fully-Multiplexed swept over shared factories.  It runs sequentially;
-// Figure15Engine is the parallel form.
-func Figure15(c *quantum.Circuit, cfg Figure15Config) (map[Architecture]Curve, error) {
-	return Figure15Engine(context.Background(), nil, c, cfg)
-}
-
-// Figure15Engine regenerates Figure 15 through the experiment engine.  The
-// whole architecture × scale grid is flattened into one job batch so every
-// simulation runs concurrently, then the points are regrouped into per-
-// architecture curves; results are identical to the sequential Figure15 for
-// any worker count.
+// Figure15Engine produces the execution-time/area curves of Figure 15 for
+// one benchmark circuit: QLA and CQLA as proposed (single generator per
+// site), their generalisations GQLA and GCQLA swept over generators per
+// site, and Fully-Multiplexed swept over shared factories.  The whole
+// architecture × scale grid is flattened into one engine job batch so every
+// simulation runs concurrently, then the points are regrouped into
+// per-architecture curves; results are identical for any worker count (a nil
+// engine runs the jobs sequentially).
 func Figure15Engine(ctx context.Context, eng *engine.Engine, c *quantum.Circuit, cfg Figure15Config) (map[Architecture]Curve, error) {
 	maxScale := cfg.MaxScale
 	if maxScale <= 0 {

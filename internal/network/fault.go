@@ -252,12 +252,6 @@ type FaultSweepConfig struct {
 // balance point: starved, matched, over-provisioned.
 func DefaultFaultLinkFactors() []float64 { return []float64{0.5, 1, 2} }
 
-// FaultSweep runs the netfault grid sequentially; FaultSweepEngine is the
-// parallel form.
-func FaultSweep(c *quantum.Circuit, sc FaultSweepConfig) ([]FaultSweepPoint, error) {
-	return FaultSweepEngine(context.Background(), nil, c, sc)
-}
-
 // FaultSweepEngine replays the circuit at every (fault mode, link factor)
 // cell of the netfault grid through the experiment engine — the Section 6
 // question under damage: does the balance point survive a dead link?  A mesh
@@ -370,12 +364,6 @@ type DegradeConfig struct {
 	// MaxFailures bounds the boundary-failure count swept (capped at the
 	// mesh's boundary count).
 	MaxFailures int
-}
-
-// DegradeSweep runs the netdegrade sweep sequentially; DegradeSweepEngine is
-// the parallel form.
-func DegradeSweep(c *quantum.Circuit, sc DegradeConfig) ([]DegradePoint, error) {
-	return DegradeSweepEngine(context.Background(), nil, c, sc)
 }
 
 // DegradeSweepEngine replays the circuit at matched link bandwidth while

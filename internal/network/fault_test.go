@@ -1,6 +1,7 @@
 package network
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -274,7 +275,7 @@ func TestFaultSweepMonotoneAndDeterministic(t *testing.T) {
 		Tiles:       4,
 		LinkFactors: DefaultFaultLinkFactors(),
 	}
-	points, err := FaultSweep(c, sc)
+	points, err := FaultSweepEngine(context.Background(), nil, c, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestDegradeSweepUntilPartition(t *testing.T) {
 		Tiles:       4,
 		MaxFailures: 4,
 	}
-	rows, err := DegradeSweep(c, sc)
+	rows, err := DegradeSweepEngine(context.Background(), nil, c, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

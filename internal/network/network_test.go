@@ -1,8 +1,11 @@
 package network
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -169,6 +172,48 @@ func TestOneTileReplayMatchesScheduleFluid(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomCircuit draws a small circuit over the whole gate set: up to
+// maxQubits qubits and maxGates gates on random distinct operands.
+func randomCircuit(rng *rand.Rand, maxQubits, maxGates int) *quantum.Circuit {
+	n := 1 + rng.Intn(maxQubits)
+	c := quantum.NewCircuit(fmt.Sprintf("random-%d", n), n)
+	kinds := quantum.GateKinds()
+	for i, gates := 0, rng.Intn(maxGates+1); i < gates; i++ {
+		if k := kinds[rng.Intn(len(kinds))]; k.Arity() <= n {
+			c.Add(k, rng.Perm(n)[:k.Arity()]...)
+		}
+	}
+	return c
+}
+
+// FuzzOneTileReplayParity runs the 1-tile oracle pair over random circuits
+// and supply rates: the degenerate mesh must reproduce the fluid
+// schedule.Replay bit for bit, kernel event count included.
+func FuzzOneTileReplayParity(f *testing.F) {
+	f.Add(int64(1), 100.0)
+	f.Add(int64(2), 0.5)
+	f.Add(int64(3), 1e5)
+	f.Fuzz(func(t *testing.T, seed int64, ratePerMs float64) {
+		if !(ratePerMs >= 1e-3 && ratePerMs <= 1e9) {
+			return
+		}
+		c := randomCircuit(rand.New(rand.NewSource(seed)), 12, 80)
+		m := schedule.DefaultLatencyModel()
+		want, err := schedule.Replay(c, m, schedule.Supply{RatePerMs: ratePerMs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Replay(c, parityConfig(t, m, c.NumQubits, ratePerMs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Results[0].ReplayResult != want.Results[0] || got.Makespan != want.Makespan || got.Events != want.Events {
+			t.Fatalf("%d qubits, %d gates at %v/ms: 1-tile mesh diverged from schedule.Replay:\n got %+v (%d events)\nwant %+v (%d events)",
+				c.NumQubits, len(c.Gates), ratePerMs, got.Results[0].ReplayResult, got.Events, want.Results[0], want.Events)
+		}
+	})
 }
 
 func TestMultiTileReplayAccounting(t *testing.T) {
@@ -339,7 +384,7 @@ func TestSweepNetworkBlockedMonotoneInLinkBandwidth(t *testing.T) {
 		TileCounts:  []int{2, 4},
 		LinkFactors: DefaultLinkFactors(),
 	}
-	points, err := Sweep(c, sc)
+	points, err := SweepEngine(context.Background(), nil, c, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

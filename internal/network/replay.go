@@ -3,6 +3,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"speedofdata/internal/iontrap"
@@ -92,21 +93,23 @@ func Replay(c *quantum.Circuit, cfg Config) (ReplayRun, error) {
 
 // netGate is the in-flight state of one dispatched cross-tile gate: its
 // operand movements, the join counters for inbound and return teleports,
-// and the times the joins resolve to.
+// and the times the joins resolve to.  Cross-tile gates in flight hold
+// pooled slots in netState; the slot index rides on their events.
 type netGate struct {
-	moves    [][]Link
-	inbound  int
-	outbound int
-	arrival  float64
-	execDone float64
-	retDone  float64
+	fi, ci, gi int // flat index, circuit and gate
+	moves      [][]Link
+	inbound    int
+	outbound   int
+	arrival    float64
+	execDone   float64
+	retDone    float64
 }
 
 // teleState is one active routed operand movement.  Teleports are pooled by
 // index in netState and step through their route via kernel events carrying
-// that index — the closure-free replacement for the recursive hop closure.
+// that index.
 type teleState struct {
-	fi       int    // owning flat gate
+	gate     int    // owning netGate slot
 	route    []Link // cached route (read-only; replaced on mid-flight reroute)
 	hop      int
 	dest     int     // final tile, for re-resolving after a fault
@@ -115,26 +118,20 @@ type teleState struct {
 	hopReady float64 // when the current hop requested its EPR pair
 }
 
-// netState is the pooled per-run state of ReplayShared, implementing
-// sim.Handler.  Event payloads: -1 dispatch, [0,total) gate completion,
-// [total,2·total) return-teleport launch for gate idx-total, and beyond
-// that teleport steps (even = EPR pair granted, odd = hop arrival).
+// netState is the pooled per-run state of ReplayShared.  The sim.Dataflow
+// issues gates and draws their zeros from per-tile fluid supplies; netState
+// adds the mesh: routes, EPR-pair links, teleports and faults, on its own
+// sim.Handler events.  Payloads: 3·ts teleport ts granted its EPR pair,
+// 3·ts+1 teleport ts arrived at the end of its hop, 3·x+2 cross-tile gate x
+// finished executing, and -1-pi scheduled fault pi strikes.
 type netState struct {
-	k  *sim.Kernel
-	rq *sim.TaskQueue
+	df   sim.Dataflow
+	run  *ReplayRun
+	cs   []*quantum.Circuit
+	m    schedule.LatencyModel
+	topo Topology
 
-	run   *ReplayRun
-	cs    []*quantum.Circuit
-	m     schedule.LatencyModel
-	topo  Topology
-	flat  []flatGate
-	dags  []*quantum.DAG
-	offs  []int
-	pend  []netGate
-	ready []float64
-	indeg []int
-
-	pools   []sim.FluidSource
+	rates   []float64 // per-tile zero supply rates (ancillae/us)
 	bufs    []*sim.Resource
 	prods   []*sim.Producer
 	linkIdx map[Link]int
@@ -152,6 +149,8 @@ type netState struct {
 	fstats       FaultStats
 	replayErr    error
 
+	gates    []netGate
+	gateFree []int32
 	tele     []teleState
 	teleFree []int32
 
@@ -161,45 +160,24 @@ type netState struct {
 	teleUs   float64
 	ballUs   float64
 
-	waits      []float64
 	netBlocked []float64
-	tops       []float64
-
-	total             int
-	nTiles            int
-	finished          int
-	makespan          float64
-	dispatchScheduled bool
-}
-
-type flatGate struct {
-	circuit int
-	gate    int
+	nTiles     int
 }
 
 var netStatePool = sync.Pool{New: func() any { return new(netState) }}
 
-const netDispatchIdx = -1
-
 // Fire implements sim.Handler.
 func (r *netState) Fire(idx int) {
 	switch {
-	case idx == netDispatchIdx:
-		r.dispatch()
-	case idx < netDispatchIdx:
-		// Scheduled faults carry their plan index as -2-pi.
-		r.applyFault(-2 - idx)
-	case idx < r.total:
-		r.completed(idx)
-	case idx < 2*r.total:
-		r.launchReturns(idx - r.total)
+	case idx < 0:
+		r.applyFault(-1 - idx)
+	case idx%3 == 0:
+		r.teleGranted(idx / 3)
+	case idx%3 == 1:
+		r.tele[idx/3].hop++
+		r.teleStep(idx / 3)
 	default:
-		t := idx - 2*r.total
-		if t&1 == 0 {
-			r.teleGranted(t >> 1)
-		} else {
-			r.teleArrived(t >> 1)
-		}
+		r.launchReturns(idx / 3)
 	}
 }
 
@@ -233,7 +211,7 @@ func (r *netState) linkIsDown(l Link) bool { return r.linkDown[r.linkIdx[l]] }
 func (r *netState) fail(err error) {
 	if r.replayErr == nil {
 		r.replayErr = err
-		r.k.Stop()
+		r.df.Kernel().Stop()
 	}
 }
 
@@ -242,10 +220,8 @@ func (r *netState) fail(err error) {
 // slices; teleStep re-checks each hop against linkDown, so stale routes
 // self-heal at the next hop.
 func (r *netState) clearRoutes() {
-	for i := range r.routes {
-		r.routes[i] = nil
-		r.rerouted[i] = false
-	}
+	clear(r.routes)
+	clear(r.rerouted)
 }
 
 // noteSpawn accounts a teleport launched on a non-preferred route.
@@ -255,6 +231,19 @@ func (r *netState) noteSpawn(route []Link) {
 		r.fstats.Reroutes++
 		r.fstats.DetourHops += len(route) - r.topo.HopDistance(from, to)
 	}
+}
+
+// reroute re-resolves teleport s from the tile it stands on, after the link
+// it queued on or was headed for died.
+func (r *netState) reroute(s *teleState, cur int) bool {
+	nr := r.route(cur, s.dest)
+	if r.replayErr != nil {
+		return false
+	}
+	r.fstats.InFlightReroutes++
+	r.fstats.DetourHops += len(nr) - r.topo.HopDistance(cur, s.dest)
+	s.route, s.hop = nr, 0
+	return true
 }
 
 // applyFault applies one scheduled fault at its kernel timestamp.
@@ -292,27 +281,20 @@ func (r *netState) applyFault(pi int) {
 		if !s.waiting || s.hop >= len(s.route) || r.linkIdx[s.route[s.hop]] != li {
 			continue
 		}
-		if !r.bufs[li].CancelAcquireFire(r, 2*r.total+2*ts) {
+		if !r.bufs[li].CancelAcquireFire(r, 3*ts) {
 			continue
 		}
 		s.waiting = false
-		ci := r.flat[s.fi].circuit
-		now := float64(r.k.Now())
-		r.netBlocked[ci] += now - s.hopReady
-		cur := s.route[s.hop].From
-		nr := r.route(cur, s.dest)
-		if r.replayErr != nil {
+		r.netBlocked[r.gates[s.gate].ci] += float64(r.df.Kernel().Now()) - s.hopReady
+		if !r.reroute(s, s.route[s.hop].From) {
 			return
 		}
-		r.fstats.InFlightReroutes++
-		r.fstats.DetourHops += len(nr) - r.topo.HopDistance(cur, s.dest)
-		s.route, s.hop = nr, 0
 		r.teleStep(ts)
 	}
 }
 
 // spawnTele claims a pooled teleport state and starts its first hop.
-func (r *netState) spawnTele(fi int, route []Link, ret bool) {
+func (r *netState) spawnTele(x int, route []Link, ret bool) {
 	var ts int
 	if n := len(r.teleFree); n > 0 {
 		ts = int(r.teleFree[n-1])
@@ -321,7 +303,7 @@ func (r *netState) spawnTele(fi int, route []Link, ret bool) {
 		ts = len(r.tele)
 		r.tele = append(r.tele, teleState{})
 	}
-	r.tele[ts] = teleState{fi: fi, route: route, ret: ret, dest: route[len(route)-1].To}
+	r.tele[ts] = teleState{gate: x, route: route, ret: ret, dest: route[len(route)-1].To}
 	r.teleStep(ts)
 }
 
@@ -332,32 +314,23 @@ func (r *netState) spawnTele(fi int, route []Link, ret bool) {
 // instead of queueing on a dead channel forever.
 func (r *netState) teleStep(ts int) {
 	s := &r.tele[ts]
+	now := float64(r.df.Kernel().Now())
 	if s.hop == len(s.route) {
-		arrive := float64(r.k.Now())
-		fi, ret := s.fi, s.ret
+		x, ret := s.gate, s.ret
 		r.teleFree = append(r.teleFree, int32(ts))
 		if ret {
-			r.returnArrived(fi, arrive)
+			r.returnArrived(x, now)
 		} else {
-			r.operandArrived(fi, arrive)
+			r.operandArrived(x, now)
 		}
 		return
 	}
-	l := s.route[s.hop]
-	if r.faulted && r.linkDown[r.linkIdx[l]] {
-		cur := l.From
-		nr := r.route(cur, s.dest)
-		if r.replayErr != nil {
-			return
-		}
-		r.fstats.InFlightReroutes++
-		r.fstats.DetourHops += len(nr) - r.topo.HopDistance(cur, s.dest)
-		s.route, s.hop = nr, 0
-		l = nr[0]
+	if l := s.route[s.hop]; r.faulted && r.linkDown[r.linkIdx[l]] && !r.reroute(s, l.From) {
+		return
 	}
-	s.hopReady = float64(r.k.Now())
+	s.hopReady = now
 	s.waiting = true
-	r.bufs[r.linkIdx[l]].AcquireFire(1, r, 2*r.total+2*ts)
+	r.bufs[r.linkIdx[s.route[s.hop]]].AcquireFire(1, r, 3*ts)
 }
 
 // teleGranted fires when the hop's EPR pair is delivered: draw the teleport
@@ -365,57 +338,90 @@ func (r *netState) teleStep(ts int) {
 func (r *netState) teleGranted(ts int) {
 	s := &r.tele[ts]
 	s.waiting = false
-	ci := r.flat[s.fi].circuit
-	res := &r.run.Results[ci]
+	p := &r.gates[s.gate]
+	res := &r.run.Results[p.ci]
 	l := s.route[s.hop]
-	granted := float64(r.k.Now())
-	r.netBlocked[ci] += granted - s.hopReady
+	granted := float64(r.df.Kernel().Now())
+	r.netBlocked[p.ci] += granted - s.hopReady
 	if r.faulted && r.linkDegraded[r.linkIdx[l]] {
 		r.fstats.DegradedWaitUs += granted - s.hopReady
 	}
 	depart := granted
 	if r.teleAnc > 0 {
-		if t := r.pools[l.From].AvailableAt(r.teleAnc); t > depart {
-			depart = t
-		}
+		depart = r.df.Draw(p.fi, l.From, r.teleAnc, granted)
 	}
-	r.waits[ci] += depart - granted
 	res.TeleportAncillae += r.teleAncN
 	res.AncillaeConsumed += r.teleAncN
 	res.Hops++
 	arrive := depart + r.teleUs
-	r.netBlocked[ci] += arrive - depart
-	r.k.AtFire(iontrap.Microseconds(arrive), sim.PriorityNormal, r, 2*r.total+2*ts+1)
+	r.netBlocked[p.ci] += arrive - depart
+	r.df.Kernel().AtFire(iontrap.Microseconds(arrive), sim.PriorityNormal, r, 3*ts+1)
 }
 
-// teleArrived fires at the hop's arrival time.
-func (r *netState) teleArrived(ts int) {
-	r.tele[ts].hop++
-	r.teleStep(ts)
+// execTile returns the tile a gate executes on: its last operand's.
+func (r *netState) execTile(ci int, g quantum.Gate) int {
+	return r.run.Partitions[ci].TileOf[g.Qubits[len(g.Qubits)-1]]
 }
 
-// issueGate runs a gate's execution phase at the given start time: QEC
-// ancillae from the execution tile, then ballistic movement (multi-qubit
-// gates) and the gate itself.  It returns the execution finish time.
-func (r *netState) issueGate(ci int, g quantum.Gate, start float64, execTile int) float64 {
-	res := &r.run.Results[ci]
-	issue := start
-	if t := r.pools[execTile].AvailableAt(r.perGate); t > issue {
-		issue = t
-	}
-	r.waits[ci] += issue - start
-	res.AncillaeConsumed += r.m.ZeroAncillaePerQEC
-	extra := 0.0
+// cost returns a gate's latency past its QEC zeros: ballistic movement for
+// multi-qubit gates, then the gate itself.  It also counts the zeros.
+func (r *netState) cost(ci int, g quantum.Gate) (extra, weight float64) {
+	r.run.Results[ci].AncillaeConsumed += r.m.ZeroAncillaePerQEC
 	if g.Kind.Arity() >= 2 {
 		extra = r.ballUs
 	}
-	return issue + extra + float64(r.m.GateWeightSpeedOfData(g))
+	return extra, float64(r.m.GateWeightSpeedOfData(g))
+}
+
+// Issue implements sim.Issuer.  A gate whose operands share its execution
+// tile draws its zeros there and runs; a cross-tile gate first teleports
+// each remote operand in.
+func (r *netState) Issue(fi, ci, gi int, ready float64) {
+	g := r.cs[ci].Gates[gi]
+	part := r.run.Partitions[ci]
+	exec := r.execTile(ci, g)
+	cross := false
+	for _, q := range g.Qubits[:len(g.Qubits)-1] {
+		cross = cross || part.TileOf[q] != exec
+	}
+	if !cross {
+		extra, weight := r.cost(ci, g)
+		r.df.Acquire(fi, exec, r.perGate, ready, extra, weight)
+		return
+	}
+	x := len(r.gates)
+	if n := len(r.gateFree); n > 0 {
+		x, r.gateFree = int(r.gateFree[n-1]), r.gateFree[:n-1]
+	} else {
+		// Re-expose a slot from an earlier run, keeping its moves' capacity.
+		r.gates = slices.Grow(r.gates, 1)[:x+1]
+	}
+	p := &r.gates[x]
+	*p = netGate{fi: fi, ci: ci, gi: gi, moves: p.moves[:0], arrival: ready}
+	for _, q := range g.Qubits[:len(g.Qubits)-1] {
+		if from := part.TileOf[q]; from != exec {
+			p.moves = append(p.moves, r.route(from, exec))
+		}
+	}
+	if r.replayErr != nil {
+		return
+	}
+	res := &r.run.Results[ci]
+	p.inbound = len(p.moves)
+	for _, route := range p.moves {
+		res.Teleports++
+		res.HopHistogram[len(route)]++
+		if r.faulted {
+			r.noteSpawn(route)
+		}
+		r.spawnTele(x, route, false)
+	}
 }
 
 // operandArrived joins one inbound teleport; the last arrival executes the
 // gate and schedules the return trips at its completion.
-func (r *netState) operandArrived(fi int, arrive float64) {
-	p := &r.pend[fi]
+func (r *netState) operandArrived(x int, arrive float64) {
+	p := &r.gates[x]
 	if arrive > p.arrival {
 		p.arrival = arrive
 	}
@@ -423,23 +429,20 @@ func (r *netState) operandArrived(fi int, arrive float64) {
 	if p.inbound > 0 {
 		return
 	}
-	fg := r.flat[fi]
-	g := r.cs[fg.circuit].Gates[fg.gate]
-	part := r.run.Partitions[fg.circuit]
-	execTile := part.TileOf[g.Qubits[len(g.Qubits)-1]]
-	p.execDone = r.issueGate(fg.circuit, g, p.arrival, execTile)
+	g := r.cs[p.ci].Gates[p.gi]
+	extra, weight := r.cost(p.ci, g)
+	p.execDone = r.df.Draw(p.fi, r.execTile(p.ci, g), r.perGate, p.arrival) + extra + weight
 	// Return the moved operands home; the gate completes (and unblocks its
 	// successors) once placement is restored, the same to-and-back
 	// convention the microarch teleport accounting uses.
-	r.k.AtFire(iontrap.Microseconds(p.execDone), sim.PriorityNormal, r, r.total+fi)
+	r.df.Kernel().AtFire(iontrap.Microseconds(p.execDone), sim.PriorityNormal, r, 3*x+2)
 }
 
 // launchReturns fires at a cross-tile gate's execution completion and sends
 // every moved operand back.
-func (r *netState) launchReturns(fi int) {
-	p := &r.pend[fi]
-	fg := r.flat[fi]
-	res := &r.run.Results[fg.circuit]
+func (r *netState) launchReturns(x int) {
+	p := &r.gates[x]
+	res := &r.run.Results[p.ci]
 	p.outbound = len(p.moves)
 	p.retDone = p.execDone
 	for _, route := range p.moves {
@@ -452,150 +455,22 @@ func (r *netState) launchReturns(fi int) {
 		if r.faulted {
 			r.noteSpawn(back)
 		}
-		r.spawnTele(fi, back, true)
+		r.spawnTele(x, back, true)
 	}
 }
 
-// returnArrived joins one return teleport; the last one finishes the gate.
-func (r *netState) returnArrived(fi int, arrive float64) {
-	p := &r.pend[fi]
+// returnArrived joins one return teleport; the last one finishes the gate
+// and frees its slot.
+func (r *netState) returnArrived(x int, arrive float64) {
+	p := &r.gates[x]
 	if arrive > p.retDone {
 		p.retDone = arrive
 	}
 	p.outbound--
 	if p.outbound == 0 {
-		r.finishGate(fi, p.retDone)
+		r.df.Finish(p.fi, p.retDone)
+		r.gateFree = append(r.gateFree, int32(x))
 	}
-}
-
-func (r *netState) scheduleDispatch() {
-	if !r.dispatchScheduled {
-		r.dispatchScheduled = true
-		r.k.AtFire(r.k.Now(), sim.PriorityLate, r, netDispatchIdx)
-	}
-}
-
-func (r *netState) finishGate(fi int, finishAt float64) {
-	fg := r.flat[fi]
-	if finishAt > r.tops[fg.circuit] {
-		r.tops[fg.circuit] = finishAt
-	}
-	if finishAt > r.makespan {
-		r.makespan = finishAt
-	}
-	r.k.AtFire(iontrap.Microseconds(finishAt), sim.PriorityNormal, r, fi)
-}
-
-func (r *netState) completed(fi int) {
-	finishAt := float64(r.k.Now())
-	fg := r.flat[fi]
-	r.finished++
-	for _, s := range r.dags[fg.circuit].Succ[fg.gate] {
-		si := r.offs[fg.circuit] + s
-		if finishAt > r.ready[si] {
-			r.ready[si] = finishAt
-		}
-		r.indeg[si]--
-		if r.indeg[si] == 0 {
-			r.rq.Push(sim.Task{Index: si, Ready: r.ready[si]})
-			r.scheduleDispatch()
-		}
-	}
-	if r.finished == r.total {
-		r.k.Stop()
-	}
-}
-
-func (r *netState) dispatch() {
-	r.dispatchScheduled = false
-	for r.rq.Len() > 0 {
-		item := r.rq.Pop()
-		fi := item.Index
-		fg := r.flat[fi]
-		ci := fg.circuit
-		g := r.cs[ci].Gates[fg.gate]
-		part := r.run.Partitions[ci]
-		execTile := part.TileOf[g.Qubits[len(g.Qubits)-1]]
-		p := &r.pend[fi]
-		p.moves = p.moves[:0]
-		for _, q := range g.Qubits[:len(g.Qubits)-1] {
-			if from := part.TileOf[q]; from != execTile {
-				p.moves = append(p.moves, r.route(from, execTile))
-			}
-		}
-		if r.replayErr != nil {
-			return
-		}
-		start := item.Ready
-		if len(p.moves) == 0 {
-			r.finishGate(fi, r.issueGate(ci, g, start, execTile))
-			continue
-		}
-		res := &r.run.Results[ci]
-		p.inbound = len(p.moves)
-		p.arrival = start
-		for _, route := range p.moves {
-			res.Teleports++
-			res.HopHistogram[len(route)]++
-			if r.faulted {
-				r.noteSpawn(route)
-			}
-			r.spawnTele(fi, route, false)
-		}
-	}
-}
-
-// grow resizes the per-gate and per-circuit arrays, reusing capacity.
-func (r *netState) grow(total, circuits, tiles int) {
-	r.total, r.nTiles = total, tiles
-	if cap(r.flat) < total {
-		r.flat = make([]flatGate, total)
-		r.ready = make([]float64, total)
-		r.indeg = make([]int, total)
-	}
-	r.flat = r.flat[:total]
-	r.ready = r.ready[:total]
-	r.indeg = r.indeg[:total]
-	for i := range r.ready {
-		r.ready[i] = 0
-	}
-	if cap(r.pend) < total {
-		old := r.pend
-		r.pend = make([]netGate, total)
-		// Keep the per-gate move-slice capacity accumulated so far.
-		copy(r.pend, old)
-	}
-	r.pend = r.pend[:total]
-	for i := range r.pend {
-		r.pend[i] = netGate{moves: r.pend[i].moves[:0]}
-	}
-	if cap(r.dags) < circuits {
-		r.dags = make([]*quantum.DAG, circuits)
-		r.offs = make([]int, circuits)
-		r.waits = make([]float64, circuits)
-		r.netBlocked = make([]float64, circuits)
-		r.tops = make([]float64, circuits)
-	}
-	r.dags = r.dags[:circuits]
-	r.offs = r.offs[:circuits]
-	r.waits = r.waits[:circuits]
-	r.netBlocked = r.netBlocked[:circuits]
-	r.tops = r.tops[:circuits]
-	for i := 0; i < circuits; i++ {
-		r.waits[i], r.netBlocked[i], r.tops[i] = 0, 0, 0
-	}
-	if cap(r.routes) < tiles*tiles {
-		r.routes = make([][]Link, tiles*tiles)
-		r.rerouted = make([]bool, tiles*tiles)
-	}
-	r.routes = r.routes[:tiles*tiles]
-	r.rerouted = r.rerouted[:tiles*tiles]
-	for i := range r.routes {
-		r.routes[i] = nil
-		r.rerouted[i] = false
-	}
-	r.tele = r.tele[:0]
-	r.teleFree = r.teleFree[:0]
 }
 
 // ReplayShared co-schedules several circuits on one mesh — the network
@@ -632,34 +507,11 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 		return ReplayRun{}, fmt.Errorf("network: %d pinned partitions for %d circuits", len(cfg.Partitions), len(cs))
 	}
 	total := 0
-	for _, c := range cs {
+	for ci, c := range cs {
 		if err := c.Validate(); err != nil {
 			return ReplayRun{}, err
 		}
 		total += len(c.Gates)
-	}
-
-	r := netStatePool.Get().(*netState)
-	defer func() {
-		r.k, r.rq, r.cs, r.run, r.plan = nil, nil, nil, nil, nil
-		for i := range r.dags {
-			r.dags[i] = nil
-		}
-		netStatePool.Put(r)
-	}()
-	r.run, r.cs, r.m, r.topo = &run, cs, m, topo
-	r.perGate = float64(m.ZeroAncillaePerQEC)
-	r.teleAncN = cfg.Machine.Movement.TeleportAncillae
-	r.teleAnc = float64(r.teleAncN)
-	r.teleUs = float64(cfg.Machine.Movement.TeleportUs)
-	r.ballUs = float64(cfg.Machine.Movement.BallisticPerGateUs)
-	r.finished, r.makespan, r.dispatchScheduled = 0, 0, false
-	r.faulted, r.plan = faulted, cfg.Faults
-	r.fstats, r.replayErr = FaultStats{}, nil
-	r.grow(total, len(cs), nTiles)
-
-	fi := 0
-	for ci, c := range cs {
 		var part Partition
 		if len(cfg.Partitions) > 0 {
 			part = cfg.Partitions[ci]
@@ -674,45 +526,46 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 			}
 		}
 		run.Partitions[ci] = part
-		r.dags[ci] = c.DAG()
-		r.offs[ci] = fi
-		for gi := range c.Gates {
-			r.flat[fi] = flatGate{circuit: ci, gate: gi}
-			fi++
-		}
-		res := &run.Results[ci]
-		res.Name = c.Name
-		res.Gates = len(c.Gates)
-		res.CrossGates = part.CrossGates
-		res.HopHistogram = make([]int, maxDist)
-		_, sod := r.dags[ci].WeightedCriticalPath(func(g quantum.Gate) float64 {
-			return float64(m.GateWeightSpeedOfData(g))
-		})
-		res.SpeedOfData = iontrap.Microseconds(sod)
-		for _, g := range c.Gates {
-			res.DataOpBusy += m.DataOpLatency(g)
-			res.QECInteractBusy += m.QECInteractLatency()
+		run.Results[ci] = ReplayResult{
+			ReplayResult: schedule.NewReplayResult(c, m),
+			CrossGates:   part.CrossGates,
+			HopHistogram: make([]int, maxDist),
 		}
 	}
 	if total == 0 {
 		return run, nil
 	}
 
-	r.k = sim.AcquireKernel()
-	defer r.k.Release()
-	r.rq = sim.AcquireTaskQueue()
-	defer r.rq.Release()
+	r := netStatePool.Get().(*netState)
+	defer func() {
+		r.cs, r.run, r.plan = nil, nil, nil
+		netStatePool.Put(r)
+	}()
+	r.run, r.cs, r.m, r.topo, r.nTiles = &run, cs, m, topo, nTiles
+	r.perGate = float64(m.ZeroAncillaePerQEC)
+	r.teleAncN = cfg.Machine.Movement.TeleportAncillae
+	r.teleAnc = float64(r.teleAncN)
+	r.teleUs = float64(cfg.Machine.Movement.TeleportUs)
+	r.ballUs = float64(cfg.Machine.Movement.BallisticPerGateUs)
+	r.faulted, r.plan = faulted, cfg.Faults
+	r.fstats, r.replayErr = FaultStats{}, nil
+	r.netBlocked = append(r.netBlocked[:0], make([]float64, len(cs))...)
+	r.routes = append(r.routes[:0], make([][]Link, nTiles*nTiles)...)
+	r.rerouted = append(r.rerouted[:0], make([]bool, nTiles*nTiles)...)
+	r.gates, r.gateFree = r.gates[:0], r.gateFree[:0]
+	r.tele, r.teleFree = r.tele[:0], r.teleFree[:0]
 
+	r.df.Reset(r, cs...)
+	defer r.df.Release()
+	k := r.df.Kernel()
 	// Per-tile zero supplies are fluid token buckets (the same arithmetic
 	// schedule.Replay uses), fed by the tile's own factories.
-	if cap(r.pools) < nTiles {
-		r.pools = make([]sim.FluidSource, nTiles)
+	r.rates = r.rates[:0]
+	for i := 0; i < nTiles; i++ {
+		r.rates = append(r.rates, cfg.tileRatePerMs(i)/1000.0)
 	}
-	r.pools = r.pools[:nTiles]
-	for i := range r.pools {
-		if err := r.pools[i].Reset(cfg.tileRatePerMs(i) / 1000.0); err != nil {
-			return ReplayRun{}, err
-		}
+	if err := r.df.Sources(0, "tile zero supply", r.rates...); err != nil {
+		return ReplayRun{}, err
 	}
 	// Each directed link is a finite EPR-pair channel behind a rate-matched
 	// generator.  Channels and generators are pooled across runs.
@@ -725,15 +578,8 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 	linkRatePerUs := cfg.linkRatePerMs() / 1000.0
 	r.linkRate = linkRatePerUs
 	if faulted {
-		if cap(r.linkDown) < len(links) {
-			r.linkDown = make([]bool, len(links))
-			r.linkDegraded = make([]bool, len(links))
-		}
-		r.linkDown = r.linkDown[:len(links)]
-		r.linkDegraded = r.linkDegraded[:len(links)]
-		for i := range r.linkDown {
-			r.linkDown[i], r.linkDegraded[i] = false, false
-		}
+		r.linkDown = append(r.linkDown[:0], make([]bool, len(links))...)
+		r.linkDegraded = append(r.linkDegraded[:0], make([]bool, len(links))...)
 	}
 	for i, l := range links {
 		r.linkIdx[l] = i
@@ -760,20 +606,14 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 				r.fstats.DegradedLinks++
 			}
 		}
+		if i == len(r.bufs) {
+			r.bufs = append(r.bufs, new(sim.Resource))
+			r.prods = append(r.prods, new(sim.Producer))
+		}
 		name := "EPR link " + l.String()
-		if i < len(r.bufs) {
-			r.bufs[i].Reset(r.k, name, cfg.LinkBufferPairs)
-			if err := r.prods[i].Reset(r.k, name, r.bufs[i], rate, 1); err != nil {
-				return ReplayRun{}, err
-			}
-		} else {
-			buf := sim.NewResource(r.k, name, cfg.LinkBufferPairs)
-			prod, err := sim.NewProducer(r.k, name, buf, rate, 1)
-			if err != nil {
-				return ReplayRun{}, err
-			}
-			r.bufs = append(r.bufs, buf)
-			r.prods = append(r.prods, prod)
+		r.bufs[i].Reset(k, name, cfg.LinkBufferPairs)
+		if err := r.prods[i].Reset(k, name, r.bufs[i], rate, 1); err != nil {
+			return ReplayRun{}, err
 		}
 		// A statically dead link's generator never starts: the channel
 		// stays empty and every route avoids it from the first dispatch.
@@ -781,42 +621,28 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 			r.prods[i].Start()
 		}
 	}
-	r.bufs = r.bufs[:len(links)]
-	r.prods = r.prods[:len(links)]
 	// Scheduled faults fire as ordinary kernel events at their timestamps;
 	// one scheduled past the makespan never applies.
 	for pi, f := range cfg.Faults {
 		if f.At > 0 {
-			r.k.AtFire(f.At, sim.PriorityNormal, r, -2-pi)
+			k.AtFire(f.At, sim.PriorityNormal, r, -1-pi)
 		}
 	}
 
-	for ci, d := range r.dags {
-		copy(r.indeg[r.offs[ci]:r.offs[ci]+len(d.InDegree)], d.InDegree)
-	}
-	for i, d := range r.indeg {
-		if d == 0 {
-			r.rq.Push(sim.Task{Index: i, Ready: 0})
-		}
-	}
-	r.k.AtFire(0, sim.PriorityLate, r, netDispatchIdx)
-	r.dispatchScheduled = true
-	stats := r.k.Run()
-
+	stats, err := r.df.Run()
 	if r.replayErr != nil {
-		err := r.replayErr
-		obsRecordReplay(r.fstats, errors.Is(err, ErrPartitioned))
-		return ReplayRun{}, err
+		obsRecordReplay(r.fstats, errors.Is(r.replayErr, ErrPartitioned))
+		return ReplayRun{}, r.replayErr
 	}
-	if r.finished != total {
-		return ReplayRun{}, fmt.Errorf("network: replay left %d gates unexecuted (cyclic dependence graph?)", total-r.finished)
+	if err != nil {
+		return ReplayRun{}, fmt.Errorf("network: %w", err)
 	}
 	for ci := range cs {
-		run.Results[ci].ExecutionTime = iontrap.Microseconds(r.tops[ci])
-		run.Results[ci].AncillaWait = iontrap.Microseconds(r.waits[ci])
+		run.Results[ci].ExecutionTime = iontrap.Microseconds(r.df.CircuitMakespan(ci))
+		run.Results[ci].AncillaWait = iontrap.Microseconds(r.df.Wait(ci))
 		run.Results[ci].NetworkBlocked = iontrap.Microseconds(r.netBlocked[ci])
 	}
-	run.Makespan = iontrap.Microseconds(r.makespan)
+	run.Makespan = iontrap.Microseconds(r.df.Makespan())
 	run.Events = stats.Events
 	run.Faults = r.fstats
 	obsRecordReplay(r.fstats, false)

@@ -80,12 +80,6 @@ func DefaultTileCounts(maxTiles int) []int {
 	return out
 }
 
-// Sweep runs the link-bandwidth × tile-count grid sequentially; SweepEngine
-// is the parallel form.
-func Sweep(c *quantum.Circuit, sc SweepConfig) ([]SweepPoint, error) {
-	return SweepEngine(context.Background(), nil, c, sc)
-}
-
 // SweepEngine replays the circuit at every (tile count, link factor) cell of
 // the grid through the experiment engine, one job per cell.  Jobs are keyed
 // by the circuit fingerprint and the full cell parameters, so repeated and

@@ -256,17 +256,11 @@ type SweepPoint struct {
 	ExecutionTimeMs float64
 }
 
-// ThroughputSweep simulates the circuit under a range of steady encoded-zero
-// ancilla production rates and returns the execution time for each
-// (Figure 8).  A rate of +Inf gives the speed-of-data time.  It runs
-// sequentially; ThroughputSweepEngine is the parallel form.
-func ThroughputSweep(c *quantum.Circuit, m LatencyModel, ratesPerMs []float64) ([]SweepPoint, error) {
-	return ThroughputSweepEngine(context.Background(), nil, c, m, ratesPerMs)
-}
-
-// ThroughputSweepEngine runs the Figure 8 sweep through the experiment
-// engine, one job per throughput rate.  Points come back in input-rate order
-// regardless of worker count.
+// ThroughputSweepEngine simulates the circuit under a range of steady
+// encoded-zero ancilla production rates and returns the execution time for
+// each (Figure 8), one engine job per rate.  A rate of +Inf gives the
+// speed-of-data time.  Points come back in input-rate order regardless of
+// worker count.
 func ThroughputSweepEngine(ctx context.Context, eng *engine.Engine, c *quantum.Circuit, m LatencyModel, ratesPerMs []float64) ([]SweepPoint, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -254,7 +255,7 @@ func TestThroughputSweepMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	rates := DefaultSweepRates(ch.ZeroBandwidthPerMs)
-	sweep, err := ThroughputSweep(c, m, rates)
+	sweep, err := ThroughputSweepEngine(context.Background(), nil, c, m, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestThroughputSweepMonotone(t *testing.T) {
 
 func TestThroughputSweepErrors(t *testing.T) {
 	c := smallBenchmark(t)
-	if _, err := ThroughputSweep(c, DefaultLatencyModel(), []float64{-1}); err == nil {
+	if _, err := ThroughputSweepEngine(context.Background(), nil, c, DefaultLatencyModel(), []float64{-1}); err == nil {
 		t.Error("negative throughput should fail")
 	}
 }

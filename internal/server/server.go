@@ -250,9 +250,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 				"request exceeded the server's %v execution deadline", s.cfg.RequestTimeout)
 			return
 		}
-		if errors.Is(err, network.ErrPartitioned) {
-			// The requested fault plan disconnects the mesh: a property of
-			// the request, not a server failure.
+		var reqErr *core.RequestError
+		if errors.Is(err, network.ErrPartitioned) || errors.As(err, &reqErr) {
+			// The requested fault plan disconnects the mesh, or the
+			// experiment cannot run with the requested settings: a property
+			// of the request, not a server failure.
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}

@@ -588,9 +588,9 @@ func TestNetworkScenarioEndpoints(t *testing.T) {
 	}
 
 	// tiles=1 passes generic validation (netcontention accepts it) but
-	// netsweep itself rejects it with an explanatory error.
+	// netsweep itself rejects it with an explanatory 400.
 	status, body, _ = get(t, ts.URL+"/v1/experiments/netsweep?bits=4&tiles=1")
-	if status == http.StatusOK || !strings.Contains(body, "tile bound of at least 2") {
+	if status != http.StatusBadRequest || !strings.Contains(body, "tile bound of at least 2") {
 		t.Errorf("netsweep tiles=1: status %d, body %s", status, body)
 	}
 	status, _, _ = get(t, ts.URL+"/v1/experiments/netcontention?format=json&bits=4&tiles=1")
@@ -977,5 +977,27 @@ func TestQueryParamsAllocs(t *testing.T) {
 	})
 	if allocs > 17 {
 		t.Errorf("queryParams: %v allocations per request, want at most 17", allocs)
+	}
+}
+
+// Every experiment answers a request with each numeric parameter at the
+// bottom of its range with 200 or 400, never 500: an experiment that cannot
+// run with such settings (a mesh scenario on one tile, Shor on one bit)
+// says so with a core.RequestError.
+func TestMinimumParamsNeverServerError(t *testing.T) {
+	ts, _ := newTestServer(t)
+	e, p := core.NewExperiments(), core.DefaultRunParams()
+	q := url.Values{}
+	for _, prm := range core.Params {
+		switch prm.Field(&e, &p).(type) {
+		case *int, *int64, *float64:
+			q.Set(prm.Name, strconv.FormatFloat(prm.Min, 'g', -1, 64))
+		}
+	}
+	for _, id := range append(core.ExperimentIDs(), "all") {
+		status, body, _ := get(t, ts.URL+"/v1/experiments/"+id+"?"+q.Encode())
+		if status != http.StatusOK && status != http.StatusBadRequest {
+			t.Errorf("%s?%s: status %d: %s", id, q.Encode(), status, body)
+		}
 	}
 }

@@ -50,48 +50,37 @@ func TestKernelSchedulingLoopAllocations(t *testing.T) {
 	}
 }
 
-// AcquireFire must grant in the same FIFO order and at the same times as
-// Acquire.
-func TestAcquireFireMatchesAcquire(t *testing.T) {
-	timesOf := func(useFire bool) []iontrap.Microseconds {
-		k := AcquireKernel()
-		defer k.Release()
-		r := NewResource(k, "anc", 0)
-		p, err := NewProducer(k, "factory", r, 0.5, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Start()
-		var times []iontrap.Microseconds
-		done := 0
-		for i := 0; i < 4; i++ {
-			n := float64(i + 1)
-			if useFire {
-				r.AcquireFire(n, fireFunc(func(int) {
-					times = append(times, k.Now())
-					if done++; done == 4 {
-						k.Stop()
-					}
-				}), i)
-			} else {
-				r.Acquire(n, func() {
-					times = append(times, k.Now())
-					if done++; done == 4 {
-						k.Stop()
-					}
-				})
+// AcquireFire grants FIFO, each request the moment production covers the
+// cumulative demand: demands 1, 2, 3, 4 against one unit per 2 µs are
+// granted at 2, 6, 12 and 20 µs.
+func TestAcquireFireGrantsAtCumulativeProduction(t *testing.T) {
+	k := AcquireKernel()
+	defer k.Release()
+	r := NewResource(k, "anc", 0)
+	p, err := NewProducer(k, "factory", r, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	var times []iontrap.Microseconds
+	var order []int
+	for i := 0; i < 4; i++ {
+		r.AcquireFire(float64(i+1), fireFunc(func(idx int) {
+			times = append(times, k.Now())
+			order = append(order, idx)
+			if len(times) == 4 {
+				k.Stop()
 			}
-		}
-		k.Run()
-		return times
+		}), i)
 	}
-	a, b := timesOf(false), timesOf(true)
-	if len(a) != 4 || len(b) != 4 {
-		t.Fatalf("grant counts = %d/%d, want 4", len(a), len(b))
+	k.Run()
+	want := []iontrap.Microseconds{2, 6, 12, 20}
+	if len(times) != len(want) {
+		t.Fatalf("grants at %v, want %v", times, want)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("grant %d: Acquire at %v, AcquireFire at %v", i, a[i], b[i])
+	for i := range want {
+		if times[i] != want[i] || order[i] != i {
+			t.Fatalf("grants %v at %v, want [0 1 2 3] at %v", order, times, want)
 		}
 	}
 }
@@ -101,20 +90,27 @@ type fireFunc func(int)
 
 func (f fireFunc) Fire(idx int) { f(idx) }
 
-// Reset must preserve backing capacity and produce a kernel/queue/resource
-// indistinguishable from a fresh one.
+// at schedules fn at time t through the Handler API.
+func at(k *Kernel, t iontrap.Microseconds, pri Priority, fn func()) {
+	k.AtFire(t, pri, fireFunc(func(int) { fn() }), 0)
+}
+
+// acquire requests n units from r and calls fn once they are granted.
+func acquire(r *Resource, n float64, fn func()) {
+	r.AcquireFire(n, fireFunc(func(int) { fn() }), 0)
+}
+
+// A drained queue must reuse its capacity, and Reset must produce a
+// resource/producer indistinguishable from a fresh one.
 func TestResetKeepsCapacityAndSemantics(t *testing.T) {
-	q := AcquireTaskQueue()
-	defer q.Release()
+	q := &TaskQueue{}
 	for i := 0; i < 100; i++ {
 		q.Push(Task{Index: i, Ready: float64(100 - i)})
 	}
-	q.Reset()
-	if q.Len() != 0 {
-		t.Fatalf("reset queue length = %d, want 0", q.Len())
+	for q.Len() > 0 {
+		q.Pop()
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		q.Reset()
 		for i := 0; i < 100; i++ {
 			q.Push(Task{Index: i, Ready: float64(100 - i)})
 		}
@@ -122,7 +118,7 @@ func TestResetKeepsCapacityAndSemantics(t *testing.T) {
 		for q.Len() > 0 {
 			item := q.Pop()
 			if item.Ready < last {
-				t.Fatal("pop order broken after Reset")
+				t.Fatal("pop order broken on a reused queue")
 			}
 			last = item.Ready
 		}
@@ -161,7 +157,7 @@ func TestResetKeepsCapacityAndSemantics(t *testing.T) {
 // A released kernel must come back observationally fresh.
 func TestKernelPoolReuseIsFresh(t *testing.T) {
 	k := AcquireKernel()
-	k.At(5, PriorityNormal, func() {})
+	at(k, 5, PriorityNormal, func() {})
 	k.Run()
 	k.Release()
 	k2 := AcquireKernel()

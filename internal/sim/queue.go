@@ -1,7 +1,5 @@
 package sim
 
-import "sync"
-
 // Task is one unit of deferred work keyed by the time it becomes ready and a
 // stable index (a gate number, or an offset into a flattened multi-circuit
 // gate space).
@@ -19,37 +17,15 @@ func (a Task) less(b Task) bool {
 }
 
 // TaskQueue is a binary min-heap of tasks ordered by (readiness time, index).
-// The explicit index tie-break makes the pop order fully deterministic; the
-// closed-form list schedulers and the event-driven dispatchers share this one
-// queue, and that shared issue order is load-bearing for their bit-for-bit
-// parity.
+// The explicit index tie-break makes the pop order fully deterministic.  The
+// closed-form oracles (microarch.SimulateClosedForm,
+// schedule.SimulateWithThroughput) and the Dataflow dispatcher share this
+// one queue, and that shared issue order is load-bearing for their
+// bit-for-bit parity.
 type TaskQueue struct{ items []Task }
 
 // Len returns the number of queued tasks.
 func (q *TaskQueue) Len() int { return len(q.items) }
-
-// Reset empties the queue while keeping its backing capacity, so a reused
-// queue pushes without reallocating.
-func (q *TaskQueue) Reset() { q.items = q.items[:0] }
-
-// taskQueuePool recycles ready-queues (and their capacity) across replays;
-// see AcquireTaskQueue.
-var taskQueuePool = sync.Pool{New: func() any { return new(TaskQueue) }}
-
-// AcquireTaskQueue returns an empty task queue, reusing pooled backing
-// storage when available.  The event-driven replayers run one queue per
-// call; pooling spares them the heap growth on every invocation (sweeps
-// call them thousands of times).  Pooling never affects results: pop order
-// depends only on the pushed tasks.
-func AcquireTaskQueue() *TaskQueue {
-	q := taskQueuePool.Get().(*TaskQueue)
-	q.Reset()
-	return q
-}
-
-// Release returns the queue to the pool.  The caller must not use it
-// afterwards.
-func (q *TaskQueue) Release() { taskQueuePool.Put(q) }
 
 // Push adds a task.
 func (q *TaskQueue) Push(t Task) {

@@ -55,30 +55,29 @@ func (s *FluidSource) AvailableAt(n float64) float64 {
 // Consumed returns the cumulative ancillae reserved so far.
 func (s *FluidSource) Consumed() float64 { return s.consumed }
 
-// request is one pending Acquire: demand is delivered incrementally as the
-// resource is replenished (ancillae are handed over the moment they exist, so
-// a demand larger than the buffer capacity still completes).  The completion
-// is either a closure or a Handler+payload (the allocation-free form).
+// request is one pending AcquireFire: demand is delivered incrementally as
+// the resource is replenished (ancillae are handed over the moment they
+// exist, so a demand larger than the buffer capacity still completes).
 type request struct {
 	remaining float64
 	since     iontrap.Microseconds
-	fn        func()
 	h         Handler
 	idx       int
 }
 
-// waiter is one registered OnSpace callback in either form.
+// waiter is one registered OnSpaceFire call.
 type waiter struct {
-	fn  func()
 	h   Handler
 	idx int
 }
 
 // Resource is a finite-buffer store of a fungible quantity (encoded
 // ancillae, physical qubits between factory stages).  Producers deposit with
-// Put and stall when the buffer is full; consumers Acquire a demand and are
-// granted FIFO as the quantity becomes available.  All hand-offs happen
-// through kernel events, so interleavings are deterministic.
+// Put and stall when the buffer is full; consumers AcquireFire a demand and
+// are granted FIFO as the quantity becomes available.  All hand-offs happen
+// through kernel events, so interleavings are deterministic.  The request
+// and waiter lists reuse their backing arrays, so a buffered run in steady
+// state grants and stalls without allocating.
 type Resource struct {
 	// Name labels the resource in diagnostics.
 	Name string
@@ -86,8 +85,10 @@ type Resource struct {
 	k        *Kernel
 	capacity float64 // <= 0 means unbounded
 	level    float64
-	pending  []request
+	pending  []request // pending[head:] wait, oldest first
+	head     int
 	waiters  []waiter // producers blocked on a full buffer
+	spare    []waiter // the other waiter array, swapped in while one fires
 
 	produced  float64
 	consumed  float64
@@ -113,30 +114,25 @@ func (r *Resource) Produced() float64 { return r.produced }
 // Consumed returns the cumulative quantity granted to consumers.
 func (r *Resource) Consumed() float64 { return r.consumed }
 
-// WaitTime returns the total time Acquire requests spent waiting for their
-// full demand.
+// WaitTime returns the total time AcquireFire requests spent waiting for
+// their full demand.
 func (r *Resource) WaitTime() iontrap.Microseconds { return r.waitUs }
 
-// Acquire requests n units.  fn fires (as a normal-priority kernel event)
-// once the full demand has been delivered; requests are served first come,
-// first served, draining the buffer incrementally so demands larger than the
-// capacity still complete.  A zero demand is granted immediately.
-func (r *Resource) Acquire(n float64, fn func()) {
-	if n <= grantEps {
-		r.k.At(r.k.Now(), PriorityNormal, fn)
-		return
-	}
-	r.pending = append(r.pending, request{remaining: n, since: r.k.Now(), fn: fn})
-	r.drain()
-}
-
-// AcquireFire is the allocation-free form of Acquire: h.Fire(idx) fires
-// once the full demand has been delivered.  Grant order and timing are
-// identical to Acquire.
+// AcquireFire requests n units: h.Fire(idx) fires (as a normal-priority
+// kernel event) once the full demand has been delivered.  Requests are
+// served first come, first served, draining the buffer incrementally so
+// demands larger than the capacity still complete.  A zero demand is granted
+// immediately.
 func (r *Resource) AcquireFire(n float64, h Handler, idx int) {
 	if n <= grantEps {
 		r.k.AtFire(r.k.Now(), PriorityNormal, h, idx)
 		return
+	}
+	if r.head > 0 && len(r.pending) == cap(r.pending) {
+		// Reuse the front the granted requests freed before growing.
+		m := copy(r.pending, r.pending[r.head:])
+		clear(r.pending[m:])
+		r.pending, r.head = r.pending[:m], 0
 	}
 	r.pending = append(r.pending, request{remaining: n, since: r.k.Now(), h: h, idx: idx})
 	r.drain()
@@ -144,16 +140,16 @@ func (r *Resource) AcquireFire(n float64, h Handler, idx int) {
 
 // Put deposits up to n units, feeding pending requests directly and then the
 // buffer up to its capacity.  It returns the quantity accepted; producers
-// hold the remainder and re-Put when OnSpace signals room.
+// hold the remainder and re-Put when OnSpaceFire signals room.
 func (r *Resource) Put(n float64) float64 {
 	if n <= 0 {
 		return 0
 	}
 	accepted := 0.0
 	// Pending consumers take delivery directly, bypassing the buffer.
-	for n > grantEps && len(r.pending) > 0 {
+	for n > grantEps && r.head < len(r.pending) {
 		take := n
-		if rem := r.pending[0].remaining; take > rem {
+		if rem := r.pending[r.head].remaining; take > rem {
 			take = rem
 		}
 		n -= take
@@ -184,28 +180,29 @@ func (r *Resource) Put(n float64) float64 {
 // deliver hands take units to the head request, completing it when its
 // demand is met.
 func (r *Resource) deliver(take float64) {
-	head := &r.pending[0]
+	head := &r.pending[r.head]
 	head.remaining -= take
 	r.consumed += take
 	if head.remaining <= grantEps {
 		done := *head
-		r.pending = r.pending[1:]
-		r.waitUs += r.k.Now() - done.since
-		if done.h != nil {
-			r.k.AtFire(r.k.Now(), PriorityNormal, done.h, done.idx)
-		} else {
-			r.k.At(r.k.Now(), PriorityNormal, done.fn)
+		*head = request{}
+		if r.head++; r.head == len(r.pending) {
+			r.pending, r.head = r.pending[:0], 0
 		}
+		r.waitUs += r.k.Now() - done.since
+		r.k.AtFire(r.k.Now(), PriorityNormal, done.h, done.idx)
 	}
 }
 
 // drain moves buffered quantity into pending requests and wakes stalled
-// producers if space was freed.
+// producers if space was freed.  The woken list is swapped for the spare
+// array first, so a producer that stalls again while the list fires waits
+// for the next drain.
 func (r *Resource) drain() {
 	freed := false
-	for r.level > grantEps && len(r.pending) > 0 {
+	for r.level > grantEps && r.head < len(r.pending) {
 		take := r.level
-		if rem := r.pending[0].remaining; take > rem {
+		if rem := r.pending[r.head].remaining; take > rem {
 			take = rem
 		}
 		r.level -= take
@@ -214,14 +211,12 @@ func (r *Resource) drain() {
 	}
 	if freed && len(r.waiters) > 0 {
 		ws := r.waiters
-		r.waiters = nil
+		r.waiters, r.spare = r.spare[:0], nil
 		for _, w := range ws {
-			if w.h != nil {
-				w.h.Fire(w.idx)
-			} else {
-				w.fn()
-			}
+			w.h.Fire(w.idx)
 		}
+		clear(ws)
+		r.spare = ws[:0]
 	}
 }
 
@@ -233,21 +228,24 @@ func (r *Resource) drain() {
 // this to pull teleports off a dying link without disturbing grants that
 // already escaped.
 func (r *Resource) CancelAcquireFire(h Handler, idx int) bool {
-	for i := range r.pending {
+	for i := r.head; i < len(r.pending); i++ {
 		if r.pending[i].h == h && r.pending[i].idx == idx {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			last := len(r.pending) - 1
+			copy(r.pending[i:], r.pending[i+1:])
+			r.pending[last] = request{}
+			r.pending = r.pending[:last]
+			if r.head == last {
+				r.pending, r.head = r.pending[:0], 0
+			}
 			return true
 		}
 	}
 	return false
 }
 
-// OnSpace registers a one-shot callback invoked the next time buffered
-// quantity is consumed (i.e. space frees up).  Producers use it to resume
-// after stalling on a full buffer.
-func (r *Resource) OnSpace(fn func()) { r.waiters = append(r.waiters, waiter{fn: fn}) }
-
-// OnSpaceFire is the allocation-free form of OnSpace.
+// OnSpaceFire registers a one-shot h.Fire(idx) invoked the next time
+// buffered quantity is consumed (i.e. space frees up).  Producers use it to
+// resume after stalling on a full buffer.
 func (r *Resource) OnSpaceFire(h Handler, idx int) {
 	r.waiters = append(r.waiters, waiter{h: h, idx: idx})
 }
@@ -255,14 +253,10 @@ func (r *Resource) OnSpaceFire(h Handler, idx int) {
 // Reset re-initialises the resource for a new run on kernel k, keeping the
 // pending/waiter slices' backing capacity.
 func (r *Resource) Reset(k *Kernel, name string, capacity float64) {
-	for i := range r.pending {
-		r.pending[i] = request{}
-	}
-	for i := range r.waiters {
-		r.waiters[i] = waiter{}
-	}
+	clear(r.pending)
+	clear(r.waiters)
 	*r = Resource{Name: name, k: k, capacity: capacity,
-		pending: r.pending[:0], waiters: r.waiters[:0]}
+		pending: r.pending[:0], waiters: r.waiters[:0], spare: r.spare[:0]}
 }
 
 // Producer deposits a fixed batch into a Resource at a steady cadence,

@@ -1,8 +1,10 @@
 // Package sim is the deterministic discrete-event simulation kernel behind
 // the event-driven execution models: a monotonic event queue keyed by
-// iontrap.Microseconds with stable tie-breaking, plus the resource
-// abstractions (finite ancilla buffers, rate-limited producers, fluid
-// sources) that the factory, microarch and schedule layers plug into.
+// iontrap.Microseconds with stable tie-breaking, the resource abstractions
+// (finite ancilla buffers, rate-limited producers, fluid sources) that the
+// factory, microarch, schedule and network layers plug into, and Dataflow,
+// the one dispatcher that replays circuits' dataflow graphs for microarch,
+// schedule and network.
 //
 // The closed-form analyses of Sections 3-5 treat ancilla generation as an
 // infinitely buffered token bucket; this kernel removes that assumption so
@@ -20,12 +22,11 @@ import (
 	"speedofdata/internal/iontrap"
 )
 
-// Handler receives kernel events without a per-event closure.  Drivers that
-// schedule in loops (one completion per gate, one tick per production batch)
-// implement Fire and pass a small integer payload — typically a gate index —
-// through AtFire/AfterFire, so scheduling allocates nothing: the event holds
-// an interface already in hand plus an int, instead of a freshly allocated
-// closure capturing the same state.
+// Handler receives kernel events.  Every event is a Handler plus a small
+// integer payload — typically a gate index — passed through AtFire or
+// AfterFire, so scheduling allocates nothing: the event holds an interface
+// already in hand plus an int, where a closure would be allocated per event
+// to capture the same state.
 type Handler interface {
 	Fire(idx int)
 }
@@ -50,12 +51,11 @@ const (
 	PriorityLate
 )
 
-// event is one scheduled callback: either a closure or a Handler+payload.
+// event is one scheduled Handler call with its payload.
 type event struct {
 	at  iontrap.Microseconds
 	pri Priority
 	seq uint64
-	fn  func()
 	h   Handler
 	idx int
 }
@@ -98,22 +98,9 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current simulated time.
 func (k *Kernel) Now() iontrap.Microseconds { return k.now }
 
-// At schedules fn at absolute time t.  Scheduling into the past is a
-// programming error and panics: a discrete-event clock is monotonic.
-func (k *Kernel) At(t iontrap.Microseconds, pri Priority, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: event scheduled at %v before current time %v", t, k.now))
-	}
-	k.events = append(k.events, event{at: t, pri: pri, seq: k.seq, fn: fn})
-	k.seq++
-	k.up(len(k.events) - 1)
-}
-
-// AtFire schedules h.Fire(idx) at absolute time t.  It is the
-// allocation-free form of At for callers that schedule in loops: the event
-// stores the handler interface and payload instead of a closure.  Ordering
-// is identical to At — events fire in (time, priority, insertion) order
-// regardless of which form scheduled them.
+// AtFire schedules h.Fire(idx) at absolute time t.  Scheduling into the
+// past is a programming error and panics: a discrete-event clock is
+// monotonic.
 func (k *Kernel) AtFire(t iontrap.Microseconds, pri Priority, h Handler, idx int) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v before current time %v", t, k.now))
@@ -121,11 +108,6 @@ func (k *Kernel) AtFire(t iontrap.Microseconds, pri Priority, h Handler, idx int
 	k.events = append(k.events, event{at: t, pri: pri, seq: k.seq, h: h, idx: idx})
 	k.seq++
 	k.up(len(k.events) - 1)
-}
-
-// After schedules fn d microseconds from now.
-func (k *Kernel) After(d iontrap.Microseconds, pri Priority, fn func()) {
-	k.At(k.now+d, pri, fn)
 }
 
 // AfterFire schedules h.Fire(idx) d microseconds from now.
@@ -146,11 +128,7 @@ func (k *Kernel) Run() Stats {
 		k.now = e.at
 		k.stats.Events++
 		k.stats.End = e.at
-		if e.h != nil {
-			e.h.Fire(e.idx)
-		} else {
-			e.fn()
-		}
+		e.h.Fire(e.idx)
 	}
 	// One atomic add per run (not per event) keeps the loop's zero-overhead
 	// guarantee while feeding the process-wide event counter.
@@ -164,7 +142,7 @@ func (k *Kernel) Pending() int { return len(k.events) }
 
 // Reset returns the kernel to time zero with an empty queue, keeping the
 // event slice's backing capacity so a reused kernel schedules without
-// reallocating.  Outstanding events are dropped (their closures released).
+// reallocating.  Outstanding events are dropped (their handlers released).
 func (k *Kernel) Reset() {
 	for i := range k.events {
 		k.events[i] = event{}
@@ -213,7 +191,7 @@ func (k *Kernel) pop() event {
 	top := k.events[0]
 	last := len(k.events) - 1
 	k.events[0] = k.events[last]
-	k.events[last] = event{} // release the closure
+	k.events[last] = event{} // release the handler
 	k.events = k.events[:last]
 	i := 0
 	for {

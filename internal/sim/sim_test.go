@@ -11,12 +11,12 @@ import (
 func TestKernelFiresInTimeOrder(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.At(30, PriorityNormal, func() { order = append(order, 3) })
-	k.At(10, PriorityNormal, func() { order = append(order, 1) })
-	k.At(20, PriorityNormal, func() {
+	at(k, 30, PriorityNormal, func() { order = append(order, 3) })
+	at(k, 10, PriorityNormal, func() { order = append(order, 1) })
+	at(k, 20, PriorityNormal, func() {
 		order = append(order, 2)
 		// Events scheduled mid-run interleave by time.
-		k.After(5, PriorityNormal, func() { order = append(order, 25) })
+		at(k, k.Now()+5, PriorityNormal, func() { order = append(order, 25) })
 	})
 	stats := k.Run()
 	want := []int{1, 2, 25, 3}
@@ -38,10 +38,10 @@ func TestKernelTieBreakIsStable(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		k := NewKernel()
 		var order []string
-		k.At(5, PriorityLate, func() { order = append(order, "late-a") })
-		k.At(5, PriorityNormal, func() { order = append(order, "normal-a") })
-		k.At(5, PriorityNormal, func() { order = append(order, "normal-b") })
-		k.At(5, PriorityLate, func() { order = append(order, "late-b") })
+		at(k, 5, PriorityLate, func() { order = append(order, "late-a") })
+		at(k, 5, PriorityNormal, func() { order = append(order, "normal-a") })
+		at(k, 5, PriorityNormal, func() { order = append(order, "normal-b") })
+		at(k, 5, PriorityLate, func() { order = append(order, "late-b") })
 		k.Run()
 		want := []string{"normal-a", "normal-b", "late-a", "late-b"}
 		for i := range want {
@@ -54,13 +54,13 @@ func TestKernelTieBreakIsStable(t *testing.T) {
 
 func TestKernelRejectsPastEvents(t *testing.T) {
 	k := NewKernel()
-	k.At(10, PriorityNormal, func() {
+	at(k, 10, PriorityNormal, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling into the past should panic")
 			}
 		}()
-		k.At(5, PriorityNormal, func() {})
+		at(k, 5, PriorityNormal, func() {})
 	})
 	k.Run()
 }
@@ -68,8 +68,8 @@ func TestKernelRejectsPastEvents(t *testing.T) {
 func TestKernelStopDropsRemainingEvents(t *testing.T) {
 	k := NewKernel()
 	fired := 0
-	k.At(1, PriorityNormal, func() { fired++; k.Stop() })
-	k.At(2, PriorityNormal, func() { fired++ })
+	at(k, 1, PriorityNormal, func() { fired++; k.Stop() })
+	at(k, 2, PriorityNormal, func() { fired++ })
 	stats := k.Run()
 	if fired != 1 || stats.Events != 1 {
 		t.Errorf("fired %d events after Stop, want 1", fired)
@@ -125,12 +125,12 @@ func TestResourceGrantsFIFO(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "anc", 0) // unbounded
 	var grants []string
-	k.At(0, PriorityNormal, func() {
-		r.Acquire(2, func() { grants = append(grants, "first") })
-		r.Acquire(1, func() { grants = append(grants, "second") })
+	at(k, 0, PriorityNormal, func() {
+		acquire(r, 2, func() { grants = append(grants, "first") })
+		acquire(r, 1, func() { grants = append(grants, "second") })
 	})
-	k.At(5, PriorityNormal, func() { r.Put(2) })  // completes only the first
-	k.At(10, PriorityNormal, func() { r.Put(5) }) // completes the second, rest buffered
+	at(k, 5, PriorityNormal, func() { r.Put(2) })  // completes only the first
+	at(k, 10, PriorityNormal, func() { r.Put(5) }) // completes the second, rest buffered
 	k.Run()
 	if len(grants) != 2 || grants[0] != "first" || grants[1] != "second" {
 		t.Fatalf("grants = %v", grants)
@@ -157,8 +157,8 @@ func TestAcquireLargerThanCapacityDrainsIncrementally(t *testing.T) {
 		t.Fatal(err)
 	}
 	var grantedAt iontrap.Microseconds = -1
-	k.At(0, PriorityNormal, func() {
-		r.Acquire(6, func() { grantedAt = k.Now(); k.Stop() })
+	at(k, 0, PriorityNormal, func() {
+		acquire(r, 6, func() { grantedAt = k.Now(); k.Stop() })
 		p.Start()
 	})
 	k.Run()
@@ -175,11 +175,11 @@ func TestProducerStallsOnFullBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var level float64
-	k.At(0, PriorityNormal, func() { p.Start() })
+	at(k, 0, PriorityNormal, func() { p.Start() })
 	// By t=3 the buffer is full; the producer holds its 4th item and stalls.
 	// At t=10 a consumer takes 2, unblocking production.
-	k.At(10, PriorityNormal, func() { r.Acquire(2, func() {}) })
-	k.At(20, PriorityNormal, func() {
+	at(k, 10, PriorityNormal, func() { acquire(r, 2, func() {}) })
+	at(k, 20, PriorityNormal, func() {
 		level = r.Level()
 		k.Stop()
 	})
@@ -207,11 +207,11 @@ func TestDeterministicRepeatedRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		total := 0
-		k.At(0, PriorityNormal, func() { p.Start() })
+		at(k, 0, PriorityNormal, func() { p.Start() })
 		for i := 1; i <= 5; i++ {
 			n := float64(i)
-			k.At(iontrap.Microseconds(i)*3, PriorityNormal, func() {
-				r.Acquire(n, func() {
+			at(k, iontrap.Microseconds(i)*3, PriorityNormal, func() {
+				acquire(r, n, func() {
 					total++
 					if total == 5 {
 						k.Stop()
