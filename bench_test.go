@@ -1,24 +1,14 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus the ablation benches called out in DESIGN.md.  Each bench
-// runs the experiment end-to-end and reports the headline quantity as a
-// custom metric so the regenerated numbers appear directly in
-// `go test -bench` output (see EXPERIMENTS.md for the paper-vs-measured
-// comparison).
+// One benchmark per table and figure of the paper's evaluation, plus the
+// ablation, engine and simulator-grid benches.  Each bench runs the
+// experiment end-to-end and reports the headline quantity as a custom metric
+// so the regenerated numbers appear directly in `go test -bench` output.
+// Repeated end-to-end and per-layer measurements, with their spread, come
+// from the benchmark in bench/ (`bash bench/run.sh`).
 package speedofdata_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"math/rand"
-	"net"
-	"net/http"
-	"net/url"
-	"os"
-	"sort"
 	"testing"
-	"time"
 
 	"speedofdata/internal/circuits"
 	"speedofdata/internal/core"
@@ -26,17 +16,11 @@ import (
 	"speedofdata/internal/factory"
 	"speedofdata/internal/fowler"
 	"speedofdata/internal/iontrap"
-	"speedofdata/internal/loadgen"
 	"speedofdata/internal/microarch"
-	"speedofdata/internal/network"
 	"speedofdata/internal/noise"
-	"speedofdata/internal/noise/stattest"
-	"speedofdata/internal/obs"
 	"speedofdata/internal/quantum"
 	"speedofdata/internal/schedule"
-	"speedofdata/internal/server"
 	"speedofdata/internal/steane"
-	"speedofdata/internal/store"
 )
 
 // benchBits keeps the per-iteration cost of the circuit-level benches modest
@@ -194,185 +178,6 @@ func BenchmarkFigure4_MonteCarlo(b *testing.B) {
 		sim.MonteCarlo(2000, int64(i))
 	}
 	b.ReportMetric(2000*float64(b.N)/b.Elapsed().Seconds(), "trials/sec")
-}
-
-// BenchmarkNoiseMonteCarloReport times the four Monte Carlo samplers —
-// legacy (the pre-optimisation op interpreter), compiled dense
-// (byte-identical estimates), sparse fault-set sampling and the bit-sliced
-// 64-wide word executor (both statistically equivalent) — at equal trial
-// budgets on every Figure 4 preparation circuit and writes
-// BENCH_noise.json: trials per second, allocations per trial and the
-// speedups over legacy and dense, plus a per-protocol parity check (byte
-// parity against legacy for dense, 3σ agreement against dense for sparse
-// and bit-sliced; a 3σ trip fails the bench).  The report also records one
-// sequential-sampling run (the `-ci` mode): at a deliberately high error
-// rate it must converge to a 1e-2 relative half-width using fewer trials
-// than the fixed default budget while publishing refining partials.
-// `go test -bench NoiseMonteCarloReport -benchtime 1x` refreshes the file;
-// the CI bench smoke does so on every run.  Together with BENCH_sim.json
-// and BENCH_network.json it forms the repository's performance trajectory
-// (see README).
-func BenchmarkNoiseMonteCarloReport(b *testing.B) {
-	type entry struct {
-		Protocol       string  `json:"protocol"`
-		Sampling       string  `json:"sampling"`
-		Trials         int     `json:"trials"`
-		NsPerTrial     float64 `json:"ns_per_trial"`
-		TrialsPerSec   float64 `json:"trials_per_sec"`
-		AllocsPerTrial float64 `json:"allocs_per_trial"`
-		SpeedupVsLeg   float64 `json:"speedup_vs_legacy"`
-		ParityKind     string  `json:"parity_kind"`
-		Parity         bool    `json:"parity"`
-	}
-	type ciRecord struct {
-		Protocol          string  `json:"protocol"`
-		GateError         float64 `json:"gate_error"`
-		Epsilon           float64 `json:"epsilon"`
-		Confidence        float64 `json:"confidence"`
-		TrialsUsed        int     `json:"trials_used"`
-		FixedDefault      int     `json:"fixed_default_trials"`
-		Converged         bool    `json:"converged"`
-		Partials          int     `json:"partials"`
-		UncorrectableRate float64 `json:"uncorrectable_rate"`
-	}
-	type document struct {
-		Description        string   `json:"description"`
-		Entries            []entry  `json:"entries"`
-		DenseSpeedup       float64  `json:"total_dense_speedup_vs_legacy"`
-		SparseSpeedup      float64  `json:"total_sparse_speedup_vs_legacy"`
-		SparseOverDense    float64  `json:"total_sparse_speedup_vs_dense"`
-		BitSlicedSpeedup   float64  `json:"total_bitsliced_speedup_vs_legacy"`
-		BitSlicedOverDense float64  `json:"total_bitsliced_speedup_vs_dense"`
-		ParityFailures     int      `json:"parity_failures"`
-		Sequential         ciRecord `json:"sequential_sampling"`
-	}
-	const trials = 20000
-	code := steane.NewCode()
-	model := noise.DefaultModel()
-	doc := document{
-		Description: "Monte Carlo sampler comparison on the Figure 4 preparation circuits at equal trial budgets: legacy interpreter vs compiled dense (byte-identical estimates for a seed) vs sparse fault-set sampling vs the bit-sliced 64-wide word executor (both 3-sigma-equivalent to dense), at the paper's error model; plus one sequential-sampling (ci-mode) convergence record.",
-	}
-	order := []string{"basic", "verify-only", "correct-only", "verify-and-correct"}
-	modes := []noise.Sampling{noise.SamplingLegacy, noise.SamplingDense, noise.SamplingSparse, noise.SamplingBitSliced}
-	modeNames := []string{"legacy", "dense", "sparse", "bitsliced"}
-	protocols := steane.StandardProtocols(code)
-	for i := 0; i < b.N; i++ {
-		doc.Entries = doc.Entries[:0]
-		doc.ParityFailures = 0
-		var total [4]time.Duration
-		for _, name := range order {
-			var est [4]noise.Estimate
-			var elapsed [4]time.Duration
-			var allocs [4]float64
-			for mi, mode := range modes {
-				s, err := noise.NewSimulator(code, protocols[name], model)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Sampling = mode
-				t0 := time.Now()
-				est[mi] = s.MonteCarlo(trials, 12345)
-				elapsed[mi] = time.Since(t0)
-				allocs[mi] = testing.AllocsPerRun(1, func() { s.MonteCarlo(500, 99) }) / 500
-				total[mi] += elapsed[mi]
-			}
-			for mi, mode := range modeNames {
-				kind, parity := "byte-vs-legacy", est[1] == est[0]
-				if mi >= 2 {
-					// Statistical samplers draw different fault sets; demand
-					// 3σ agreement with dense on every reported rate.
-					kind = "3sigma-vs-dense"
-					parity = true
-					dense, stat := est[1], est[mi]
-					for _, c := range []struct {
-						what   string
-						sv, dv float64
-					}{
-						{"uncorrectable", stat.UncorrectableRate, dense.UncorrectableRate},
-						{"residual", stat.ResidualRate, dense.ResidualRate},
-						{"reject", stat.RejectRate, dense.RejectRate},
-					} {
-						err := stattest.Compatible(name+" "+mode+" "+c.what,
-							c.sv, stattest.BinomialSE(c.sv, trials),
-							c.dv, stattest.BinomialSE(c.dv, trials), 3)
-						if err != nil {
-							parity = false
-							b.Error(err)
-						}
-					}
-				}
-				if !parity {
-					doc.ParityFailures++
-				}
-				doc.Entries = append(doc.Entries, entry{
-					Protocol:       name,
-					Sampling:       mode,
-					Trials:         trials,
-					NsPerTrial:     float64(elapsed[mi].Nanoseconds()) / trials,
-					TrialsPerSec:   trials / elapsed[mi].Seconds(),
-					AllocsPerTrial: allocs[mi],
-					SpeedupVsLeg:   elapsed[0].Seconds() / elapsed[mi].Seconds(),
-					ParityKind:     kind,
-					Parity:         parity,
-				})
-			}
-		}
-		doc.DenseSpeedup = total[0].Seconds() / total[1].Seconds()
-		doc.SparseSpeedup = total[0].Seconds() / total[2].Seconds()
-		doc.SparseOverDense = total[1].Seconds() / total[2].Seconds()
-		doc.BitSlicedSpeedup = total[0].Seconds() / total[3].Seconds()
-		doc.BitSlicedOverDense = total[1].Seconds() / total[3].Seconds()
-
-		// Sequential sampling (ci mode): at a high physical error rate the
-		// Wilson interval must reach a 1e-2 relative half-width with fewer
-		// trials than the fixed default budget, streaming refining partials.
-		hot := noise.Model{GateError: 0.1, MoveError: 1e-3, MovementOpsPerTwoQubitGate: 6}
-		s, err := noise.NewSimulator(code, protocols["basic"], hot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Sampling = noise.SamplingBitSliced
-		partials := 0
-		target := noise.Target{Epsilon: 1e-2, Confidence: 0.9, MaxTrials: noise.DefaultTrials}
-		ciEst, converged, err := s.MonteCarloTarget(context.Background(), engine.New(0), target, 7,
-			func(noise.Partial) { partials++ })
-		if err != nil {
-			b.Fatal(err)
-		}
-		doc.Sequential = ciRecord{
-			Protocol:          "basic",
-			GateError:         hot.GateError,
-			Epsilon:           target.Epsilon,
-			Confidence:        target.Confidence,
-			TrialsUsed:        ciEst.Trials,
-			FixedDefault:      noise.DefaultTrials,
-			Converged:         converged,
-			Partials:          partials,
-			UncorrectableRate: ciEst.UncorrectableRate,
-		}
-		if !converged || ciEst.Trials >= noise.DefaultTrials {
-			b.Errorf("sequential sampling did not beat the fixed budget: converged=%v trials=%d (fixed %d)",
-				converged, ciEst.Trials, noise.DefaultTrials)
-		}
-		if partials < 3 {
-			b.Errorf("sequential sampling published %d partials, want at least 3", partials)
-		}
-	}
-	if doc.BitSlicedOverDense < 5 {
-		b.Errorf("bit-sliced executor only %.1fx dense at equal budgets, want >= 5x", doc.BitSlicedOverDense)
-	}
-	b.ReportMetric(doc.DenseSpeedup, "dense-speedup")
-	b.ReportMetric(doc.SparseSpeedup, "sparse-speedup")
-	b.ReportMetric(doc.BitSlicedSpeedup, "bitsliced-speedup")
-	b.ReportMetric(doc.BitSlicedOverDense, "bitsliced/dense")
-	b.ReportMetric(float64(doc.ParityFailures), "parity-failures")
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_noise.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkFigure7_AncillaDemandProfile regenerates the Figure 7 demand
@@ -660,8 +465,7 @@ func BenchmarkEngineCachedExperiment(b *testing.B) {
 // token-bucket model as the default Simulate path; with infinite buffers the
 // two produce bit-identical results (TestEventSimulatorMatchesClosedFormOnFigure15Grid),
 // so the interesting quantity is the runtime cost of the kernel on the hot
-// Figure 15 grid.  BenchmarkSimComparisonReport writes the comparison to
-// BENCH_sim.json, seeding the performance trajectory for later PRs.
+// Figure 15 grid.
 
 // simGridPoint is one (architecture, scale) cell of the Figure 15 grid used
 // by the simulator benches.
@@ -727,687 +531,4 @@ func BenchmarkSimEventGridFiniteBuffer(b *testing.B) {
 		cfg.BufferAncillae = 16
 		return microarch.Simulate(c, cfg)
 	})
-}
-
-// BenchmarkSimComparisonReport times the closed-form and event-driven
-// simulators point by point over the Figure 15 grid and writes the
-// comparison to BENCH_sim.json (the perf-trajectory seed).  `go test -bench
-// SimComparisonReport -benchtime 1x` refreshes the file.
-func BenchmarkSimComparisonReport(b *testing.B) {
-	type entry struct {
-		Benchmark       string  `json:"benchmark"`
-		Arch            string  `json:"arch"`
-		Scale           int     `json:"scale"`
-		Gates           int     `json:"gates"`
-		MakespanMs      float64 `json:"makespan_ms"`
-		ClosedFormNs    int64   `json:"closed_form_ns"`
-		EventNs         int64   `json:"event_ns"`
-		EventOverClosed float64 `json:"event_over_closed"`
-		KernelEvents    int     `json:"kernel_events"`
-		Parity          bool    `json:"parity"`
-	}
-	type document struct {
-		Description     string  `json:"description"`
-		Bits            int     `json:"bits"`
-		MaxScale        int     `json:"max_scale"`
-		Entries         []entry `json:"entries"`
-		ClosedFormNs    int64   `json:"total_closed_form_ns"`
-		EventNs         int64   `json:"total_event_ns"`
-		EventOverClosed float64 `json:"total_event_over_closed"`
-		ParityFailures  int     `json:"parity_failures"`
-	}
-	doc := document{
-		Description: "Closed-form vs event-driven (internal/sim kernel) simulator runtime on the Figure 15 grid; infinite buffers, so results are bit-identical and the delta is pure kernel overhead.",
-		Bits:        benchBits,
-		MaxScale:    16,
-	}
-	for i := 0; i < b.N; i++ {
-		doc.Entries = doc.Entries[:0]
-		doc.ClosedFormNs, doc.EventNs, doc.ParityFailures = 0, 0, 0
-		for _, kind := range circuits.Benchmarks() {
-			c, err := circuits.Generate(kind, benchBits)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, p := range simGrid(16) {
-				cfg := simGridConfig(p)
-				t0 := time.Now()
-				closed, err := microarch.SimulateClosedForm(c, cfg)
-				closedNs := time.Since(t0).Nanoseconds()
-				if err != nil {
-					b.Fatal(err)
-				}
-				t0 = time.Now()
-				event, err := microarch.Simulate(c, cfg)
-				eventNs := time.Since(t0).Nanoseconds()
-				if err != nil {
-					b.Fatal(err)
-				}
-				parity := event.ExecutionTime == closed.ExecutionTime
-				if !parity {
-					doc.ParityFailures++
-				}
-				ratio := 0.0
-				if closedNs > 0 {
-					ratio = float64(eventNs) / float64(closedNs)
-				}
-				doc.Entries = append(doc.Entries, entry{
-					Benchmark:       kind.String(),
-					Arch:            p.arch.String(),
-					Scale:           p.scale,
-					Gates:           c.Len(),
-					MakespanMs:      event.ExecutionTimeMs(),
-					ClosedFormNs:    closedNs,
-					EventNs:         eventNs,
-					EventOverClosed: ratio,
-					KernelEvents:    event.Events,
-					Parity:          parity,
-				})
-				doc.ClosedFormNs += closedNs
-				doc.EventNs += eventNs
-			}
-		}
-	}
-	if doc.ClosedFormNs > 0 {
-		doc.EventOverClosed = float64(doc.EventNs) / float64(doc.ClosedFormNs)
-	}
-	b.ReportMetric(doc.EventOverClosed, "event/closed-runtime")
-	b.ReportMetric(float64(doc.ParityFailures), "parity-failures")
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_sim.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// --- Serving-tier load benches ---
-
-// serveBenchServer starts an in-process HTTP server with the given admission
-// config and returns its base URL and a shutdown function.
-func serveBenchServer(b *testing.B, cfg server.Config) (string, func()) {
-	b.Helper()
-	exp := core.NewExperiments()
-	exp.Bits = benchBits
-	exp.Engine = engine.New(0)
-	exp.Engine.CacheLimit = 1 << 14
-	h := server.NewWithConfig(exp, core.DefaultRunParams(), cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := &http.Server{Handler: h}
-	go srv.Serve(ln)
-	return "http://" + ln.Addr().String(), func() { srv.Close() }
-}
-
-// serveBenchHealth reads the admission gauges of /v1/healthz.
-func serveBenchHealth(b *testing.B, base string) (inFlight, queueDepth int) {
-	b.Helper()
-	resp, err := http.Get(base + "/v1/healthz")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		InFlight   int `json:"in_flight"`
-		QueueDepth int `json:"queue_depth"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		b.Fatal(err)
-	}
-	return st.InFlight, st.QueueDepth
-}
-
-// BenchmarkServeLoadReport drives the HTTP serving tier with the open-loop
-// generator (internal/loadgen) through three mixes and writes
-// BENCH_serve.json, the fourth file of the performance trajectory:
-//
-//   - cache-cold: every request carries a fresh seed, so each one computes
-//     (the fingerprint cache never hits);
-//   - cache-warm: every request repeats one URL, so after the first request
-//     the whole mix is served from the fingerprint cache;
-//   - saturate: deliberate overload of a 1-slot/2-queue server with heavier
-//     requests at a rate it cannot sustain — the bench asserts the server
-//     sheds with 429 + Retry-After, keeps the p99 of admitted requests
-//     bounded by the configured deadlines, and drains back to idle;
-//   - warm-restart: a store-backed (-store) server is warmed and repeatedly
-//     restarted; the first request after each restart must hit the
-//     persistent store — within 5× of the in-memory warm p50 and at least
-//     20× faster than recomputing (asserted in-run).
-//
-// `go test -bench ServeLoadReport -benchtime 1x` refreshes the file; the CI
-// bench smoke does so on every run.
-func BenchmarkServeLoadReport(b *testing.B) {
-	type row struct {
-		Mix            string  `json:"mix"`
-		OfferedPerSec  float64 `json:"offered_per_sec"`
-		AchievedPerSec float64 `json:"achieved_per_sec"`
-		Sent           int64   `json:"sent"`
-		OK             int64   `json:"ok"`
-		Shed           int64   `json:"shed"`
-		Errors         int64   `json:"errors"`
-		RetryAfterSeen int64   `json:"retry_after_seen"`
-		P50Ms          float64 `json:"p50_ms"`
-		P90Ms          float64 `json:"p90_ms"`
-		P99Ms          float64 `json:"p99_ms"`
-		P999Ms         float64 `json:"p999_ms"`
-		SSESessions    int64   `json:"sse_sessions"`
-		SSEEvents      int64   `json:"sse_events"`
-	}
-	type document struct {
-		Description string `json:"description"`
-		Bits        int    `json:"bits"`
-		Rows        []row  `json:"rows"`
-	}
-	toRow := func(mix string, r loadgen.Result) row {
-		ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-		return row{
-			Mix:            mix,
-			OfferedPerSec:  r.OfferedPerSec,
-			AchievedPerSec: r.AchievedPerSec,
-			Sent:           r.Sent,
-			OK:             r.OK,
-			Shed:           r.Shed,
-			Errors:         r.Errors,
-			RetryAfterSeen: r.RetryAfterSeen,
-			P50Ms:          ms(r.P50),
-			P90Ms:          ms(r.P90),
-			P99Ms:          ms(r.P99),
-			P999Ms:         ms(r.P999),
-			SSESessions:    r.SSESessions,
-			SSEEvents:      r.SSEEvents,
-		}
-	}
-	doc := document{
-		Description: "Open-loop (Poisson) load against the HTTP serving tier: cache-cold (fresh seed per request, every request computes), cache-warm (repeated URL, served from the fingerprint cache), deliberate saturation of a 1-slot/2-queue server (must shed with 429 + Retry-After while the p99 of admitted requests stays bounded by the configured deadlines), warm-restart (a store-backed server torn down and rebuilt against the same -store directory; the first request after each restart must be a persistent-store hit within 5x of the in-memory warm p50 and at least 20x faster than recomputation), and instrumentation-overhead (the cache-warm mix with the observability layer — metrics registry + request tracing — enabled; its warm p50 must stay within 5% of the uninstrumented warm p50, plus a 1ms timer-noise allowance).",
-		Bits:        benchBits,
-	}
-	seedParam := func(r *rand.Rand) url.Values {
-		return url.Values{"seed": {fmt.Sprint(r.Intn(1 << 30))}}
-	}
-	for i := 0; i < b.N; i++ {
-		doc.Rows = doc.Rows[:0]
-
-		// Cache-cold and cache-warm run against a generously provisioned
-		// server: the contrast isolates the fingerprint cache's effect.
-		base, stop := serveBenchServer(b, server.Config{})
-		// The fig4 Monte Carlo (5000 trials, ~tens of ms) gives the cold mix
-		// real computation, so the warm mix's cache effect is visible in the
-		// quantiles rather than lost in scheduling noise.
-		fig4Cold := func(r *rand.Rand) url.Values {
-			return url.Values{"seed": {fmt.Sprint(r.Intn(1 << 30))}, "trials": {"5000"}}
-		}
-		fig4Warm := func(*rand.Rand) url.Values {
-			return url.Values{"seed": {"1"}, "trials": {"5000"}}
-		}
-		cold, err := loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL:  base,
-			Rate:     20,
-			Duration: 2 * time.Second,
-			Seed:     1,
-			Mix: loadgen.Mix{Endpoints: []loadgen.Endpoint{
-				{ID: "fig4", Weight: 1, Params: fig4Cold},
-				{ID: "table5", Weight: 1, Params: seedParam},
-			}},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		warm, err := loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL:  base,
-			Rate:     50,
-			Duration: 2 * time.Second,
-			Seed:     2,
-			Mix: loadgen.Mix{
-				// Fixed parameters: one URL per endpoint, so everything after
-				// the first request is a fingerprint cache hit.
-				Endpoints: []loadgen.Endpoint{
-					{ID: "fig4", Weight: 1, Params: fig4Warm},
-					{ID: "table5", Weight: 1},
-				},
-				SSE: 0.05,
-			},
-		})
-		stop()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cold.Errors > 0 || warm.Errors > 0 {
-			b.Fatalf("unsaturated mixes saw errors: cold=%+v warm=%+v", cold, warm)
-		}
-		doc.Rows = append(doc.Rows, toRow("cache-cold", cold), toRow("cache-warm", warm))
-
-		// Saturation: a deliberately tiny server (one slot, two queue
-		// entries, 50ms queue wait, 2s run deadline) against heavier fig4
-		// requests at a rate it cannot sustain.
-		satBase, satStop := serveBenchServer(b, server.Config{
-			MaxConcurrent:  1,
-			MaxQueue:       2,
-			QueueTimeout:   50 * time.Millisecond,
-			RequestTimeout: 2 * time.Second,
-		})
-		sat, err := loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL:  satBase,
-			Rate:     100,
-			Duration: 1500 * time.Millisecond,
-			Seed:     3,
-			Timeout:  5 * time.Second,
-			Mix: loadgen.Mix{Endpoints: []loadgen.Endpoint{
-				{ID: "fig4", Weight: 1, Params: func(r *rand.Rand) url.Values {
-					return url.Values{
-						"seed":   {fmt.Sprint(r.Intn(1 << 30))},
-						"trials": {"20000"},
-					}
-				}},
-			}},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The SLO assertions of the acceptance criteria: overload must shed
-		// (429, every one carrying Retry-After), some requests must still be
-		// served, and the p99 of admitted requests is bounded by the
-		// request deadline plus scheduling slack — overload degrades into
-		// refusals, not unbounded latency.
-		if sat.Shed == 0 {
-			b.Error("saturation mix was never shed; the admission gate is not limiting")
-		}
-		if sat.OK == 0 {
-			b.Error("saturation mix had no successes; the server collapsed instead of degrading")
-		}
-		if sat.RetryAfterSeen != sat.Shed {
-			b.Errorf("%d of %d sheds carried Retry-After", sat.RetryAfterSeen, sat.Shed)
-		}
-		if maxP99 := 3 * time.Second; sat.P99 > maxP99 {
-			b.Errorf("saturated p99 %v exceeds %v; admitted-request latency is unbounded", sat.P99, maxP99)
-		}
-		// After the run drains, the gate must be idle again.
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			inFlight, queued := serveBenchHealth(b, satBase)
-			if inFlight == 0 && queued == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				b.Fatalf("gate not idle after drain: in_flight=%d queue_depth=%d", inFlight, queued)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		satStop()
-		doc.Rows = append(doc.Rows, toRow("saturate", sat))
-
-		// The cache must make the warm mix cheap: its p50 should be well
-		// under the cold mix's (computed) p50.
-		if warm.P50 > cold.P50 {
-			b.Logf("note: warm p50 %v not below cold p50 %v (timer-resolution noise at small loads)", warm.P50, cold.P50)
-		}
-
-		// Warm restart: a store-backed server is warmed once, then torn down
-		// and rebuilt (fresh engine, same store directory) repeatedly; the
-		// first request after each restart must be a persistent-store hit —
-		// close to the in-memory warm latency and far from recomputation.
-		storeDir := b.TempDir()
-		const warmURL = "/v1/experiments/fig4?seed=1&trials=5000"
-		newStoreServer := func() (*store.Store, string, func()) {
-			st, err := store.Open(storeDir, store.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			exp := core.NewExperiments()
-			exp.Bits = benchBits
-			exp.Engine = engine.New(0)
-			exp.Engine.CacheLimit = 1 << 14
-			exp.Engine.Backend = st
-			h := server.NewWithConfig(exp, core.DefaultRunParams(), server.Config{})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv := &http.Server{Handler: h}
-			go srv.Serve(ln)
-			return st, "http://" + ln.Addr().String(), func() { srv.Close(); st.Close() }
-		}
-		timedGet := func(base, path string) time.Duration {
-			t0 := time.Now()
-			resp, err := http.Get(base + path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b.Fatalf("%s: status %d", path, resp.StatusCode)
-			}
-			return time.Since(t0)
-		}
-		p50 := func(d []time.Duration) time.Duration {
-			s := append([]time.Duration(nil), d...)
-			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-			return s[len(s)/2]
-		}
-		const restarts = 11
-		_, warmBase, warmStop := newStoreServer()
-		timedGet(warmBase, warmURL) // compute once; written through to the store
-		var memWarm, coldRef []time.Duration
-		for k := 0; k < restarts; k++ {
-			memWarm = append(memWarm, timedGet(warmBase, warmURL))
-		}
-		for k := 0; k < restarts; k++ {
-			// Fresh seeds defeat both cache tiers: the recomputation baseline.
-			coldRef = append(coldRef,
-				timedGet(warmBase, fmt.Sprintf("/v1/experiments/fig4?seed=%d&trials=5000", 100000+k)))
-		}
-		warmStop()
-		var restartLat []time.Duration
-		for k := 0; k < restarts; k++ {
-			st, base, stop := newStoreServer()
-			// Prime the HTTP connection (the warm samples above reuse
-			// keep-alive connections); healthz touches no cache tier, so the
-			// timed request below is still the store's first lookup.
-			timedGet(base, "/v1/healthz")
-			restartLat = append(restartLat, timedGet(base, warmURL))
-			if st.Stats().Hits == 0 {
-				b.Errorf("restart %d: request was not served from the persistent store", k)
-			}
-			stop()
-		}
-		restartP50, memP50, coldP50 := p50(restartLat), p50(memWarm), p50(coldRef)
-		if restartP50 > 5*memP50 {
-			b.Errorf("warm-restart p50 %v exceeds 5x in-memory warm p50 %v", restartP50, memP50)
-		}
-		if coldP50 < 20*restartP50 {
-			b.Errorf("warm-restart p50 %v is not >= 20x faster than cold p50 %v", restartP50, coldP50)
-		}
-		maxLat := restartLat[0]
-		for _, d := range restartLat {
-			if d > maxLat {
-				maxLat = d
-			}
-		}
-		ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-		doc.Rows = append(doc.Rows, row{
-			Mix:   "warm-restart",
-			Sent:  restarts,
-			OK:    restarts,
-			P50Ms: ms(restartP50),
-			P90Ms: ms(maxLat),
-			P99Ms: ms(maxLat),
-		})
-
-		// Instrumentation overhead: the identical cache-warm mix against a
-		// server carrying the full observability layer (metrics registry +
-		// request tracing; the access log stays off, as it costs I/O rather
-		// than instrumentation).  A cache-warm request is almost pure
-		// per-request overhead — route match, cache lookup, JSON encode — so
-		// its p50 is the most sensitive place for instrumentation cost to
-		// show.  Budget: 5% of the uninstrumented warm p50, plus 1ms for
-		// timer and scheduling noise at these sub-millisecond latencies.
-		obsBase, obsStop := serveBenchServer(b, server.Config{Obs: obs.New()})
-		instr, err := loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL:  obsBase,
-			Rate:     50,
-			Duration: 2 * time.Second,
-			Seed:     2,
-			Mix: loadgen.Mix{
-				Endpoints: []loadgen.Endpoint{
-					{ID: "fig4", Weight: 1, Params: fig4Warm},
-					{ID: "table5", Weight: 1},
-				},
-				SSE: 0.05,
-			},
-		})
-		obsStop()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if instr.Errors > 0 {
-			b.Fatalf("instrumented warm mix saw errors: %+v", instr)
-		}
-		if budget := warm.P50/20 + time.Millisecond; instr.P50 > warm.P50+budget {
-			b.Errorf("instrumented warm p50 %v exceeds uninstrumented %v by more than 5%%+1ms",
-				instr.P50, warm.P50)
-		}
-		doc.Rows = append(doc.Rows, toRow("instrumentation-overhead", instr))
-	}
-	last := doc.Rows
-	b.ReportMetric(last[0].P99Ms, "cold-p99-ms")
-	b.ReportMetric(last[1].P99Ms, "warm-p99-ms")
-	b.ReportMetric(last[2].P99Ms, "saturated-p99-ms")
-	b.ReportMetric(float64(last[2].Shed), "saturated-shed")
-	b.ReportMetric(last[3].P50Ms, "warm-restart-p50-ms")
-	b.ReportMetric(last[4].P50Ms, "instrumented-warm-p50-ms")
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// --- Teleportation interconnect benches ---
-
-// BenchmarkNetworkReplay runs the routed-mesh replay over a small
-// tile-count × link-bandwidth grid and writes BENCH_network.json: kernel
-// events per second and the network-blocked fraction of the makespan per
-// grid point.  `go test -bench NetworkReplay -benchtime 1x` refreshes the
-// file; the CI bench smoke does so on every run.
-func BenchmarkNetworkReplay(b *testing.B) {
-	type entry struct {
-		Benchmark          string  `json:"benchmark"`
-		Tiles              int     `json:"tiles"`
-		LinkFactor         float64 `json:"link_factor"`
-		LinkEPRPerMs       float64 `json:"link_epr_per_ms"`
-		MakespanMs         float64 `json:"makespan_ms"`
-		NetworkBlockedFrac float64 `json:"network_blocked_fraction"`
-		KernelEvents       int     `json:"kernel_events"`
-		EventsPerSec       float64 `json:"events_per_sec"`
-		ReplayNs           int64   `json:"replay_ns"`
-	}
-	type document struct {
-		Description  string  `json:"description"`
-		Bits         int     `json:"bits"`
-		Entries      []entry `json:"entries"`
-		TotalEvents  int     `json:"total_events"`
-		TotalNs      int64   `json:"total_ns"`
-		EventsPerSec float64 `json:"total_events_per_sec"`
-	}
-	m := schedule.DefaultLatencyModel()
-	c, err := circuits.Generate(circuits.QCLA, benchBits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch, err := schedule.Characterize(c, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc := document{
-		Description: "Routed-mesh network.Replay on the tile-count x link-bandwidth grid: kernel throughput and the network-blocked ratio (gate-summed network time over makespan; exceeds 1 when many gates queue concurrently) per point.",
-		Bits:        benchBits,
-	}
-	for i := 0; i < b.N; i++ {
-		doc.Entries = doc.Entries[:0]
-		doc.TotalEvents, doc.TotalNs = 0, 0
-		for _, tiles := range []int{2, 4} {
-			cfg, err := network.PlanConfig(m, c.NumQubits, tiles, ch.ZeroBandwidthPerMs*core.NetSupplyHeadroom, ch.Pi8BandwidthPerMs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			topo := network.NewTopology(len(cfg.Machine.Tiles))
-			part, err := network.PartitionCircuit(c, topo.TileCount())
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg.Partitions = []network.Partition{part}
-			matched := network.MatchedLinkEPRPerMs(c, m, topo, part)
-			for _, factor := range []float64{0.5, 1, 2} {
-				cfg.LinkEPRPerMs = matched * factor
-				// Same geometric ceiling the registered scenarios apply.
-				if ceiling := cfg.Machine.LinkEPRPerMs(); cfg.LinkEPRPerMs > ceiling {
-					cfg.LinkEPRPerMs = ceiling
-				}
-				cfg.LinkBufferPairs = core.DefaultBufferAncillae
-				t0 := time.Now()
-				run, err := network.Replay(c, cfg)
-				elapsed := time.Since(t0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r := run.Results[0]
-				frac := 0.0
-				if r.ExecutionTime > 0 {
-					frac = float64(r.NetworkBlocked) / float64(r.ExecutionTime)
-				}
-				eps := 0.0
-				if elapsed > 0 {
-					eps = float64(run.Events) / elapsed.Seconds()
-				}
-				doc.Entries = append(doc.Entries, entry{
-					Benchmark:          c.Name,
-					Tiles:              len(cfg.Machine.Tiles),
-					LinkFactor:         factor,
-					LinkEPRPerMs:       cfg.LinkEPRPerMs,
-					MakespanMs:         r.ExecutionTime.Milliseconds(),
-					NetworkBlockedFrac: frac,
-					KernelEvents:       run.Events,
-					EventsPerSec:       eps,
-					ReplayNs:           elapsed.Nanoseconds(),
-				})
-				doc.TotalEvents += run.Events
-				doc.TotalNs += elapsed.Nanoseconds()
-			}
-		}
-	}
-	if doc.TotalNs > 0 {
-		doc.EventsPerSec = float64(doc.TotalEvents) / (float64(doc.TotalNs) / 1e9)
-	}
-	b.ReportMetric(doc.EventsPerSec, "events/sec")
-	// Compare the starved and provisioned ends within ONE tile group (the
-	// factor loop is innermost), so the delta shows bandwidth draining the
-	// network-blocked time rather than conflating it with a topology change.
-	if factors := 3; len(doc.Entries) >= factors {
-		b.ReportMetric(doc.Entries[0].NetworkBlockedFrac, "net-blocked-frac-starved")
-		b.ReportMetric(doc.Entries[factors-1].NetworkBlockedFrac, "net-blocked-frac-provisioned")
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_network.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkNetworkFaultReplay measures what the fault layer's rerouting
-// costs: the same 4-tile replay once on the pristine mesh and once with the
-// bisection boundary dead (both directions of one physical link), reported
-// as kernel events/sec each way and appended to BENCH_network.json as a
-// fault_overhead row.  The row is merged into the document BenchmarkNetworkReplay
-// writes rather than replacing it, so either bench can run alone.
-func BenchmarkNetworkFaultReplay(b *testing.B) {
-	type faultRow struct {
-		Description         string  `json:"description"`
-		Benchmark           string  `json:"benchmark"`
-		Tiles               int     `json:"tiles"`
-		CleanEventsPerSec   float64 `json:"clean_events_per_sec"`
-		FaultedEventsPerSec float64 `json:"faulted_events_per_sec"`
-		// NsPerEventRatio is faulted ns/event over clean ns/event — the
-		// per-event cost of fault bookkeeping and detoured routes (≈1 means
-		// rerouting is free per event; the makespans capture the model cost).
-		NsPerEventRatio   float64 `json:"ns_per_event_ratio"`
-		Reroutes          int     `json:"reroutes"`
-		DetourHops        int     `json:"detour_hops"`
-		CleanMakespanMs   float64 `json:"clean_makespan_ms"`
-		FaultedMakespanMs float64 `json:"faulted_makespan_ms"`
-	}
-	m := schedule.DefaultLatencyModel()
-	c, err := circuits.Generate(circuits.QCLA, benchBits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch, err := schedule.Characterize(c, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg, err := network.PlanConfig(m, c.NumQubits, 4, ch.ZeroBandwidthPerMs*core.NetSupplyHeadroom, ch.Pi8BandwidthPerMs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	topo := network.NewTopology(len(cfg.Machine.Tiles))
-	part, err := network.PartitionCircuit(c, topo.TileCount())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.Partitions = []network.Partition{part}
-	cfg.LinkEPRPerMs = network.MatchedLinkEPRPerMs(c, m, topo, part)
-	if ceiling := cfg.Machine.LinkEPRPerMs(); cfg.LinkEPRPerMs > ceiling || cfg.LinkEPRPerMs <= 0 {
-		cfg.LinkEPRPerMs = ceiling
-	}
-	cfg.LinkBufferPairs = core.DefaultBufferAncillae
-
-	var row faultRow
-	for i := 0; i < b.N; i++ {
-		clean := cfg
-		t0 := time.Now()
-		cleanRun, err := network.Replay(c, clean)
-		cleanNs := time.Since(t0).Nanoseconds()
-		if err != nil {
-			b.Fatal(err)
-		}
-		faulted := cfg
-		faulted.Faults = network.FaultPlanFor(network.FaultDeadLink, topo)
-		t0 = time.Now()
-		faultRun, err := network.Replay(c, faulted)
-		faultNs := time.Since(t0).Nanoseconds()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if faultRun.Faults.Reroutes == 0 {
-			b.Fatal("dead bisection link produced no reroutes")
-		}
-		row = faultRow{
-			Description: "Reroute overhead: the same replay fault-free vs with the bisection boundary dead.",
-			Benchmark:   c.Name,
-			Tiles:       topo.TileCount(),
-			Reroutes:    faultRun.Faults.Reroutes,
-			DetourHops:  faultRun.Faults.DetourHops,
-		}
-		if cleanNs > 0 {
-			row.CleanEventsPerSec = float64(cleanRun.Events) / (float64(cleanNs) / 1e9)
-		}
-		if faultNs > 0 {
-			row.FaultedEventsPerSec = float64(faultRun.Events) / (float64(faultNs) / 1e9)
-		}
-		if cleanRun.Events > 0 && faultRun.Events > 0 && cleanNs > 0 {
-			row.NsPerEventRatio = (float64(faultNs) / float64(faultRun.Events)) /
-				(float64(cleanNs) / float64(cleanRun.Events))
-		}
-		row.CleanMakespanMs = cleanRun.Results[0].ExecutionTime.Milliseconds()
-		row.FaultedMakespanMs = faultRun.Results[0].ExecutionTime.Milliseconds()
-	}
-	b.ReportMetric(row.FaultedEventsPerSec, "faulted-events/sec")
-	b.ReportMetric(row.NsPerEventRatio, "ns/event-ratio")
-
-	// Merge into whatever BenchmarkNetworkReplay last wrote, preserving its
-	// fields; start a fresh document if the file is absent or unreadable.
-	doc := map[string]json.RawMessage{}
-	if prev, err := os.ReadFile("BENCH_network.json"); err == nil {
-		if err := json.Unmarshal(prev, &doc); err != nil {
-			doc = map[string]json.RawMessage{}
-		}
-	}
-	raw, err := json.Marshal(row)
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc["fault_overhead"] = raw
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_network.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
 }

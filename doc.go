@@ -61,9 +61,9 @@
 // exposes the same experiments as parameterized HTTP endpoints on a shared
 // engine, so repeated requests hit the result cache and identical
 // concurrent requests coalesce.  The benchmarks in bench_test.go wrap the
-// same experiments for `go test -bench`, including engine speedup benches
-// and the comparisons that emit BENCH_sim.json (closed-form vs
-// event-driven) and BENCH_network.json (routed-mesh replay throughput).
+// same experiments for `go test -bench`, including engine speedup and
+// simulator-grid benches; the benchmark in bench/ measures the whole path
+// and every layer with repeated samples (`bash bench/run.sh`).
 // See README.md for the CLI and API reference and ARCHITECTURE.md for the
 // data flow.
 package speedofdata

@@ -95,6 +95,6 @@ func main() {
 	if _, err := fetch(base, "/v1/experiments/table2?format=json"); err != nil {
 		log.Fatal(err)
 	}
-	hits, misses := exp.Engine.CacheStats()
-	fmt.Printf("engine: %d cache hits, %d computed jobs after repeating the first request\n", hits, misses)
+	tiers := exp.Engine.Tiers()
+	fmt.Printf("engine: %d cache hits, %d computed jobs after repeating the first request\n", tiers.MemoryHits, tiers.MemoryMisses)
 }

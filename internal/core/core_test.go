@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"speedofdata/internal/circuits"
+	"speedofdata/internal/noise"
 	"speedofdata/internal/quantum"
 )
 
@@ -177,7 +178,7 @@ func TestExperimentsTable9SmallWidth(t *testing.T) {
 
 func TestExperimentsFigure4Small(t *testing.T) {
 	e := NewExperiments()
-	results, err := e.Figure4(2000, 1)
+	results, err := e.Figure4Sampled(2000, 1, noise.SamplingDense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestExperimentsFigures7And8(t *testing.T) {
 func TestExperimentsFigure15Small(t *testing.T) {
 	e := NewExperiments()
 	e.Bits = 8
-	curves, err := e.Figure15(circuits.QCLA, 8)
+	curves, err := e.Figure15Buffered(circuits.QCLA, 8, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +297,11 @@ func TestParallelExperimentsMatchSequential(t *testing.T) {
 		}
 	}
 
-	seqF4, err := seq.Figure4(5000, 11)
+	seqF4, err := seq.Figure4Sampled(5000, 11, noise.SamplingDense)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parF4, err := par.Figure4(5000, 11)
+	parF4, err := par.Figure4Sampled(5000, 11, noise.SamplingDense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +311,11 @@ func TestParallelExperimentsMatchSequential(t *testing.T) {
 		}
 	}
 
-	seq15, err := seq.Figure15(circuits.QRCA, 8)
+	seq15, err := seq.Figure15Buffered(circuits.QRCA, 8, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par15, err := par.Figure15(circuits.QRCA, 8)
+	par15, err := par.Figure15Buffered(circuits.QRCA, 8, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestExperimentsCacheAcrossRepeats(t *testing.T) {
 	if _, err := e.Table2And3(); err != nil {
 		t.Fatal(err)
 	}
-	hits, _ := e.Engine.CacheStats()
+	hits := e.Engine.Tiers().MemoryHits
 	if hits == 0 {
 		t.Error("repeated experiment should hit the engine cache")
 	}

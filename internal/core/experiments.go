@@ -173,20 +173,15 @@ type PrepErrorResult struct {
 	Converged bool
 }
 
-// Figure4 evaluates the four encoded-zero preparation circuits under the
-// paper's error model.  trials controls the Monte Carlo effort.  Each
-// preparation variant is one engine job whose Monte Carlo trials fan out
-// further as chunk jobs on the same engine.
-func (e Experiments) Figure4(trials int, seed int64) ([]PrepErrorResult, error) {
-	return e.Figure4Sampled(trials, seed, noise.SamplingDense)
-}
-
-// Figure4Sampled is Figure4 with an explicit Monte Carlo sampling mode.
-// Dense (the default everywhere) draws per error location and is
-// byte-identical across releases for a seed; sparse samples fault sets
-// directly — statistically equivalent and much faster at physical error
-// rates, behind the qsd -sparse flag and the HTTP sparse parameter.  The
-// two modes never share cache keys.
+// Figure4Sampled evaluates the four encoded-zero preparation circuits under
+// the paper's error model.  trials controls the Monte Carlo effort and
+// sampling its executor.  Dense (the default everywhere) draws per error
+// location and is byte-identical across releases for a seed; sparse and
+// bit-sliced are statistically equivalent and much faster at physical error
+// rates, behind the qsd -sparse / -bitsliced flags and the matching HTTP
+// parameters.  No two modes share cache keys.  Each preparation variant is
+// one engine job whose Monte Carlo trials fan out further as chunk jobs on
+// the same engine.
 func (e Experiments) Figure4Sampled(trials int, seed int64, sampling noise.Sampling) ([]PrepErrorResult, error) {
 	code := steane.NewCode()
 	model := noise.DefaultModel()
@@ -204,7 +199,7 @@ func (e Experiments) Figure4Sampled(trials int, seed int64, sampling noise.Sampl
 		name := name
 		p := protocols[name]
 		key := engine.Fingerprint("core.figure4", name, model, trials, seed)
-		if sampling != noise.SamplingDense && sampling != noise.SamplingLegacy {
+		if sampling != noise.SamplingDense {
 			// Dense keys stay exactly as they always were (they seed the
 			// chunk RNG streams); sparse and bitsliced each get their own
 			// key space, named by the sampling mode.
@@ -253,7 +248,7 @@ type PartialEstimate struct {
 	Done bool `json:"done"`
 }
 
-// Figure4Target is Figure4 with sequential sampling: each preparation
+// Figure4Target is Figure4Sampled with sequential sampling: each preparation
 // variant runs bit-sliced Monte Carlo until the uncorrectable rate's Wilson
 // interval reaches the target relative half-width epsilon at the given
 // confidence (0 = noise.DefaultConfidence), capped at maxTrials.  Refining
@@ -381,24 +376,15 @@ func (e Experiments) Figure8() (map[string][]schedule.SweepPoint, error) {
 	return out, nil
 }
 
-// Figure15 runs the microarchitecture comparison for one benchmark, fanning
-// the architecture × scale grid across the engine's workers.
-func (e Experiments) Figure15(b circuits.Benchmark, maxScale int) (map[microarch.Architecture]microarch.Curve, error) {
-	return e.Figure15Archs(b, maxScale, nil)
-}
-
-// Figure15Archs is Figure15 restricted to a subset of architectures (nil =
-// all).  Simulation job keys are architecture-filter independent, so a
-// filtered request (e.g. the HTTP API's ?arch=) shares its grid points with
-// full runs through the engine cache.
-func (e Experiments) Figure15Archs(b circuits.Benchmark, maxScale int, archs []microarch.Architecture) (map[microarch.Architecture]microarch.Curve, error) {
-	return e.Figure15Buffered(b, maxScale, archs, 0)
-}
-
-// Figure15Buffered is the finite-buffer form of the Figure 15 grid: every
-// ancilla source keeps at most bufferAncillae encoded zeros in flight (zero
-// buffers infinitely, reproducing the closed-form grid exactly).  Curve
-// points carry the stall and high-water metrics the closed form cannot see.
+// Figure15Buffered runs the microarchitecture comparison for one benchmark,
+// fanning the architecture × scale grid across the engine's workers.  archs
+// restricts the architectures (nil = all); simulation job keys are
+// architecture-filter independent, so a filtered request (e.g. the HTTP
+// API's ?arch=) shares its grid points with full runs through the engine
+// cache.  Every ancilla source keeps at most bufferAncillae encoded zeros in
+// flight (zero buffers infinitely, reproducing the closed-form grid
+// exactly); curve points carry the stall and high-water metrics the closed
+// form cannot see.
 func (e Experiments) Figure15Buffered(b circuits.Benchmark, maxScale int, archs []microarch.Architecture, bufferAncillae float64) (map[microarch.Architecture]microarch.Curve, error) {
 	c, ch, err := e.characterizedBenchmark(b)
 	if err != nil {

@@ -563,7 +563,7 @@ func renderFigure15(e Experiments, benchName string, maxScale int, archName stri
 	if err != nil {
 		return report.Section{}, err
 	}
-	curves, err := e.Figure15Archs(bench, maxScale, archs)
+	curves, err := e.Figure15Buffered(bench, maxScale, archs, 0)
 	if err != nil {
 		return report.Section{}, err
 	}

@@ -131,20 +131,20 @@ func TestRunReportDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits0, misses0 := e.Engine.CacheStats()
+	tiers0 := e.Engine.Tiers()
 	second, err := RunReport(context.Background(), e, p, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits1, misses1 := e.Engine.CacheStats()
+	tiers1 := e.Engine.Tiers()
 	if first.String() != second.String() {
 		t.Error("repeated report differs")
 	}
-	if hits1 <= hits0 {
-		t.Errorf("expected cache hits on repeat, got %d -> %d", hits0, hits1)
+	if tiers1.MemoryHits <= tiers0.MemoryHits {
+		t.Errorf("expected cache hits on repeat, got %d -> %d", tiers0.MemoryHits, tiers1.MemoryHits)
 	}
-	if misses1 != misses0 {
-		t.Errorf("repeat recomputed: misses %d -> %d", misses0, misses1)
+	if tiers1.MemoryMisses != tiers0.MemoryMisses {
+		t.Errorf("repeat recomputed: misses %d -> %d", tiers0.MemoryMisses, tiers1.MemoryMisses)
 	}
 	if !strings.Contains(first.String(), "=== table5 ===") {
 		t.Errorf("missing section banner:\n%s", first.String())

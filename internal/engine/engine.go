@@ -8,7 +8,7 @@
 // code:
 //
 //   - Determinism: each job draws randomness only from a *rand.Rand seeded by
-//     a stable hash of (engine seed, job key), so results are byte-identical
+//     a stable hash of its job key, so results are byte-identical
 //     whether the batch runs on one worker or many, and identical across
 //     processes and platforms.
 //   - Order preservation: Run returns results indexed exactly like the input
@@ -65,9 +65,6 @@ type Engine struct {
 	// every (possibly nested) Run on this engine; values <= 0 mean
 	// GOMAXPROCS.
 	Workers int
-	// Seed offsets every job's RNG stream.  Engines with equal seeds produce
-	// identical results regardless of worker count.
-	Seed int64
 	// Progress, when set, is called after each job completes with the number
 	// of finished jobs in the current batch, the batch size, the job's key,
 	// and the trace ID of the request the batch runs under ("" when the batch
@@ -167,17 +164,6 @@ func (e *Engine) workerCount() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return e.Workers
-}
-
-// CacheStats reports how many jobs were served from the cache and how many
-// were computed.
-func (e *Engine) CacheStats() (hits, misses int) {
-	if e == nil {
-		return 0, 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hits, e.misses
 }
 
 // TierStats describes both cache tiers' lookup effectiveness.
@@ -553,9 +539,9 @@ func Run[R any](ctx context.Context, e *Engine, jobs []Job[R]) ([]R, error) {
 				// Result type differs across generic instantiations sharing
 				// a key; fall through and compute locally.
 			}
-			seed := SeedFor(e.engineSeed(), job.Key)
+			seed := SeedFor(0, job.Key)
 			if job.Key == "" {
-				seed = SeedFor(e.engineSeed(), fmt.Sprintf("#%d", i))
+				seed = SeedFor(0, fmt.Sprintf("#%d", i))
 			}
 			jobCtx := ctx
 			if span != nil {
@@ -681,13 +667,6 @@ func (e *Engine) jobEnd() {
 	if e != nil {
 		e.running.Add(-1)
 	}
-}
-
-func (e *Engine) engineSeed() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.Seed
 }
 
 func (e *Engine) progressFn() func(done, total int, key, traceID string) {

@@ -137,9 +137,9 @@ func TestCacheHitOnRepeatedFingerprint(t *testing.T) {
 	if n := computed.Load(); n != 1 {
 		t.Fatalf("job computed %d times, want 1 (cache hits after the first)", n)
 	}
-	hits, misses := e.CacheStats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("cache stats = %d hits / %d misses, want 2 / 1", hits, misses)
+	tiers := e.Tiers()
+	if tiers.MemoryHits != 2 || tiers.MemoryMisses != 1 {
+		t.Fatalf("cache stats = %d hits / %d misses, want 2 / 1", tiers.MemoryHits, tiers.MemoryMisses)
 	}
 }
 
@@ -692,12 +692,12 @@ func TestSingleflightFollowerCancelledLeaderCompletes(t *testing.T) {
 	}
 	// The leader's result is cached: a repeat run is a cache hit, not a
 	// recomputation.
-	hits0, _ := eng.CacheStats()
+	hits0 := eng.Tiers().MemoryHits
 	out, err := Run(context.Background(), eng, jobs(false))
 	if err != nil || out[0] != 11 {
 		t.Fatalf("repeat run: out=%v err=%v; want 11, nil", out, err)
 	}
-	if hits1, _ := eng.CacheStats(); hits1 <= hits0 {
+	if hits1 := eng.Tiers().MemoryHits; hits1 <= hits0 {
 		t.Errorf("repeat run missed the cache: hits %d -> %d", hits0, hits1)
 	}
 	if got := computes.Load(); got != 1 {

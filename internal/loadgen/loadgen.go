@@ -9,8 +9,9 @@
 // replays an earlier request's exact parameters, exercising the engine's
 // fingerprint cache), and an SSE fraction (that fraction of arrivals opens a
 // /v1/progress subscription held to the end of the run).  Latencies land in
-// an HDR-style histogram; the Result reports p50/p90/p99/p999, shed (429)
-// and error counts, and achieved versus offered rate.
+// the HDR-style obs.Histogram the server's metrics share; the Result reports
+// p50/p90/p99/p999, shed (429) and error counts, and achieved versus offered
+// rate.
 //
 // The whole schedule — arrival times, endpoint choices, parameters, replay
 // picks — is generated up front from Config.Seed, so two runs against the
@@ -31,6 +32,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"speedofdata/internal/obs"
 )
 
 // Endpoint is one weighted entry of a workload mix.
@@ -220,7 +223,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	schedule := plan(cfg)
 	res := Result{OfferedPerSec: cfg.Rate, ByStatus: map[int]int64{}}
 	var (
-		hist      Hist
+		hist      obs.Histogram
 		mu        sync.Mutex // guards ByStatus
 		wg        sync.WaitGroup
 		sseWG     sync.WaitGroup

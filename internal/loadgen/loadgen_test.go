@@ -14,20 +14,6 @@ import (
 	"time"
 )
 
-// Hist's own tests (quantile error bounds, bucket monotonicity) moved to
-// internal/obs with the histogram itself; TestHistIsObsHistogram pins the
-// alias so the generator and the server keep sharing one implementation.
-func TestHistIsObsHistogram(t *testing.T) {
-	var h Hist
-	h.Record(5 * time.Millisecond)
-	if h.Count() != 1 {
-		t.Fatalf("count %d, want 1", h.Count())
-	}
-	if h.Sum() < 4*time.Millisecond || h.Sum() > 6*time.Millisecond {
-		t.Fatalf("sum %v, want ~5ms", h.Sum())
-	}
-}
-
 // TestPlanDeterministic checks the schedule is a pure function of the seed
 // and respects the mix: arrival count near rate*duration, cache-hit
 // fraction producing URL replays, SSE fraction producing subscriptions.

@@ -382,7 +382,7 @@ func TestFigure15EngineMatchesSequential(t *testing.T) {
 	if _, err := Figure15Engine(context.Background(), eng, c, cfg); err != nil {
 		t.Fatal(err)
 	}
-	hits, _ := eng.CacheStats()
+	hits := eng.Tiers().MemoryHits
 	if hits == 0 {
 		t.Error("repeated Figure 15 grid should hit the engine cache")
 	}

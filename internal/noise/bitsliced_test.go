@@ -114,13 +114,13 @@ func TestBitSlicedUsesDistinctJobKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits0, _ := eng.CacheStats()
+	hits0 := eng.Tiers().MemoryHits
 	bs := mustSimulator(t, steane.VerifyOnlyProtocol(code), DefaultModel())
 	bs.Sampling = SamplingBitSliced
 	if _, err := bs.MonteCarloEngine(context.Background(), eng, 8192, 3); err != nil {
 		t.Fatal(err)
 	}
-	hits1, _ := eng.CacheStats()
+	hits1 := eng.Tiers().MemoryHits
 	if hits1 != hits0 {
 		t.Errorf("bitsliced run hit another sampler's cache (%d -> %d hits); keys must differ", hits0, hits1)
 	}
@@ -128,7 +128,7 @@ func TestBitSlicedUsesDistinctJobKeys(t *testing.T) {
 	if _, err := bs.MonteCarloEngine(context.Background(), eng, 8192, 3); err != nil {
 		t.Fatal(err)
 	}
-	if hits2, _ := eng.CacheStats(); hits2 == hits1 {
+	if hits2 := eng.Tiers().MemoryHits; hits2 == hits1 {
 		t.Errorf("repeated bitsliced run missed its own cache (%d hits unchanged)", hits1)
 	}
 }

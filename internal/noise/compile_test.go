@@ -16,6 +16,35 @@ func allProtocols(code steane.Code) map[string]*steane.Protocol {
 	return ps
 }
 
+// randomInjector samples faults independently per location according to the
+// model, as in the paper's Monte Carlo methodology, from the caller's RNG
+// stream.
+type randomInjector struct {
+	model Model
+	rng   *rand.Rand
+}
+
+func (r *randomInjector) faultAt(_ int, kind LocationKind) Fault {
+	p := r.model.ErrorProbability(kind)
+	if p <= 0 || r.rng.Float64() >= p {
+		return Fault{}
+	}
+	choices := FaultChoices(kind)
+	return choices[r.rng.Intn(len(choices))]
+}
+
+// monteCarloChunkLegacy is the original interpreter chunk, one runTrial per
+// trial through randomInjector: the oracle the compiled dense executor must
+// match byte for byte on the same RNG stream.
+func (s *Simulator) monteCarloChunkLegacy(rng *rand.Rand, trials int) mcCounts {
+	inj := &randomInjector{model: s.Model, rng: rng}
+	var c mcCounts
+	for i := 0; i < trials; i++ {
+		c.tally(s.runTrial(inj))
+	}
+	return c
+}
+
 // The golden acceptance test of the compiled Monte Carlo: for every protocol
 // and several seeds, the compiled dense chunk must tally byte-identical
 // outcomes to the legacy interpreter chunk driven by the same RNG stream.
@@ -40,18 +69,17 @@ func TestDenseChunkMatchesLegacyChunk(t *testing.T) {
 	}
 }
 
-// Byte-identical estimates end to end: a Simulator in legacy mode and one in
-// (default) dense mode must produce the same Estimate through the engine,
-// sequentially and in parallel.
+// Byte-identical estimates end to end: the legacy interpreter's chunks and
+// the (default) dense Simulator must produce the same Estimate through the
+// engine, sequentially and in parallel.
 func TestMonteCarloCompiledMatchesLegacyEstimates(t *testing.T) {
 	code := steane.NewCode()
 	trials := 2*8192 + 777
 	for name, p := range allProtocols(code) {
 		dense := mustSimulator(t, p, DefaultModel())
 		legacy := mustSimulator(t, p, DefaultModel())
-		legacy.Sampling = SamplingLegacy
 		for _, seed := range []int64{1, 7, 123} {
-			want, err := legacy.MonteCarloEngine(context.Background(), engine.Sequential(), trials, seed)
+			want, err := legacy.monteCarloEngine(context.Background(), engine.Sequential(), trials, seed, legacy.monteCarloChunkLegacy)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,11 +169,11 @@ func TestSparseAndDenseUseDistinctJobKeys(t *testing.T) {
 	if _, err := dense.MonteCarloEngine(context.Background(), eng, 8192, 3); err != nil {
 		t.Fatal(err)
 	}
-	hits0, _ := eng.CacheStats()
+	hits0 := eng.Tiers().MemoryHits
 	if _, err := sparse.MonteCarloEngine(context.Background(), eng, 8192, 3); err != nil {
 		t.Fatal(err)
 	}
-	hits1, _ := eng.CacheStats()
+	hits1 := eng.Tiers().MemoryHits
 	if hits1 != hits0 {
 		t.Errorf("sparse run hit the dense cache (%d -> %d hits); keys must differ", hits0, hits1)
 	}

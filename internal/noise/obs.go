@@ -9,7 +9,7 @@ import (
 // trialCounts tallies Monte Carlo trials per sampling mode, indexed by the
 // Sampling constants.  One atomic add per chunk (thousands of trials), read
 // by func-backed registry series, so the executors themselves are untouched.
-var trialCounts [4]atomic.Int64
+var trialCounts [3]atomic.Int64
 
 // countTrials records a chunk's trials against its sampling mode.
 func countTrials(mode Sampling, trials int) {
@@ -26,7 +26,7 @@ func Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	for _, mode := range []Sampling{SamplingDense, SamplingSparse, SamplingLegacy, SamplingBitSliced} {
+	for _, mode := range []Sampling{SamplingDense, SamplingSparse, SamplingBitSliced} {
 		mode := mode
 		reg.CounterFunc("qsd_noise_trials_total",
 			"Monte Carlo trials executed, by sampling mode.",

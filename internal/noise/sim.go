@@ -19,25 +19,6 @@ type injector interface {
 	faultAt(loc int, kind LocationKind) Fault
 }
 
-// randomInjector samples faults independently per location according to the
-// model, as in the paper's Monte Carlo methodology.  The *rand.Rand is always
-// injected by the caller (never the global math/rand source) so trials are
-// reproducible and race-free under parallel execution: every Monte Carlo
-// chunk owns a private stream derived from a stable hash of its job key.
-type randomInjector struct {
-	model Model
-	rng   *rand.Rand
-}
-
-func (r *randomInjector) faultAt(_ int, kind LocationKind) Fault {
-	p := r.model.ErrorProbability(kind)
-	if p <= 0 || r.rng.Float64() >= p {
-		return Fault{}
-	}
-	choices := FaultChoices(kind)
-	return choices[r.rng.Intn(len(choices))]
-}
-
 // singleFaultInjector injects exactly one prescribed fault at one location,
 // used by the deterministic first-order enumeration.
 type singleFaultInjector struct {
@@ -71,18 +52,14 @@ type Sampling int
 const (
 	// SamplingDense is the default: the compiled trial program draws one
 	// random value per error location in exactly the order the legacy
-	// interpreter did, so estimates are byte-identical for the same seed.
+	// interpreter (the tests' oracle) does, so estimates are byte-identical
+	// for the same seed.
 	SamplingDense Sampling = iota
 	// SamplingSparse samples the set of faulty locations directly
 	// (geometric skipping) and short-circuits fault-free trials.  It is
 	// statistically exact but draws random values in a different order, so
 	// estimates differ from dense within Monte Carlo error.  Opt-in.
 	SamplingSparse
-	// SamplingLegacy is the original op-list interpreter, retained as the
-	// golden reference the compiled dense path is tested against (and the
-	// pre-optimisation baseline in BENCH_noise.json).  Identical estimates
-	// to SamplingDense.
-	SamplingLegacy
 	// SamplingBitSliced advances 64 independent trials per uint64 word
 	// operation: qubit error states are lane vectors and fault masks are
 	// Bernoulli words (see bitsliced.go).  Statistically exact like sparse,
@@ -98,8 +75,6 @@ func (s Sampling) String() string {
 		return "dense"
 	case SamplingSparse:
 		return "sparse"
-	case SamplingLegacy:
-		return "legacy"
 	case SamplingBitSliced:
 		return "bitsliced"
 	default:
@@ -454,8 +429,6 @@ func (c *mcCounts) tallyN(r TrialResult, n int) {
 func (s *Simulator) monteCarloChunk(rng *rand.Rand, trials int) mcCounts {
 	countTrials(s.Sampling, trials)
 	switch s.Sampling {
-	case SamplingLegacy:
-		return s.monteCarloChunkLegacy(rng, trials)
 	case SamplingSparse:
 		prog, _ := s.compiled()
 		return prog.sparseChunk(rng, trials)
@@ -466,18 +439,6 @@ func (s *Simulator) monteCarloChunk(rng *rand.Rand, trials int) mcCounts {
 		prog, _ := s.compiled()
 		return prog.denseChunk(rng, trials)
 	}
-}
-
-// monteCarloChunkLegacy is the original interpreter chunk: one runTrial per
-// trial through the injector interface.  It is the golden reference for the
-// compiled dense executor and the pre-optimisation benchmark baseline.
-func (s *Simulator) monteCarloChunkLegacy(rng *rand.Rand, trials int) mcCounts {
-	inj := &randomInjector{model: s.Model, rng: rng}
-	var c mcCounts
-	for i := 0; i < trials; i++ {
-		c.tally(s.runTrial(inj))
-	}
-	return c
 }
 
 // protocolFingerprint identifies a protocol for cache keys by hashing its
@@ -515,10 +476,16 @@ func (s *Simulator) MonteCarlo(trials int, seed int64) Estimate {
 
 // MonteCarloEngine estimates error rates by splitting the trials into fixed
 // deterministic chunks and running them as engine jobs.  Each chunk owns an
-// independent RNG stream seeded from a stable hash of (engine seed, chunk
-// key), so two engines with the same seed produce byte-identical estimates
-// regardless of worker count; the merged tallies are order-independent.
+// independent RNG stream seeded from a stable hash of its chunk key, so
+// every engine produces byte-identical estimates regardless of worker count;
+// the merged tallies are order-independent.
 func (s *Simulator) MonteCarloEngine(ctx context.Context, eng *engine.Engine, trials int, seed int64) (Estimate, error) {
+	return s.monteCarloEngine(ctx, eng, trials, seed, s.monteCarloChunk)
+}
+
+// monteCarloEngine is MonteCarloEngine with every chunk run by chunk; the
+// tests pass the legacy interpreter oracle.
+func (s *Simulator) monteCarloEngine(ctx context.Context, eng *engine.Engine, trials int, seed int64, chunk func(*rand.Rand, int) mcCounts) (Estimate, error) {
 	if trials <= 0 {
 		panic("noise: trials must be positive")
 	}
@@ -533,7 +500,7 @@ func (s *Simulator) MonteCarloEngine(ctx context.Context, eng *engine.Engine, tr
 		jobs[i] = engine.Job[mcCounts]{
 			Key: s.chunkKey(fp, seed, i, n),
 			Run: func(_ context.Context, rng *rand.Rand) (mcCounts, error) {
-				return s.monteCarloChunk(rng, n), nil
+				return chunk(rng, n), nil
 			},
 		}
 	}
@@ -549,12 +516,13 @@ func (s *Simulator) MonteCarloEngine(ctx context.Context, eng *engine.Engine, tr
 }
 
 // chunkKey is the engine job key of Monte Carlo chunk i (of n trials) under
-// the current sampling mode.  Dense and legacy sampling share keys (and
-// therefore RNG streams and cached results): they are the same estimator.
-// Sparse and bit-sliced each draw random values in their own order and get
-// their own namespace — neither may ever share a chunk result with another
-// mode.  MonteCarloTarget builds the same keys, so a sequential-sampling run
-// and a fixed-trial run of the same seed share cache entries chunk for chunk.
+// the current sampling mode.  Dense keys name no mode; the tests' legacy
+// interpreter oracle reuses them (and so the RNG streams) to check dense
+// byte for byte.  Sparse and bit-sliced each draw random values in their own
+// order and get their own namespace — neither may ever share a chunk result
+// with another mode.  MonteCarloTarget builds the same keys, so a
+// sequential-sampling run and a fixed-trial run of the same seed share cache
+// entries chunk for chunk.
 func (s *Simulator) chunkKey(fp string, seed int64, i, n int) string {
 	key := engine.NewKey("noise.mc").Str(fp).Keyer(s.Model).Int64(seed).Int(i).Int(n)
 	switch s.Sampling {

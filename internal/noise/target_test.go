@@ -128,12 +128,12 @@ func TestMonteCarloTargetSharesChunkCacheWithFixedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits0, _ := eng.CacheStats()
+	hits0 := eng.Tiers().MemoryHits
 	fixed, err := s.MonteCarloEngine(context.Background(), eng, est.Trials, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits1, _ := eng.CacheStats()
+	hits1 := eng.Tiers().MemoryHits
 	if got, want := hits1-hits0, (est.Trials+mcChunkTrials-1)/mcChunkTrials; got != want {
 		t.Errorf("fixed run after target run hit %d cached chunks, want all %d", got, want)
 	}

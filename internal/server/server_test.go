@@ -107,20 +107,20 @@ func TestRepeatedRequestServedFromCache(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("first request: %d %s", status, first)
 	}
-	hits0, misses0 := exp.Engine.CacheStats()
+	tiers0 := exp.Engine.Tiers()
 	status, second, _ := get(t, url)
 	if status != http.StatusOK {
 		t.Fatalf("second request: %d %s", status, second)
 	}
-	hits1, misses1 := exp.Engine.CacheStats()
+	tiers1 := exp.Engine.Tiers()
 	if first != second {
 		t.Error("identical requests returned different bodies")
 	}
-	if hits1 <= hits0 {
-		t.Errorf("second request did not hit the cache: hits %d -> %d", hits0, hits1)
+	if tiers1.MemoryHits <= tiers0.MemoryHits {
+		t.Errorf("second request did not hit the cache: hits %d -> %d", tiers0.MemoryHits, tiers1.MemoryHits)
 	}
-	if misses1 != misses0 {
-		t.Errorf("second request recomputed: misses %d -> %d", misses0, misses1)
+	if tiers1.MemoryMisses != tiers0.MemoryMisses {
+		t.Errorf("second request recomputed: misses %d -> %d", tiers0.MemoryMisses, tiers1.MemoryMisses)
 	}
 
 	// Different parameters must not be served from the same cache entry.
@@ -128,8 +128,8 @@ func TestRepeatedRequestServedFromCache(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("bits=16 request: %d", status)
 	}
-	_, misses2 := exp.Engine.CacheStats()
-	if misses2 == misses1 {
+	misses2 := exp.Engine.Tiers().MemoryMisses
+	if misses2 == tiers1.MemoryMisses {
 		t.Error("changed parameters should have computed fresh jobs")
 	}
 }

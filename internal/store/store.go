@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -248,6 +249,12 @@ func (s *Store) scan(f *os.File) (valid int64, headerOK bool) {
 		}
 		off = int64(headerLen)
 	}
+	// A length prefix past the end of the file is a torn or corrupt header:
+	// stop before allocating its body.
+	end := int64(math.MaxInt64)
+	if fi, err := f.Stat(); err == nil {
+		end = fi.Size()
+	}
 	var hdr [recHdrLen]byte
 	for {
 		if _, err := io.ReadFull(io.NewSectionReader(f, off, recHdrLen), hdr[:]); err != nil {
@@ -255,7 +262,7 @@ func (s *Store) scan(f *os.File) (valid int64, headerOK bool) {
 		}
 		bodyLen := int64(binary.LittleEndian.Uint32(hdr[:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if bodyLen <= 0 || bodyLen > maxRecordBytes {
+		if bodyLen <= 0 || bodyLen > maxRecordBytes || off+recHdrLen+bodyLen > end {
 			return off, true
 		}
 		body := make([]byte, bodyLen)
@@ -301,7 +308,7 @@ func parseBodyHeader(body []byte) (key, typeName string, version int, ok bool) {
 
 func takeString(b []byte) (string, []byte, bool) {
 	l, n := binary.Uvarint(b)
-	if n <= 0 || int64(l) > int64(len(b)-n) {
+	if n <= 0 || l > uint64(len(b)-n) {
 		return "", nil, false
 	}
 	return string(b[n : n+int(l)]), b[n+int(l):], true
@@ -390,7 +397,8 @@ func (s *Store) Get(key string) (any, bool) {
 		return nil, false
 	}
 	v, err := decodePayload(payload)
-	if err != nil {
+	if got, _ := engine.ResultTypeOf(v); err != nil || got.Name != rt.Name {
+		// Undecodable, or a payload of another type than its record names.
 		s.miss()
 		return nil, false
 	}

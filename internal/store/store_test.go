@@ -1,10 +1,16 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -387,4 +393,123 @@ func TestClosedStore(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
+}
+
+// checkOpen writes data as dir's segment and opens it read-only, then as
+// the writer.  Each Open returns a store or an error, every Get of an
+// indexed key misses or returns a value of the record's registered type, and
+// Close succeeds.  It returns the entry count each open indexed.
+func checkOpen(t *testing.T, data []byte) (entries []int) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segmentName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{ReadOnly: true}, {}} {
+		s, err := Open(dir, opts)
+		if err != nil {
+			continue
+		}
+		refs := maps.Clone(s.index)
+		entries = append(entries, len(refs))
+		for key, ref := range refs {
+			if v, ok := s.Get(key); ok && reflect.TypeOf(v).String() != ref.typeName {
+				t.Errorf("Get(%q) = %T, want the record's type %s", key, v, ref.typeName)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("Close (read-only %v): %v", opts.ReadOnly, err)
+		}
+	}
+	return entries
+}
+
+// segment frames each body as a checksummed record behind a segment header.
+func segment(bodies ...[]byte) []byte {
+	seg := binary.LittleEndian.AppendUint32([]byte(magic), SchemaVersion)
+	for _, b := range bodies {
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(b)))
+		seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(b, crcTable))
+		seg = append(seg, b...)
+	}
+	return seg
+}
+
+// Corrupt records never panic Open, allocate what the file does not hold, or
+// reach a caller: a key length uvarint >= 2^63 behind a valid checksum (it
+// once passed takeString's signed bounds check and panicked Open), a record
+// header claiming a 1 GiB body the file does not hold (Open once allocated
+// it before finding the file short), and a payload of another type than its
+// record names (Get once returned it).
+func TestOpenCorruptRecords(t *testing.T) {
+	huge, err := os.ReadFile(filepath.Join("testdata", "huge-string-length.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(binary.LittleEndian.AppendUint32(segment(), maxRecordBytes), 0, 0, 0, 0)
+	payload, err := encodePayload(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := reflect.TypeOf(testPayload{}).String()
+	body := append(binary.AppendUvarint(nil, 1), 'k')
+	body = append(binary.AppendUvarint(body, uint64(len(name))), name...)
+	body = append(binary.AppendUvarint(body, 1), payload...)
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		entries []int
+	}{
+		{"huge string length", huge, []int{0, 0}},
+		{"torn 1 GiB header", torn, []int{0, 0}},
+		{"payload of another type", segment(body), []int{1, 1}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := checkOpen(t, tc.data)
+		runtime.ReadMemStats(&after)
+		if !slices.Equal(got, tc.entries) {
+			t.Errorf("%s: entries (read-only, writer) = %v, want %v", tc.name, got, tc.entries)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: opening allocated %d bytes", tc.name, grew)
+		}
+	}
+}
+
+// FuzzStoreOpen opens arbitrary segment bytes (wrap false) and segments
+// holding one record with a valid checksum around a fuzzed body, followed by
+// valid records (wrap true), so the fuzzer reaches the record parser rather
+// than stopping at the checksum.
+func FuzzStoreOpen(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Put("k1", testPayload{N: 1, S: "a"})
+	s.Put("k2", testPayload{N: 2})
+	s.Close()
+	valid, err := os.ReadFile(filepath.Join(dir, segmentName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	huge, err := os.ReadFile(filepath.Join("testdata", "huge-string-length.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := func(seg []byte) []byte {
+		n := binary.LittleEndian.Uint32(seg[headerLen:])
+		return seg[headerLen+recHdrLen : headerLen+recHdrLen+int(n)]
+	}
+	f.Add(false, valid)
+	f.Add(false, huge)
+	f.Add(true, body(valid))
+	f.Add(true, body(huge))
+	f.Fuzz(func(t *testing.T, wrap bool, data []byte) {
+		if wrap {
+			data = append(segment(data), valid[headerLen:]...)
+		}
+		checkOpen(t, data)
+	})
 }
