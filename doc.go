@@ -52,9 +52,10 @@
 // extends the kernel across tiles: benchmark dataflow graphs replay on a
 // 2D mesh of Qalypso tiles where cross-tile gates teleport operands over
 // dimension-order routes, each hop drawing an EPR pair from a finite link
-// channel and teleport ancillae from the departing tile (the netsweep and
-// netcontention experiments); a 1-tile mesh with ballistic movement
-// disabled reproduces the single-region replay bit for bit.
+// channel and teleport ancillae from the departing tile (the netsweep,
+// netcontention, netfault and netdegrade experiments); a 1-tile mesh with
+// ballistic movement disabled reproduces the single-region replay bit for
+// bit.
 //
 // The cmd/qsd tool regenerates every table and figure of the paper's
 // evaluation — as plain text, JSON or CSV (-format) — and `qsd serve`

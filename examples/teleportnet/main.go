@@ -10,6 +10,7 @@ import (
 
 	"speedofdata/internal/circuits"
 	"speedofdata/internal/network"
+	"speedofdata/internal/quantum"
 	"speedofdata/internal/schedule"
 )
 
@@ -26,25 +27,20 @@ func main() {
 
 	// Plan a 4-tile machine provisioned for twice the benchmark's average
 	// zero-ancilla demand, so the interconnect is the interesting constraint.
-	cfg, err := network.PlanConfig(m, c.NumQubits, 4, 2*ch.ZeroBandwidthPerMs, ch.Pi8BandwidthPerMs)
+	mesh, err := network.PlanMesh(m, []*quantum.Circuit{c}, 4, 2*ch.ZeroBandwidthPerMs, ch.Pi8BandwidthPerMs, 16)
 	if err != nil {
 		panic(err)
 	}
-	topo := network.NewTopology(len(cfg.Machine.Tiles))
-	part, err := network.PartitionCircuit(c, topo.TileCount())
-	if err != nil {
-		panic(err)
-	}
-	matched := network.MatchedLinkEPRPerMs(c, m, topo, part)
+	topo, part := mesh.Topology, mesh.Config.Partitions[0]
 	fmt.Printf("== %s on a %dx%d mesh ==\n", c.Name, topo.Cols, topo.Rows)
 	fmt.Printf("  cross-tile gates    : %d of %d\n", part.CrossGates, len(c.Gates))
 	fmt.Printf("  matched link EPR bw : %.2f pairs/ms (geometric ceiling %.0f)\n",
-		matched, cfg.Machine.LinkEPRPerMs())
+		mesh.MatchedLinkEPRPerMs, mesh.Config.Machine.LinkEPRPerMs())
 
 	fmt.Println("\n== Link bandwidth sweep ==")
 	for _, factor := range []float64{0.5, 1, 4} {
-		cfg.LinkEPRPerMs = matched * factor
-		cfg.LinkBufferPairs = 16
+		cfg := mesh.Config
+		cfg.LinkEPRPerMs = mesh.LinkRate(factor)
 		run, err := network.Replay(c, cfg)
 		if err != nil {
 			panic(err)
@@ -66,7 +62,7 @@ func main() {
 	}
 	one.Machine.Movement.BallisticPerGateUs = 0
 	one.TileZeroRatePerMs = rate
-	mesh, err := network.Replay(c, one)
+	routed, err := network.Replay(c, one)
 	if err != nil {
 		panic(err)
 	}
@@ -76,8 +72,8 @@ func main() {
 	}
 	fmt.Println("\n== 1-tile degenerate mesh vs schedule.Replay (fluid) ==")
 	fmt.Printf("  mesh  : exec %v us, ancilla wait %v us\n",
-		mesh.Results[0].ExecutionTime, mesh.Results[0].AncillaWait)
+		routed.Results[0].ExecutionTime, routed.Results[0].AncillaWait)
 	fmt.Printf("  fluid : exec %v us, ancilla wait %v us\n",
 		fluid.Results[0].ExecutionTime, fluid.Results[0].AncillaWait)
-	fmt.Printf("  bit-identical: %v\n", mesh.Results[0].ReplayResult == fluid.Results[0])
+	fmt.Printf("  bit-identical: %v\n", routed.Results[0].ReplayResult == fluid.Results[0])
 }

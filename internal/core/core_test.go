@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"speedofdata/internal/circuits"
+	"speedofdata/internal/engine"
+	"speedofdata/internal/network"
 	"speedofdata/internal/noise"
+	"speedofdata/internal/obs"
 	"speedofdata/internal/quantum"
 )
 
@@ -346,5 +351,92 @@ func TestExperimentsCacheAcrossRepeats(t *testing.T) {
 	hits := e.Engine.Tiers().MemoryHits
 	if hits == 0 {
 		t.Error("repeated experiment should hit the engine cache")
+	}
+}
+
+// netsweep, netfault and netdegrade are cell lists over one mesh driver, so
+// on one engine a cell two of them share is computed once: netfault's
+// pristine arm and netdegrade's zero-failure row are netsweep cells, and on
+// the 2x2 mesh netdegrade's one-boundary row is netfault's dead-bisection
+// cell.  The shared rows agree field by field with each other and with the
+// same scenarios computed on an engine of their own.
+func TestMeshScenariosShareCells(t *testing.T) {
+	e := NewExperiments()
+	e.Bits = 8
+	e.Engine = engine.New(1)
+	reg := obs.NewRegistry()
+	e.Engine.Instrument(reg)
+	p := DefaultRunParams()
+	bench, err := circuits.ParseBenchmark(p.Benchmark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := e.NetSweep(bench, p.Tiles, p.Buffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault, err := e.NetFault(bench, p.Tiles, p.Buffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degrade, err := e.NetDegrade(bench, p.Tiles, p.Buffer, p.Faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sweep) + len(fault) + len(degrade); n != 24 {
+		t.Fatalf("scenarios returned %d cells, want 24 (10 netsweep, 9 netfault, 5 netdegrade)", n)
+	}
+	jobs := reg.Histogram("qsd_engine_job_seconds",
+		"Compute latency of engine jobs by kind.", obs.Labels{"kind": "network.sweep"})
+	if got := jobs.Count(); got != 19 {
+		t.Errorf("computed %d mesh jobs for the 24 cells, want 19", got)
+	}
+
+	sweepCell := func(tiles int, factor float64) network.Point {
+		for _, pt := range sweep {
+			if pt.Tiles == tiles && pt.LinkFactor == factor {
+				return pt
+			}
+		}
+		t.Fatalf("netsweep has no %d-tile cell at %vx", tiles, factor)
+		return network.Point{}
+	}
+	for j, factor := range netFaultFactors {
+		if want := sweepCell(p.Tiles, factor); !reflect.DeepEqual(fault[j], want) {
+			t.Errorf("netfault pristine x%v = %+v, netsweep cell %+v", factor, fault[j], want)
+		}
+	}
+	if want := sweepCell(p.Tiles, 1); !reflect.DeepEqual(degrade[0], want) {
+		t.Errorf("netdegrade zero-failure row = %+v, netsweep cell %+v", degrade[0], want)
+	}
+	dead := fault[2*len(netFaultFactors)+1] // the dead-bisection arm at matched bandwidth
+	if !reflect.DeepEqual(degrade[1], dead) {
+		t.Errorf("netdegrade one-boundary row = %+v, netfault dead-bisection cell %+v", degrade[1], dead)
+	}
+
+	alone := NewExperiments()
+	alone.Bits = e.Bits
+	if got, err := alone.NetFault(bench, p.Tiles, p.Buffer); err != nil || !reflect.DeepEqual(got, fault) {
+		t.Errorf("netfault on its own engine differs from the shared one (%v)", err)
+	}
+	if got, err := alone.NetDegrade(bench, p.Tiles, p.Buffer, p.Faults); err != nil || !reflect.DeepEqual(got, degrade) {
+		t.Errorf("netdegrade on its own engine differs from the shared one (%v)", err)
+	}
+}
+
+// A 2-tile mesh has only the bisection boundary, so netfault's dead arm
+// disconnects it: the request fails with the typed partition error, also
+// when the partitioned cell comes back from the engine cache.
+func TestNetFaultPartitionedMeshFailsTyped(t *testing.T) {
+	e := NewExperiments()
+	e.Bits = 8
+	e.Engine = engine.New(1)
+	for run := 0; run < 2; run++ {
+		if _, err := e.NetFault(circuits.QCLA, 2, DefaultBufferAncillae); !errors.Is(err, network.ErrPartitioned) {
+			t.Errorf("run %d: netfault on a 2-tile mesh = %v, want ErrPartitioned", run, err)
+		}
+	}
+	if hits := e.Engine.Tiers().MemoryHits; hits == 0 {
+		t.Error("the second request recomputed every cell")
 	}
 }

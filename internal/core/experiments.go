@@ -509,11 +509,34 @@ func (e Experiments) Contention(bufferAncillae float64) ([]ContentionLevel, erro
 // constraint under a link-bandwidth sweep.
 const NetSupplyHeadroom = 2
 
+// netSweepFactors are the link-bandwidth scalings of the netsweep grid, as
+// multiples of the demand-matched rate: from a starved interconnect to an
+// over-provisioned one.
+var netSweepFactors = []float64{0.25, 0.5, 1, 2, 4}
+
+// planMesh plans the mesh of at most tiles tiles that one benchmark replays
+// on, its factories provisioned from the benchmark's characterization with
+// NetSupplyHeadroom, and rejects a plan with no links: the scenario id needs
+// the benchmark's qubits to fill at least two tiles.
+func (e Experiments) planMesh(id string, c *quantum.Circuit, ch schedule.Characterization, tiles, linkBufferPairs int) (network.Mesh, error) {
+	mesh, err := network.PlanMesh(e.Options.Latency, []*quantum.Circuit{c}, tiles,
+		ch.ZeroBandwidthPerMs*NetSupplyHeadroom, ch.Pi8BandwidthPerMs, float64(linkBufferPairs))
+	if err != nil {
+		return network.Mesh{}, err
+	}
+	if mesh.Tiles() < 2 {
+		return network.Mesh{}, requestErrorf("%s needs a mesh of at least 2 tiles, but the %s (%d qubits) plans %d on a bound of %d (a 1-tile mesh has no links)",
+			id, c.Name, c.NumQubits, mesh.Tiles(), tiles)
+	}
+	return mesh, nil
+}
+
 // NetSweep runs the netsweep scenario for one benchmark: the circuit
-// replayed on routed 2D meshes over a link-bandwidth × tile-count grid
-// (tile counts are powers of two up to maxTiles), one engine job per cell.
+// replayed on routed 2D meshes over a link-bandwidth × tile-count grid, one
+// engine job per cell.  Tile counts are powers of two up to maxTiles, and
+// stop at the first whose plan is no larger than the previous one.
 // linkBufferPairs bounds each link's EPR channel buffer (0 = unbounded).
-func (e Experiments) NetSweep(b circuits.Benchmark, maxTiles, linkBufferPairs int) ([]network.SweepPoint, error) {
+func (e Experiments) NetSweep(b circuits.Benchmark, maxTiles, linkBufferPairs int) ([]network.Point, error) {
 	if maxTiles < 2 {
 		return nil, requestErrorf("netsweep needs a tile bound of at least 2, got %d (a 1-tile mesh has no links to sweep)", maxTiles)
 	}
@@ -521,22 +544,29 @@ func (e Experiments) NetSweep(b circuits.Benchmark, maxTiles, linkBufferPairs in
 	if err != nil {
 		return nil, err
 	}
-	sc := network.SweepConfig{
-		Latency:         e.Options.Latency,
-		ZeroPerMs:       ch.ZeroBandwidthPerMs * NetSupplyHeadroom,
-		Pi8PerMs:        ch.Pi8BandwidthPerMs,
-		LinkBufferPairs: float64(linkBufferPairs),
-		TileCounts:      network.DefaultTileCounts(maxTiles),
-		LinkFactors:     network.DefaultLinkFactors(),
+	var meshes []network.Mesh
+	for tiles := 2; tiles <= maxTiles; tiles *= 2 {
+		mesh, err := e.planMesh("netsweep", c, ch, tiles, linkBufferPairs)
+		if err != nil {
+			return nil, err
+		}
+		if n := len(meshes); n > 0 && mesh.Tiles() <= meshes[n-1].Tiles() {
+			break
+		}
+		meshes = append(meshes, mesh)
 	}
-	return network.SweepEngine(e.ctx(), e.Engine, c, sc)
+	cells := make([]network.Cell, len(netSweepFactors))
+	for i, factor := range netSweepFactors {
+		cells[i] = network.Cell{LinkFactor: factor}
+	}
+	return network.Sweep(e.ctx(), e.Engine, cells, meshes...)
 }
 
 // NetContentionLevel is one link-bandwidth operating point of the shared-mesh
 // scenario: every benchmark replayed concurrently on one mesh.
 type NetContentionLevel struct {
 	// LinkFactor scales the aggregate demand-matched link EPR bandwidth
-	// (the sum of every co-scheduled benchmark's network.MatchedLinkEPRPerMs).
+	// (network.Mesh.MatchedLinkEPRPerMs, summed over the benchmarks).
 	LinkFactor float64
 	// LinkEPRPerMs is the effective per-link bandwidth.
 	LinkEPRPerMs float64
@@ -550,10 +580,10 @@ type NetContentionLevel struct {
 var DefaultNetContentionFactors = []float64{0.5, 1, 2}
 
 // NetContention co-schedules the paper's three benchmarks on one shared
-// tiles-tile teleportation mesh at several link-bandwidth levels, one engine
-// job per level.  Each circuit is partitioned across the same tiles, so
-// cross-tile traffic from one benchmark queues behind another's at shared
-// links even when the factories keep up.
+// teleportation mesh of at most tiles tiles at several link-bandwidth
+// levels, one engine job per level.  Each circuit is partitioned across the
+// same tiles, so cross-tile traffic from one benchmark queues behind
+// another's at shared links even when the factories keep up.
 func (e Experiments) NetContention(tiles, linkBufferPairs int) ([]NetContentionLevel, error) {
 	ctx := e.ctx()
 	cs, err := e.generateBenchmarks(ctx)
@@ -564,46 +594,22 @@ func (e Experiments) NetContention(tiles, linkBufferPairs int) ([]NetContentionL
 	if err != nil {
 		return nil, err
 	}
-	zeroDemand, pi8Demand, qubits := 0.0, 0.0, 0
-	for i, ch := range chs {
+	zeroDemand, pi8Demand := 0.0, 0.0
+	for _, ch := range chs {
 		zeroDemand += ch.ZeroBandwidthPerMs
 		pi8Demand += ch.Pi8BandwidthPerMs
-		qubits += cs[i].NumQubits
 	}
-	base, err := network.PlanConfig(e.Options.Latency, qubits, tiles, zeroDemand*NetSupplyHeadroom, pi8Demand)
+	mesh, err := network.PlanMesh(e.Options.Latency, cs, tiles, zeroDemand*NetSupplyHeadroom, pi8Demand, float64(linkBufferPairs))
 	if err != nil {
 		return nil, err
 	}
-	// The baseline link bandwidth moves data exactly as fast as the
-	// co-scheduled programs collectively demand it; the ceiling is what the
-	// tile perimeter can physically carry.
-	topo := network.NewTopology(len(base.Machine.Tiles))
-	matched := 0.0
-	parts := make([]network.Partition, len(cs))
-	for i, c := range cs {
-		part, err := network.PartitionCircuit(c, topo.TileCount())
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = part
-		matched += network.MatchedLinkEPRPerMs(c, e.Options.Latency, topo, part)
-	}
-	// Pin the assignments so every replay level reuses them instead of
-	// re-partitioning.
-	base.Partitions = parts
-	ceiling := base.Machine.LinkEPRPerMs()
 	jobs := make([]engine.Job[NetContentionLevel], len(DefaultNetContentionFactors))
 	for i, factor := range DefaultNetContentionFactors {
-		factor := factor
 		jobs[i] = engine.Job[NetContentionLevel]{
 			Key: engine.Fingerprint("core.netcontention", e.Bits, e.Options.Latency, tiles, linkBufferPairs, factor),
 			Run: func(context.Context, *rand.Rand) (NetContentionLevel, error) {
-				cfg := base
-				cfg.LinkBufferPairs = float64(linkBufferPairs)
-				cfg.LinkEPRPerMs = matched * factor
-				if cfg.LinkEPRPerMs > ceiling {
-					cfg.LinkEPRPerMs = ceiling
-				}
+				cfg := mesh.Config
+				cfg.LinkEPRPerMs = mesh.LinkRate(factor)
 				run, err := network.ReplayShared(cs, cfg)
 				if err != nil {
 					return NetContentionLevel{}, err
@@ -615,51 +621,83 @@ func (e Experiments) NetContention(tiles, linkBufferPairs int) ([]NetContentionL
 	return engine.Run(ctx, e.Engine, jobs)
 }
 
+// netFaultFactors sweep the netfault link bandwidth around the Section 6
+// balance point: starved, matched, over-provisioned.
+var netFaultFactors = []float64{0.5, 1, 2}
+
+// netFaultArms are the netfault arms in makespan order, each adding
+// interconnect damage over the last: the pristine mesh, every link degraded
+// to 75% of its EPR rate, and both directions of the bisection boundary
+// dead.
+var netFaultArms = []struct {
+	name string
+	plan func(network.Topology) network.FaultPlan
+}{
+	{"none", func(network.Topology) network.FaultPlan { return nil }},
+	{"degraded-25%", func(t network.Topology) network.FaultPlan { return network.DegradeAllLinks(t, 0.75) }},
+	{"dead-bisection-link", func(t network.Topology) network.FaultPlan {
+		b, _ := network.BisectionBoundary(t)
+		return network.FaultPlan{{Link: b[0], Dead: true}, {Link: b[1], Dead: true}}
+	}},
+}
+
 // NetFault runs the netfault scenario for one benchmark: the circuit
-// replayed on one routed tiles-tile mesh across a (fault mode × link
-// bandwidth) grid — pristine, every link degraded, and the bisection boundary
-// dead — sweeping the bandwidth around the Section 6 balance point.
-// linkBufferPairs bounds each link's EPR channel buffer (0 = unbounded).
-func (e Experiments) NetFault(b circuits.Benchmark, tiles, linkBufferPairs int) ([]network.FaultSweepPoint, error) {
-	if tiles < 2 {
-		return nil, requestErrorf("netfault needs at least 2 tiles, got %d (a 1-tile mesh has no links to fail)", tiles)
-	}
+// replayed on one routed mesh of at most tiles tiles across a (fault arm ×
+// link bandwidth) grid, arm-major in netFaultArms order.  A mesh the
+// dead-bisection arm disconnects (a 2-tile mesh has only the bisection
+// boundary) fails with network.ErrPartitioned.  linkBufferPairs bounds each
+// link's EPR channel buffer (0 = unbounded).
+func (e Experiments) NetFault(b circuits.Benchmark, tiles, linkBufferPairs int) ([]network.Point, error) {
 	c, ch, err := e.characterizedBenchmark(b)
 	if err != nil {
 		return nil, err
 	}
-	sc := network.FaultSweepConfig{
-		Latency:         e.Options.Latency,
-		ZeroPerMs:       ch.ZeroBandwidthPerMs * NetSupplyHeadroom,
-		Pi8PerMs:        ch.Pi8BandwidthPerMs,
-		LinkBufferPairs: float64(linkBufferPairs),
-		Tiles:           tiles,
-		LinkFactors:     network.DefaultFaultLinkFactors(),
+	mesh, err := e.planMesh("netfault", c, ch, tiles, linkBufferPairs)
+	if err != nil {
+		return nil, err
 	}
-	return network.FaultSweepEngine(e.ctx(), e.Engine, c, sc)
+	var cells []network.Cell
+	for _, arm := range netFaultArms {
+		plan := arm.plan(mesh.Topology)
+		for _, factor := range netFaultFactors {
+			cells = append(cells, network.Cell{LinkFactor: factor, Faults: plan})
+		}
+	}
+	points, err := network.Sweep(e.ctx(), e.Engine, cells, mesh)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range points {
+		if p.Partitioned {
+			return nil, fmt.Errorf("the %s arm disconnects the %d-tile mesh: %w",
+				netFaultArms[i/len(netFaultFactors)].name, p.Tiles, network.ErrPartitioned)
+		}
+	}
+	return points, nil
 }
 
 // NetDegrade runs the netdegrade scenario for one benchmark: the circuit
-// replayed at matched link bandwidth on a tiles-tile mesh while mesh
-// boundaries die one by one, up to maxFailures, reporting Partitioned rows
-// once the failures disconnect the routed traffic.
-func (e Experiments) NetDegrade(b circuits.Benchmark, tiles, linkBufferPairs, maxFailures int) ([]network.DegradePoint, error) {
-	if tiles < 2 {
-		return nil, requestErrorf("netdegrade needs at least 2 tiles, got %d (a 1-tile mesh has no links to fail)", tiles)
+// replayed at matched link bandwidth on a mesh of at most tiles tiles while
+// mesh boundaries die one by one (network.KillBoundaries), row k with k
+// dead, up to maxFailures; rows past the partition point report
+// Partitioned.
+func (e Experiments) NetDegrade(b circuits.Benchmark, tiles, linkBufferPairs, maxFailures int) ([]network.Point, error) {
+	if maxFailures < 0 {
+		return nil, requestErrorf("netdegrade needs a non-negative failure bound, got %d", maxFailures)
 	}
 	c, ch, err := e.characterizedBenchmark(b)
 	if err != nil {
 		return nil, err
 	}
-	sc := network.DegradeConfig{
-		Latency:         e.Options.Latency,
-		ZeroPerMs:       ch.ZeroBandwidthPerMs * NetSupplyHeadroom,
-		Pi8PerMs:        ch.Pi8BandwidthPerMs,
-		LinkBufferPairs: float64(linkBufferPairs),
-		Tiles:           tiles,
-		MaxFailures:     maxFailures,
+	mesh, err := e.planMesh("netdegrade", c, ch, tiles, linkBufferPairs)
+	if err != nil {
+		return nil, err
 	}
-	return network.DegradeSweepEngine(e.ctx(), e.Engine, c, sc)
+	cells := make([]network.Cell, min(maxFailures, len(network.Boundaries(mesh.Topology)))+1)
+	for k := range cells {
+		cells[k] = network.Cell{LinkFactor: 1, Faults: network.KillBoundaries(mesh.Topology, k)}
+	}
+	return network.Sweep(e.ctx(), e.Engine, cells, mesh)
 }
 
 // FactoryPipelineHorizonMs is the simulated duration of the factory-sim

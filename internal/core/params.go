@@ -52,7 +52,7 @@ var Params = []Param{
 		Field: func(_ *Experiments, p *RunParams) any { return &p.Arch }},
 	{Name: "buffer", Help: "buffer capacity: encoded ancillae per source, physical qubits per crossbar or EPR pairs per link (0 = infinite)", Cap: 1_000_000,
 		Field: func(_ *Experiments, p *RunParams) any { return &p.Buffer }},
-	{Name: "tiles", Help: "mesh tile bound: netsweep sweeps powers of two up to it, the others plan one mesh of this many tiles", Min: 1, Cap: 64,
+	{Name: "tiles", Help: "mesh tile bound: netsweep sweeps powers of two up to it, the others plan one mesh of at most this many tiles", Min: 1, Cap: 64,
 		Field: func(_ *Experiments, p *RunParams) any { return &p.Tiles }},
 	{Name: "faults", Help: "mesh boundaries killed one by one, capped at the mesh's boundary count", Cap: 64,
 		Field: func(_ *Experiments, p *RunParams) any { return &p.Faults }},

@@ -12,6 +12,6 @@ import (
 // first report request from disk.  Bump a version when a code change alters
 // the results behind the type's keys in a way the key itself does not encode.
 func init() {
-	engine.RegisterResultType(report.Section{}, 1)
+	engine.RegisterResultType(report.Section{}, 2)
 	engine.RegisterResultType(PrepErrorResult{}, 1)
 }

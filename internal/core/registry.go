@@ -44,7 +44,8 @@ type RunParams struct {
 	Buffer int
 	// Tiles is the mesh tile bound for the network scenarios: netsweep
 	// sweeps tile counts in powers of two up to it, netcontention, netfault
-	// and netdegrade run one mesh planned for exactly this many tiles.
+	// and netdegrade run one mesh planned for at most this many tiles (the
+	// plan stops at the tiles the qubits fill).
 	Tiles int
 	// Faults is the boundary-failure bound of netdegrade: the sweep kills
 	// mesh boundaries one by one up to this count (capped at the mesh's
@@ -725,7 +726,7 @@ func renderNetContention(e Experiments, tiles, buffer int) (report.Section, erro
 	}
 	tb := report.Table{
 		Title: fmt.Sprintf("Co-scheduled benchmarks on one %d-tile teleportation mesh (%d-bit, %s-pair link buffers)",
-			tiles, e.Bits, bufferLabel(buffer)),
+			levels[0].Run.Topology.TileCount(), e.Bits, bufferLabel(buffer)),
 		Headers: []string{"Link BW factor", "Benchmark", "Exec (ms)", "Speed-of-data (ms)", "Slowdown",
 			"Network-blocked (ms)", "Ancilla wait (ms)", "Teleports", "Max link high water"},
 	}
@@ -753,13 +754,14 @@ func renderNetFault(e Experiments, benchName string, tiles, buffer int) (report.
 	}
 	tb := report.Table{
 		Title: fmt.Sprintf("Teleportation network under faults (%d-bit %s, %d-tile mesh, %s-pair link buffers)",
-			e.Bits, bench, tiles, bufferLabel(buffer)),
+			e.Bits, bench, points[0].Tiles, bufferLabel(buffer)),
 		Headers: []string{"Fault", "Link BW factor", "Link BW (pairs/ms)", "Exec (ms)", "Network-blocked (ms)",
 			"Reroutes", "In-flight", "Detour hops", "Degraded wait (ms)", "Dead links"},
 	}
-	for _, p := range points {
-		tb.AddRow(p.Mode, fmt.Sprintf("%.2fx", p.LinkFactor), p.LinkEPRPerMs, p.ExecutionTimeMs,
-			p.NetworkBlockedMs, p.Reroutes, p.InFlightReroutes, p.DetourHops, p.DegradedWaitMs, p.FailedLinks)
+	for i, p := range points {
+		tb.AddRow(netFaultArms[i/len(netFaultFactors)].name, fmt.Sprintf("%.2fx", p.LinkFactor), p.LinkEPRPerMs,
+			p.ExecutionTimeMs, p.NetworkBlockedMs, p.Faults.Reroutes, p.Faults.InFlightReroutes,
+			p.Faults.DetourHops, p.Faults.DegradedWaitUs/1000.0, p.Faults.FailedLinks)
 	}
 	note := report.Text("Each link-bandwidth factor replays the benchmark three ways — pristine mesh, every link " +
 		"degraded to 75% of its EPR rate, and the bisection boundary dead — with routes re-resolved around the " +
@@ -780,17 +782,17 @@ func renderNetDegrade(e Experiments, benchName string, tiles, buffer, faults int
 	}
 	tb := report.Table{
 		Title: fmt.Sprintf("Link failures until partition (%d-bit %s, %d-tile mesh at matched link bandwidth, %s-pair link buffers)",
-			e.Bits, bench, tiles, bufferLabel(buffer)),
+			e.Bits, bench, rows[0].Tiles, bufferLabel(buffer)),
 		Headers: []string{"Boundaries dead", "Dead links", "Exec (ms)", "Network-blocked (ms)",
 			"Reroutes", "In-flight", "Detour hops", "Mean hops", "Partitioned"},
 	}
-	for _, r := range rows {
+	for k, r := range rows {
 		if r.Partitioned {
-			tb.AddRow(r.Failures, r.FailedLinks, "-", "-", "-", "-", "-", "-", true)
+			tb.AddRow(k, r.Faults.FailedLinks, "-", "-", "-", "-", "-", "-", true)
 			continue
 		}
-		tb.AddRow(r.Failures, r.FailedLinks, r.ExecutionTimeMs, r.NetworkBlockedMs,
-			r.Reroutes, r.InFlightReroutes, r.DetourHops, r.MeanHops, false)
+		tb.AddRow(k, r.Faults.FailedLinks, r.ExecutionTimeMs, r.NetworkBlockedMs,
+			r.Faults.Reroutes, r.Faults.InFlightReroutes, r.Faults.DetourHops, r.MeanHops, false)
 	}
 	note := report.Text("Mesh boundaries die one by one (both directions each) in stable order while teleports " +
 		"re-route around the damage; rows past the partition point report Partitioned instead of a makespan.\n")

@@ -14,9 +14,9 @@ import (
 	"speedofdata/internal/schedule"
 )
 
-// faultTestConfig plans a tiles-tile mesh for the benchmark with
+// testMesh plans a mesh of at most tiles tiles for the 8-bit benchmark with
 // over-provisioned factories, so the interconnect is the binding constraint.
-func faultTestConfig(t *testing.T, b circuits.Benchmark, tiles int) (*quantum.Circuit, Config) {
+func testMesh(t *testing.T, b circuits.Benchmark, tiles int) (*quantum.Circuit, Mesh) {
 	t.Helper()
 	m := schedule.DefaultLatencyModel()
 	c, err := circuits.Generate(b, 8)
@@ -27,11 +27,18 @@ func faultTestConfig(t *testing.T, b circuits.Benchmark, tiles int) (*quantum.Ci
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := PlanConfig(m, c.NumQubits, tiles, ch.ZeroBandwidthPerMs*2, ch.Pi8BandwidthPerMs)
+	mesh, err := PlanMesh(m, []*quantum.Circuit{c}, tiles, ch.ZeroBandwidthPerMs*2, ch.Pi8BandwidthPerMs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, cfg
+	return c, mesh
+}
+
+// deadBisection kills both directions of the mesh's bisection boundary: the
+// dead-link arm of netfault.
+func deadBisection(topo Topology) FaultPlan {
+	b, _ := BisectionBoundary(topo)
+	return FaultPlan{{Link: b[0], Dead: true}, {Link: b[1], Dead: true}}
 }
 
 // trimHist drops the trailing zeros of every hop histogram in place: a
@@ -54,7 +61,8 @@ func TestZeroFaultPlanByteIdentical(t *testing.T) {
 	var cs []*quantum.Circuit
 	var base Config
 	for _, b := range circuits.Benchmarks() {
-		c, cfg := faultTestConfig(t, b, 4)
+		c, mesh := testMesh(t, b, 4)
+		cfg := mesh.Config
 		want, err := Replay(c, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -70,6 +78,7 @@ func TestZeroFaultPlanByteIdentical(t *testing.T) {
 		}
 		cs, base = append(cs, c), cfg
 	}
+	base.Partitions = nil // each circuit is partitioned by the shared replay
 	want, err := ReplayShared(cs, base)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +97,8 @@ func TestZeroFaultPlanByteIdentical(t *testing.T) {
 // the workload completes, so the run matches the fault-free one in every
 // field but the histogram sizing.
 func TestScheduledFaultBeyondMakespanIsInert(t *testing.T) {
-	c, cfg := faultTestConfig(t, circuits.QCLA, 4)
+	c, mesh := testMesh(t, circuits.QCLA, 4)
+	cfg := mesh.Config
 	clean, err := Replay(c, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,22 +128,15 @@ func TestScheduledFaultBeyondMakespanIsInert(t *testing.T) {
 // pristine makespan.
 func TestDeadBisectionLinkReroutesAndCompletes(t *testing.T) {
 	for _, b := range circuits.Benchmarks() {
-		c, cfg := faultTestConfig(t, b, 4)
-		topo := NewTopology(len(cfg.Machine.Tiles))
-		part, err := PartitionCircuit(c, topo.TileCount())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c, mesh := testMesh(t, b, 4)
 		// Matched bandwidth keeps the links loaded so the dead link matters.
-		cfg.LinkEPRPerMs = MatchedLinkEPRPerMs(c, cfg.Latency, topo, part)
-		if ceiling := cfg.Machine.LinkEPRPerMs(); !(cfg.LinkEPRPerMs > 0) || cfg.LinkEPRPerMs > ceiling {
-			cfg.LinkEPRPerMs = ceiling
-		}
+		cfg := mesh.Config
+		cfg.LinkEPRPerMs = mesh.LinkRate(1)
 		clean, err := Replay(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Faults = FaultPlanFor(FaultDeadLink, topo)
+		cfg.Faults = deadBisection(mesh.Topology)
 		run, err := Replay(c, cfg)
 		if err != nil {
 			t.Fatalf("%v: dead bisection link: %v", b, err)
@@ -164,21 +167,14 @@ func TestDeadBisectionLinkReroutesAndCompletes(t *testing.T) {
 // A fault striking mid-run re-resolves cached routes and re-paths teleports
 // queued on the dying link instead of hanging the replay.
 func TestScheduledMidRunFaultReroutes(t *testing.T) {
-	c, cfg := faultTestConfig(t, circuits.QCLA, 4)
-	topo := NewTopology(len(cfg.Machine.Tiles))
-	part, err := PartitionCircuit(c, topo.TileCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.LinkEPRPerMs = MatchedLinkEPRPerMs(c, cfg.Latency, topo, part)
-	if ceiling := cfg.Machine.LinkEPRPerMs(); !(cfg.LinkEPRPerMs > 0) || cfg.LinkEPRPerMs > ceiling {
-		cfg.LinkEPRPerMs = ceiling
-	}
+	c, mesh := testMesh(t, circuits.QCLA, 4)
+	cfg := mesh.Config
+	cfg.LinkEPRPerMs = mesh.LinkRate(1)
 	clean, err := Replay(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boundary, _ := BisectionBoundary(topo)
+	boundary, _ := BisectionBoundary(mesh.Topology)
 	at := clean.Makespan / 2
 	cfg.Faults = FaultPlan{
 		{Link: boundary[0], At: at, Dead: true},
@@ -210,21 +206,15 @@ func TestScheduledMidRunFaultReroutes(t *testing.T) {
 // the makespan ordering none <= degraded holds and degradation wait is
 // attributed.
 func TestDegradedLinksSlowButDoNotReroute(t *testing.T) {
-	c, cfg := faultTestConfig(t, circuits.QCLA, 4)
-	topo := NewTopology(len(cfg.Machine.Tiles))
-	part, err := PartitionCircuit(c, topo.TileCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.LinkEPRPerMs = MatchedLinkEPRPerMs(c, cfg.Latency, topo, part)
-	if ceiling := cfg.Machine.LinkEPRPerMs(); !(cfg.LinkEPRPerMs > 0) || cfg.LinkEPRPerMs > ceiling {
-		cfg.LinkEPRPerMs = ceiling
-	}
+	c, mesh := testMesh(t, circuits.QCLA, 4)
+	topo := mesh.Topology
+	cfg := mesh.Config
+	cfg.LinkEPRPerMs = mesh.LinkRate(1)
 	clean, err := Replay(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Faults = DegradeAllLinks(topo, DegradeRateFactor)
+	cfg.Faults = DegradeAllLinks(topo, 0.75)
 	run, err := Replay(c, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -246,9 +236,9 @@ func TestDegradedLinksSlowButDoNotReroute(t *testing.T) {
 // Killing every boundary of a 2-tile mesh leaves routed traffic no path:
 // the replay aborts with the typed partition error.
 func TestFullyPartitionedMeshReturnsTypedError(t *testing.T) {
-	c, cfg := faultTestConfig(t, circuits.QCLA, 2)
-	topo := NewTopology(len(cfg.Machine.Tiles))
-	cfg.Faults = FaultPlanFor(FaultDeadLink, topo)
+	c, mesh := testMesh(t, circuits.QCLA, 2)
+	cfg := mesh.Config
+	cfg.Faults = deadBisection(mesh.Topology)
 	_, err := Replay(c, cfg)
 	if !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("partitioned 2-tile mesh error = %v, want ErrPartitioned", err)
@@ -259,38 +249,24 @@ func TestFullyPartitionedMeshReturnsTypedError(t *testing.T) {
 // (none <= degraded <= dead link), and the grid is byte-identical across
 // engine worker counts.
 func TestFaultSweepMonotoneAndDeterministic(t *testing.T) {
-	m := schedule.DefaultLatencyModel()
-	c, err := circuits.Generate(circuits.QCLA, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := schedule.Characterize(c, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := FaultSweepConfig{
-		Latency:     m,
-		ZeroPerMs:   ch.ZeroBandwidthPerMs * 2,
-		Pi8PerMs:    ch.Pi8BandwidthPerMs,
-		Tiles:       4,
-		LinkFactors: DefaultFaultLinkFactors(),
-	}
-	points, err := FaultSweepEngine(context.Background(), nil, c, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(FaultModes())*len(sc.LinkFactors) {
-		t.Fatalf("grid has %d points, want %d", len(points), len(FaultModes())*len(sc.LinkFactors))
-	}
-	byFactor := map[float64]map[string]FaultSweepPoint{}
-	for _, p := range points {
-		if byFactor[p.LinkFactor] == nil {
-			byFactor[p.LinkFactor] = map[string]FaultSweepPoint{}
+	_, mesh := testMesh(t, circuits.QCLA, 4)
+	arms := []FaultPlan{nil, DegradeAllLinks(mesh.Topology, 0.75), deadBisection(mesh.Topology)}
+	factors := []float64{0.5, 1, 2}
+	var cells []Cell
+	for _, plan := range arms {
+		for _, factor := range factors {
+			cells = append(cells, Cell{LinkFactor: factor, Faults: plan})
 		}
-		byFactor[p.LinkFactor][p.Mode] = p
 	}
-	for factor, arms := range byFactor {
-		none, deg, dead := arms[FaultNone.String()], arms[FaultDegraded.String()], arms[FaultDeadLink.String()]
+	points, err := Sweep(context.Background(), nil, cells, mesh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != len(arms)*len(factors) {
+		t.Fatalf("grid has %d points, want %d", len(points), len(arms)*len(factors))
+	}
+	for j, factor := range factors {
+		none, deg, dead := points[j], points[len(factors)+j], points[2*len(factors)+j]
 		if none.ExecutionTimeMs > deg.ExecutionTimeMs+1e-9 {
 			t.Errorf("x%.2f: degraded links (%.4f ms) beat the pristine mesh (%.4f ms)",
 				factor, deg.ExecutionTimeMs, none.ExecutionTimeMs)
@@ -299,18 +275,18 @@ func TestFaultSweepMonotoneAndDeterministic(t *testing.T) {
 			t.Errorf("x%.2f: dead link (%.4f ms) beat degraded links (%.4f ms)",
 				factor, dead.ExecutionTimeMs, deg.ExecutionTimeMs)
 		}
-		if none.Reroutes != 0 || dead.Reroutes == 0 {
-			t.Errorf("x%.2f: reroutes none=%d dead=%d, want 0 and >0", factor, none.Reroutes, dead.Reroutes)
+		if none.Faults.Reroutes != 0 || dead.Faults.Reroutes == 0 {
+			t.Errorf("x%.2f: reroutes none=%d dead=%d, want 0 and >0", factor, none.Faults.Reroutes, dead.Faults.Reroutes)
 		}
-		if deg.DegradedLinks == 0 || deg.DegradedWaitMs < 0 {
+		if deg.Faults.DegradedLinks == 0 || deg.Faults.DegradedWaitUs < 0 {
 			t.Errorf("x%.2f: degraded arm decomposition %+v", factor, deg)
 		}
 	}
-	seq, err := FaultSweepEngine(t.Context(), engine.New(1), c, sc)
+	seq, err := Sweep(t.Context(), engine.New(1), cells, mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := FaultSweepEngine(t.Context(), engine.New(8), c, sc)
+	par, err := Sweep(t.Context(), engine.New(8), cells, mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,42 +299,31 @@ func TestFaultSweepMonotoneAndDeterministic(t *testing.T) {
 // before the partition point complete with growing damage, rows after it
 // report Partitioned instead of failing the sweep.
 func TestDegradeSweepUntilPartition(t *testing.T) {
-	m := schedule.DefaultLatencyModel()
-	c, err := circuits.Generate(circuits.QCLA, 8)
-	if err != nil {
-		t.Fatal(err)
+	_, mesh := testMesh(t, circuits.QCLA, 4)
+	cells := make([]Cell, 5)
+	for k := range cells {
+		cells[k] = Cell{LinkFactor: 1, Faults: KillBoundaries(mesh.Topology, k)}
 	}
-	ch, err := schedule.Characterize(c, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := DegradeConfig{
-		Latency:     m,
-		ZeroPerMs:   ch.ZeroBandwidthPerMs * 2,
-		Pi8PerMs:    ch.Pi8BandwidthPerMs,
-		Tiles:       4,
-		MaxFailures: 4,
-	}
-	rows, err := DegradeSweepEngine(context.Background(), nil, c, sc)
+	rows, err := Sweep(context.Background(), nil, cells, mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 5 {
 		t.Fatalf("sweep produced %d rows, want 5 (0..4 failures)", len(rows))
 	}
-	if rows[0].Partitioned || rows[0].Reroutes != 0 || rows[0].FailedLinks != 0 {
+	if rows[0].Partitioned || rows[0].Faults.Reroutes != 0 || rows[0].Faults.FailedLinks != 0 {
 		t.Errorf("pristine row = %+v", rows[0])
 	}
 	if rows[1].Partitioned {
 		t.Error("one dead boundary on a 2x2 mesh must not partition it")
 	}
-	if rows[1].Reroutes == 0 {
+	if rows[1].Faults.Reroutes == 0 {
 		t.Error("one dead boundary caused no reroutes")
 	}
 	sawPartition := false
 	for i, r := range rows {
-		if r.Failures != i {
-			t.Errorf("row %d reports %d failures", i, r.Failures)
+		if r.Faults.FailedLinks != 2*i {
+			t.Errorf("row %d reports %d dead links, want %d", i, r.Faults.FailedLinks, 2*i)
 		}
 		if sawPartition && !r.Partitioned {
 			t.Errorf("row %d healed a partitioned mesh", i)
@@ -366,7 +331,7 @@ func TestDegradeSweepUntilPartition(t *testing.T) {
 		if r.Partitioned {
 			sawPartition = true
 		} else if r.ExecutionTimeMs < rows[0].ExecutionTimeMs-1e-9 {
-			t.Errorf("row %d (%d failures) beat the pristine makespan", i, r.Failures)
+			t.Errorf("row %d (%d failures) beat the pristine makespan", i, i)
 		}
 	}
 	if !sawPartition {
@@ -600,11 +565,11 @@ func TestFaultPlanHelpers(t *testing.T) {
 	if plan := DegradeAllLinks(topo, 0.75); len(plan) != len(topo.Links()) {
 		t.Errorf("DegradeAllLinks covered %d links, want %d", len(plan), len(topo.Links()))
 	}
-	if s := FaultDeadLink.String(); s != "dead-bisection-link" {
-		t.Errorf("FaultDeadLink = %q", s)
-	}
-	if s := FaultMode(42).String(); s != "FaultMode(42)" {
-		t.Errorf("unknown mode = %q", s)
+	// On a 2x2 mesh the first boundary is the bisection boundary, so
+	// netdegrade's one-failure cell is netfault's dead-link cell.
+	dead := FaultPlan{{Link: boundary[0], Dead: true}, {Link: boundary[1], Dead: true}}
+	if plan := KillBoundaries(topo, 1); !reflect.DeepEqual(plan, dead) {
+		t.Errorf("KillBoundaries(1) = %+v, want the dead bisection %+v", plan, dead)
 	}
 }
 

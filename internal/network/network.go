@@ -19,7 +19,15 @@
 // discrete-event kernel of internal/sim: qubits are placed by a
 // deterministic partitioner (PartitionCircuit), local gates pay ballistic
 // movement, and cross-tile gates teleport their operands to the execution
-// tile and back.  A 1-tile mesh has no links, so Replay degenerates to the
+// tile and back.  PlanMesh plans a mesh once — the machine, each circuit's
+// partition and the demand-matched link rate (MatchedLinkEPRPerMs, the
+// Section 6 balance point) — and Mesh.LinkRate is the one rule that scales
+// that rate and caps it at the perimeter ceiling.  Sweep replays cells (a
+// link factor plus a FaultPlan) on planned meshes through the experiment
+// engine: the netsweep, netfault and netdegrade scenarios are cell lists
+// over it, and a cell two of them share is one cache entry.
+//
+// A 1-tile mesh has no links, so Replay degenerates to the
 // single-region fluid replay of internal/schedule and — once ballistic
 // movement is zeroed and TileZeroRatePerMs pinned to the supply rate, the
 // two costs schedule.Replay does not model — reproduces it bit for bit, the

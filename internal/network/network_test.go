@@ -368,29 +368,22 @@ func TestConfigValidate(t *testing.T) {
 // over-provisioned, raising the link EPR bandwidth monotonically shrinks the
 // network-blocked share of the makespan.
 func TestSweepNetworkBlockedMonotoneInLinkBandwidth(t *testing.T) {
-	m := schedule.DefaultLatencyModel()
-	c, err := circuits.Generate(circuits.QCLA, 8)
+	_, two := testMesh(t, circuits.QCLA, 2)
+	_, four := testMesh(t, circuits.QCLA, 4)
+	var cells []Cell
+	for _, factor := range []float64{0.25, 0.5, 1, 2, 4} {
+		cells = append(cells, Cell{LinkFactor: factor})
+	}
+	points, err := Sweep(context.Background(), nil, cells, two, four)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := schedule.Characterize(c, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := SweepConfig{
-		Latency:     m,
-		ZeroPerMs:   ch.ZeroBandwidthPerMs * 2,
-		Pi8PerMs:    ch.Pi8BandwidthPerMs,
-		TileCounts:  []int{2, 4},
-		LinkFactors: DefaultLinkFactors(),
-	}
-	points, err := SweepEngine(context.Background(), nil, c, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byTiles := map[int][]SweepPoint{}
+	byTiles := map[int][]Point{}
 	for _, p := range points {
 		byTiles[p.Tiles] = append(byTiles[p.Tiles], p)
+	}
+	if len(byTiles) != 2 {
+		t.Fatalf("sweep covered tile counts %v, want 2 and 4", byTiles)
 	}
 	for tiles, row := range byTiles {
 		for i := 1; i < len(row); i++ {
@@ -415,32 +408,75 @@ func TestSweepNetworkBlockedMonotoneInLinkBandwidth(t *testing.T) {
 // Sweeps are byte-identical across worker counts: the partitioner, the
 // routes and the replay all depend only on their inputs.
 func TestSweepEngineDeterministicAcrossWorkers(t *testing.T) {
-	m := schedule.DefaultLatencyModel()
-	c, err := circuits.Generate(circuits.QRCA, 8)
+	_, two := testMesh(t, circuits.QRCA, 2)
+	_, four := testMesh(t, circuits.QRCA, 4)
+	cells := []Cell{{LinkFactor: 0.5}, {LinkFactor: 1}, {LinkFactor: 2}}
+	seq, err := Sweep(t.Context(), engine.New(1), cells, two, four)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := schedule.Characterize(c, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := SweepConfig{
-		Latency:     m,
-		ZeroPerMs:   ch.ZeroBandwidthPerMs * 2,
-		Pi8PerMs:    ch.Pi8BandwidthPerMs,
-		TileCounts:  []int{2, 4},
-		LinkFactors: []float64{0.5, 1, 2},
-	}
-	seq, err := SweepEngine(t.Context(), engine.New(1), c, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := SweepEngine(t.Context(), engine.New(8), c, sc)
+	par, err := Sweep(t.Context(), engine.New(8), cells, two, four)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Error("sweep differs between 1 and 8 workers")
+	}
+}
+
+// LinkRate is the one link-bandwidth rule: factor times the matched rate,
+// capped at the perimeter ceiling, which also stands in when the matched
+// rate is zero (no links, or no cross-tile traffic).
+func TestLinkRate(t *testing.T) {
+	cfg, err := PlanConfig(schedule.DefaultLatencyModel(), 16, 4, 100, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceiling := cfg.Machine.LinkEPRPerMs()
+	if !(ceiling > 0) {
+		t.Fatalf("ceiling = %v", ceiling)
+	}
+	cases := []struct {
+		name                    string
+		matched, factor, wanted float64
+	}{
+		{"zero matched rate", 0, 1, ceiling},
+		{"zero matched rate, over-provisioned", 0, 4, ceiling},
+		{"above the ceiling", ceiling / 2, 4, ceiling},
+		{"at the ceiling", ceiling, 1, ceiling},
+		{"below the ceiling", ceiling / 8, 2, ceiling / 4},
+		{"starved", ceiling / 8, 0.25, ceiling / 32},
+	}
+	for _, tc := range cases {
+		mesh := Mesh{Config: cfg, MatchedLinkEPRPerMs: tc.matched}
+		if got := mesh.LinkRate(tc.factor); got != tc.wanted {
+			t.Errorf("%s: LinkRate(%v) with matched %v = %v, want %v", tc.name, tc.factor, tc.matched, got, tc.wanted)
+		}
+	}
+	// A plan the qubits fill on one tile has no links and no matched rate.
+	one, err := PlanMesh(schedule.DefaultLatencyModel(), []*quantum.Circuit{quantum.NewCircuit("one", 1)}, 2, 100, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Tiles() != 1 || one.MatchedLinkEPRPerMs != 0 || one.LinkRate(1) != one.Config.Machine.LinkEPRPerMs() {
+		t.Errorf("1-qubit plan: %d tiles, matched %v, rate %v", one.Tiles(), one.MatchedLinkEPRPerMs, one.LinkRate(1))
+	}
+}
+
+// Sweep replays one circuit per mesh, and only meshes PlanMesh keyed: a
+// hand-built mesh would share cache keys across machines.
+func TestSweepRejectsUnplannedMesh(t *testing.T) {
+	c, mesh := testMesh(t, circuits.QCLA, 4)
+	cells := []Cell{{LinkFactor: 1}}
+	if _, err := Sweep(t.Context(), nil, cells, Mesh{Config: mesh.Config, Topology: mesh.Topology, Circuits: mesh.Circuits}); err == nil {
+		t.Error("a mesh not planned by PlanMesh swept")
+	}
+	shared, err := PlanMesh(mesh.Config.Latency, []*quantum.Circuit{c, c}, 4, 100, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sweep(t.Context(), nil, cells, shared); err == nil {
+		t.Error("a two-circuit mesh swept")
 	}
 }
 

@@ -17,8 +17,8 @@ type Partition struct {
 	// tiles under this assignment — each will issue routed teleports.
 	CrossGates int
 	// Key fingerprints the partition inputs (the circuit fingerprint plus
-	// the tile count); the netsweep engine jobs key their cache entries
-	// with it.
+	// the tile count); the sweep jobs (Sweep) key their cache entries with
+	// it.
 	Key string
 }
 

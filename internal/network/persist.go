@@ -2,11 +2,8 @@ package network
 
 import "speedofdata/internal/engine"
 
-// Network sweep points persist in the engine's disk cache tier; bump a
-// version when the computation behind the corresponding job keys changes
-// meaning.
+// Sweep points persist in the engine's disk cache tier; bump the version
+// when the computation behind the network.sweep job keys changes meaning.
 func init() {
-	engine.RegisterResultType(SweepPoint{}, 1)
-	engine.RegisterResultType(FaultSweepPoint{}, 1)
-	engine.RegisterResultType(DegradePoint{}, 1)
+	engine.RegisterResultType(Point{}, 1)
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -10,32 +11,98 @@ import (
 	"speedofdata/internal/schedule"
 )
 
-// SweepPoint is one cell of the link-bandwidth × tile-count grid of the
-// netsweep scenario.
-type SweepPoint struct {
-	// Tiles is the actual tile count of the planned mesh (which may be
-	// smaller than requested when the qubits divide unevenly).
-	Tiles int
-	// LinkFactor scales the demand-matched link EPR bandwidth
-	// (MatchedLinkEPRPerMs): below 1 the interconnect is under-provisioned
-	// for the circuit's data movement, above 1 over-provisioned.
-	LinkFactor float64
-	// LinkEPRPerMs is the effective per-link EPR-pair bandwidth, capped at
-	// the perimeter-derived geometric ceiling (layout.Qalypso.LinkEPRPerMs).
-	LinkEPRPerMs float64
-	// MatchedLinkEPRPerMs is the estimated rate at which the link moves
-	// data exactly as fast as computation demands it.
+// Mesh is one planned routed mesh: the machine provisioned for its
+// circuits, each circuit's qubit partition and the demand-matched link
+// rate, computed once and shared by every replay on it.
+type Mesh struct {
+	// Config is the base replay configuration: the planned machine, the
+	// latency model, the link buffer and the pinned partitions.  A replay
+	// sets its link rate and fault plan on a copy.
+	Config Config
+	// Topology is the mesh the planned tiles form.
+	Topology Topology
+	// Circuits are the planned circuits, index-aligned with
+	// Config.Partitions.
+	Circuits []*quantum.Circuit
+	// MatchedLinkEPRPerMs sums every circuit's MatchedLinkEPRPerMs: the
+	// per-link rate at which the interconnect moves data as fast as the
+	// circuits' computation demands it.
 	MatchedLinkEPRPerMs float64
-	// ExecutionTimeMs is the replay makespan.
+	// key fingerprints the mesh inputs for the engine cache.
+	key string
+}
+
+// PlanMesh plans the mesh the circuits replay on: PlanConfig provisions at
+// most tiles tiles for their combined qubits and the chip-wide demands
+// zeroPerMs and pi8PerMs, each circuit is partitioned across the tiles the
+// plan actually has (layout.PlanQalypso stops at the tiles the qubits
+// fill), and the matched rate is summed once.  linkBufferPairs bounds every
+// link's EPR channel buffer (<= 0 leaves the channels unbounded).
+func PlanMesh(m schedule.LatencyModel, cs []*quantum.Circuit, tiles int, zeroPerMs, pi8PerMs, linkBufferPairs float64) (Mesh, error) {
+	qubits := 0
+	for _, c := range cs {
+		qubits += c.NumQubits
+	}
+	cfg, err := PlanConfig(m, qubits, tiles, zeroPerMs, pi8PerMs)
+	if err != nil {
+		return Mesh{}, err
+	}
+	cfg.LinkBufferPairs = linkBufferPairs
+	mesh := Mesh{Config: cfg, Topology: NewTopology(len(cfg.Machine.Tiles)), Circuits: cs}
+	key := []any{"network.sweep"}
+	for _, c := range cs {
+		part, err := PartitionCircuit(c, mesh.Topology.TileCount())
+		if err != nil {
+			return Mesh{}, err
+		}
+		mesh.Config.Partitions = append(mesh.Config.Partitions, part)
+		mesh.MatchedLinkEPRPerMs += MatchedLinkEPRPerMs(c, m, mesh.Topology, part)
+		key = append(key, part.Key)
+	}
+	mesh.key = engine.Fingerprint(append(key, m, zeroPerMs, pi8PerMs, linkBufferPairs)...)
+	return mesh, nil
+}
+
+// Tiles is the planned tile count, which may be below the requested bound.
+func (m Mesh) Tiles() int { return m.Topology.TileCount() }
+
+// LinkRate is the per-link EPR bandwidth at factor times the matched rate,
+// capped at the geometric ceiling the tile perimeter can carry
+// (layout.Qalypso.LinkEPRPerMs).  The ceiling also stands in when the mesh
+// has no matched rate: no links, or no cross-tile traffic.
+func (m Mesh) LinkRate(factor float64) float64 {
+	rate := factor * m.MatchedLinkEPRPerMs
+	if ceiling := m.Config.Machine.LinkEPRPerMs(); !(rate > 0) || rate > ceiling {
+		return ceiling
+	}
+	return rate
+}
+
+// Cell is one replay of a sweep: the link bandwidth as a multiple of the
+// mesh's matched rate (Mesh.LinkRate), and the faults injected.
+type Cell struct {
+	LinkFactor float64
+	Faults     FaultPlan
+}
+
+// Point is the result of one cell on one mesh.
+type Point struct {
+	// Tiles is the planned mesh's tile count.
+	Tiles int
+	// LinkFactor and LinkEPRPerMs are the cell's link bandwidth, as a
+	// multiple of MatchedLinkEPRPerMs and as the effective healthy-link rate.
+	LinkFactor   float64
+	LinkEPRPerMs float64
+	// MatchedLinkEPRPerMs is the Section 6 balance-point estimate.
+	MatchedLinkEPRPerMs float64
+	// ExecutionTimeMs is the replay makespan and SpeedOfDataMs the
+	// circuit's dataflow bound.
 	ExecutionTimeMs float64
-	// SpeedOfDataMs is the circuit's dataflow bound.
-	SpeedOfDataMs float64
+	SpeedOfDataMs   float64
 	// NetworkBlockedMs is the time gates spent queueing for and transiting
-	// the interconnect.
+	// the interconnect; AncillaWaitMs the time they spent factory-starved.
 	NetworkBlockedMs float64
-	// AncillaWaitMs is the time gates spent factory-starved (QEC steps and
-	// teleport ancillae).
-	AncillaWaitMs float64
+	AncillaWaitMs    float64
 	// CrossGates and Teleports summarise the routed traffic.
 	CrossGates int
 	Teleports  int
@@ -45,104 +112,66 @@ type SweepPoint struct {
 	MaxLinkHighWater float64
 	// Events is the kernel event count.
 	Events int
+	// Faults is the fault decomposition of the replay.
+	Faults FaultStats
+	// Partitioned reports that the cell's faults disconnected the routed
+	// traffic: only the fields above the makespan and Faults.FailedLinks
+	// (the plan's dead links) are set.
+	Partitioned bool
 }
 
-// SweepConfig parameterises the netsweep grid.
-type SweepConfig struct {
-	// Latency supplies gate and QEC timings.
-	Latency schedule.LatencyModel
-	// ZeroPerMs and Pi8PerMs are the chip-wide ancilla demands each planned
-	// mesh is provisioned for (split across tiles by PlanConfig).
-	ZeroPerMs, Pi8PerMs float64
-	// LinkBufferPairs bounds every link's EPR channel buffer (<= 0 leaves
-	// the channels unbounded).
-	LinkBufferPairs float64
-	// TileCounts are the mesh sizes of the grid (use DefaultTileCounts).
-	TileCounts []int
-	// LinkFactors scale the demand-matched link bandwidth (use
-	// DefaultLinkFactors).
-	LinkFactors []float64
-}
-
-// DefaultLinkFactors are the link-bandwidth scalings of the netsweep grid,
-// as multiples of the demand-matched rate: from a starved interconnect to an
-// over-provisioned one.
-func DefaultLinkFactors() []float64 { return []float64{0.25, 0.5, 1, 2, 4} }
-
-// DefaultTileCounts returns the tile counts of the netsweep grid: powers of
-// two from 2 up to maxTiles.  A bound below 2 returns nil — the 1-tile mesh
-// has no links to sweep; it is the degenerate parity case instead.
-func DefaultTileCounts(maxTiles int) []int {
-	var out []int
-	for t := 2; t <= maxTiles; t *= 2 {
-		out = append(out, t)
-	}
-	return out
-}
-
-// SweepEngine replays the circuit at every (tile count, link factor) cell of
-// the grid through the experiment engine, one job per cell.  Jobs are keyed
-// by the circuit fingerprint and the full cell parameters, so repeated and
-// overlapping sweeps share results through the engine cache, and results are
-// identical for any worker count.
-func SweepEngine(ctx context.Context, eng *engine.Engine, c *quantum.Circuit, sc SweepConfig) ([]SweepPoint, error) {
-	if len(sc.TileCounts) == 0 || len(sc.LinkFactors) == 0 {
-		return nil, fmt.Errorf("network: empty sweep grid (netsweep needs a tile bound of at least 2; a 1-tile mesh has no links to sweep)")
-	}
-	var jobs []engine.Job[SweepPoint]
-	for _, tiles := range sc.TileCounts {
-		// Everything factor-independent — the machine plan, the qubit
-		// partition, the dataflow critical path behind the matched rate — is
-		// computed once per tile count, not once per grid cell.
-		base, err := PlanConfig(sc.Latency, c.NumQubits, tiles, sc.ZeroPerMs, sc.Pi8PerMs)
-		if err != nil {
-			return nil, err
+// Sweep replays each mesh's circuit at every cell, mesh-major, as one batch
+// of engine jobs.  A job is keyed by network.sweep, the mesh inputs and the
+// cell, its fault plan rendered by content, so scenarios that share a cell
+// share its result through the engine cache, and results are identical for
+// any worker count.  A cell whose faults partition the mesh reports
+// Partitioned instead of failing the sweep.
+func Sweep(ctx context.Context, eng *engine.Engine, cells []Cell, meshes ...Mesh) ([]Point, error) {
+	var jobs []engine.Job[Point]
+	for _, mesh := range meshes {
+		if mesh.key == "" || len(mesh.Circuits) != 1 {
+			return nil, fmt.Errorf("network: a sweep replays one circuit on a mesh from PlanMesh")
 		}
-		base.LinkBufferPairs = sc.LinkBufferPairs
-		topo := NewTopology(len(base.Machine.Tiles))
-		part, err := PartitionCircuit(c, topo.TileCount())
-		if err != nil {
-			return nil, err
-		}
-		base.Partitions = []Partition{part}
-		matched := MatchedLinkEPRPerMs(c, sc.Latency, topo, part)
-		for _, factor := range sc.LinkFactors {
-			base, factor := base, factor
-			jobs = append(jobs, engine.Job[SweepPoint]{
-				Key: engine.Fingerprint("network.sweep", part.Key, sc.Latency, sc.ZeroPerMs, sc.Pi8PerMs,
-					sc.LinkBufferPairs, factor),
-				Run: func(context.Context, *rand.Rand) (SweepPoint, error) {
-					cfg := base
-					cfg.LinkEPRPerMs = matched * factor
-					// The perimeter bounds how many EPR channels a link can
-					// physically carry.
-					if ceiling := cfg.Machine.LinkEPRPerMs(); cfg.LinkEPRPerMs > ceiling {
-						cfg.LinkEPRPerMs = ceiling
+		c := mesh.Circuits[0]
+		for _, cell := range cells {
+			jobs = append(jobs, engine.Job[Point]{
+				Key: engine.Fingerprint(mesh.key, cell.LinkFactor, cell.Faults),
+				Run: func(context.Context, *rand.Rand) (Point, error) {
+					cfg := mesh.Config
+					cfg.LinkEPRPerMs = mesh.LinkRate(cell.LinkFactor)
+					cfg.Faults = cell.Faults
+					p := Point{
+						Tiles:               mesh.Tiles(),
+						LinkFactor:          cell.LinkFactor,
+						LinkEPRPerMs:        cfg.LinkEPRPerMs,
+						MatchedLinkEPRPerMs: mesh.MatchedLinkEPRPerMs,
 					}
 					run, err := Replay(c, cfg)
+					if errors.Is(err, ErrPartitioned) {
+						for _, f := range cell.Faults {
+							if f.Dead {
+								p.Faults.FailedLinks++
+							}
+						}
+						p.Partitioned = true
+						return p, nil
+					}
 					if err != nil {
-						return SweepPoint{}, err
+						return Point{}, err
 					}
 					r := run.Results[0]
-					meanHops := 0.0
+					p.ExecutionTimeMs = r.ExecutionTime.Milliseconds()
+					p.SpeedOfDataMs = r.SpeedOfData.Milliseconds()
+					p.NetworkBlockedMs = r.NetworkBlocked.Milliseconds()
+					p.AncillaWaitMs = r.AncillaWait.Milliseconds()
+					p.CrossGates, p.Teleports = r.CrossGates, r.Teleports
 					if r.Teleports > 0 {
-						meanHops = float64(r.Hops) / float64(r.Teleports)
+						p.MeanHops = float64(r.Hops) / float64(r.Teleports)
 					}
-					return SweepPoint{
-						Tiles:               len(cfg.Machine.Tiles),
-						LinkFactor:          factor,
-						LinkEPRPerMs:        cfg.LinkEPRPerMs,
-						MatchedLinkEPRPerMs: matched,
-						ExecutionTimeMs:     r.ExecutionTime.Milliseconds(),
-						SpeedOfDataMs:       r.SpeedOfData.Milliseconds(),
-						NetworkBlockedMs:    r.NetworkBlocked.Milliseconds(),
-						AncillaWaitMs:       r.AncillaWait.Milliseconds(),
-						CrossGates:          r.CrossGates,
-						Teleports:           r.Teleports,
-						MeanHops:            meanHops,
-						MaxLinkHighWater:    run.MaxLinkHighWater(),
-						Events:              run.Events,
-					}, nil
+					p.MaxLinkHighWater = run.MaxLinkHighWater()
+					p.Events = run.Events
+					p.Faults = run.Faults
+					return p, nil
 				},
 			})
 		}

@@ -597,6 +597,39 @@ func TestNetworkScenarioEndpoints(t *testing.T) {
 	if status != http.StatusOK {
 		t.Errorf("netcontention tiles=1 (degenerate mesh): status %d", status)
 	}
+
+	// The scenarios describe the mesh they planned: layout.PlanQalypso stops
+	// at the tiles the qubits fill.  A 1-qubit QFT fills one tile, which has
+	// no links, whatever the bound.
+	for _, id := range []string{"netsweep", "netfault", "netdegrade"} {
+		status, body, _ = get(t, ts.URL+"/v1/experiments/"+id+"?benchmark=QFT&bits=1&tiles=2")
+		if status != http.StatusBadRequest || !strings.Contains(body, "at least 2 tiles") {
+			t.Errorf("%s on a 1-tile plan: status %d, want 400 naming the tile floor: %s", id, status, body)
+		}
+	}
+	titles := []struct{ query, want string }{
+		{"netfault?format=text&benchmark=QRCA&bits=8&tiles=8", "8-bit QRCA, 7-tile mesh"},
+		{"netdegrade?format=text&benchmark=QRCA&bits=8&tiles=8", "8-bit QRCA, 7-tile mesh"},
+		{"netcontention?format=text&bits=1&tiles=16", "one 8-tile teleportation mesh"},
+	}
+	for _, tc := range titles {
+		status, body, _ = get(t, ts.URL+"/v1/experiments/"+tc.query)
+		if status != http.StatusOK || !strings.Contains(body, tc.want) {
+			t.Errorf("%s: status %d, want a title naming the planned mesh %q:\n%s", tc.query, status, tc.want, body)
+		}
+	}
+	// Two qubits fill two tiles at any bound: the 4-tile row of the sweep
+	// would replay the 2-tile plan again, so the sweep stops.
+	status, body, _ = get(t, ts.URL+"/v1/experiments/netsweep?format=csv&benchmark=QFT&bits=2&tiles=4")
+	rows := 0
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "netsweep,row,2,") {
+			rows++
+		}
+	}
+	if status != http.StatusOK || rows != 5 {
+		t.Errorf("netsweep of a 2-qubit QFT up to 4 tiles: status %d, %d two-tile rows, want 5:\n%s", status, rows, body)
+	}
 }
 
 // TestFaultScenarioEndpoints serves the interconnect fault scenarios over
