@@ -196,7 +196,14 @@ func BenchmarkFigure7_AncillaDemandProfile(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				peak = schedule.PeakZeroBandwidthPerMs(profile)
+				peak = 0
+				prev := 0.0
+				for _, p := range profile {
+					if width := p.TimeMs - prev; width > 0 && float64(p.ZeroAncillae)/width > peak {
+						peak = float64(p.ZeroAncillae) / width
+					}
+					prev = p.TimeMs
+				}
 			}
 			b.ReportMetric(peak, "peak-anc/ms")
 		})
@@ -446,7 +453,8 @@ func BenchmarkEngineFigure15Parallel(b *testing.B) { benchmarkFigure15Engine(b, 
 // BenchmarkEngineCachedExperiment measures a fully cache-served experiment
 // repeat: the cost of regenerating a table once its jobs are memoised.
 func BenchmarkEngineCachedExperiment(b *testing.B) {
-	e := core.NewParallelExperiments(0)
+	e := core.NewExperiments()
+	e.Engine = engine.New(0)
 	e.Bits = benchBits
 	if _, err := e.Table2And3(); err != nil {
 		b.Fatal(err)

@@ -12,7 +12,7 @@
 //	                      internal/fowler     — H/T synthesis, π/2^k cascade (§2.5)
 //	                      internal/factory    — simple/pipelined zero and π/8 factories (§4.3-4.4)
 //	    │
-//	technology layer      internal/iontrap    — ion-trap latencies and macroblocks (§4.1)
+//	technology layer      internal/iontrap    — ion-trap latencies, areas in macroblocks (§4.1)
 //	                      internal/layout     — data regions, movement, Qalypso tiles (§4.2, §5.3)
 //	    │
 //	simulation kernel     internal/sim        — deterministic discrete-event kernel: event queue,

@@ -99,14 +99,3 @@ func appendToffoli(c *quantum.Circuit, a, b, target int, decompose bool) {
 	c.Add(quantum.GateTdg, b)
 	c.Add(quantum.GateCX, a, b)
 }
-
-// ToffoliGateBudget reports the size of the Clifford+T expansion of a single
-// Toffoli gate, useful for resource estimates.
-type ToffoliGateBudget struct {
-	TGates, CXGates, HGates int
-}
-
-// ToffoliBudget returns the per-Toffoli gate budget used by appendToffoli.
-func ToffoliBudget() ToffoliGateBudget {
-	return ToffoliGateBudget{TGates: 7, CXGates: 6, HGates: 2}
-}

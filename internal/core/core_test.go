@@ -45,7 +45,11 @@ func TestAnalyzeBenchmarkQRCA(t *testing.T) {
 	if a.Qalypso.ZeroBandwidthPerMs() < a.Characterization.ZeroBandwidthPerMs {
 		t.Error("Qalypso plan does not cover the zero-ancilla demand")
 	}
-	if a.Qalypso.Pi8BandwidthPerMs() < a.Characterization.Pi8BandwidthPerMs {
+	pi8PerMs := 0.0
+	for _, tile := range a.Qalypso.Tiles {
+		pi8PerMs += float64(tile.Pi8Factories) * tile.Pi8Design.ThroughputPerMs
+	}
+	if pi8PerMs < a.Characterization.Pi8BandwidthPerMs {
 		t.Error("Qalypso plan does not cover the π/8 demand")
 	}
 }
@@ -282,7 +286,8 @@ func TestExperimentsFowler(t *testing.T) {
 func TestParallelExperimentsMatchSequential(t *testing.T) {
 	seq := NewExperiments()
 	seq.Bits = 8
-	par := NewParallelExperiments(4)
+	par := NewExperiments()
+	par.Engine = engine.New(4)
 	par.Bits = 8
 
 	seqCh, err := seq.Table2And3()
@@ -340,7 +345,8 @@ func TestParallelExperimentsMatchSequential(t *testing.T) {
 // Repeating an experiment on the same runner must be served from the
 // engine's result cache.
 func TestExperimentsCacheAcrossRepeats(t *testing.T) {
-	e := NewParallelExperiments(2)
+	e := NewExperiments()
+	e.Engine = engine.New(2)
 	e.Bits = 8
 	if _, err := e.Table2And3(); err != nil {
 		t.Fatal(err)

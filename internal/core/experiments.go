@@ -54,16 +54,6 @@ func NewExperiments() Experiments {
 	return Experiments{Options: DefaultOptions(), Bits: 32, Engine: engine.Sequential()}
 }
 
-// NewParallelExperiments returns an experiment runner whose sweeps and Monte
-// Carlo runs fan out over the given number of workers (<= 0 means
-// GOMAXPROCS).  Results are identical to NewExperiments for every
-// experiment.
-func NewParallelExperiments(workers int) Experiments {
-	e := NewExperiments()
-	e.Engine = engine.New(workers)
-	return e
-}
-
 // generateBenchmarks produces the paper's three kernels at the configured
 // width, one engine job per kernel.
 func (e Experiments) generateBenchmarks(ctx context.Context) ([]*quantum.Circuit, error) {
@@ -173,61 +163,77 @@ type PrepErrorResult struct {
 	Converged bool
 }
 
+// figure4Variants are Figure 4's encoded-zero preparation variants in row
+// order, each with the uncorrectable rate the paper reports for it.
+var figure4Variants = []struct {
+	name      string
+	paperRate float64
+}{
+	{"basic", 1.8e-3},
+	{"verify-only", 3.7e-4},
+	{"correct-only", 1.1e-3},
+	{"verify-and-correct", 2.9e-5},
+}
+
+// figure4 evaluates every Figure 4 variant under the paper's error model,
+// one engine job per variant whose Monte Carlo trials fan out further as
+// chunk jobs on the same engine.  key names a variant's job; estimate runs
+// the variant's Monte Carlo and reports whether a precision target was met.
+func (e Experiments) figure4(key func(name string, model noise.Model) string,
+	estimate func(ctx context.Context, sim *noise.Simulator, name, key string) (noise.Estimate, bool, error)) ([]PrepErrorResult, error) {
+	code := steane.NewCode()
+	model := noise.DefaultModel()
+	protocols := steane.StandardProtocols(code)
+	jobs := make([]engine.Job[PrepErrorResult], len(figure4Variants))
+	for i, v := range figure4Variants {
+		p := protocols[v.name]
+		k := key(v.name, model)
+		jobs[i] = engine.Job[PrepErrorResult]{
+			Key: k,
+			Run: func(ctx context.Context, _ *rand.Rand) (PrepErrorResult, error) {
+				sim, err := noise.NewSimulator(code, p, model)
+				if err != nil {
+					return PrepErrorResult{}, err
+				}
+				mc, converged, err := estimate(ctx, sim, v.name, k)
+				if err != nil {
+					return PrepErrorResult{}, err
+				}
+				return PrepErrorResult{
+					Name:       v.name,
+					PaperRate:  v.paperRate,
+					FirstOrder: sim.FirstOrder(),
+					MonteCarlo: mc,
+					Ops:        p.CountOps(),
+					Converged:  converged,
+				}, nil
+			},
+		}
+	}
+	return engine.Run(e.ctx(), e.Engine, jobs)
+}
+
 // Figure4Sampled evaluates the four encoded-zero preparation circuits under
 // the paper's error model.  trials controls the Monte Carlo effort and
 // sampling its executor.  Dense (the default everywhere) draws per error
 // location and is byte-identical across releases for a seed; sparse and
 // bit-sliced are statistically equivalent and much faster at physical error
 // rates, behind the qsd -sparse / -bitsliced flags and the matching HTTP
-// parameters.  No two modes share cache keys.  Each preparation variant is
-// one engine job whose Monte Carlo trials fan out further as chunk jobs on
-// the same engine.
+// parameters.  No two modes share cache keys.
 func (e Experiments) Figure4Sampled(trials int, seed int64, sampling noise.Sampling) ([]PrepErrorResult, error) {
-	code := steane.NewCode()
-	model := noise.DefaultModel()
-	paperRates := map[string]float64{
-		"basic":              1.8e-3,
-		"verify-only":        3.7e-4,
-		"correct-only":       1.1e-3,
-		"verify-and-correct": 2.9e-5,
-	}
-	order := []string{"basic", "verify-only", "correct-only", "verify-and-correct"}
-	protocols := steane.StandardProtocols(code)
-	ctx := e.ctx()
-	jobs := make([]engine.Job[PrepErrorResult], len(order))
-	for i, name := range order {
-		name := name
-		p := protocols[name]
-		key := engine.Fingerprint("core.figure4", name, model, trials, seed)
+	return e.figure4(func(name string, model noise.Model) string {
 		if sampling != noise.SamplingDense {
 			// Dense keys stay exactly as they always were (they seed the
 			// chunk RNG streams); sparse and bitsliced each get their own
 			// key space, named by the sampling mode.
-			key = engine.Fingerprint("core.figure4", name, model, trials, seed, sampling)
+			return engine.Fingerprint("core.figure4", name, model, trials, seed, sampling)
 		}
-		jobs[i] = engine.Job[PrepErrorResult]{
-			Key: key,
-			Run: func(ctx context.Context, _ *rand.Rand) (PrepErrorResult, error) {
-				sim, err := noise.NewSimulator(code, p, model)
-				if err != nil {
-					return PrepErrorResult{}, err
-				}
-				sim.Sampling = sampling
-				mc, err := sim.MonteCarloEngine(ctx, e.Engine, trials, seed)
-				if err != nil {
-					return PrepErrorResult{}, err
-				}
-				return PrepErrorResult{
-					Name:       name,
-					PaperRate:  paperRates[name],
-					FirstOrder: sim.FirstOrder(),
-					MonteCarlo: mc,
-					Ops:        p.CountOps(),
-				}, nil
-			},
-		}
-	}
-	return engine.Run(ctx, e.Engine, jobs)
+		return engine.Fingerprint("core.figure4", name, model, trials, seed)
+	}, func(ctx context.Context, sim *noise.Simulator, _, _ string) (noise.Estimate, bool, error) {
+		sim.Sampling = sampling
+		mc, err := sim.MonteCarloEngine(ctx, e.Engine, trials, seed)
+		return mc, false, err
+	})
 }
 
 // PartialEstimate is one refining estimate of a sequential-sampling Figure 4
@@ -258,56 +264,22 @@ type PartialEstimate struct {
 // the full target (epsilon, confidence, cap); the underlying Monte Carlo
 // chunks still share cache entries with fixed-trial bit-sliced runs.
 func (e Experiments) Figure4Target(epsilon, confidence float64, maxTrials int, seed int64) ([]PrepErrorResult, error) {
-	code := steane.NewCode()
-	model := noise.DefaultModel()
-	paperRates := map[string]float64{
-		"basic":              1.8e-3,
-		"verify-only":        3.7e-4,
-		"correct-only":       1.1e-3,
-		"verify-and-correct": 2.9e-5,
-	}
-	order := []string{"basic", "verify-only", "correct-only", "verify-and-correct"}
-	protocols := steane.StandardProtocols(code)
-	ctx := e.ctx()
-	jobs := make([]engine.Job[PrepErrorResult], len(order))
-	for i, name := range order {
-		name := name
-		p := protocols[name]
-		key := engine.Fingerprint("core.figure4", name, model, maxTrials, seed, "ci", epsilon, confidence)
-		jobs[i] = engine.Job[PrepErrorResult]{
-			Key: key,
-			Run: func(ctx context.Context, _ *rand.Rand) (PrepErrorResult, error) {
-				sim, err := noise.NewSimulator(code, p, model)
-				if err != nil {
-					return PrepErrorResult{}, err
-				}
-				sim.Sampling = noise.SamplingBitSliced
-				tgt := noise.Target{Epsilon: epsilon, Confidence: confidence, MaxTrials: maxTrials}
-				mc, converged, err := sim.MonteCarloTarget(ctx, e.Engine, tgt, seed, func(pe noise.Partial) {
-					e.Engine.PublishPartial(key, pe.Seq, PartialEstimate{
-						Experiment:        "fig4",
-						Protocol:          name,
-						Trials:            pe.Estimate.Trials,
-						UncorrectableRate: pe.Estimate.UncorrectableRate,
-						RelativeHalfWidth: pe.Relative,
-						Done:              pe.Done,
-					})
-				})
-				if err != nil {
-					return PrepErrorResult{}, err
-				}
-				return PrepErrorResult{
-					Name:       name,
-					PaperRate:  paperRates[name],
-					FirstOrder: sim.FirstOrder(),
-					MonteCarlo: mc,
-					Ops:        p.CountOps(),
-					Converged:  converged,
-				}, nil
-			},
-		}
-	}
-	return engine.Run(ctx, e.Engine, jobs)
+	return e.figure4(func(name string, model noise.Model) string {
+		return engine.Fingerprint("core.figure4", name, model, maxTrials, seed, "ci", epsilon, confidence)
+	}, func(ctx context.Context, sim *noise.Simulator, name, key string) (noise.Estimate, bool, error) {
+		sim.Sampling = noise.SamplingBitSliced
+		tgt := noise.Target{Epsilon: epsilon, Confidence: confidence, MaxTrials: maxTrials}
+		return sim.MonteCarloTarget(ctx, e.Engine, tgt, seed, func(pe noise.Partial) {
+			e.Engine.PublishPartial(key, pe.Seq, PartialEstimate{
+				Experiment:        "fig4",
+				Protocol:          name,
+				Trials:            pe.Estimate.Trials,
+				UncorrectableRate: pe.Estimate.UncorrectableRate,
+				RelativeHalfWidth: pe.Relative,
+				Done:              pe.Done,
+			})
+		})
+	})
 }
 
 // Figure7 computes the ancilla demand profiles of the three benchmarks, one

@@ -41,17 +41,17 @@ func TestLRUEvictsColdestKey(t *testing.T) {
 	eng.cachePut("a", 1)
 	eng.cachePut("b", 2)
 	// Touch a so b becomes the eviction candidate.
-	if _, ok := eng.cacheGet("a"); !ok {
+	if _, _, ok := eng.cacheGet("a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
 	eng.cachePut("c", 3)
-	if _, ok := eng.cacheGet("b"); ok {
+	if _, _, ok := eng.cacheGet("b"); ok {
 		t.Fatal("b survived eviction; want the LRU entry evicted")
 	}
-	if v, ok := eng.cacheGet("a"); !ok || v != 1 {
+	if v, _, ok := eng.cacheGet("a"); !ok || v != 1 {
 		t.Fatalf("a = %v, %v after eviction; want 1 (recently used)", v, ok)
 	}
-	if v, ok := eng.cacheGet("c"); !ok || v != 3 {
+	if v, _, ok := eng.cacheGet("c"); !ok || v != 3 {
 		t.Fatalf("c = %v, %v; want 3 (just inserted)", v, ok)
 	}
 }
@@ -65,10 +65,10 @@ func TestLRUUpdateMovesToFront(t *testing.T) {
 	eng.cachePut("b", 2)
 	eng.cachePut("a", 10) // refresh a; b is now LRU
 	eng.cachePut("c", 3)
-	if _, ok := eng.cacheGet("b"); ok {
+	if _, _, ok := eng.cacheGet("b"); ok {
 		t.Fatal("b survived; want it evicted as LRU")
 	}
-	if v, ok := eng.cacheGet("a"); !ok || v != 10 {
+	if v, _, ok := eng.cacheGet("a"); !ok || v != 10 {
 		t.Fatalf("a = %v, %v; want updated value 10", v, ok)
 	}
 }
@@ -135,7 +135,7 @@ func TestBackendPromotionDoesNotWriteBack(t *testing.T) {
 	backend.m["k"] = 7
 	eng := New(1)
 	eng.Backend = backend
-	if v, ok := eng.cacheGet("k"); !ok || v != 7 {
+	if v, _, ok := eng.cacheGet("k"); !ok || v != 7 {
 		t.Fatalf("cacheGet = %v, %v; want backend hit", v, ok)
 	}
 	if backend.puts.Load() != 0 {
@@ -171,10 +171,10 @@ func TestCacheHitAllocations(t *testing.T) {
 	eng.cachePut("a", 1)
 	eng.cachePut("b", 2)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := eng.cacheGet("a"); !ok {
+		if _, _, ok := eng.cacheGet("a"); !ok {
 			t.Fatal("unexpected miss")
 		}
-		if _, ok := eng.cacheGet("b"); !ok {
+		if _, _, ok := eng.cacheGet("b"); !ok {
 			t.Fatal("unexpected miss")
 		}
 	})

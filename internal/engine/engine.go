@@ -327,14 +327,10 @@ func (e *Engine) settleFlight(key string, f *flight, val any, err error) {
 	close(f.done)
 }
 
-func (e *Engine) cacheGet(key string) (any, bool) {
-	v, _, ok := e.cacheGetTier(key)
-	return v, ok
-}
-
-// cacheGetTier is cacheGet reporting which tier served the hit
-// ("cache-memory" or "cache-store" — the span outcome vocabulary).
-func (e *Engine) cacheGetTier(key string) (any, string, bool) {
+// cacheGet looks key up in the memory cache, then in the store, and reports
+// which tier served the hit ("cache-memory" or "cache-store" — the span
+// outcome vocabulary).
+func (e *Engine) cacheGet(key string) (any, string, bool) {
 	if e == nil {
 		return nil, "", false
 	}
@@ -507,7 +503,7 @@ func Run[R any](ctx context.Context, e *Engine, jobs []Job[R]) ([]R, error) {
 			job := jobs[i]
 			kind := kindOf(job.Key)
 			span := parentSpan.Child(kind)
-			if v, tier, ok := e.cacheGetTier(job.Key); ok {
+			if v, tier, ok := e.cacheGet(job.Key); ok {
 				if r, isR := v.(R); isR {
 					out[i] = r
 					span.EndWith(tier)

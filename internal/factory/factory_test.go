@@ -25,10 +25,7 @@ func TestSimpleZeroFactoryMatchesPaper(t *testing.T) {
 		t.Errorf("simple factory area = %v, want 90 macroblocks", f.Area())
 	}
 	// Replication: 10.5/ms needs about 10.5/3.1 * 90 ≈ 305 macroblocks.
-	approx(t, "simple factory area for 10.5/ms", float64(f.AreaForBandwidth(10.5)), 305, 5)
-	if f.AreaForBandwidth(0) != 0 {
-		t.Error("zero bandwidth needs zero area")
-	}
+	approx(t, "simple factory area for 10.5/ms", 10.5/f.ThroughputPerMs()*float64(f.Area()), 305, 5)
 }
 
 func TestZeroFactoryUnitLatenciesMatchTable5(t *testing.T) {

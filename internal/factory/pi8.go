@@ -73,7 +73,7 @@ func pi8UnitByName(name string) FunctionalUnit {
 // and the ~18.3 encoded π/8 ancillae per millisecond throughput.
 //
 // The factory consumes one encoded zero ancilla per produced π/8 ancilla;
-// that supply is accounted separately (Section 5.1, ZeroInputPerMs).
+// that supply is accounted separately (Section 5.1, Pi8SupplyArea).
 func Pi8Factory(tech iontrap.Technology) Design {
 	cat := pi8UnitByName("Cat State Prepare")
 	trans := pi8UnitByName("Transversal CX/CS/CZ/pi8")
@@ -118,10 +118,6 @@ func Pi8Factory(tech iontrap.Technology) Design {
 			decode.LatencyUs(tech) + hmz.LatencyUs(tech),
 	}
 }
-
-// ZeroInputPerMs is the encoded-zero ancilla bandwidth a π/8 factory consumes
-// when running at full throughput: one encoded zero per produced π/8 ancilla.
-func ZeroInputPerMs(pi8 Design) float64 { return pi8.ThroughputPerMs }
 
 // Pi8SupplyArea returns the total area needed to supply a π/8 ancilla
 // bandwidth: the π/8 encoding factories themselves plus the encoded-zero

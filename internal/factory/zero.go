@@ -49,16 +49,6 @@ func (f SimpleZeroFactory) ThroughputPerMs() float64 {
 // interleaved communication rows, 90 macroblocks in total (Figure 11).
 func (SimpleZeroFactory) Area() iontrap.Area { return 90 }
 
-// AreaForBandwidth returns the area of enough replicated simple factories to
-// sustain a bandwidth, allowing fractional replication.
-func (f SimpleZeroFactory) AreaForBandwidth(perMs float64) iontrap.Area {
-	tp := f.ThroughputPerMs()
-	if perMs <= 0 || tp <= 0 {
-		return 0
-	}
-	return iontrap.Area(perMs / tp * float64(f.Area()))
-}
-
 // ZeroFactoryUnits returns the five functional units of the pipelined
 // encoded-zero factory exactly as Table 5 defines them: symbolic latency,
 // internal pipeline stages, per-operation qubit flow, verification success,

@@ -165,8 +165,8 @@ func TestSearcherApproximatesSmallRotation(t *testing.T) {
 func TestSearcherSequenceMatricesConsistent(t *testing.T) {
 	s := newTestSearcher()
 	s.Build()
-	if s.StateCount() < 100 {
-		t.Fatalf("searcher enumerated only %d states", s.StateCount())
+	if len(s.states) < 100 {
+		t.Fatalf("searcher enumerated only %d states", len(s.states))
 	}
 	// Spot check: rebuild each sequence's matrix from its gate string.
 	checked := 0
@@ -190,38 +190,6 @@ func TestSearcherSequenceMatricesConsistent(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no sequences checked")
-	}
-}
-
-func TestCalibrateLengthModel(t *testing.T) {
-	s := NewSearcher(12)
-	s.MaxStates = 120000
-	// Calibrate against rotations far from any Clifford so the searcher has
-	// to trade gates for precision.
-	targets := []Unitary{Rz(0.7), Rz(1.1), Rz(2.0)}
-	m, err := s.CalibrateLengthModel(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.B <= 0 {
-		t.Errorf("length model slope %v should be positive (more precision needs more gates)", m.B)
-	}
-	if m.CalibrationPoints < 3 {
-		t.Errorf("too few calibration points: %d", m.CalibrationPoints)
-	}
-	// Lengths must be monotone in precision.
-	if m.Length(1e-2) > m.Length(1e-4) {
-		t.Error("higher precision should not need fewer gates")
-	}
-	if m.Length(1e-4) < 4 {
-		t.Errorf("1e-4 precision estimated at %d gates; implausibly small", m.Length(1e-4))
-	}
-}
-
-func TestCalibrateLengthModelErrors(t *testing.T) {
-	s := newTestSearcher()
-	if _, err := s.CalibrateLengthModel(nil); err == nil {
-		t.Error("calibration with no targets should fail")
 	}
 }
 
@@ -315,8 +283,8 @@ func TestSearcherWithNoCandidateWithinEps(t *testing.T) {
 	if seq.Error <= 0 {
 		t.Errorf("the fallback candidate must report its achieved error, got %v", seq.Error)
 	}
-	if s.StateCount() != 1 {
-		t.Errorf("state count = %d, want 1", s.StateCount())
+	if len(s.states) != 1 {
+		t.Errorf("state count = %d, want 1", len(s.states))
 	}
 }
 

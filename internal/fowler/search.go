@@ -3,7 +3,6 @@ package fowler
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sequence is an H/T gate string (most significant gate applied last), the
@@ -120,12 +119,6 @@ func allT(s string) bool {
 	return true
 }
 
-// StateCount returns the number of distinct states enumerated.
-func (s *Searcher) StateCount() int {
-	s.Build()
-	return len(s.states)
-}
-
 // Approximate returns the shortest enumerated H/T sequence within eps of the
 // target, or, if none reaches eps, the closest sequence found (with its
 // achieved error).  The boolean reports whether eps was met.
@@ -160,74 +153,12 @@ func (s *Searcher) ApproximateRz(k int, eps float64) (Sequence, bool) {
 	return s.Approximate(RzPiOver2k(k), eps)
 }
 
-// LengthModel is a calibrated log-linear model for the H/T sequence length
-// needed to reach a given precision: length ≈ A + B·ln(1/eps).  Fowler's
-// exhaustive search exhibits this scaling; the model lets benchmark circuit
-// generators cost rotations whose precision is beyond direct enumeration.
+// LengthModel is a log-linear model for the H/T sequence length needed to
+// reach a given precision: length ≈ A + B·ln(1/eps).  Fowler's exhaustive
+// search exhibits this scaling; the model lets benchmark circuit generators
+// cost rotations whose precision is beyond direct enumeration.
 type LengthModel struct {
 	A, B float64
-	// CalibrationPoints records the (error, length) pairs used for the fit.
-	CalibrationPoints int
-}
-
-// CalibrateLengthModel fits the model from the Pareto frontier (best error
-// per sequence length) of the searcher's state space against a set of target
-// rotations.
-func (s *Searcher) CalibrateLengthModel(targets []Unitary) (LengthModel, error) {
-	s.Build()
-	if len(targets) == 0 {
-		return LengthModel{}, fmt.Errorf("fowler: no calibration targets")
-	}
-	// For each target, compute best error achievable at each length.
-	type point struct{ lnInvErr, length float64 }
-	var pts []point
-	for _, target := range targets {
-		bestByLen := map[int]float64{}
-		for _, st := range s.states {
-			d := Distance(st.Matrix, target)
-			l := len(st.Gates)
-			if cur, ok := bestByLen[l]; !ok || d < cur {
-				bestByLen[l] = d
-			}
-		}
-		// Keep only lengths that improve on all shorter lengths (the Pareto
-		// frontier), ignoring exact hits (log blows up).
-		lengths := make([]int, 0, len(bestByLen))
-		for l := range bestByLen {
-			lengths = append(lengths, l)
-		}
-		sort.Ints(lengths)
-		bestSoFar := math.Inf(1)
-		for _, l := range lengths {
-			e := bestByLen[l]
-			// Skip the trivial empty sequence and exact hits (log blows up);
-			// only frontier points where extra gates bought extra precision
-			// carry information about the scaling.
-			if l >= 1 && e < bestSoFar && e > 1e-12 {
-				bestSoFar = e
-				pts = append(pts, point{lnInvErr: math.Log(1 / e), length: float64(l)})
-			}
-		}
-	}
-	if len(pts) < 2 {
-		return LengthModel{}, fmt.Errorf("fowler: not enough calibration points (%d)", len(pts))
-	}
-	// Least squares fit length = A + B*lnInvErr.
-	var sx, sy, sxx, sxy float64
-	for _, p := range pts {
-		sx += p.lnInvErr
-		sy += p.length
-		sxx += p.lnInvErr * p.lnInvErr
-		sxy += p.lnInvErr * p.length
-	}
-	n := float64(len(pts))
-	denom := n*sxx - sx*sx
-	if math.Abs(denom) < 1e-12 {
-		return LengthModel{}, fmt.Errorf("fowler: degenerate calibration data")
-	}
-	b := (n*sxy - sx*sy) / denom
-	a := (sy - b*sx) / n
-	return LengthModel{A: a, B: b, CalibrationPoints: len(pts)}, nil
 }
 
 // Length returns the estimated sequence length for a target precision.
@@ -243,8 +174,7 @@ func (m LengthModel) Length(eps float64) int {
 }
 
 // DefaultLengthModel returns a conservative model consistent with Fowler's
-// reported results (sequences of a few dozen gates for 1e-4 precision) used
-// when no calibration has been run.
+// reported results (sequences of a few dozen gates for 1e-4 precision).
 func DefaultLengthModel() LengthModel {
 	return LengthModel{A: 2.0, B: 4.5}
 }

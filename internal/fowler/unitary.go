@@ -1,7 +1,7 @@
 // Package fowler implements the fault-tolerant small-angle rotation machinery
 // of Section 2.5: exhaustive search over H/T gate sequences approximating
 // π/2^k rotations (Fowler's technique, reference [14] of the paper), a
-// calibrated sequence-length model for precisions beyond direct search, and
+// log-linear sequence-length model for precisions beyond direct search, and
 // the analysis of the exact recursive π/2^k cascade of Figure 6.
 package fowler
 
@@ -28,21 +28,6 @@ func HGate() Unitary {
 // TGate returns the π/8 gate: diag(1, exp(iπ/4)).
 func TGate() Unitary {
 	return Unitary{{1, 0}, {0, cmplx.Exp(complex(0, math.Pi/4))}}
-}
-
-// SGate returns the phase gate: diag(1, i).
-func SGate() Unitary {
-	return Unitary{{1, 0}, {0, complex(0, 1)}}
-}
-
-// XGate returns the Pauli X gate.
-func XGate() Unitary {
-	return Unitary{{0, 1}, {1, 0}}
-}
-
-// ZGate returns the Pauli Z gate.
-func ZGate() Unitary {
-	return Unitary{{1, 0}, {0, -1}}
 }
 
 // Rz returns a rotation about the Z axis by angle theta:
@@ -97,20 +82,6 @@ func Distance(a, b Unitary) float64 {
 		v = 0
 	}
 	return math.Sqrt(v)
-}
-
-// IsUnitary reports whether the matrix is unitary to within tol.
-func IsUnitary(a Unitary, tol float64) bool {
-	p := Mul(Dagger(a), a)
-	id := Identity()
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if cmplx.Abs(p[i][j]-id[i][j]) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // canonicalKey produces a dedup key for a unitary up to global phase, by

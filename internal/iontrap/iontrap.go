@@ -1,7 +1,8 @@
 // Package iontrap models the ion-trap technology abstraction used throughout
-// the paper (Section 4.1): physical operation latencies (Tables 1 and 4), the
-// macroblock building blocks of layouts (Figure 9), and symbolic latency
-// expressions that can be evaluated against any technology parameter set.
+// the paper (Section 4.1): physical operation latencies (Tables 1 and 4),
+// areas counted in macroblocks (the layout building blocks of Figure 9), and
+// symbolic latency expressions that can be evaluated against any technology
+// parameter set.
 //
 // All latencies are expressed in microseconds.  The paper presents most of
 // its results symbolically ("2×t2q + 4×tturn + ...") before substituting the
@@ -20,6 +21,10 @@ type Microseconds float64
 
 // Milliseconds converts a latency to milliseconds.
 func (m Microseconds) Milliseconds() float64 { return float64(m) / 1000.0 }
+
+// Area is a chip area measured in macroblocks.  The paper reports every area
+// this way because electrode structure is still evolving (Section 4.1).
+type Area float64
 
 // Op identifies a primitive physical operation whose latency is a technology
 // parameter.  These are exactly the rows of Tables 1 and 4 of the paper.
@@ -178,35 +183,6 @@ func (e LatencyExpr) Add(op Op, n int) LatencyExpr {
 	return e
 }
 
-// Plus returns the sum of two latency expressions without modifying either.
-func (e LatencyExpr) Plus(other LatencyExpr) LatencyExpr {
-	sum := NewLatencyExpr()
-	for op, n := range e.counts {
-		sum.counts[op] += n
-	}
-	for op, n := range other.counts {
-		sum.counts[op] += n
-	}
-	return sum
-}
-
-// Scale returns the expression multiplied by an integer factor.
-func (e LatencyExpr) Scale(k int) LatencyExpr {
-	out := NewLatencyExpr()
-	for op, n := range e.counts {
-		out.counts[op] = n * k
-	}
-	return out
-}
-
-// Count returns how many times op appears in the expression.
-func (e LatencyExpr) Count(op Op) int {
-	if e.counts == nil {
-		return 0
-	}
-	return e.counts[op]
-}
-
 // Eval evaluates the expression against a technology parameter set.
 func (e LatencyExpr) Eval(t Technology) Microseconds {
 	var total Microseconds
@@ -242,14 +218,4 @@ func (e LatencyExpr) String() string {
 		}
 	}
 	return strings.Join(parts, " + ")
-}
-
-// Equal reports whether two expressions have identical term counts.
-func (e LatencyExpr) Equal(other LatencyExpr) bool {
-	for _, op := range Ops() {
-		if e.Count(op) != other.Count(op) {
-			return false
-		}
-	}
-	return true
 }

@@ -122,35 +122,6 @@ func TestExprString(t *testing.T) {
 	}
 }
 
-func TestExprPlusScaleCount(t *testing.T) {
-	a := Expr(OpTwoQubitGate, 2, OpTurn, 1)
-	b := Expr(OpTwoQubitGate, 1, OpMeasure, 3)
-	sum := a.Plus(b)
-	if sum.Count(OpTwoQubitGate) != 3 || sum.Count(OpTurn) != 1 || sum.Count(OpMeasure) != 3 {
-		t.Errorf("Plus produced wrong counts: %s", sum)
-	}
-	// Plus must not mutate its operands.
-	if a.Count(OpTwoQubitGate) != 2 || b.Count(OpTwoQubitGate) != 1 {
-		t.Error("Plus mutated its operands")
-	}
-	scaled := a.Scale(3)
-	if scaled.Count(OpTwoQubitGate) != 6 || scaled.Count(OpTurn) != 3 {
-		t.Errorf("Scale produced wrong counts: %s", scaled)
-	}
-}
-
-func TestExprEqual(t *testing.T) {
-	a := Expr(OpTwoQubitGate, 2, OpTurn, 1)
-	b := Expr(OpTurn, 1, OpTwoQubitGate, 2)
-	if !a.Equal(b) {
-		t.Error("expressions with same terms should be equal")
-	}
-	c := Expr(OpTwoQubitGate, 2)
-	if a.Equal(c) {
-		t.Error("expressions with different terms should not be equal")
-	}
-}
-
 func TestExprPanicsOnBadArgs(t *testing.T) {
 	assertPanics := func(name string, f func()) {
 		t.Helper()
@@ -176,13 +147,15 @@ func TestMicrosecondsMilliseconds(t *testing.T) {
 	}
 }
 
-// Property: evaluating a sum of expressions equals the sum of evaluations.
+// Property: evaluating the union of two expressions' terms equals the sum
+// of their evaluations.
 func TestExprLinearityProperty(t *testing.T) {
 	tech := Default()
 	f := func(a1, a2, b1, b2 uint8) bool {
 		x := Expr(OpTwoQubitGate, int(a1%16), OpTurn, int(a2%16))
 		y := Expr(OpMeasure, int(b1%16), OpStraightMove, int(b2%16))
-		lhs := x.Plus(y).Eval(tech)
+		sum := Expr(OpTwoQubitGate, int(a1%16), OpTurn, int(a2%16), OpMeasure, int(b1%16), OpStraightMove, int(b2%16))
+		lhs := sum.Eval(tech)
 		rhs := x.Eval(tech) + y.Eval(tech)
 		return math.Abs(float64(lhs-rhs)) < 1e-9
 	}
@@ -191,125 +164,15 @@ func TestExprLinearityProperty(t *testing.T) {
 	}
 }
 
-// Property: scaling an expression by k multiplies its evaluation by k.
+// Property: multiplying every term count by k multiplies the evaluation by k.
 func TestExprScaleProperty(t *testing.T) {
 	tech := Default()
 	f := func(n1, n2, k uint8) bool {
 		x := Expr(OpTwoQubitGate, int(n1%16), OpZeroPrep, int(n2%16))
 		kk := int(k % 8)
-		lhs := x.Scale(kk).Eval(tech)
+		lhs := Expr(OpTwoQubitGate, kk*int(n1%16), OpZeroPrep, kk*int(n2%16)).Eval(tech)
 		rhs := Microseconds(float64(kk) * float64(x.Eval(tech)))
 		return math.Abs(float64(lhs-rhs)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMacroblockKindProperties(t *testing.T) {
-	if !DeadEndGate.HasGateLocation() || !StraightChannelGate.HasGateLocation() {
-		t.Error("gate macroblocks must have gate locations")
-	}
-	for _, k := range []MacroblockKind{StraightChannel, Turn, ThreeWayIntersection, FourWayIntersection} {
-		if k.HasGateLocation() {
-			t.Errorf("%s should not have a gate location", k)
-		}
-	}
-	wantPorts := map[MacroblockKind]int{
-		DeadEndGate:          1,
-		StraightChannelGate:  2,
-		StraightChannel:      2,
-		Turn:                 2,
-		ThreeWayIntersection: 3,
-		FourWayIntersection:  4,
-	}
-	for k, w := range wantPorts {
-		if got := k.Ports(); got != w {
-			t.Errorf("%s.Ports() = %d, want %d", k, got, w)
-		}
-	}
-	if MacroblockKind(42).Ports() != 0 {
-		t.Error("unknown macroblock kind should have 0 ports")
-	}
-	if MacroblockKind(42).String() != "macroblock(42)" {
-		t.Error("unknown macroblock kind string")
-	}
-}
-
-func TestMacroblockKindsStable(t *testing.T) {
-	kinds := MacroblockKinds()
-	if len(kinds) != 6 {
-		t.Fatalf("expected 6 macroblock kinds, got %d", len(kinds))
-	}
-	seen := map[MacroblockKind]bool{}
-	for _, k := range kinds {
-		if seen[k] {
-			t.Errorf("duplicate kind %s", k)
-		}
-		seen[k] = true
-	}
-}
-
-func TestColumnLayout(t *testing.T) {
-	// The data qubit region of Figure 10: a single column of straight
-	// channel gate macroblocks, 7 for the [[7,1,3]] code.
-	l := NewColumnLayout("data qubit", StraightChannelGate, 7)
-	if l.Area() != 7 {
-		t.Errorf("column layout area = %v, want 7", l.Area())
-	}
-	if l.GateLocations() != 7 {
-		t.Errorf("gate locations = %d, want 7", l.GateLocations())
-	}
-	rows, cols := l.Bounds()
-	if rows != 7 || cols != 1 {
-		t.Errorf("bounds = (%d,%d), want (7,1)", rows, cols)
-	}
-}
-
-func TestGridLayout(t *testing.T) {
-	l := NewGridLayout("grid", 3, 4, func(r, c int) MacroblockKind {
-		if c == 0 {
-			return StraightChannel
-		}
-		return StraightChannelGate
-	})
-	if l.Area() != 12 {
-		t.Errorf("grid area = %v, want 12", l.Area())
-	}
-	if l.GateLocations() != 9 {
-		t.Errorf("grid gate locations = %d, want 9", l.GateLocations())
-	}
-	rows, cols := l.Bounds()
-	if rows != 3 || cols != 4 {
-		t.Errorf("bounds = (%d,%d), want (3,4)", rows, cols)
-	}
-	// nil kindAt defaults to straight channel gates everywhere.
-	l2 := NewGridLayout("default", 2, 2, nil)
-	if l2.GateLocations() != 4 {
-		t.Errorf("default grid gate locations = %d, want 4", l2.GateLocations())
-	}
-}
-
-func TestMovePathLatency(t *testing.T) {
-	p := MovePath{Straights: 30, Turns: 8}
-	tech := Default()
-	if got := p.Eval(tech); got != 110 {
-		t.Errorf("move path latency = %v, want 110", got)
-	}
-	e := p.Latency()
-	if e.Count(OpStraightMove) != 30 || e.Count(OpTurn) != 8 {
-		t.Errorf("move path expression has wrong counts: %s", e)
-	}
-}
-
-// Property: a layout's area always equals its macroblock count and gate
-// locations never exceed the area.
-func TestLayoutAreaProperty(t *testing.T) {
-	f := func(rows, cols uint8) bool {
-		r := int(rows%12) + 1
-		c := int(cols%12) + 1
-		l := NewGridLayout("p", r, c, nil)
-		return l.Area() == Area(r*c) && l.GateLocations() <= r*c
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -139,11 +139,6 @@ func (t Tile) ZeroBandwidthPerMs() float64 {
 	return net
 }
 
-// Pi8BandwidthPerMs is the tile's aggregate encoded-π/8 production rate.
-func (t Tile) Pi8BandwidthPerMs() float64 {
-	return float64(t.Pi8Factories) * t.Pi8Design.ThroughputPerMs
-}
-
 // PlanTile sizes one Qalypso tile for a region of dataQubits encoded qubits
 // that must be fed zeroPerMs encoded zero ancillae and pi8PerMs encoded π/8
 // ancillae: enough π/8 factories for the π/8 demand and enough zero factories
@@ -247,24 +242,6 @@ func (q Qalypso) TotalArea() iontrap.Area {
 	return a
 }
 
-// DataArea is the total data-region area across tiles.
-func (q Qalypso) DataArea() iontrap.Area {
-	var a iontrap.Area
-	for _, t := range q.Tiles {
-		a += t.DataArea()
-	}
-	return a
-}
-
-// FactoryArea is the total factory area across tiles.
-func (q Qalypso) FactoryArea() iontrap.Area {
-	var a iontrap.Area
-	for _, t := range q.Tiles {
-		a += t.FactoryArea()
-	}
-	return a
-}
-
 // ZeroBandwidthPerMs is the chip-wide net encoded-zero production rate.
 func (q Qalypso) ZeroBandwidthPerMs() float64 {
 	total := 0.0
@@ -273,9 +250,6 @@ func (q Qalypso) ZeroBandwidthPerMs() float64 {
 	}
 	return total
 }
-
-// MeshDims returns the near-square mesh arrangement of the machine's tiles.
-func (q Qalypso) MeshDims() (cols, rows int) { return MeshDims(len(q.Tiles)) }
 
 // LinkEPRPerMs derives the EPR-pair distribution bandwidth of one inter-tile
 // link from the machine's geometry: each of the LinkPorts channel ports along
@@ -286,13 +260,4 @@ func (q Qalypso) LinkEPRPerMs() float64 {
 		return 0
 	}
 	return float64(q.Tiles[0].LinkPorts()) * 1000.0 / float64(q.Movement.TeleportUs)
-}
-
-// Pi8BandwidthPerMs is the chip-wide encoded-π/8 production rate.
-func (q Qalypso) Pi8BandwidthPerMs() float64 {
-	total := 0.0
-	for _, t := range q.Tiles {
-		total += t.Pi8BandwidthPerMs()
-	}
-	return total
 }

@@ -56,6 +56,16 @@ func TestMovementModelValidate(t *testing.T) {
 	}
 }
 
+// pi8BandwidthPerMs is the encoded-π/8 production rate of the tiles, every
+// π/8 factory at its design throughput.
+func pi8BandwidthPerMs(tiles ...Tile) float64 {
+	total := 0.0
+	for _, t := range tiles {
+		total += float64(t.Pi8Factories) * t.Pi8Design.ThroughputPerMs
+	}
+	return total
+}
+
 func TestPlanTile(t *testing.T) {
 	tech := iontrap.Default()
 	tile, err := PlanTile(tech, 32, 36.8, 8.6)
@@ -83,8 +93,8 @@ func TestPlanTile(t *testing.T) {
 	if tile.ZeroBandwidthPerMs() <= 30 || tile.ZeroBandwidthPerMs() >= 5*10.6 {
 		t.Errorf("net zero bandwidth = %v", tile.ZeroBandwidthPerMs())
 	}
-	if math.Abs(tile.Pi8BandwidthPerMs()-18.3) > 0.2 {
-		t.Errorf("π/8 bandwidth = %v, want one factory's 18.3", tile.Pi8BandwidthPerMs())
+	if bw := pi8BandwidthPerMs(tile); math.Abs(bw-18.3) > 0.2 {
+		t.Errorf("π/8 bandwidth = %v, want one factory's 18.3", bw)
 	}
 	// The factory area dominates the data area, the paper's headline
 	// observation (Table 9, Figure 14c).
@@ -119,18 +129,23 @@ func TestPlanQalypso(t *testing.T) {
 	if totalQubits != 97 {
 		t.Errorf("tiles hold %d qubits, want 97", totalQubits)
 	}
-	if q.DataArea() != DataRegionArea(97) {
-		t.Errorf("data area = %v, want %v", q.DataArea(), DataRegionArea(97))
+	var dataArea, factoryArea iontrap.Area
+	for _, tile := range q.Tiles {
+		dataArea += tile.DataArea()
+		factoryArea += tile.FactoryArea()
 	}
-	if q.TotalArea() != q.DataArea()+q.FactoryArea() {
+	if dataArea != DataRegionArea(97) {
+		t.Errorf("data area = %v, want %v", dataArea, DataRegionArea(97))
+	}
+	if q.TotalArea() != dataArea+factoryArea {
 		t.Error("total area mismatch")
 	}
 	// Provisioned bandwidth must cover the demand.
 	if q.ZeroBandwidthPerMs() < 34.8 {
 		t.Errorf("net zero bandwidth %v does not cover the 34.8/ms demand", q.ZeroBandwidthPerMs())
 	}
-	if q.Pi8BandwidthPerMs() < 7.0 {
-		t.Errorf("π/8 bandwidth %v does not cover the 7.0/ms demand", q.Pi8BandwidthPerMs())
+	if bw := pi8BandwidthPerMs(q.Tiles...); bw < 7.0 {
+		t.Errorf("π/8 bandwidth %v does not cover the 7.0/ms demand", bw)
 	}
 	if err := q.Movement.Validate(); err != nil {
 		t.Error(err)
@@ -161,7 +176,7 @@ func TestQalypsoProvisioningProperty(t *testing.T) {
 		if q.ZeroBandwidthPerMs() < zero-1e-9 {
 			return false
 		}
-		if q.Pi8BandwidthPerMs() < pi8-1e-9 {
+		if pi8BandwidthPerMs(q.Tiles...) < pi8-1e-9 {
 			return false
 		}
 		bigger, err := PlanQalypso(tech, 64, 16, zero*2, pi8)
@@ -217,7 +232,7 @@ func TestPlanTileSingleQubitZeroDemand(t *testing.T) {
 	if tile.TotalArea() != tile.DataArea() {
 		t.Errorf("a factory-less tile is all data: total %v, data %v", tile.TotalArea(), tile.DataArea())
 	}
-	if tile.ZeroBandwidthPerMs() != 0 || tile.Pi8BandwidthPerMs() != 0 {
+	if tile.ZeroBandwidthPerMs() != 0 || pi8BandwidthPerMs(tile) != 0 {
 		t.Errorf("no factories, no bandwidth: %+v", tile)
 	}
 }
@@ -279,10 +294,6 @@ func TestLinkPortsAndEPRBandwidth(t *testing.T) {
 	q, err := PlanQalypso(tech, 64, 32, 200, 20)
 	if err != nil {
 		t.Fatal(err)
-	}
-	cols, rows := q.MeshDims()
-	if wc, wr := MeshDims(len(q.Tiles)); cols != wc || rows != wr {
-		t.Errorf("Qalypso.MeshDims = (%d, %d), want (%d, %d)", cols, rows, wc, wr)
 	}
 	// One pair per teleport latency per edge port.
 	want := float64(q.Tiles[0].LinkPorts()) * 1000.0 / float64(q.Movement.TeleportUs)

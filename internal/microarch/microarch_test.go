@@ -262,10 +262,7 @@ func TestFigure15Shape(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	c := benchmarkCircuit(t, circuits.QRCA, 4)
-	if _, err := SweepEngine(context.Background(), nil, c, DefaultConfig(FullyMultiplexed), nil); err == nil {
-		t.Error("empty sweep should fail")
-	}
-	if _, err := SweepEngine(context.Background(), nil, c, DefaultConfig(FullyMultiplexed), []int{0}); err == nil {
+	if _, err := engine.Run(context.Background(), nil, scaleJobs(c, DefaultConfig(FullyMultiplexed), []int{0})); err == nil {
 		t.Error("non-positive scale should fail")
 	}
 	bad := DefaultConfig(QLA)
@@ -392,7 +389,8 @@ func TestSweepEngineCancellation(t *testing.T) {
 	c := benchmarkCircuit(t, circuits.QRCA, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SweepEngine(ctx, engine.New(2), c, DefaultConfig(FullyMultiplexed), DefaultScales(16)); err == nil {
+	cfg := Figure15Config{Base: DefaultConfig(FullyMultiplexed), MaxScale: 16}
+	if _, err := Figure15Engine(ctx, engine.New(2), c, cfg); err == nil {
 		t.Error("cancelled sweep must report the context error")
 	}
 }

@@ -33,24 +33,6 @@ type Curve struct {
 	Points []CurvePoint
 }
 
-// SweepEngine simulates the circuit at each resource scale for one
-// architecture and returns the resulting curve, one engine job per scale (a
-// nil engine runs them sequentially).  For QLA/GQLA and CQLA/GCQLA the scale
-// is the number of generators per data qubit (or cache slot); for
-// Fully-Multiplexed it is the number of shared pipelined factories.
-func SweepEngine(ctx context.Context, eng *engine.Engine, c *quantum.Circuit, base Config, scales []int) (Curve, error) {
-	if len(scales) == 0 {
-		return Curve{}, fmt.Errorf("microarch: no scales to sweep")
-	}
-	points, err := engine.Run(ctx, eng, scaleJobs(c, base, scales))
-	if err != nil {
-		return Curve{}, err
-	}
-	curve := Curve{Arch: base.Arch, Points: points}
-	sortCurve(&curve)
-	return curve, nil
-}
-
 // scaleJobs expands one architecture's scale list into engine jobs, each
 // simulating the circuit at one resource scale.
 func scaleJobs(c *quantum.Circuit, base Config, scales []int) []engine.Job[CurvePoint] {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"speedofdata/internal/engine"
-	"speedofdata/internal/noise/stattest"
 	"speedofdata/internal/steane"
 )
 
@@ -32,11 +31,11 @@ func TestBitSlicedMatchesDenseWithinStatistics(t *testing.T) {
 			}{
 				{"uncorrectable", d.UncorrectableRate, b.UncorrectableRate, d.StdErr, b.StdErr},
 				{"residual", d.ResidualRate, b.ResidualRate,
-					stattest.BinomialSE(d.ResidualRate, trials), stattest.BinomialSE(b.ResidualRate, trials)},
+					binomialSE(d.ResidualRate, trials), binomialSE(b.ResidualRate, trials)},
 				{"reject", d.RejectRate, b.RejectRate,
-					stattest.BinomialSE(d.RejectRate, trials), stattest.BinomialSE(b.RejectRate, trials)},
+					binomialSE(d.RejectRate, trials), binomialSE(b.RejectRate, trials)},
 			} {
-				if err := stattest.Compatible(name+" "+c.what, c.sv, c.se, c.dv, c.de, 3); err != nil {
+				if err := compatible(name+" "+c.what, c.sv, c.se, c.dv, c.de, 3); err != nil {
 					t.Errorf("bitsliced vs dense %v", err)
 				}
 			}
@@ -53,7 +52,7 @@ func TestBitSlicedConsistentWithFirstOrder(t *testing.T) {
 	s.Sampling = SamplingBitSliced
 	fo := s.FirstOrder()
 	mc := s.MonteCarlo(400000, 42)
-	if err := stattest.CompatibleOneSided("basic uncorrectable", mc.UncorrectableRate, mc.StdErr,
+	if err := compatibleOneSided("basic uncorrectable", mc.UncorrectableRate, mc.StdErr,
 		fo.UncorrectableRate, 4, 0.3); err != nil {
 		t.Errorf("bitsliced vs first-order %v", err)
 	}

@@ -5,15 +5,18 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"speedofdata/internal/steane"
 )
 
 // This file compiles a (steane.Protocol, Model) pair into a flat trial
-// program — the Monte Carlo hot path.  The interpreter in runTrial walks the
-// protocol's op list through an injector interface, allocates a measFlips
-// slice per trial and re-derives each location's error probability and fault
-// choices on every visit.  The compiled form precomputes all of that once:
+// program, the only form in which a protocol runs outside the tests: the
+// Monte Carlo hot path, the first-order enumeration and the clean outcome.
+// The op-list interpreter kept in compile_test.go as the oracle walks the
+// protocol through an injector interface, allocates a measFlips slice per
+// trial and re-derives each location's error probability and fault choices
+// on every visit.  The compiled form precomputes all of that once:
 //
 //   - one dense instruction per physical operation, with the location's
 //     fault decision precompiled to a single integer compare against the raw
@@ -27,7 +30,11 @@ import (
 //
 // The dense executor consumes random values in exactly the order the
 // interpreter does, so its estimates are byte-identical for the same seed
-// (golden-tested).  The sparse executor gives up that equivalence for speed:
+// (golden-tested).  A quiet copy of the program, with every fault threshold
+// disabled so that execDense draws nothing, runs one prescribed fault at a
+// time (forced): FirstOrder enumerates single faults on it and the clean
+// outcome is its fault-free run.  The sparse executor gives up the
+// interpreter's stream order for speed:
 // it samples the set of faulty locations directly (geometric skips within
 // groups of equal-probability locations), short-circuits fault-free trials
 // to the precomputed clean outcome, and starts execution at the first faulty
@@ -94,7 +101,7 @@ type probClass struct {
 // compile and safe for concurrent executors.
 type trialProgram struct {
 	ops         []pinstr
-	nStatic     int // static error locations (== Simulator.locationCount)
+	nStatic     int // static error locations (== the interpreter's locationCount)
 	measWords   int
 	verifyMasks [][]uint64
 	corrects    []correctData
@@ -110,6 +117,9 @@ type trialProgram struct {
 	// location order (-1 = never faults, no draw), the scan loop's table.
 	vthreshByLoc []int64
 	clean        TrialResult // outcome of a fault-free run
+	// quiet is this program with every fault threshold at -1: execDense
+	// on it draws nothing, so forced trials are deterministic.
+	quiet *trialProgram
 }
 
 // choicesByKind caches FaultChoices per location kind so the executors index
@@ -264,8 +274,59 @@ func compileProgram(code steane.Code, p *steane.Protocol, m Model) *trialProgram
 			prog.outcome[x<<steane.N|z] = f
 		}
 	}
-	prog.clean = (&Simulator{Code: code, Protocol: p, Model: m}).runTrial(&singleFaultInjector{loc: -1})
+	quiet := *prog
+	quiet.ops = slices.Clone(prog.ops)
+	for i := range quiet.ops {
+		quiet.ops[i].vthresh = -1
+	}
+	quiet.moveVThresh, quiet.corrVThresh = -1, -1
+	prog.quiet = &quiet
+	prog.clean = prog.forced(-1, Fault{})
 	return prog
+}
+
+// forced runs one trial whose only fault is choice f at static location loc
+// (no fault at all when loc < 0), on the quiet program.  Everything before
+// loc is clean (transforms on an empty frame are no-ops, measurements record
+// zeros, verifies pass and corrections do nothing), so the trial starts at
+// loc's instruction with f injected where execDense would have drawn it,
+// and execDense finishes it.
+func (p *trialProgram) forced(loc int, f Fault) TrialResult {
+	q := p.quiet
+	var rng lfRand // never read: no threshold of q admits a draw
+	meas := make([]uint64, q.measWords)
+	if loc < 0 {
+		return q.execDense(&rng, meas, 0, 0, 0)
+	}
+	ii := int(q.locInstr[loc])
+	in := &q.ops[ii]
+	var x, z uint64
+	if in.op == cMeasZ || in.op == cMeasX {
+		// The clean outcome is 0; a measurement fault flips it.
+		if f.FlipOutcome {
+			meas[in.meas>>6] |= 1 << (in.meas & 63)
+		}
+		return q.execDense(&rng, meas, ii+1, x, z)
+	}
+	// The first Pauli lands on q0 (on q1 for the odd moves of a run), the
+	// second, which only two-qubit gates have, on q1.
+	b := uint64(1) << in.q0
+	if in.op == cMoveRun && (loc-int(in.loc))&1 == 1 {
+		b = uint64(1) << in.q1
+	}
+	if f.First.HasX() {
+		x ^= b
+	}
+	if f.First.HasZ() {
+		z ^= b
+	}
+	if f.Second.HasX() {
+		x ^= 1 << in.q1
+	}
+	if f.Second.HasZ() {
+		z ^= 1 << in.q1
+	}
+	return q.execDense(&rng, meas, ii+1, x, z)
 }
 
 // addToClass registers k consecutive static locations starting at base with
@@ -414,21 +475,10 @@ func (p *trialProgram) injectMove(rng *lfRand, in *pinstr, j int, x, z uint64) (
 	return x, z
 }
 
-// runDense executes one full trial through the op interpreter, drawing
-// random values in exactly the order runTrial with randomInjector does.
-// meas must have p.measWords capacity; it is zeroed here.  The chunk
-// executor prefers scanToFault + runDenseFrom (same stream, same results);
-// this entry is the oracle used by unit tests.
-func (p *trialProgram) runDense(rng *lfRand, meas []uint64) TrialResult {
-	for i := range meas {
-		meas[i] = 0
-	}
-	return p.execDense(rng, meas, 0, 0, 0)
-}
-
 // execDense interprets ops[startII:] with the given initial frame, drawing
 // value and choice draws in interpreter order.  The loop performs zero heap
-// allocations (guarded by TestRunDenseAllocations).
+// allocations (guarded by TestRunDenseAllocations).  meas holds the
+// measurement flips recorded so far.
 //
 // The per-location fault draw sits below the op switch: frame transforms
 // consume no randomness, so drawing after them leaves the value stream

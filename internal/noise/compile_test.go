@@ -2,18 +2,355 @@ package noise
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"speedofdata/internal/engine"
-	"speedofdata/internal/noise/stattest"
 	"speedofdata/internal/steane"
 )
 
+// allProtocols is the four Figure 4 protocols plus allOpsProtocol, so that
+// the parity and statistics tests reach every arm of every executor.
 func allProtocols(code steane.Code) map[string]*steane.Protocol {
 	ps := steane.StandardProtocols(code)
-	ps["pi8"] = steane.Pi8AncillaProtocol(code)
+	ps["all-ops"] = allOpsProtocol(code)
 	return ps
+}
+
+// allOpsProtocol uses every op kind: three encoded zeros (prep, H, CX), S, T,
+// X and Z on the output block and a CZ inside it, a cat-state verification
+// (MeasureZ, Verify), then a bit correction (MeasureZ, CorrectX) and a phase
+// correction (MeasureX, CorrectZ) of the output block by the other two.  The
+// gates sit where errors from the encoders reach them, so faults propagate
+// through every frame transform.
+func allOpsProtocol(code steane.Code) *steane.Protocol {
+	const n = steane.N
+	p := steane.NewProtocol("all-ops test protocol", 3*n+3)
+	var blocks [3][]int
+	for b := range blocks {
+		for i := 0; i < n; i++ {
+			blocks[b] = append(blocks[b], b*n+i)
+		}
+		for _, q := range blocks[b] {
+			p.Op(steane.OpPrepZero, q)
+		}
+		for _, row := range code.EncodingPivots() {
+			p.Op(steane.OpH, blocks[b][row.Pivot])
+		}
+		for _, row := range code.EncodingPivots() {
+			for _, target := range row.Targets {
+				p.Op(steane.OpCX, blocks[b][row.Pivot], blocks[b][target])
+			}
+		}
+	}
+	out, bit, phase := blocks[0], blocks[1], blocks[2]
+	p.Op(steane.OpS, out[6])
+	p.Op(steane.OpT, out[5])
+	p.Op(steane.OpX, out[4])
+	p.Op(steane.OpZ, out[2])
+	p.Op(steane.OpCZ, out[6], out[0])
+
+	cat := []int{3 * n, 3*n + 1, 3*n + 2}
+	for _, q := range cat {
+		p.Op(steane.OpPrepZero, q)
+	}
+	p.Op(steane.OpH, cat[0])
+	p.Op(steane.OpCX, cat[0], cat[1])
+	p.Op(steane.OpCX, cat[1], cat[2])
+	for i, q := range code.VerificationSupport() {
+		p.Op(steane.OpCX, out[q], cat[i])
+	}
+	var verify []int
+	for _, q := range cat {
+		verify = append(verify, p.Measure(steane.OpMeasureZ, q))
+	}
+	p.Verify(verify...)
+
+	var bitIDs, phaseIDs []int
+	for i := 0; i < n; i++ {
+		p.Op(steane.OpH, bit[i])
+		p.Op(steane.OpCX, out[i], bit[i])
+	}
+	for i := 0; i < n; i++ {
+		bitIDs = append(bitIDs, p.Measure(steane.OpMeasureZ, bit[i]))
+	}
+	p.Correct(steane.OpCorrectX, out, bitIDs)
+	for i := 0; i < n; i++ {
+		p.Op(steane.OpCX, phase[i], out[i])
+	}
+	for i := 0; i < n; i++ {
+		phaseIDs = append(phaseIDs, p.Measure(steane.OpMeasureX, phase[i]))
+	}
+	p.Correct(steane.OpCorrectZ, out, phaseIDs)
+	copy(p.OutputBlock[:], out)
+	return p
+}
+
+// The op-list interpreter below is the oracle of the compiled program: the
+// dense executor must match its Monte Carlo chunks byte for byte, and
+// FirstOrder and the clean outcome must match its single-fault runs.
+
+// injector decides which fault (if any) occurs at each error location of a
+// protocol run.  Location indices are assigned in execution order and are
+// stable across runs of the same protocol and model.
+type injector interface {
+	faultAt(loc int, kind LocationKind) Fault
+}
+
+// singleFaultInjector injects exactly one prescribed fault at one location,
+// used by the deterministic first-order enumeration.
+type singleFaultInjector struct {
+	loc   int
+	fault Fault
+}
+
+func (s *singleFaultInjector) faultAt(loc int, _ LocationKind) Fault {
+	if loc == s.loc {
+		return s.fault
+	}
+	return Fault{}
+}
+
+// frame is the Pauli frame of a run: X and Z error bitmasks over the
+// protocol's physical qubits, plus recorded measurement-outcome flips.
+type frame struct {
+	x, z      uint64
+	measFlips []bool
+}
+
+func (f *frame) hasX(q int) bool { return f.x&(1<<uint(q)) != 0 }
+func (f *frame) hasZ(q int) bool { return f.z&(1<<uint(q)) != 0 }
+func (f *frame) flipX(q int)     { f.x ^= 1 << uint(q) }
+func (f *frame) flipZ(q int)     { f.z ^= 1 << uint(q) }
+func (f *frame) clear(q int) {
+	f.x &^= 1 << uint(q)
+	f.z &^= 1 << uint(q)
+}
+
+func (f *frame) inject(q int, p PauliError) {
+	if p.HasX() {
+		f.flipX(q)
+	}
+	if p.HasZ() {
+		f.flipZ(q)
+	}
+}
+
+// runTrial executes the protocol once with the given fault injector and
+// returns the outcome.  The trial propagates errors through every physical
+// operation, honours verification rejections, and applies the
+// classically-controlled corrections exactly as hardware would (including
+// mis-corrections caused by errors on the measured ancilla block).
+func (s *Simulator) runTrial(inj injector) TrialResult {
+	fr := frame{measFlips: make([]bool, s.Protocol.NumMeasurements())}
+	loc := 0
+	rejected := false
+
+	for _, op := range s.Protocol.Ops {
+		switch op.Kind {
+		case steane.OpPrepZero:
+			q := op.Qubits[0]
+			fr.clear(q)
+			f := inj.faultAt(loc, LocPrep)
+			loc++
+			fr.inject(q, f.First)
+
+		case steane.OpH:
+			q := op.Qubits[0]
+			// H exchanges X and Z errors.
+			x, z := fr.hasX(q), fr.hasZ(q)
+			if x != z {
+				fr.flipX(q)
+				fr.flipZ(q)
+			}
+			f := inj.faultAt(loc, LocOneQubit)
+			loc++
+			fr.inject(q, f.First)
+
+		case steane.OpS, steane.OpT:
+			q := op.Qubits[0]
+			// S maps X to Y (adds a Z component when an X error is present).
+			// T is treated the same way under the Pauli-twirl approximation.
+			if op.Kind == steane.OpS && fr.hasX(q) {
+				fr.flipZ(q)
+			}
+			f := inj.faultAt(loc, LocOneQubit)
+			loc++
+			fr.inject(q, f.First)
+
+		case steane.OpX, steane.OpZ:
+			// Pauli gates commute or anticommute with the frame; they do not
+			// change which errors are present.
+			f := inj.faultAt(loc, LocOneQubit)
+			loc++
+			fr.inject(op.Qubits[0], f.First)
+
+		case steane.OpCX:
+			c, t := op.Qubits[0], op.Qubits[1]
+			// Movement to bring the two qubits together.
+			for i := 0; i < s.Model.MovementOpsPerTwoQubitGate; i++ {
+				mf := inj.faultAt(loc, LocMove)
+				loc++
+				if i%2 == 0 {
+					fr.inject(c, mf.First)
+				} else {
+					fr.inject(t, mf.First)
+				}
+			}
+			// CX propagates X from control to target and Z from target to control.
+			if fr.hasX(c) {
+				fr.flipX(t)
+			}
+			if fr.hasZ(t) {
+				fr.flipZ(c)
+			}
+			f := inj.faultAt(loc, LocTwoQubit)
+			loc++
+			fr.inject(c, f.First)
+			fr.inject(t, f.Second)
+
+		case steane.OpCZ:
+			a, b := op.Qubits[0], op.Qubits[1]
+			for i := 0; i < s.Model.MovementOpsPerTwoQubitGate; i++ {
+				mf := inj.faultAt(loc, LocMove)
+				loc++
+				if i%2 == 0 {
+					fr.inject(a, mf.First)
+				} else {
+					fr.inject(b, mf.First)
+				}
+			}
+			// CZ propagates X on either qubit into a Z on the other.
+			if fr.hasX(a) {
+				fr.flipZ(b)
+			}
+			if fr.hasX(b) {
+				fr.flipZ(a)
+			}
+			f := inj.faultAt(loc, LocTwoQubit)
+			loc++
+			fr.inject(a, f.First)
+			fr.inject(b, f.Second)
+
+		case steane.OpMeasureZ, steane.OpMeasureX:
+			q := op.Qubits[0]
+			flipped := false
+			if op.Kind == steane.OpMeasureZ {
+				flipped = fr.hasX(q)
+			} else {
+				flipped = fr.hasZ(q)
+			}
+			f := inj.faultAt(loc, LocMeasure)
+			loc++
+			if f.FlipOutcome {
+				flipped = !flipped
+			}
+			fr.measFlips[op.MeasID] = flipped
+			// The measured qubit is recycled; its frame no longer matters.
+			fr.clear(q)
+
+		case steane.OpVerify:
+			parity := false
+			for _, id := range op.MeasIDs {
+				if fr.measFlips[id] {
+					parity = !parity
+				}
+			}
+			if parity {
+				rejected = true
+			}
+
+		case steane.OpCorrectX, steane.OpCorrectZ:
+			var syndromePattern uint8
+			for i, id := range op.MeasIDs {
+				if fr.measFlips[id] {
+					syndromePattern |= 1 << uint(i)
+				}
+			}
+			correction := s.Code.CorrectionFor(s.Code.Syndrome(syndromePattern))
+			for i := 0; i < steane.N; i++ {
+				if correction&(1<<uint(i)) == 0 {
+					continue
+				}
+				q := op.Qubits[i]
+				if op.Kind == steane.OpCorrectX {
+					fr.flipX(q)
+				} else {
+					fr.flipZ(q)
+				}
+				// The applied correction is itself a physical gate and can fail.
+				f := inj.faultAt(loc, LocOneQubit)
+				loc++
+				fr.inject(q, f.First)
+			}
+
+		default:
+			panic(fmt.Sprintf("noise: unhandled protocol op %v", op.Kind))
+		}
+	}
+
+	var xOut, zOut uint8
+	for i, q := range s.Protocol.OutputBlock {
+		if fr.hasX(q) {
+			xOut |= 1 << uint(i)
+		}
+		if fr.hasZ(q) {
+			zOut |= 1 << uint(i)
+		}
+	}
+	return TrialResult{
+		Rejected: rejected,
+		// The output is an encoded |0> ancilla: only a surviving logical X
+		// (flipped bit value) is fatal, and frames that are stabilizers of
+		// |0>_L are not errors at all (see steane.IsUncorrectableZeroAncilla).
+		Uncorrectable: s.Code.IsUncorrectableZeroAncilla(xOut, zOut),
+		Residual:      !s.Code.IsHarmlessOnZeroAncilla(xOut, zOut),
+	}
+}
+
+// locationCount walks the protocol once and returns how many error locations
+// it contains under the current model (movement included).
+func (s *Simulator) locationCount() int {
+	count := 0
+	for _, op := range s.Protocol.Ops {
+		switch {
+		case op.Kind == steane.OpVerify:
+			// no error locations
+		case op.Kind == steane.OpCorrectX || op.Kind == steane.OpCorrectZ:
+			// correction locations depend on the syndrome; for enumeration we
+			// conservatively skip them (they are second-order anyway).
+		case op.Kind.IsTwoQubit():
+			count += 1 + s.Model.MovementOpsPerTwoQubitGate
+		case op.Kind.IsPhysical():
+			count++
+		}
+	}
+	return count
+}
+
+// locationKinds returns the kind of every enumerable error location in order.
+func (s *Simulator) locationKinds() []LocationKind {
+	var kinds []LocationKind
+	for _, op := range s.Protocol.Ops {
+		switch {
+		case op.Kind == steane.OpVerify, op.Kind == steane.OpCorrectX, op.Kind == steane.OpCorrectZ:
+			// skip (see locationCount)
+		case op.Kind.IsTwoQubit():
+			for i := 0; i < s.Model.MovementOpsPerTwoQubitGate; i++ {
+				kinds = append(kinds, LocMove)
+			}
+			kinds = append(kinds, LocTwoQubit)
+		case op.Kind == steane.OpPrepZero:
+			kinds = append(kinds, LocPrep)
+		case op.Kind.IsMeasurement():
+			kinds = append(kinds, LocMeasure)
+		case op.Kind.IsPhysical():
+			kinds = append(kinds, LocOneQubit)
+		}
+	}
+	return kinds
 }
 
 // randomInjector samples faults independently per location according to the
@@ -43,6 +380,197 @@ func (s *Simulator) monteCarloChunkLegacy(rng *rand.Rand, trials int) mcCounts {
 		c.tally(s.runTrial(inj))
 	}
 	return c
+}
+
+// firstOrderLegacy is the interpreter's single-fault enumeration, the
+// oracle FirstOrder must match under ==.
+func (s *Simulator) firstOrderLegacy() Estimate {
+	kinds := s.locationKinds()
+	var uncorrectable, residual, reject float64
+	for loc, kind := range kinds {
+		p := s.Model.ErrorProbability(kind)
+		if p == 0 {
+			continue
+		}
+		choices := FaultChoices(kind)
+		perChoice := p / float64(len(choices))
+		for _, f := range choices {
+			r := s.runTrial(&singleFaultInjector{loc: loc, fault: f})
+			switch {
+			case r.Rejected:
+				reject += perChoice
+			default:
+				if r.Uncorrectable {
+					uncorrectable += perChoice
+				}
+				if r.Residual {
+					residual += perChoice
+				}
+			}
+		}
+	}
+	return Estimate{
+		UncorrectableRate: uncorrectable,
+		ResidualRate:      residual,
+		RejectRate:        reject,
+	}
+}
+
+// String names the Pauli fault.
+func (p PauliError) String() string {
+	switch p {
+	case PauliNone:
+		return "I"
+	case PauliX:
+		return "X"
+	case PauliY:
+		return "Y"
+	case PauliZ:
+		return "Z"
+	default:
+		return fmt.Sprintf("pauli(%d)", int(p))
+	}
+}
+
+// String names the location kind.
+func (k LocationKind) String() string {
+	switch k {
+	case LocPrep:
+		return "prep"
+	case LocOneQubit:
+		return "1q-gate"
+	case LocTwoQubit:
+		return "2q-gate"
+	case LocMeasure:
+		return "measure"
+	case LocMove:
+		return "move"
+	default:
+		return fmt.Sprintf("loc(%d)", int(k))
+	}
+}
+
+// LocationContribution describes, for one error location, how many of the
+// equally likely faults at that location lead to each outcome.  It is used by
+// FirstOrderBreakdown to explain where a protocol's error rate comes from.
+type LocationContribution struct {
+	// Index is the location index in execution order.
+	Index int
+	// Kind is the location kind (prep, gate, measurement, movement).
+	Kind LocationKind
+	// Op describes the protocol operation the location belongs to.
+	Op string
+	// Choices is the number of equally likely faults at this location.
+	Choices int
+	// Uncorrectable, Residual and Rejected count fault choices leading to
+	// each outcome (rejected runs are not counted as uncorrectable/residual).
+	Uncorrectable, Residual, Rejected int
+}
+
+// FirstOrderBreakdown enumerates every single fault on the compiled program
+// and reports the per-location outcome counts, which is the detail behind
+// FirstOrder.  Only locations with at least one non-benign outcome are
+// returned.
+func (s *Simulator) FirstOrderBreakdown() []LocationContribution {
+	prog, _ := s.compiled()
+	ops := s.locationOps()
+	var out []LocationContribution
+	for loc, ii := range prog.locInstr {
+		kind := LocationKind(prog.ops[ii].kind)
+		choices := choicesByKind[kind]
+		contrib := LocationContribution{Index: loc, Kind: kind, Op: ops[loc], Choices: len(choices)}
+		for _, f := range choices {
+			r := prog.forced(loc, f)
+			switch {
+			case r.Rejected:
+				contrib.Rejected++
+			default:
+				if r.Uncorrectable {
+					contrib.Uncorrectable++
+				}
+				if r.Residual {
+					contrib.Residual++
+				}
+			}
+		}
+		if contrib.Uncorrectable > 0 || contrib.Residual > 0 || contrib.Rejected > 0 {
+			out = append(out, contrib)
+		}
+	}
+	return out
+}
+
+// locationOps returns a short description of the protocol op behind each
+// enumerable error location, aligned with locationKinds.
+func (s *Simulator) locationOps() []string {
+	var ops []string
+	for i, op := range s.Protocol.Ops {
+		desc := fmt.Sprintf("#%d %s %v", i, op.Kind, op.Qubits)
+		switch {
+		case op.Kind == steane.OpVerify, op.Kind == steane.OpCorrectX, op.Kind == steane.OpCorrectZ:
+			// skip
+		case op.Kind.IsTwoQubit():
+			for j := 0; j < s.Model.MovementOpsPerTwoQubitGate; j++ {
+				ops = append(ops, desc+" (move)")
+			}
+			ops = append(ops, desc)
+		case op.Kind.IsPhysical():
+			ops = append(ops, desc)
+		}
+	}
+	return ops
+}
+
+// FirstOrder and the clean outcome run on the compiled program's forced
+// entry; the interpreter is their oracle.  Both must agree exactly, under
+// ==, on every protocol, under the dense parity models and one without gate
+// errors.
+func TestFirstOrderMatchesInterpreter(t *testing.T) {
+	code := steane.NewCode()
+	for name, p := range allProtocols(code) {
+		for _, model := range []Model{
+			DefaultModel(),
+			{GateError: 1e-2, MoveError: 1e-3, MovementOpsPerTwoQubitGate: 2},
+			{GateError: 0.3, MoveError: 0, MovementOpsPerTwoQubitGate: 0},
+			{GateError: 0, MoveError: 1e-3, MovementOpsPerTwoQubitGate: 3},
+		} {
+			s := mustSimulator(t, p, model)
+			if got, want := s.FirstOrder(), s.firstOrderLegacy(); got != want {
+				t.Errorf("%s model %+v: FirstOrder %+v != interpreter %+v", name, model, got, want)
+			}
+			prog, _ := s.compiled()
+			if want := s.runTrial(&singleFaultInjector{loc: -1}); prog.clean != want {
+				t.Errorf("%s model %+v: clean outcome %+v != interpreter %+v", name, model, prog.clean, want)
+			}
+		}
+	}
+}
+
+// FirstOrderBreakdown is FirstOrder location by location: weighting its
+// counts by each location's per-choice probability gives FirstOrder back.
+func TestFirstOrderBreakdownSumsToFirstOrder(t *testing.T) {
+	code := steane.NewCode()
+	for name, p := range allProtocols(code) {
+		s := mustSimulator(t, p, DefaultModel())
+		var got Estimate
+		for _, c := range s.FirstOrderBreakdown() {
+			w := s.Model.ErrorProbability(c.Kind) / float64(c.Choices)
+			got.UncorrectableRate += w * float64(c.Uncorrectable)
+			got.ResidualRate += w * float64(c.Residual)
+			got.RejectRate += w * float64(c.Rejected)
+		}
+		want := s.FirstOrder()
+		for _, r := range [][2]float64{
+			{got.UncorrectableRate, want.UncorrectableRate},
+			{got.ResidualRate, want.ResidualRate},
+			{got.RejectRate, want.RejectRate},
+		} {
+			if math.Abs(r[0]-r[1]) > 1e-12*r[1] {
+				t.Errorf("%s: breakdown sums to %+v, FirstOrder is %+v", name, got, want)
+				break
+			}
+		}
+	}
 }
 
 // The golden acceptance test of the compiled Monte Carlo: for every protocol
@@ -112,10 +640,10 @@ func TestSparseSamplingMatchesDenseWithinStatistics(t *testing.T) {
 		}{
 			{"uncorrectable", d.UncorrectableRate, s.UncorrectableRate, d.StdErr, s.StdErr},
 			{"reject", d.RejectRate, s.RejectRate,
-				stattest.BinomialSE(d.RejectRate, trials),
-				stattest.BinomialSE(s.RejectRate, trials)},
+				binomialSE(d.RejectRate, trials),
+				binomialSE(s.RejectRate, trials)},
 		} {
-			if err := stattest.Compatible(name+" "+c.what, c.sv, c.se, c.dv, c.de, 3); err != nil {
+			if err := compatible(name+" "+c.what, c.sv, c.se, c.dv, c.de, 3); err != nil {
 				t.Errorf("sparse vs dense %v", err)
 			}
 		}
@@ -132,7 +660,7 @@ func TestSparseSamplingConsistentWithFirstOrder(t *testing.T) {
 	s.Sampling = SamplingSparse
 	fo := s.FirstOrder()
 	mc := s.MonteCarlo(400000, 42)
-	if err := stattest.CompatibleOneSided("basic uncorrectable", mc.UncorrectableRate, mc.StdErr,
+	if err := compatibleOneSided("basic uncorrectable", mc.UncorrectableRate, mc.StdErr,
 		fo.UncorrectableRate, 4, 0.3); err != nil {
 		t.Errorf("sparse vs first-order %v", err)
 	}
@@ -232,10 +760,11 @@ func TestRunDenseAllocations(t *testing.T) {
 	lf.capture(rand.New(rand.NewSource(1)))
 	meas := make([]uint64, prog.measWords)
 	allocs := testing.AllocsPerRun(200, func() {
-		prog.runDense(&lf, meas)
+		clear(meas)
+		prog.execDense(&lf, meas, 0, 0, 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("runDense allocations = %v per trial, want 0", allocs)
+		t.Fatalf("execDense allocations = %v per trial, want 0", allocs)
 	}
 }
 

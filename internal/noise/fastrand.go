@@ -123,7 +123,7 @@ func (r *lfRand) refill() {
 }
 
 // gen returns the next raw value through the buffer.  Hot loops that keep
-// their own copy of bi (see runDense) bypass this accessor.
+// their own copy of bi (see execDense) bypass this accessor.
 func (r *lfRand) gen() int64 {
 	if r.bi == lfBuf {
 		r.refill()

@@ -4,13 +4,15 @@
 // two-qubit gates propagating bit and phase flips between qubits.  Errors are
 // tracked in the Pauli frame (X and Z bitmasks per physical qubit), which is
 // exact for the Clifford circuits that make up the encoded-zero preparation
-// protocols and is the standard twirling approximation for the π/8 gates in
-// the π/8 ancilla protocol.
+// protocols; a T gate is treated with the standard Pauli-twirl
+// approximation.
 //
-// Two estimators are provided: a Monte Carlo simulator (matching the paper's
-// methodology) and a deterministic first-order fault enumeration that
-// computes the leading-order contribution exactly and is used as a fast test
-// oracle for the ordering of the Figure 4 circuit variants.
+// Every protocol runs as a compiled trial program (compile.go), and two
+// estimators sit on it: Monte Carlo (the paper's methodology; dense, sparse
+// or bit-sliced, see Sampling) and FirstOrder, a deterministic enumeration
+// of every single fault that gives the terms linear in the error rates
+// exactly.  Figure 4 reports both.  The op-list interpreter the compiled
+// program replaced is kept in the tests as their oracle.
 package noise
 
 import (
@@ -84,22 +86,6 @@ const (
 	PauliZ
 )
 
-// String names the Pauli fault.
-func (p PauliError) String() string {
-	switch p {
-	case PauliNone:
-		return "I"
-	case PauliX:
-		return "X"
-	case PauliY:
-		return "Y"
-	case PauliZ:
-		return "Z"
-	default:
-		return fmt.Sprintf("pauli(%d)", int(p))
-	}
-}
-
 // HasX reports whether the fault includes a bit-flip component.
 func (p PauliError) HasX() bool { return p == PauliX || p == PauliY }
 
@@ -112,11 +98,6 @@ func (p PauliError) HasZ() bool { return p == PauliZ || p == PauliY }
 type Fault struct {
 	First, Second PauliError
 	FlipOutcome   bool
-}
-
-// IsTrivial reports whether the fault does nothing.
-func (f Fault) IsTrivial() bool {
-	return f.First == PauliNone && f.Second == PauliNone && !f.FlipOutcome
 }
 
 // LocationKind classifies error locations for enumeration.
@@ -134,24 +115,6 @@ const (
 	// LocMove is a qubit movement operation.
 	LocMove
 )
-
-// String names the location kind.
-func (k LocationKind) String() string {
-	switch k {
-	case LocPrep:
-		return "prep"
-	case LocOneQubit:
-		return "1q-gate"
-	case LocTwoQubit:
-		return "2q-gate"
-	case LocMeasure:
-		return "measure"
-	case LocMove:
-		return "move"
-	default:
-		return fmt.Sprintf("loc(%d)", int(k))
-	}
-}
 
 // ErrorProbability returns the model's error probability for a location kind.
 func (m Model) ErrorProbability(kind LocationKind) float64 {

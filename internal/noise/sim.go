@@ -12,27 +12,6 @@ import (
 	"speedofdata/internal/steane"
 )
 
-// injector decides which fault (if any) occurs at each error location of a
-// protocol run.  Location indices are assigned in execution order and are
-// stable across runs of the same protocol and model.
-type injector interface {
-	faultAt(loc int, kind LocationKind) Fault
-}
-
-// singleFaultInjector injects exactly one prescribed fault at one location,
-// used by the deterministic first-order enumeration.
-type singleFaultInjector struct {
-	loc   int
-	fault Fault
-}
-
-func (s *singleFaultInjector) faultAt(loc int, _ LocationKind) Fault {
-	if loc == s.loc {
-		return s.fault
-	}
-	return Fault{}
-}
-
 // TrialResult is the outcome of simulating one protocol run.
 type TrialResult struct {
 	// Rejected is true when a verification step failed and the run's output
@@ -122,246 +101,6 @@ func (s *Simulator) compiled() (*trialProgram, string) {
 		s.fp = protocolFingerprint(s.Protocol)
 	})
 	return s.prog, s.fp
-}
-
-// frame is the Pauli frame of a run: X and Z error bitmasks over the
-// protocol's physical qubits, plus recorded measurement-outcome flips.
-type frame struct {
-	x, z      uint64
-	measFlips []bool
-}
-
-func (f *frame) hasX(q int) bool { return f.x&(1<<uint(q)) != 0 }
-func (f *frame) hasZ(q int) bool { return f.z&(1<<uint(q)) != 0 }
-func (f *frame) flipX(q int)     { f.x ^= 1 << uint(q) }
-func (f *frame) flipZ(q int)     { f.z ^= 1 << uint(q) }
-func (f *frame) clear(q int) {
-	f.x &^= 1 << uint(q)
-	f.z &^= 1 << uint(q)
-}
-
-func (f *frame) inject(q int, p PauliError) {
-	if p.HasX() {
-		f.flipX(q)
-	}
-	if p.HasZ() {
-		f.flipZ(q)
-	}
-}
-
-// runTrial executes the protocol once with the given fault injector and
-// returns the outcome.  The trial propagates errors through every physical
-// operation, honours verification rejections, and applies the
-// classically-controlled corrections exactly as hardware would (including
-// mis-corrections caused by errors on the measured ancilla block).
-func (s *Simulator) runTrial(inj injector) TrialResult {
-	fr := frame{measFlips: make([]bool, s.Protocol.NumMeasurements())}
-	loc := 0
-	rejected := false
-
-	for _, op := range s.Protocol.Ops {
-		switch op.Kind {
-		case steane.OpPrepZero:
-			q := op.Qubits[0]
-			fr.clear(q)
-			f := inj.faultAt(loc, LocPrep)
-			loc++
-			fr.inject(q, f.First)
-
-		case steane.OpH:
-			q := op.Qubits[0]
-			// H exchanges X and Z errors.
-			x, z := fr.hasX(q), fr.hasZ(q)
-			if x != z {
-				fr.flipX(q)
-				fr.flipZ(q)
-			}
-			f := inj.faultAt(loc, LocOneQubit)
-			loc++
-			fr.inject(q, f.First)
-
-		case steane.OpS, steane.OpT:
-			q := op.Qubits[0]
-			// S maps X to Y (adds a Z component when an X error is present).
-			// T is treated the same way under the Pauli-twirl approximation.
-			if op.Kind == steane.OpS && fr.hasX(q) {
-				fr.flipZ(q)
-			}
-			f := inj.faultAt(loc, LocOneQubit)
-			loc++
-			fr.inject(q, f.First)
-
-		case steane.OpX, steane.OpZ:
-			// Pauli gates commute or anticommute with the frame; they do not
-			// change which errors are present.
-			f := inj.faultAt(loc, LocOneQubit)
-			loc++
-			fr.inject(op.Qubits[0], f.First)
-
-		case steane.OpCX:
-			c, t := op.Qubits[0], op.Qubits[1]
-			// Movement to bring the two qubits together.
-			for i := 0; i < s.Model.MovementOpsPerTwoQubitGate; i++ {
-				mf := inj.faultAt(loc, LocMove)
-				loc++
-				if i%2 == 0 {
-					fr.inject(c, mf.First)
-				} else {
-					fr.inject(t, mf.First)
-				}
-			}
-			// CX propagates X from control to target and Z from target to control.
-			if fr.hasX(c) {
-				fr.flipX(t)
-			}
-			if fr.hasZ(t) {
-				fr.flipZ(c)
-			}
-			f := inj.faultAt(loc, LocTwoQubit)
-			loc++
-			fr.inject(c, f.First)
-			fr.inject(t, f.Second)
-
-		case steane.OpCZ:
-			a, b := op.Qubits[0], op.Qubits[1]
-			for i := 0; i < s.Model.MovementOpsPerTwoQubitGate; i++ {
-				mf := inj.faultAt(loc, LocMove)
-				loc++
-				if i%2 == 0 {
-					fr.inject(a, mf.First)
-				} else {
-					fr.inject(b, mf.First)
-				}
-			}
-			// CZ propagates X on either qubit into a Z on the other.
-			if fr.hasX(a) {
-				fr.flipZ(b)
-			}
-			if fr.hasX(b) {
-				fr.flipZ(a)
-			}
-			f := inj.faultAt(loc, LocTwoQubit)
-			loc++
-			fr.inject(a, f.First)
-			fr.inject(b, f.Second)
-
-		case steane.OpMeasureZ, steane.OpMeasureX:
-			q := op.Qubits[0]
-			flipped := false
-			if op.Kind == steane.OpMeasureZ {
-				flipped = fr.hasX(q)
-			} else {
-				flipped = fr.hasZ(q)
-			}
-			f := inj.faultAt(loc, LocMeasure)
-			loc++
-			if f.FlipOutcome {
-				flipped = !flipped
-			}
-			fr.measFlips[op.MeasID] = flipped
-			// The measured qubit is recycled; its frame no longer matters.
-			fr.clear(q)
-
-		case steane.OpVerify:
-			parity := false
-			for _, id := range op.MeasIDs {
-				if fr.measFlips[id] {
-					parity = !parity
-				}
-			}
-			if parity {
-				rejected = true
-			}
-
-		case steane.OpCorrectX, steane.OpCorrectZ:
-			var syndromePattern uint8
-			for i, id := range op.MeasIDs {
-				if fr.measFlips[id] {
-					syndromePattern |= 1 << uint(i)
-				}
-			}
-			correction := s.Code.CorrectionFor(s.Code.Syndrome(syndromePattern))
-			for i := 0; i < steane.N; i++ {
-				if correction&(1<<uint(i)) == 0 {
-					continue
-				}
-				q := op.Qubits[i]
-				if op.Kind == steane.OpCorrectX {
-					fr.flipX(q)
-				} else {
-					fr.flipZ(q)
-				}
-				// The applied correction is itself a physical gate and can fail.
-				f := inj.faultAt(loc, LocOneQubit)
-				loc++
-				fr.inject(q, f.First)
-			}
-
-		default:
-			panic(fmt.Sprintf("noise: unhandled protocol op %v", op.Kind))
-		}
-	}
-
-	var xOut, zOut uint8
-	for i, q := range s.Protocol.OutputBlock {
-		if fr.hasX(q) {
-			xOut |= 1 << uint(i)
-		}
-		if fr.hasZ(q) {
-			zOut |= 1 << uint(i)
-		}
-	}
-	return TrialResult{
-		Rejected: rejected,
-		// The output is an encoded |0> ancilla: only a surviving logical X
-		// (flipped bit value) is fatal, and frames that are stabilizers of
-		// |0>_L are not errors at all (see steane.IsUncorrectableZeroAncilla).
-		Uncorrectable: s.Code.IsUncorrectableZeroAncilla(xOut, zOut),
-		Residual:      !s.Code.IsHarmlessOnZeroAncilla(xOut, zOut),
-	}
-}
-
-// locationCount walks the protocol once and returns how many error locations
-// it contains under the current model (movement included).
-func (s *Simulator) locationCount() int {
-	count := 0
-	for _, op := range s.Protocol.Ops {
-		switch {
-		case op.Kind == steane.OpVerify:
-			// no error locations
-		case op.Kind == steane.OpCorrectX || op.Kind == steane.OpCorrectZ:
-			// correction locations depend on the syndrome; for enumeration we
-			// conservatively skip them (they are second-order anyway).
-		case op.Kind.IsTwoQubit():
-			count += 1 + s.Model.MovementOpsPerTwoQubitGate
-		case op.Kind.IsPhysical():
-			count++
-		}
-	}
-	return count
-}
-
-// locationKinds returns the kind of every enumerable error location in order.
-func (s *Simulator) locationKinds() []LocationKind {
-	var kinds []LocationKind
-	for _, op := range s.Protocol.Ops {
-		switch {
-		case op.Kind == steane.OpVerify, op.Kind == steane.OpCorrectX, op.Kind == steane.OpCorrectZ:
-			// skip (see locationCount)
-		case op.Kind.IsTwoQubit():
-			for i := 0; i < s.Model.MovementOpsPerTwoQubitGate; i++ {
-				kinds = append(kinds, LocMove)
-			}
-			kinds = append(kinds, LocTwoQubit)
-		case op.Kind == steane.OpPrepZero:
-			kinds = append(kinds, LocPrep)
-		case op.Kind.IsMeasurement():
-			kinds = append(kinds, LocMeasure)
-		case op.Kind.IsPhysical():
-			kinds = append(kinds, LocOneQubit)
-		}
-	}
-	return kinds
 }
 
 // Estimate is the result of evaluating a protocol.
@@ -545,25 +284,30 @@ func estimateFrom(total mcCounts, trials int) Estimate {
 	return est
 }
 
-// FirstOrder computes the leading-order error rates exactly by enumerating
-// every single-fault event, weighting each by its probability.  It is
-// deterministic and fast, and is the oracle used by tests to check the
-// ordering of the Figure 4 variants.  Protocols that are fault-tolerant to
-// single faults (verify-and-correct) report a (near-)zero first-order
-// uncorrectable rate; their true rate is second order and is measured by
-// MonteCarlo.
+// FirstOrder computes the leading-order error rates exactly: it runs every
+// single fault, each fault choice at each static location of the compiled
+// program, and weights the outcomes by their probability.  Faults on
+// correction gates are not enumerated, because a correction only fires after
+// an earlier fault.  The result is deterministic and holds only the terms
+// linear in the error rates.  A protocol that no single fault defeats would
+// report a zero uncorrectable rate here, leaving its whole rate to
+// MonteCarlo.  The paper makes that claim for verify-and-correct, but this
+// model's verified variants are not fault tolerant: verify-and-correct
+// reads 7.07e-5 at first order against 3.53e-5 for verify-only (the fig4
+// golden; see "Figure 4 is not reproduced" in ROADMAP.md).
 func (s *Simulator) FirstOrder() Estimate {
-	kinds := s.locationKinds()
+	prog, _ := s.compiled()
 	var uncorrectable, residual, reject float64
-	for loc, kind := range kinds {
+	for loc, ii := range prog.locInstr {
+		kind := LocationKind(prog.ops[ii].kind)
 		p := s.Model.ErrorProbability(kind)
 		if p == 0 {
 			continue
 		}
-		choices := FaultChoices(kind)
+		choices := choicesByKind[kind]
 		perChoice := p / float64(len(choices))
 		for _, f := range choices {
-			r := s.runTrial(&singleFaultInjector{loc: loc, fault: f})
+			r := prog.forced(loc, f)
 			switch {
 			case r.Rejected:
 				reject += perChoice
@@ -582,87 +326,4 @@ func (s *Simulator) FirstOrder() Estimate {
 		ResidualRate:      residual,
 		RejectRate:        reject,
 	}
-}
-
-// LocationContribution describes, for one error location, how many of the
-// equally likely faults at that location lead to each outcome.  It is used by
-// FirstOrderBreakdown to explain where a protocol's error rate comes from.
-type LocationContribution struct {
-	// Index is the location index in execution order.
-	Index int
-	// Kind is the location kind (prep, gate, measurement, movement).
-	Kind LocationKind
-	// Op describes the protocol operation the location belongs to.
-	Op string
-	// Choices is the number of equally likely faults at this location.
-	Choices int
-	// Uncorrectable, Residual and Rejected count fault choices leading to
-	// each outcome (rejected runs are not counted as uncorrectable/residual).
-	Uncorrectable, Residual, Rejected int
-}
-
-// FirstOrderBreakdown enumerates every single-fault event and reports the
-// per-location outcome counts, which is the detail behind FirstOrder.  Only
-// locations with at least one non-benign outcome are returned.
-func (s *Simulator) FirstOrderBreakdown() []LocationContribution {
-	kinds := s.locationKinds()
-	ops := s.locationOps()
-	var out []LocationContribution
-	for loc, kind := range kinds {
-		choices := FaultChoices(kind)
-		contrib := LocationContribution{Index: loc, Kind: kind, Op: ops[loc], Choices: len(choices)}
-		for _, f := range choices {
-			r := s.runTrial(&singleFaultInjector{loc: loc, fault: f})
-			switch {
-			case r.Rejected:
-				contrib.Rejected++
-			default:
-				if r.Uncorrectable {
-					contrib.Uncorrectable++
-				}
-				if r.Residual {
-					contrib.Residual++
-				}
-			}
-		}
-		if contrib.Uncorrectable > 0 || contrib.Residual > 0 || contrib.Rejected > 0 {
-			out = append(out, contrib)
-		}
-	}
-	return out
-}
-
-// locationOps returns a short description of the protocol op behind each
-// enumerable error location, aligned with locationKinds.
-func (s *Simulator) locationOps() []string {
-	var ops []string
-	for i, op := range s.Protocol.Ops {
-		desc := fmt.Sprintf("#%d %s %v", i, op.Kind, op.Qubits)
-		switch {
-		case op.Kind == steane.OpVerify, op.Kind == steane.OpCorrectX, op.Kind == steane.OpCorrectZ:
-			// skip
-		case op.Kind.IsTwoQubit():
-			for j := 0; j < s.Model.MovementOpsPerTwoQubitGate; j++ {
-				ops = append(ops, desc+" (move)")
-			}
-			ops = append(ops, desc)
-		case op.Kind.IsPhysical():
-			ops = append(ops, desc)
-		}
-	}
-	return ops
-}
-
-// VerifyNoiselessIsClean runs the protocol once with no faults and reports an
-// error if the output is rejected or carries any residual error — a sanity
-// check that the protocol and propagation rules are self-consistent.
-func (s *Simulator) VerifyNoiselessIsClean() error {
-	r := s.runTrial(&singleFaultInjector{loc: -1})
-	if r.Rejected {
-		return fmt.Errorf("noise: protocol %q rejects its own noiseless run", s.Protocol.Name)
-	}
-	if r.Residual {
-		return fmt.Errorf("noise: protocol %q leaves residual error in a noiseless run", s.Protocol.Name)
-	}
-	return nil
 }

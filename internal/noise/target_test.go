@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"speedofdata/internal/engine"
-	"speedofdata/internal/noise/stattest"
 	"speedofdata/internal/steane"
 )
 
@@ -63,7 +62,7 @@ func TestMonteCarloTargetConvergesUnderFixedDefault(t *testing.T) {
 	fixed := mustSimulator(t, steane.BasicZeroProtocol(code), highErrorModel())
 	fixed.Sampling = SamplingBitSliced
 	f := fixed.MonteCarlo(DefaultTrials, 7)
-	if err := stattest.Compatible("target vs fixed uncorrectable",
+	if err := compatible("target vs fixed uncorrectable",
 		est.UncorrectableRate, est.StdErr, f.UncorrectableRate, f.StdErr, 3); err != nil {
 		t.Error(err)
 	}
@@ -171,7 +170,7 @@ func TestWilsonInterval(t *testing.T) {
 		t.Errorf("wilson(0, n): center %v half %v, want half == center > 0", center, half)
 	}
 	center, half = wilson(50000, 100000, z)
-	wald := z * stattest.BinomialSE(0.5, 100000)
+	wald := z * binomialSE(0.5, 100000)
 	if math.Abs(center-0.5) > 1e-6 || math.Abs(half-wald)/wald > 1e-4 {
 		t.Errorf("wilson(n/2, n): center %v half %v, want ~0.5 and ~Wald %v", center, half, wald)
 	}

@@ -54,13 +54,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add moves the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Value reads the current gauge.
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -31,8 +31,7 @@ func TestRegistryIdempotent(t *testing.T) {
 	}
 
 	g := r.Gauge("qsd_test_gauge", "g", nil)
-	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if r.Gauge("qsd_test_gauge", "g", nil).Value() != 5 {
 		t.Fatal("gauge not shared")
 	}
@@ -89,7 +88,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(3)
-	g.Add(1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge has a value")
 	}
@@ -344,8 +342,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				}
 				c.Inc()
 				h.Record(time.Duration(i%1000) * time.Microsecond)
-				g.Add(1)
-				g.Add(-1)
+				g.Set(int64(i))
 				// Concurrent re-registration of existing and fresh series.
 				r.Counter("qsd_conc_total", "c", Labels{"w": strconv.Itoa(i % 4)}).Inc()
 			}

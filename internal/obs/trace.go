@@ -280,8 +280,3 @@ func SpanFromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return s
 }
-
-// TraceIDFromContext returns the active trace's ID, or "".
-func TraceIDFromContext(ctx context.Context) string {
-	return SpanFromContext(ctx).TraceID()
-}

@@ -114,7 +114,7 @@ func TestTraceSpanBound(t *testing.T) {
 // TestSpanContext checks context propagation plumbing.
 func TestSpanContext(t *testing.T) {
 	ctx := context.Background()
-	if SpanFromContext(ctx) != nil || TraceIDFromContext(ctx) != "" {
+	if SpanFromContext(ctx) != nil || SpanFromContext(ctx).TraceID() != "" {
 		t.Fatal("empty context carries a span")
 	}
 	if ContextWithSpan(ctx, nil) != ctx {
@@ -126,7 +126,7 @@ func TestSpanContext(t *testing.T) {
 	if SpanFromContext(ctx) != trace.Root() {
 		t.Fatal("span not recovered from context")
 	}
-	if TraceIDFromContext(ctx) != trace.ID() {
+	if SpanFromContext(ctx).TraceID() != trace.ID() {
 		t.Fatal("trace ID not recovered from context")
 	}
 }

@@ -3,7 +3,6 @@ package quantum
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 )
 
@@ -59,16 +58,6 @@ func (c *Circuit) Add(kind GateKind, qubits ...int) *Circuit {
 	return c.Append(Gate{Kind: kind, Qubits: qubits})
 }
 
-// AddRz appends a Z rotation by angle θ = anglePi·π on the given qubit.
-func (c *Circuit) AddRz(qubit int, anglePi float64) *Circuit {
-	return c.Append(NewRz(qubit, anglePi))
-}
-
-// AddCPhase appends a controlled phase rotation by θ = anglePi·π.
-func (c *Circuit) AddCPhase(control, target int, anglePi float64) *Circuit {
-	return c.Append(NewCPhase(control, target, anglePi))
-}
-
 // Len returns the number of gates in the circuit.
 func (c *Circuit) Len() int { return len(c.Gates) }
 
@@ -119,15 +108,6 @@ type Stats struct {
 	Depth int
 }
 
-// NonTransversalFraction is the fraction of gates that are non-transversal,
-// reported in Section 3.3 (40.5% / 41.0% / 46.9% for the three benchmarks).
-func (s Stats) NonTransversalFraction() float64 {
-	if s.TotalGates == 0 {
-		return 0
-	}
-	return float64(s.NonTransversal) / float64(s.TotalGates)
-}
-
 // ComputeStats analyses the circuit.
 func (c *Circuit) ComputeStats() Stats {
 	s := Stats{
@@ -164,44 +144,4 @@ func (c *Circuit) ComputeStats() Stats {
 		}
 	}
 	return s
-}
-
-// KindsSorted returns the gate kinds present in the stats in a stable order,
-// convenient for deterministic report output.
-func (s Stats) KindsSorted() []GateKind {
-	kinds := make([]GateKind, 0, len(s.CountByKind))
-	for k := range s.CountByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	return kinds
-}
-
-// Concat appends a copy of other's gates to c, offsetting other's qubit
-// indices by qubitOffset.  The circuit must already have enough qubits.
-func (c *Circuit) Concat(other *Circuit, qubitOffset int) *Circuit {
-	for _, g := range other.Gates {
-		ng := Gate{Kind: g.Kind, Angle: g.Angle, Label: g.Label}
-		ng.Qubits = make([]int, len(g.Qubits))
-		for i, q := range g.Qubits {
-			ng.Qubits[i] = q + qubitOffset
-		}
-		c.Append(ng)
-	}
-	return c
-}
-
-// Clone returns a deep copy of the circuit.
-func (c *Circuit) Clone() *Circuit {
-	out := &Circuit{Name: c.Name, NumQubits: c.NumQubits}
-	out.Gates = make([]Gate, len(c.Gates))
-	for i, g := range c.Gates {
-		q := make([]int, len(g.Qubits))
-		copy(q, g.Qubits)
-		out.Gates[i] = Gate{Kind: g.Kind, Qubits: q, Angle: g.Angle, Label: g.Label}
-	}
-	if c.DataQubits != nil {
-		out.DataQubits = append([]int(nil), c.DataQubits...)
-	}
-	return out
 }

@@ -67,74 +67,6 @@ func TestComputeStats(t *testing.T) {
 	if s.Depth != 5 {
 		t.Errorf("Depth = %d, want 5", s.Depth)
 	}
-	frac := s.NonTransversalFraction()
-	if frac < 0.28 || frac > 0.29 {
-		t.Errorf("NonTransversalFraction = %v, want 2/7", frac)
-	}
-}
-
-func TestNonTransversalFractionEmpty(t *testing.T) {
-	var s Stats
-	if s.NonTransversalFraction() != 0 {
-		t.Error("empty stats should have zero non-transversal fraction")
-	}
-}
-
-func TestStatsKindsSorted(t *testing.T) {
-	c := buildSampleCircuit()
-	kinds := c.ComputeStats().KindsSorted()
-	for i := 1; i < len(kinds); i++ {
-		if kinds[i-1] >= kinds[i] {
-			t.Fatalf("kinds not sorted: %v", kinds)
-		}
-	}
-	if len(kinds) != 3 {
-		t.Errorf("expected 3 distinct kinds, got %d", len(kinds))
-	}
-}
-
-func TestConcatOffsets(t *testing.T) {
-	a := NewCircuit("a", 4)
-	a.Add(GateH, 0)
-	b := NewCircuit("b", 2)
-	b.Add(GateCX, 0, 1)
-	a.Concat(b, 2)
-	if a.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", a.Len())
-	}
-	g := a.Gates[1]
-	if g.Qubits[0] != 2 || g.Qubits[1] != 3 {
-		t.Errorf("Concat did not offset qubits: %v", g.Qubits)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	c := buildSampleCircuit()
-	c.DataQubits = []int{0, 1}
-	clone := c.Clone()
-	clone.Gates[0].Qubits[0] = 2
-	clone.DataQubits[0] = 9
-	if c.Gates[0].Qubits[0] != 0 {
-		t.Error("Clone shares gate qubit slices with the original")
-	}
-	if c.DataQubits[0] != 0 {
-		t.Error("Clone shares DataQubits with the original")
-	}
-	if clone.Len() != c.Len() || clone.NumQubits != c.NumQubits {
-		t.Error("Clone lost gates or qubits")
-	}
-}
-
-func TestAddRzAndCPhase(t *testing.T) {
-	c := NewCircuit("rot", 2)
-	c.AddRz(0, 0.125)
-	c.AddCPhase(0, 1, 0.25)
-	if c.Gates[0].Kind != GateRz || c.Gates[0].Angle != 0.125 {
-		t.Error("AddRz wrong")
-	}
-	if c.Gates[1].Kind != GateCPhase || c.Gates[1].Angle != 0.25 {
-		t.Error("AddCPhase wrong")
-	}
 }
 
 // randomCircuit builds a random but valid circuit for property tests.

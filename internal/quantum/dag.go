@@ -104,17 +104,6 @@ func (c *Circuit) DAG() *DAG {
 	return c.dag
 }
 
-// Roots returns the gates with no predecessors.
-func (d *DAG) Roots() []int {
-	var roots []int
-	for i, deg := range d.InDegree {
-		if deg == 0 {
-			roots = append(roots, i)
-		}
-	}
-	return roots
-}
-
 // TopoOrder returns a topological ordering of the gates.  Because BuildDAG
 // only ever adds edges from earlier to later gates, program order is already
 // topological; the method exists so callers do not have to rely on that.
@@ -144,31 +133,6 @@ func (d *DAG) TopoOrder() ([]int, error) {
 		return nil, fmt.Errorf("quantum: dependence graph of %q has a cycle", d.Circuit.Name)
 	}
 	return order, nil
-}
-
-// CriticalPath returns, for each gate, the length (in gates) of the longest
-// dependence chain ending at that gate, along with the overall maximum.
-// This is the circuit depth used by Stats.
-func (d *DAG) CriticalPath() (perGate []int, depth int) {
-	order, err := d.TopoOrder()
-	if err != nil {
-		// BuildDAG cannot create cycles; a cycle here is a programming error.
-		panic(err)
-	}
-	perGate = make([]int, len(order))
-	for _, u := range order {
-		longest := 0
-		for _, p := range d.Pred[u] {
-			if perGate[p] > longest {
-				longest = perGate[p]
-			}
-		}
-		perGate[u] = longest + 1
-		if perGate[u] > depth {
-			depth = perGate[u]
-		}
-	}
-	return perGate, depth
 }
 
 // WeightedCriticalPath returns the longest weighted dependence chain where

@@ -61,8 +61,6 @@ const (
 	GatePrepZero
 	// GatePrepPlus prepares |+>.
 	GatePrepPlus
-
-	numGateKinds
 )
 
 var gateNames = [...]string{
@@ -117,18 +115,6 @@ func (k GateKind) IsPreparation() bool {
 	return k == GatePrepZero || k == GatePrepPlus
 }
 
-// IsClifford reports whether the gate is in the Clifford group (and therefore
-// has a transversal implementation on the [[7,1,3]] code, Section 2.1).
-func (k GateKind) IsClifford() bool {
-	switch k {
-	case GateI, GateX, GateY, GateZ, GateH, GateS, GateSdg, GateCX, GateCZ,
-		GateMeasure, GateMeasureX, GatePrepZero, GatePrepPlus:
-		return true
-	default:
-		return false
-	}
-}
-
 // TransversalOnSteane reports whether the encoded gate can be applied
 // transversally on the [[7,1,3]] CSS code.  The paper lists CX, X, Y, Z,
 // Phase (S) and Hadamard as transversal; the π/8 gate, arbitrary rotations,
@@ -151,15 +137,6 @@ func (k GateKind) RequiresPi8Ancilla() bool {
 	return k == GateT || k == GateTdg
 }
 
-// GateKinds returns every defined gate kind in a stable order.
-func GateKinds() []GateKind {
-	out := make([]GateKind, numGateKinds)
-	for i := range out {
-		out[i] = GateKind(i)
-	}
-	return out
-}
-
 // Gate is one operation in a circuit.  Qubits are indices into the owning
 // circuit's qubit list; for controlled gates the control(s) come first and
 // the target last.  Angle is only meaningful for GateRz and GateCPhase and
@@ -172,25 +149,6 @@ type Gate struct {
 	// Label optionally carries provenance (e.g. "carry", "uma") used by
 	// tests and reports; it has no semantic effect.
 	Label string
-}
-
-// NewGate builds a gate, validating the qubit arity.
-func NewGate(kind GateKind, qubits ...int) Gate {
-	g := Gate{Kind: kind, Qubits: qubits}
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// NewRz builds a Z rotation by angle θ = anglePi·π.
-func NewRz(qubit int, anglePi float64) Gate {
-	return Gate{Kind: GateRz, Qubits: []int{qubit}, Angle: anglePi}
-}
-
-// NewCPhase builds a controlled phase rotation by angle θ = anglePi·π.
-func NewCPhase(control, target int, anglePi float64) Gate {
-	return Gate{Kind: GateCPhase, Qubits: []int{control, target}, Angle: anglePi}
 }
 
 // Validate reports an error if the gate's qubit list does not match its

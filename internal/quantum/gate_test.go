@@ -68,19 +68,6 @@ func TestMeasurementPreparationPredicates(t *testing.T) {
 	}
 }
 
-func TestCliffordPredicate(t *testing.T) {
-	for _, k := range []GateKind{GateX, GateH, GateS, GateCX, GateCZ} {
-		if !k.IsClifford() {
-			t.Errorf("%s should be Clifford", k)
-		}
-	}
-	for _, k := range []GateKind{GateT, GateRz, GateToffoli, GateCPhase} {
-		if k.IsClifford() {
-			t.Errorf("%s should not be Clifford", k)
-		}
-	}
-}
-
 func TestGateKindString(t *testing.T) {
 	if GateCX.String() != "CX" || GateT.String() != "T" || GatePrepZero.String() != "Prep0" {
 		t.Error("gate names wrong")
@@ -91,7 +78,7 @@ func TestGateKindString(t *testing.T) {
 }
 
 func TestGateValidate(t *testing.T) {
-	if err := NewGate(GateCX, 0, 1).Validate(); err != nil {
+	if err := (Gate{Kind: GateCX, Qubits: []int{0, 1}}).Validate(); err != nil {
 		t.Errorf("valid CX rejected: %v", err)
 	}
 	bad := Gate{Kind: GateCX, Qubits: []int{0}}
@@ -108,50 +95,47 @@ func TestGateValidate(t *testing.T) {
 	}
 }
 
+// A gate with the wrong number of qubits is rejected where circuits are
+// built.
 func TestNewGatePanicsOnBadArity(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewGate with wrong arity should panic")
+			t.Error("adding a CX with one qubit should panic")
 		}
 	}()
-	NewGate(GateCX, 0)
+	NewCircuit("bad", 2).Add(GateCX, 0)
+}
+
+// The gate kinds run from GateI to GatePrepPlus, each with a name: the
+// random-circuit fuzzers draw from exactly that range.
+func TestGateKindsComplete(t *testing.T) {
+	if len(gateNames) != int(GatePrepPlus)+1 {
+		t.Fatalf("%d gate names, want one per kind GateI..GatePrepPlus (%d)", len(gateNames), int(GatePrepPlus)+1)
+	}
+	for k := GateI; k <= GatePrepPlus; k++ {
+		if gateNames[k] == "" {
+			t.Errorf("gate kind %d has no name", int(k))
+		}
+	}
 }
 
 func TestGateString(t *testing.T) {
-	g := NewGate(GateCX, 0, 3)
+	g := Gate{Kind: GateCX, Qubits: []int{0, 3}}
 	if got := g.String(); got != "CX q0,q3" {
 		t.Errorf("String() = %q", got)
 	}
-	rz := NewRz(2, 1.0/16)
+	rz := Gate{Kind: GateRz, Qubits: []int{2}, Angle: 1.0 / 16}
 	if got := rz.String(); !strings.Contains(got, "Rz(") || !strings.Contains(got, "q2") {
 		t.Errorf("Rz String() = %q", got)
 	}
 }
 
-func TestGateKindsComplete(t *testing.T) {
-	kinds := GateKinds()
-	if len(kinds) != int(numGateKinds) {
-		t.Fatalf("GateKinds() returned %d kinds, want %d", len(kinds), numGateKinds)
-	}
-	for i, k := range kinds {
-		if int(k) != i {
-			t.Errorf("GateKinds()[%d] = %v", i, k)
-		}
-	}
-}
-
-// Property: every π/8-ancilla-consuming gate is non-transversal, and every
-// Clifford gate is transversal on the Steane code.
+// Property: every π/8-ancilla-consuming gate is non-transversal on the
+// Steane code.
 func TestClassificationConsistencyProperty(t *testing.T) {
 	f := func(raw uint8) bool {
-		k := GateKind(int(raw) % int(numGateKinds))
-		if k.RequiresPi8Ancilla() && k.TransversalOnSteane() {
-			return false
-		}
-		if k.IsClifford() && !k.TransversalOnSteane() {
-			return false
-		}
-		return true
+		k := GateKind(int(raw) % len(gateNames))
+		return !k.RequiresPi8Ancilla() || !k.TransversalOnSteane()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -26,7 +26,7 @@ func trickyDoc() Document {
 	s := Series{Title: "S", XLabel: "x", YLabel: "y"}
 	s.Add(1.0/3.0, 10.076261560928119)
 	var d Document
-	d.Add("exp", tb, Text("note\n"), s)
+	d.AddSection(Section{ID: "exp", Blocks: []Block{tb, Text("note\n"), s}})
 	return d
 }
 
@@ -87,8 +87,8 @@ func TestTextStaysCompact(t *testing.T) {
 	tb.AddRow("a", 10.076261560928119)
 	tb.AddRow("b", 2.9e-05)
 	var d Document
-	d.Add("one", tb)
-	d.Add("two", Text("tail\n"))
+	d.AddSection(Section{ID: "one", Blocks: []Block{tb}})
+	d.AddSection(Section{ID: "two", Blocks: []Block{Text("tail\n")}})
 	want := "" +
 		"=== one ===\n" +
 		"T\n" +

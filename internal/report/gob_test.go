@@ -68,8 +68,8 @@ func TestCellGobPreservesExactTypes(t *testing.T) {
 		if err := gob.NewDecoder(&buf).Decode(&c); err != nil {
 			t.Fatalf("decode %#v: %v", v, err)
 		}
-		if c.Value() != v {
-			t.Errorf("round trip of %#v (%T) = %#v (%T)", v, v, c.Value(), c.Value())
+		if c.v != v {
+			t.Errorf("round trip of %#v (%T) = %#v (%T)", v, v, c.v, c.v)
 		}
 	}
 	// NaN compares unequal to itself; check the bits instead.
@@ -81,9 +81,9 @@ func TestCellGobPreservesExactTypes(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&c); err != nil {
 		t.Fatal(err)
 	}
-	f, ok := c.Value().(float64)
+	f, ok := c.v.(float64)
 	if !ok || math.Float64bits(f) != math.Float64bits(math.NaN()) {
-		t.Errorf("NaN round trip = %#v", c.Value())
+		t.Errorf("NaN round trip = %#v", c.v)
 	}
 	// -0.0 must keep its sign bit.
 	buf.Reset()
@@ -93,9 +93,9 @@ func TestCellGobPreservesExactTypes(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&c); err != nil {
 		t.Fatal(err)
 	}
-	f, ok = c.Value().(float64)
+	f, ok = c.v.(float64)
 	if !ok || math.Signbit(f) != true {
-		t.Errorf("-0.0 round trip = %#v, sign lost", c.Value())
+		t.Errorf("-0.0 round trip = %#v, sign lost", c.v)
 	}
 }
 

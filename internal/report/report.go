@@ -25,9 +25,6 @@ type Cell struct {
 // CellOf wraps a value in a Cell.
 func CellOf(v any) Cell { return Cell{v: v} }
 
-// Value returns the wrapped value.
-func (c Cell) Value() any { return c.v }
-
 // Text renders the cell for the plain-text encoder: floats compactly via
 // FormatFloat, strings verbatim, everything else with %v.
 func (c Cell) Text() string {
@@ -244,11 +241,6 @@ func (s Section) Text() string {
 // the collected results through this single code path.
 type Document struct {
 	Sections []Section
-}
-
-// Add appends a section made of the given blocks.
-func (d *Document) Add(id string, blocks ...Block) {
-	d.Sections = append(d.Sections, Section{ID: id, Blocks: blocks})
 }
 
 // AddSection appends a prebuilt section.

@@ -228,25 +228,6 @@ func DemandProfile(c *quantum.Circuit, m LatencyModel, buckets int) ([]DemandPoi
 	return points, nil
 }
 
-// PeakZeroBandwidthPerMs returns the largest per-bucket zero-ancilla demand
-// rate in a profile, in encoded ancillae per millisecond.
-func PeakZeroBandwidthPerMs(profile []DemandPoint) float64 {
-	peak := 0.0
-	prev := 0.0
-	for _, p := range profile {
-		width := p.TimeMs - prev
-		prev = p.TimeMs
-		if width <= 0 {
-			continue
-		}
-		rate := float64(p.ZeroAncillae) / width
-		if rate > peak {
-			peak = rate
-		}
-	}
-	return peak
-}
-
 // SweepPoint is one point of the Figure 8 execution-time vs ancilla
 // throughput curve.
 type SweepPoint struct {

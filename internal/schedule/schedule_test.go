@@ -60,12 +60,12 @@ func TestDataOpLatencies(t *testing.T) {
 		g    quantum.Gate
 		want iontrap.Microseconds
 	}{
-		{quantum.NewGate(quantum.GateH, 0), 1},
-		{quantum.NewGate(quantum.GateCX, 0, 1), 10},
-		{quantum.NewGate(quantum.GateT, 0), 61},
-		{quantum.NewGate(quantum.GateTdg, 0), 61},
-		{quantum.NewGate(quantum.GateMeasure, 0), 50},
-		{quantum.NewGate(quantum.GatePrepZero, 0), 51},
+		{quantum.Gate{Kind: quantum.GateH, Qubits: []int{0}}, 1},
+		{quantum.Gate{Kind: quantum.GateCX, Qubits: []int{0, 1}}, 10},
+		{quantum.Gate{Kind: quantum.GateT, Qubits: []int{0}}, 61},
+		{quantum.Gate{Kind: quantum.GateTdg, Qubits: []int{0}}, 61},
+		{quantum.Gate{Kind: quantum.GateMeasure, Qubits: []int{0}}, 50},
+		{quantum.Gate{Kind: quantum.GatePrepZero, Qubits: []int{0}}, 51},
 	}
 	for _, tc := range cases {
 		if got := m.DataOpLatency(tc.g); got != tc.want {
@@ -179,10 +179,15 @@ func TestDemandProfile(t *testing.T) {
 		t.Fatalf("profile has %d buckets, want 20", len(profile))
 	}
 	totalZero, totalPi8 := 0, 0
+	peak, prev := 0.0, 0.0 // peak: the largest per-bucket zero-ancilla rate, per ms
 	for i, p := range profile {
 		if i > 0 && p.TimeMs <= profile[i-1].TimeMs {
 			t.Error("bucket times must be increasing")
 		}
+		if width := p.TimeMs - prev; width > 0 && float64(p.ZeroAncillae)/width > peak {
+			peak = float64(p.ZeroAncillae) / width
+		}
+		prev = p.TimeMs
 		totalZero += p.ZeroAncillae
 		totalPi8 += p.Pi8Ancillae
 	}
@@ -196,7 +201,7 @@ func TestDemandProfile(t *testing.T) {
 	if totalPi8 != ch.Pi8Ancillae {
 		t.Errorf("profile π/8 ancillae = %d, characterization says %d", totalPi8, ch.Pi8Ancillae)
 	}
-	if peak := PeakZeroBandwidthPerMs(profile); peak < ch.ZeroBandwidthPerMs {
+	if peak < ch.ZeroBandwidthPerMs {
 		t.Errorf("peak bandwidth %.1f should be at least the average %.1f", peak, ch.ZeroBandwidthPerMs)
 	}
 }

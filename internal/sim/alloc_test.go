@@ -57,7 +57,7 @@ func TestAcquireFireGrantsAtCumulativeProduction(t *testing.T) {
 	k := AcquireKernel()
 	defer k.Release()
 	r := NewResource(k, "anc", 0)
-	p, err := NewProducer(k, "factory", r, 0.5, 1)
+	p, err := newProducer(k, "factory", r, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +131,14 @@ func TestResetKeepsCapacityAndSemantics(t *testing.T) {
 	r := NewResource(k, "a", 2)
 	r.Put(2)
 	r.Reset(k, "b", 5)
-	if r.Name != "b" || r.Level() != 0 || r.Produced() != 0 || r.HighWater() != 0 {
+	if r.Name != "b" || r.level != 0 || r.produced != 0 || r.HighWater() != 0 {
 		t.Fatalf("reset resource carries old state: %+v", r)
 	}
 	if got := r.Put(10); got != 5 {
 		t.Fatalf("reset resource accepted %v, want the new capacity 5", got)
 	}
 
-	p, err := NewProducer(k, "p", r, 1, 1)
+	p, err := newProducer(k, "p", r, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestResetKeepsCapacityAndSemantics(t *testing.T) {
 	if err := p.Reset(k, "p2", r, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if p.Emitted() != 0 || p.StallTime() != 0 || p.Name != "p2" {
+	if p.emitted != 0 || p.StallTime() != 0 || p.Name != "p2" {
 		t.Fatalf("reset producer carries old state: %+v", p)
 	}
 	if err := p.Reset(k, "bad", r, 0, 1); err == nil {
@@ -162,8 +162,8 @@ func TestKernelPoolReuseIsFresh(t *testing.T) {
 	k.Release()
 	k2 := AcquireKernel()
 	defer k2.Release()
-	if k2.Now() != 0 || k2.Pending() != 0 {
-		t.Fatalf("pooled kernel not reset: now=%v pending=%d", k2.Now(), k2.Pending())
+	if k2.Now() != 0 || len(k2.events) != 0 {
+		t.Fatalf("pooled kernel not reset: now=%v pending=%d", k2.Now(), len(k2.events))
 	}
 }
 

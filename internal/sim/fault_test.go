@@ -18,7 +18,7 @@ func (h *recordingHandler) Fire(idx int) { h.fired = append(h.fired, idx) }
 func TestProducerHalt(t *testing.T) {
 	k := NewKernel()
 	buf := NewResource(k, "buf", 0)
-	p, err := NewProducer(k, "p", buf, 1, 1) // one unit per µs
+	p, err := newProducer(k, "p", buf, 1, 1) // one unit per µs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +26,10 @@ func TestProducerHalt(t *testing.T) {
 	at(k, 3.5, PriorityNormal, p.Halt)
 	at(k, 10, PriorityNormal, func() { k.Stop() })
 	k.Run()
-	if got := p.Emitted(); got != 3 {
+	if got := p.emitted; got != 3 {
 		t.Errorf("halted producer emitted %v, want 3 (ticks at 1, 2, 3)", got)
 	}
-	if got := buf.Level(); got != 3 {
+	if got := buf.level; got != 3 {
 		t.Errorf("buffer level %v, want 3", got)
 	}
 }
@@ -39,7 +39,7 @@ func TestProducerHalt(t *testing.T) {
 func TestProducerHaltWhileStalled(t *testing.T) {
 	k := NewKernel()
 	buf := NewResource(k, "buf", 1)
-	p, err := NewProducer(k, "p", buf, 1, 1)
+	p, err := newProducer(k, "p", buf, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestProducerHaltWhileStalled(t *testing.T) {
 	if got := p.StallTime(); got != 3 {
 		t.Errorf("stall time %v, want 3 (stalled 2..5)", got)
 	}
-	if got := p.Emitted(); got != 2 {
+	if got := p.emitted; got != 2 {
 		t.Errorf("halted producer emitted %v after wake, want 2", got)
 	}
 }
@@ -62,7 +62,7 @@ func TestProducerHaltWhileStalled(t *testing.T) {
 func TestProducerSetRate(t *testing.T) {
 	k := NewKernel()
 	buf := NewResource(k, "buf", 0)
-	p, err := NewProducer(k, "p", buf, 1, 1)
+	p, err := newProducer(k, "p", buf, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestProducerSetRate(t *testing.T) {
 		}
 	})
 	for _, when := range []iontrap.Microseconds{3.5, 7.5} {
-		at(k, when, PriorityLate, func() { levels = append(levels, buf.Level()) })
+		at(k, when, PriorityLate, func() { levels = append(levels, buf.level) })
 	}
 	at(k, 8, PriorityNormal, func() { k.Stop() })
 	k.Run()

@@ -52,9 +52,6 @@ func (s *FluidSource) AvailableAt(n float64) float64 {
 	return s.consumed / s.ratePerUs
 }
 
-// Consumed returns the cumulative ancillae reserved so far.
-func (s *FluidSource) Consumed() float64 { return s.consumed }
-
 // request is one pending AcquireFire: demand is delivered incrementally as
 // the resource is replenished (ancillae are handed over the moment they
 // exist, so a demand larger than the buffer capacity still completes).
@@ -102,21 +99,11 @@ func NewResource(k *Kernel, name string, capacity float64) *Resource {
 	return &Resource{Name: name, k: k, capacity: capacity}
 }
 
-// Level returns the currently buffered quantity.
-func (r *Resource) Level() float64 { return r.level }
-
 // HighWater returns the largest buffered level observed.
 func (r *Resource) HighWater() float64 { return r.highWater }
 
-// Produced returns the cumulative quantity deposited.
-func (r *Resource) Produced() float64 { return r.produced }
-
 // Consumed returns the cumulative quantity granted to consumers.
 func (r *Resource) Consumed() float64 { return r.consumed }
-
-// WaitTime returns the total time AcquireFire requests spent waiting for
-// their full demand.
-func (r *Resource) WaitTime() iontrap.Microseconds { return r.waitUs }
 
 // AcquireFire requests n units: h.Fire(idx) fires (as a normal-priority
 // kernel event) once the full demand has been delivered.  Requests are
@@ -282,24 +269,6 @@ type Producer struct {
 	halted    bool
 }
 
-// NewProducer builds a producer emitting batch units into out every
-// 1/ratePerUs microseconds.  A non-positive rate returns ErrZeroRate.
-func NewProducer(k *Kernel, name string, out *Resource, ratePerUs, batch float64) (*Producer, error) {
-	if !(ratePerUs > 0) {
-		return nil, fmt.Errorf("producer %q rate %v: %w", name, ratePerUs, ErrZeroRate)
-	}
-	if batch <= 0 {
-		return nil, fmt.Errorf("sim: producer %q has non-positive batch %v", name, batch)
-	}
-	return &Producer{
-		Name:     name,
-		k:        k,
-		out:      out,
-		interval: iontrap.Microseconds(batch / ratePerUs),
-		batch:    batch,
-	}, nil
-}
-
 // Producer event payloads for the Handler interface.
 const (
 	producerTick = iota
@@ -366,9 +335,6 @@ func (p *Producer) StallTime() iontrap.Microseconds {
 	}
 	return p.stallUs
 }
-
-// Emitted returns the cumulative quantity produced (deposited or held).
-func (p *Producer) Emitted() float64 { return p.emitted }
 
 // tick is one production completion.
 func (p *Producer) tick() {

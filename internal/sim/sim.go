@@ -137,9 +137,6 @@ func (k *Kernel) Run() Stats {
 	return k.stats
 }
 
-// Pending returns the number of scheduled events not yet fired.
-func (k *Kernel) Pending() int { return len(k.events) }
-
 // Reset returns the kernel to time zero with an empty queue, keeping the
 // event slice's backing capacity so a reused kernel schedules without
 // reallocating.  Outstanding events are dropped (their handlers released).

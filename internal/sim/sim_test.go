@@ -8,6 +8,16 @@ import (
 	"speedofdata/internal/iontrap"
 )
 
+// newProducer returns a Producer initialised through Reset, the way the
+// replays set up their pooled producers.
+func newProducer(k *Kernel, name string, out *Resource, ratePerUs, batch float64) (*Producer, error) {
+	p := new(Producer)
+	if err := p.Reset(k, name, out, ratePerUs, batch); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 func TestKernelFiresInTimeOrder(t *testing.T) {
 	k := NewKernel()
 	var order []int
@@ -74,8 +84,8 @@ func TestKernelStopDropsRemainingEvents(t *testing.T) {
 	if fired != 1 || stats.Events != 1 {
 		t.Errorf("fired %d events after Stop, want 1", fired)
 	}
-	if k.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", k.Pending())
+	if len(k.events) != 1 {
+		t.Errorf("pending = %d, want 1", len(k.events))
 	}
 }
 
@@ -91,8 +101,8 @@ func TestFluidSourceMatchesTokenBucket(t *testing.T) {
 	if got := s.AvailableAt(3); got != 10 {
 		t.Errorf("second acquire at %v, want 10", got)
 	}
-	if s.Consumed() != 5 {
-		t.Errorf("consumed = %v, want 5", s.Consumed())
+	if s.consumed != 5 {
+		t.Errorf("consumed = %v, want 5", s.consumed)
 	}
 	// An infinite rate grants immediately.
 	inf, err := NewFluidSource(math.Inf(1))
@@ -113,10 +123,10 @@ func TestZeroRateIsTypedError(t *testing.T) {
 	}
 	k := NewKernel()
 	out := NewResource(k, "buf", 4)
-	if _, err := NewProducer(k, "p", out, 0, 1); !errors.Is(err, ErrZeroRate) {
+	if _, err := newProducer(k, "p", out, 0, 1); !errors.Is(err, ErrZeroRate) {
 		t.Errorf("zero-rate producer error = %v, want ErrZeroRate", err)
 	}
-	if _, err := NewProducer(k, "p", out, 1, 0); err == nil {
+	if _, err := newProducer(k, "p", out, 1, 0); err == nil {
 		t.Error("zero-batch producer should be rejected")
 	}
 }
@@ -135,15 +145,15 @@ func TestResourceGrantsFIFO(t *testing.T) {
 	if len(grants) != 2 || grants[0] != "first" || grants[1] != "second" {
 		t.Fatalf("grants = %v", grants)
 	}
-	if r.Level() != 4 {
-		t.Errorf("leftover level = %v, want 4", r.Level())
+	if r.level != 4 {
+		t.Errorf("leftover level = %v, want 4", r.level)
 	}
-	if r.Consumed() != 3 || r.Produced() != 7 {
-		t.Errorf("consumed %v / produced %v, want 3 / 7", r.Consumed(), r.Produced())
+	if r.consumed != 3 || r.produced != 7 {
+		t.Errorf("consumed %v / produced %v, want 3 / 7", r.consumed, r.produced)
 	}
 	// The first request waited from t=0 to t=5, the second to t=10.
-	if r.WaitTime() != 15 {
-		t.Errorf("wait time = %v, want 15", r.WaitTime())
+	if r.waitUs != 15 {
+		t.Errorf("wait time = %v, want 15", r.waitUs)
 	}
 }
 
@@ -152,7 +162,7 @@ func TestAcquireLargerThanCapacityDrainsIncrementally(t *testing.T) {
 	// as they are produced, so the request still completes.
 	k := NewKernel()
 	r := NewResource(k, "anc", 2)
-	p, err := NewProducer(k, "factory", r, 1.0, 1) // 1 per µs
+	p, err := newProducer(k, "factory", r, 1.0, 1) // 1 per µs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +180,7 @@ func TestAcquireLargerThanCapacityDrainsIncrementally(t *testing.T) {
 func TestProducerStallsOnFullBuffer(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "anc", 3)
-	p, err := NewProducer(k, "factory", r, 1.0, 1)
+	p, err := newProducer(k, "factory", r, 1.0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +190,7 @@ func TestProducerStallsOnFullBuffer(t *testing.T) {
 	// At t=10 a consumer takes 2, unblocking production.
 	at(k, 10, PriorityNormal, func() { acquire(r, 2, func() {}) })
 	at(k, 20, PriorityNormal, func() {
-		level = r.Level()
+		level = r.level
 		k.Stop()
 	})
 	k.Run()
@@ -193,8 +203,8 @@ func TestProducerStallsOnFullBuffer(t *testing.T) {
 	if level != 3 {
 		t.Errorf("level at t=20 = %v, want refilled to capacity 3", level)
 	}
-	if p.Emitted() < 5 {
-		t.Errorf("emitted = %v, want production to have resumed", p.Emitted())
+	if p.emitted < 5 {
+		t.Errorf("emitted = %v, want production to have resumed", p.emitted)
 	}
 }
 
@@ -202,7 +212,7 @@ func TestDeterministicRepeatedRuns(t *testing.T) {
 	run := func() (float64, iontrap.Microseconds, int) {
 		k := NewKernel()
 		r := NewResource(k, "anc", 4)
-		p, err := NewProducer(k, "factory", r, 0.7, 1)
+		p, err := newProducer(k, "factory", r, 0.7, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +230,7 @@ func TestDeterministicRepeatedRuns(t *testing.T) {
 			})
 		}
 		stats := k.Run()
-		return r.Consumed(), stats.End, stats.Events
+		return r.consumed, stats.End, stats.Events
 	}
 	c1, e1, n1 := run()
 	c2, e2, n2 := run()

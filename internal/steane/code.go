@@ -1,16 +1,13 @@
 // Package steane implements the [[7,1,3]] CSS (Steane) code used throughout
 // the paper (Section 2): its stabilizer structure, syndrome decoding, and the
-// physical-level ancilla preparation circuits of Figures 3, 4 and 5 — the
+// physical-level encoded-zero preparation circuits of Figures 3 and 4 — the
 // basic encoded-zero prepare, cat-state preparation, verification, bit/phase
-// correction, the three high-fidelity encoded-zero variants, and the encoded
-// π/8 ancilla preparation.
+// correction and the three high-fidelity variants.
 //
-// The circuits are expressed over the shared quantum.Circuit IR at the
-// physical-qubit level so the noise package can Monte Carlo them and the
-// factory package can count their operations.
+// Each circuit is a Protocol: a list of physical operations on individual
+// qubits plus the classical verify and correct steps, which the noise
+// package compiles and evaluates.
 package steane
-
-import "fmt"
 
 // N is the number of physical qubits per encoded qubit in the [[7,1,3]] code.
 const N = 7
@@ -53,17 +50,6 @@ func maskOf(qubits ...int) uint8 {
 		m |= 1 << uint(q)
 	}
 	return m
-}
-
-// SupportQubits expands a bitmask into a sorted list of qubit indices.
-func SupportQubits(mask uint8) []int {
-	var out []int
-	for q := 0; q < N; q++ {
-		if mask&(1<<uint(q)) != 0 {
-			out = append(out, q)
-		}
-	}
-	return out
 }
 
 // Weight returns the number of qubits in a Pauli-pattern bitmask.
@@ -143,20 +129,6 @@ const (
 	LogicalError
 )
 
-// String names the decode result.
-func (r DecodeResult) String() string {
-	switch r {
-	case NoError:
-		return "no error"
-	case Corrected:
-		return "corrected"
-	case LogicalError:
-		return "logical error"
-	default:
-		return fmt.Sprintf("decode(%d)", int(r))
-	}
-}
-
 // Decode performs ideal maximum-likelihood-style decoding of a single-type
 // (X or Z) error pattern: compute the syndrome, apply the implied
 // single-qubit correction, and classify the residual.
@@ -177,14 +149,6 @@ func (c Code) Decode(errMask uint8) DecodeResult {
 	default:
 		return LogicalError
 	}
-}
-
-// IsUncorrectable reports whether an (X-pattern, Z-pattern) pair leaves a
-// logical error after ideal decoding of each type independently.  This is the
-// criterion for a general encoded data qubit, where both logical X and
-// logical Z damage the state.
-func (c Code) IsUncorrectable(xMask, zMask uint8) bool {
-	return c.Decode(xMask) == LogicalError || c.Decode(zMask) == LogicalError
 }
 
 // IsUncorrectableZeroAncilla reports whether an error frame on an encoded
@@ -237,19 +201,3 @@ func (c Code) VerificationSupport() []int {
 	// gives the weight-3 representative {0,1,2}.
 	return []int{0, 1, 2}
 }
-
-// Pauli is a two-bit Pauli operator on a single physical qubit, tracked as
-// separate X and Z components (Y = both).
-type Pauli struct {
-	X, Z bool
-}
-
-// PauliFrame is the X/Z error pattern on one encoded block, stored as
-// bitmasks over the 7 physical qubits.
-type PauliFrame struct {
-	XMask uint8
-	ZMask uint8
-}
-
-// IsClean reports whether the frame carries no error at all.
-func (f PauliFrame) IsClean() bool { return f.XMask == 0 && f.ZMask == 0 }

@@ -153,22 +153,6 @@ func TestDecodeParityCharacterisation(t *testing.T) {
 	}
 }
 
-func TestIsUncorrectable(t *testing.T) {
-	c := NewCode()
-	if c.IsUncorrectable(0, 0) {
-		t.Error("clean frame must be correctable")
-	}
-	if c.IsUncorrectable(1, 2) {
-		t.Error("single X and single Z errors must be correctable")
-	}
-	if !c.IsUncorrectable(c.LogicalSupport, 0) {
-		t.Error("logical X must be uncorrectable")
-	}
-	if !c.IsUncorrectable(0, c.LogicalSupport) {
-		t.Error("logical Z must be uncorrectable")
-	}
-}
-
 func TestEncodingPivots(t *testing.T) {
 	c := NewCode()
 	rows := c.EncodingPivots()
@@ -220,29 +204,7 @@ func TestVerificationSupportIsLogicalZRepresentative(t *testing.T) {
 
 func TestSupportQubitsAndWeight(t *testing.T) {
 	mask := maskOf(1, 3, 6)
-	qs := SupportQubits(mask)
-	if len(qs) != 3 || qs[0] != 1 || qs[1] != 3 || qs[2] != 6 {
-		t.Errorf("SupportQubits = %v", qs)
-	}
 	if Weight(mask) != 3 {
 		t.Errorf("Weight = %d, want 3", Weight(mask))
-	}
-}
-
-func TestDecodeResultString(t *testing.T) {
-	if NoError.String() != "no error" || Corrected.String() != "corrected" || LogicalError.String() != "logical error" {
-		t.Error("DecodeResult strings wrong")
-	}
-	if DecodeResult(9).String() != "decode(9)" {
-		t.Error("unknown DecodeResult string wrong")
-	}
-}
-
-func TestPauliFrameIsClean(t *testing.T) {
-	if !(PauliFrame{}).IsClean() {
-		t.Error("zero frame should be clean")
-	}
-	if (PauliFrame{XMask: 1}).IsClean() || (PauliFrame{ZMask: 4}).IsClean() {
-		t.Error("non-zero frames should not be clean")
 	}
 }

@@ -1,10 +1,6 @@
 package steane
 
-import (
-	"testing"
-
-	"speedofdata/internal/quantum"
-)
+import "testing"
 
 func TestBasicZeroProtocolStructure(t *testing.T) {
 	p := BasicZeroProtocol(NewCode())
@@ -103,30 +99,6 @@ func TestVerifyAndCorrectProtocolStructure(t *testing.T) {
 	}
 }
 
-func TestPi8AncillaProtocolStructure(t *testing.T) {
-	p := Pi8AncillaProtocol(NewCode())
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	c := p.CountOps()
-	if p.NumQubits != 14 {
-		t.Errorf("pi/8 prep uses %d qubits, want 14 (block + 7-qubit cat)", p.NumQubits)
-	}
-	// Must contain transversal π/8 gates on the cat (7 T gates).
-	tCount := 0
-	for _, op := range p.Ops {
-		if op.Kind == OpT {
-			tCount++
-		}
-	}
-	if tCount != 7 {
-		t.Errorf("π/8 prep contains %d T gates, want 7", tCount)
-	}
-	if c.Measurements != 1 {
-		t.Errorf("π/8 prep measurements = %d, want 1", c.Measurements)
-	}
-}
-
 func TestStandardProtocolsComplete(t *testing.T) {
 	ps := StandardProtocols(NewCode())
 	for _, name := range []string{"basic", "verify-only", "correct-only", "verify-and-correct"} {
@@ -138,26 +110,6 @@ func TestStandardProtocolsComplete(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Errorf("protocol %q invalid: %v", name, err)
 		}
-	}
-}
-
-func TestProtocolCircuitConversion(t *testing.T) {
-	p := VerifyOnlyProtocol(NewCode())
-	c := p.Circuit()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	stats := c.ComputeStats()
-	counts := p.CountOps()
-	if stats.TotalGates != counts.Total() {
-		t.Errorf("circuit has %d gates, protocol has %d physical ops", stats.TotalGates, counts.Total())
-	}
-	if stats.CountByKind[quantum.GateCX] != counts.TwoQubitGates {
-		t.Errorf("circuit CX count %d != protocol two-qubit count %d",
-			stats.CountByKind[quantum.GateCX], counts.TwoQubitGates)
-	}
-	if stats.CountByKind[quantum.GateMeasure] != 3 {
-		t.Errorf("circuit measurement count = %d, want 3", stats.CountByKind[quantum.GateMeasure])
 	}
 }
 
@@ -245,7 +197,6 @@ func TestAllProtocolsOutputBlocksValid(t *testing.T) {
 		VerifyOnlyProtocol(code),
 		CorrectOnlyProtocol(code),
 		VerifyAndCorrectProtocol(code),
-		Pi8AncillaProtocol(code),
 	}
 	for _, p := range protocols {
 		if err := p.Validate(); err != nil {

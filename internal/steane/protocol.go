@@ -1,10 +1,6 @@
 package steane
 
-import (
-	"fmt"
-
-	"speedofdata/internal/quantum"
-)
+import "fmt"
 
 // OpKind enumerates the physical and classical operations a preparation
 // protocol is made of.  Physical operations are error locations for the
@@ -250,35 +246,4 @@ func (p *Protocol) Validate() error {
 		outSeen[q] = true
 	}
 	return nil
-}
-
-// Circuit converts the protocol's physical operations into a quantum.Circuit
-// (classical verify/correct steps are dropped), for statistics and reporting.
-func (p *Protocol) Circuit() *quantum.Circuit {
-	c := quantum.NewCircuit(p.Name, p.NumQubits)
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case OpPrepZero:
-			c.Add(quantum.GatePrepZero, op.Qubits[0])
-		case OpH:
-			c.Add(quantum.GateH, op.Qubits[0])
-		case OpS:
-			c.Add(quantum.GateS, op.Qubits[0])
-		case OpT:
-			c.Add(quantum.GateT, op.Qubits[0])
-		case OpZ:
-			c.Add(quantum.GateZ, op.Qubits[0])
-		case OpX:
-			c.Add(quantum.GateX, op.Qubits[0])
-		case OpCX:
-			c.Add(quantum.GateCX, op.Qubits[0], op.Qubits[1])
-		case OpCZ:
-			c.Add(quantum.GateCZ, op.Qubits[0], op.Qubits[1])
-		case OpMeasureZ:
-			c.Add(quantum.GateMeasure, op.Qubits[0])
-		case OpMeasureX:
-			c.Add(quantum.GateMeasureX, op.Qubits[0])
-		}
-	}
-	return c
 }

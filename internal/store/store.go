@@ -504,22 +504,10 @@ func (s *Store) maybeCompactLocked() {
 	}
 }
 
-// Compact forces a snapshot+compaction pass: live records are rewritten to a
-// fresh segment that atomically replaces the old one via rename.  Readers in
-// other processes keep serving from their open (now unlinked) segment and
-// pick up the new one on their next refresh.
-func (s *Store) Compact() error {
-	if s.opts.ReadOnly {
-		return fmt.Errorf("store: cannot compact a read-only store")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.f == nil {
-		return fmt.Errorf("store: closed")
-	}
-	return s.compactLocked()
-}
-
+// compactLocked is the snapshot+compaction pass, run with s.mu held: live
+// records are rewritten to a fresh segment that atomically replaces the old
+// one via rename.  Readers in other processes keep serving from their open
+// (now unlinked) segment and pick up the new one on their next refresh.
 func (s *Store) compactLocked() error {
 	tmpPath := s.path + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
@@ -640,14 +628,6 @@ func (s *Store) reopenLocked() bool {
 	}
 	s.size = valid
 	return true
-}
-
-// Refresh makes a read-only store pick up the writer's latest records
-// immediately instead of on the next miss.
-func (s *Store) Refresh() {
-	if s.opts.ReadOnly {
-		s.refresh()
-	}
 }
 
 // Stats implements engine.StatBackend.

@@ -238,6 +238,17 @@ func TestLockContention(t *testing.T) {
 	s2.Close()
 }
 
+// compact forces a compaction pass through the writer's own path, the one
+// Put takes once enough dead bytes pile up.
+func compact(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.compactLocked(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+}
+
 func TestCompaction(t *testing.T) {
 	s := openWriter(t, t.TempDir(), Options{CompactMinBytes: 1 << 40}) // no auto compaction
 	for i := 0; i < 100; i++ {
@@ -248,9 +259,7 @@ func TestCompaction(t *testing.T) {
 	if before.DeadBytes == 0 {
 		t.Fatalf("stats = %+v, want dead bytes before compaction", before)
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
+	compact(t, s)
 	after := s.Stats()
 	if after.DeadBytes != 0 || after.Entries != 2 || after.Compactions != 1 {
 		t.Fatalf("stats after compaction = %+v", after)
@@ -331,15 +340,13 @@ func TestConcurrentReaderDuringCompaction(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			s.Put(fmt.Sprintf("k%d", i), testPayload{N: i})
 		}
-		if err := s.Compact(); err != nil {
-			t.Fatalf("Compact: %v", err)
-		}
+		compact(t, s)
 	}
 	close(stop)
 	wg.Wait()
 
 	// After the dust settles the reader refreshes onto the new segment.
-	r.Refresh()
+	r.refresh()
 	for i := 0; i < 20; i++ {
 		wantGet(t, r, fmt.Sprintf("k%d", i), testPayload{N: i})
 	}
