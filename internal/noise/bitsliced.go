@@ -306,7 +306,7 @@ func (p *trialProgram) tallyWord(st *wordState, rejected, active uint64, c *mcCo
 			xOut |= int(st.x[q]>>lane&1) << i
 			zOut |= int(st.z[q]>>lane&1) << i
 		}
-		f := p.outcome[xOut<<steane.N|zOut]
+		f := p.xOutcome[xOut] | p.zOutcome[zOut]
 		if f&outUncorrectable != 0 {
 			c.Uncorrectable++
 		}

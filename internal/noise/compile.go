@@ -24,8 +24,12 @@ import (
 //     one run instruction;
 //   - measurement flips bit-packed into uint64 words, with verification
 //     parity masks and correction syndrome tables precomputed;
-//   - the decode outcome of every possible output frame tabulated, so a
-//     trial ends in one lookup;
+//   - the decode outcome of every possible output frame tabulated as two
+//     128-entry halves, one per Pauli plane, so a trial ends in two lookups
+//     and an OR;
+//   - the locations that draw listed once in location order, with the
+//     program's largest threshold, so the scan of a fault-free trial tests
+//     each value against one window;
 //   - RNG draws devirtualised through lfRand's batched buffer.
 //
 // The dense executor consumes random values in exactly the order the
@@ -82,7 +86,8 @@ type correctData struct {
 	meas   [steane.N]uint16
 }
 
-// Outcome flag bits of the per-frame decode table.
+// Outcome flag bits of the decode tables.  A frame's flags are
+// xOutcome[x] | zOutcome[z] (see outcomeFlags).
 const (
 	outUncorrectable = 1 << 0
 	outResidual      = 1 << 1
@@ -106,17 +111,23 @@ type trialProgram struct {
 	verifyMasks [][]uint64
 	corrects    []correctData
 	correction  [1 << steane.N]uint8 // syndrome pattern -> correction mask
-	outcome     []uint8              // (xOut<<7 | zOut) -> outcome flags
+	xOutcome    [1 << steane.N]uint8 // output X pattern -> outcome flags (z = 0)
+	zOutcome    [1 << steane.N]uint8 // output Z pattern -> outcome flags (x = 0)
 	output      [steane.N]uint8
 	moveVThresh int64 // fault threshold of movement ops (cMoveRun)
 	corrVThresh int64 // fault threshold of correction gates (LocOneQubit)
 	corrProb    float64
 	classes     []probClass
 	locInstr    []int32 // static location index -> instruction index
-	// vthreshByLoc is each static location's integer fault threshold in
-	// location order (-1 = never faults, no draw), the scan loop's table.
-	vthreshByLoc []int64
-	clean        TrialResult // outcome of a fault-free run
+	// drawTh and drawLoc list the static locations that draw a value
+	// (p > 0) in location order: drawTh[d] is the integer fault threshold
+	// of location drawLoc[d].  maxTh is the largest of them, so a value in
+	// [maxTh, lfRetryMin) faults nowhere and needs no resample: the scan's
+	// window.
+	drawTh  []int64
+	drawLoc []int32
+	maxTh   int64
+	clean   TrialResult // outcome of a fault-free run
 	// quiet is this program with every fault threshold at -1: execDense
 	// on it draws nothing, so forced trials are deterministic.
 	quiet *trialProgram
@@ -180,7 +191,7 @@ func compileProgram(code steane.Code, p *steane.Protocol, m Model) *trialProgram
 	classLoc := func(kind LocationKind) {
 		prob := m.ErrorProbability(kind)
 		prog.locInstr = append(prog.locInstr, int32(len(prog.ops)))
-		prog.vthreshByLoc = append(prog.vthreshByLoc, intThreshold(prob))
+		prog.addDraw(loc, intThreshold(prob))
 		loc++
 		prog.addToClass(prob, loc-1, 1)
 	}
@@ -215,7 +226,7 @@ func compileProgram(code steane.Code, p *steane.Protocol, m Model) *trialProgram
 				// just emitted (classLoc would point past it).
 				for i := 0; i < k; i++ {
 					prog.locInstr = append(prog.locInstr, int32(len(prog.ops)-1))
-					prog.vthreshByLoc = append(prog.vthreshByLoc, prog.moveVThresh)
+					prog.addDraw(loc, prog.moveVThresh)
 					loc++
 				}
 				prog.addToClass(m.ErrorProbability(LocMove), loc-int32(k), k)
@@ -261,18 +272,9 @@ func compileProgram(code steane.Code, p *steane.Protocol, m Model) *trialProgram
 	for pat := 0; pat < 1<<steane.N; pat++ {
 		prog.correction[pat] = code.CorrectionFor(code.Syndrome(uint8(pat)))
 	}
-	prog.outcome = make([]uint8, 1<<(2*steane.N))
-	for x := 0; x < 1<<steane.N; x++ {
-		for z := 0; z < 1<<steane.N; z++ {
-			var f uint8
-			if code.IsUncorrectableZeroAncilla(uint8(x), uint8(z)) {
-				f |= outUncorrectable
-			}
-			if !code.IsHarmlessOnZeroAncilla(uint8(x), uint8(z)) {
-				f |= outResidual
-			}
-			prog.outcome[x<<steane.N|z] = f
-		}
+	for m := 0; m < 1<<steane.N; m++ {
+		prog.xOutcome[m] = outcomeFlags(code, uint8(m), 0)
+		prog.zOutcome[m] = outcomeFlags(code, 0, uint8(m))
 	}
 	quiet := *prog
 	quiet.ops = slices.Clone(prog.ops)
@@ -283,6 +285,33 @@ func compileProgram(code steane.Code, p *steane.Protocol, m Model) *trialProgram
 	prog.quiet = &quiet
 	prog.clean = prog.forced(-1, Fault{})
 	return prog
+}
+
+// outcomeFlags is the decode outcome of output frame (x, z).  The two
+// predicates split by plane: IsUncorrectableZeroAncilla reads only x, and
+// IsHarmlessOnZeroAncilla is IsStabilizer(x) && Syndrome(z) == 0.  So a
+// frame's flags are outcomeFlags(x, 0) | outcomeFlags(0, z), which is how
+// the executors read them (xOutcome[x] | zOutcome[z]).
+func outcomeFlags(code steane.Code, x, z uint8) uint8 {
+	var f uint8
+	if code.IsUncorrectableZeroAncilla(x, z) {
+		f |= outUncorrectable
+	}
+	if !code.IsHarmlessOnZeroAncilla(x, z) {
+		f |= outResidual
+	}
+	return f
+}
+
+// addDraw lists static location loc in the scan's table when it draws
+// (threshold t >= 0; the interpreter draws nothing at p <= 0).
+func (p *trialProgram) addDraw(loc int32, t int64) {
+	if t < 0 {
+		return
+	}
+	p.drawTh = append(p.drawTh, t)
+	p.drawLoc = append(p.drawLoc, loc)
+	p.maxTh = max(p.maxTh, t)
 }
 
 // forced runs one trial whose only fault is choice f at static location loc
@@ -360,41 +389,50 @@ func (p *trialProgram) addToClass(prob float64, base int32, k int) {
 // until it finds the first faulty static location, whose index it returns
 // (nStatic when the trial is fault-free).  This is the dense hot path: at
 // physical error rates the expected faults per trial are ~p·locations << 1,
-// so most trials are a single pass through this tight loop — one buffered
-// load, one threshold load and two compares per location — and short-circuit
-// to the precompiled clean outcome without touching the op interpreter.
-// Stream parity with the interpreter holds because a fault-free prefix
-// consumes exactly one value per positive-probability location (plus the
-// documented f==1 resamples), in location order.
+// so most trials are a single pass through this loop and short-circuit to
+// the precompiled clean outcome without touching the op interpreter.
+//
+// The scan walks the buffer in runs of min(draws left, values left) and
+// tests each value against one window, [maxTh, lfRetryMin), with a single
+// unsigned compare: a value inside it faults at no location and needs no
+// resample, so it just advances to the next location.  Only a value outside
+// it (about p of them) takes the exact path: at or above lfRetryMin it is
+// resampled for the same location (math/rand's f == 1 rule), otherwise it is
+// compared with that location's own threshold.  Stream parity with the
+// interpreter holds because a fault-free prefix consumes exactly one value
+// per positive-probability location, plus those resamples, in location
+// order.
 func (p *trialProgram) scanToFault(rng *lfRand) int {
-	bi := rng.bi
-	retryMin := lfRetryMin
-	th := p.vthreshByLoc
-	for i := 0; i < len(th); i++ {
-		t := th[i]
-		if t < 0 {
-			continue // p <= 0: the interpreter draws nothing here
-		}
+	th := p.drawTh
+	lo, width := uint64(p.maxTh), uint64(lfRetryMin-p.maxTh)
+	bi := int(rng.bi)
+	for d := 0; d < len(th); {
 		if bi == lfBuf {
 			rng.refill()
 			bi = 0
 		}
-		v := rng.buf[bi&(lfBuf-1)] & lfMask
+		run := rng.buf[bi:min(lfBuf, bi+len(th)-d)]
+		j := 0
+		for j < len(run) && uint64(run[j]&lfMask)-lo < width {
+			j++
+		}
+		bi += j
+		d += j
+		if j == len(run) {
+			continue
+		}
+		v := run[j] & lfMask
 		bi++
-		for v >= retryMin {
-			if bi == lfBuf {
-				rng.refill()
-				bi = 0
-			}
-			v = rng.buf[bi&(lfBuf-1)] & lfMask
-			bi++
+		if v >= lfRetryMin {
+			continue
 		}
-		if v < t {
-			rng.bi = bi
-			return i
+		if v < th[d] {
+			rng.bi = int32(bi)
+			return int(p.drawLoc[d])
 		}
+		d++
 	}
-	rng.bi = bi
+	rng.bi = int32(bi)
 	return p.nStatic
 }
 
@@ -718,7 +756,7 @@ func (p *trialProgram) finish(x, z uint64, rejected bool) TrialResult {
 		xOut |= int(x>>q&1) << i
 		zOut |= int(z>>q&1) << i
 	}
-	f := p.outcome[xOut<<steane.N|zOut]
+	f := p.xOutcome[xOut] | p.zOutcome[zOut]
 	return TrialResult{
 		Rejected:      rejected,
 		Uncorrectable: f&outUncorrectable != 0,

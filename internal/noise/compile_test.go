@@ -523,17 +523,11 @@ func (s *Simulator) locationOps() []string {
 
 // FirstOrder and the clean outcome run on the compiled program's forced
 // entry; the interpreter is their oracle.  Both must agree exactly, under
-// ==, on every protocol, under the dense parity models and one without gate
-// errors.
+// ==, on every protocol, under the dense parity models.
 func TestFirstOrderMatchesInterpreter(t *testing.T) {
 	code := steane.NewCode()
 	for name, p := range allProtocols(code) {
-		for _, model := range []Model{
-			DefaultModel(),
-			{GateError: 1e-2, MoveError: 1e-3, MovementOpsPerTwoQubitGate: 2},
-			{GateError: 0.3, MoveError: 0, MovementOpsPerTwoQubitGate: 0},
-			{GateError: 0, MoveError: 1e-3, MovementOpsPerTwoQubitGate: 3},
-		} {
+		for _, model := range denseParityModels {
 			s := mustSimulator(t, p, model)
 			if got, want := s.FirstOrder(), s.firstOrderLegacy(); got != want {
 				t.Errorf("%s model %+v: FirstOrder %+v != interpreter %+v", name, model, got, want)
@@ -573,17 +567,28 @@ func TestFirstOrderBreakdownSumsToFirstOrder(t *testing.T) {
 	}
 }
 
+// denseParityModels are the models the dense executor is held to the
+// interpreter on.  Besides the paper's rates and two heavy ones, they place
+// the scan's window edges: locations that draw nothing between drawing ones
+// (gate error 0), the largest threshold on moves rather than gates, and a
+// threshold equal to lfRetryMin (gate error 1), which empties the window so
+// that every value takes the exact path.
+var denseParityModels = []Model{
+	DefaultModel(),
+	{GateError: 1e-2, MoveError: 1e-3, MovementOpsPerTwoQubitGate: 2},
+	{GateError: 0.3, MoveError: 0, MovementOpsPerTwoQubitGate: 0},
+	{GateError: 0, MoveError: 1e-3, MovementOpsPerTwoQubitGate: 3},
+	{GateError: 1e-5, MoveError: 1e-2, MovementOpsPerTwoQubitGate: 6},
+	{GateError: 1, MoveError: 1e-6, MovementOpsPerTwoQubitGate: 1},
+}
+
 // The golden acceptance test of the compiled Monte Carlo: for every protocol
 // and several seeds, the compiled dense chunk must tally byte-identical
 // outcomes to the legacy interpreter chunk driven by the same RNG stream.
 func TestDenseChunkMatchesLegacyChunk(t *testing.T) {
 	code := steane.NewCode()
 	for name, p := range allProtocols(code) {
-		for _, model := range []Model{
-			DefaultModel(),
-			{GateError: 1e-2, MoveError: 1e-3, MovementOpsPerTwoQubitGate: 2},
-			{GateError: 0.3, MoveError: 0, MovementOpsPerTwoQubitGate: 0},
-		} {
+		for _, model := range denseParityModels {
 			s := mustSimulator(t, p, model)
 			prog, _ := s.compiled()
 			for _, seed := range []int64{1, 2, 42, -9, 1 << 50} {
@@ -592,6 +597,118 @@ func TestDenseChunkMatchesLegacyChunk(t *testing.T) {
 				if legacy != compiled {
 					t.Errorf("%s model %+v seed %d: compiled %+v != legacy %+v", name, model, seed, compiled, legacy)
 				}
+			}
+		}
+	}
+}
+
+// scanToFaultPerLocation is the oracle of scanToFault: it compares each
+// value with its own static location's threshold, rebuilt from locInstr and
+// the ops.
+func (p *trialProgram) scanToFaultPerLocation(rng *lfRand) int {
+	bi := rng.bi
+	for i, ii := range p.locInstr {
+		th := p.ops[ii].vthresh
+		if p.ops[ii].op == cMoveRun {
+			th = p.moveVThresh
+		}
+		if th < 0 {
+			continue // p <= 0: the interpreter draws nothing here
+		}
+		if bi == lfBuf {
+			rng.refill()
+			bi = 0
+		}
+		v := rng.buf[bi] & lfMask
+		bi++
+		for v >= lfRetryMin {
+			if bi == lfBuf {
+				rng.refill()
+				bi = 0
+			}
+			v = rng.buf[bi] & lfMask
+			bi++
+		}
+		if v < th {
+			rng.bi = bi
+			return i
+		}
+	}
+	rng.bi = bi
+	return p.nStatic
+}
+
+// scanToFault's window test must decide every value as the per-location
+// scan does, including the values outside the window that no seeded stream
+// reaches in a test (a resample fires with probability 2⁻⁵⁴ per draw).  One
+// trial's values are planted in the buffer of a captured lfRand, from the
+// trial's first slot up to the refill: each slot holds its location's own
+// threshold (the smallest value that does not fault there), except one that
+// holds a boundary value, with and without the sign bit the scan masks off.
+// Both scans must return the same location and leave equal generators.
+func TestScanToFaultMatchesPerLocationScan(t *testing.T) {
+	code := steane.NewCode()
+	var base lfRand
+	base.capture(rand.New(rand.NewSource(3)))
+	base.refill()
+	faults, cleans := 0, 0
+	for name, p := range allProtocols(code) {
+		for _, model := range denseParityModels {
+			prog, _ := mustSimulator(t, p, model).compiled()
+			th := prog.drawTh
+			for _, start := range []int{0, lfBuf - 5, lfBuf - 1} {
+				for o := 0; start+o < lfBuf && o < len(th); o++ {
+					for _, v := range []int64{
+						0, th[o] - 1, th[o], th[o] + 1,
+						prog.maxTh - 1, prog.maxTh, prog.maxTh + 1,
+						lfRetryMin - 1, lfRetryMin, lfRetryMin + 1, lfMask,
+					} {
+						for _, sign := range []int64{0, math.MinInt64} {
+							a := base
+							a.bi = int32(start)
+							for k := start; k < lfBuf; k++ {
+								a.buf[k] = th[min(k-start, len(th)-1)]
+							}
+							a.buf[start+o] = v | sign
+							b := a
+							got, want := prog.scanToFault(&a), prog.scanToFaultPerLocation(&b)
+							if got != want || a != b {
+								t.Fatalf("%s model %+v, trial from slot %d, %#x planted at slot %d: scan returned %d (cursor %d), per-location scan %d (cursor %d)",
+									name, model, start, v|sign, start+o, got, a.bi, want, b.bi)
+							}
+							if got < prog.nStatic {
+								faults++
+							} else {
+								cleans++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if faults == 0 || cleans == 0 {
+		t.Errorf("planted trials: %d faulty, %d clean; the test must reach both", faults, cleans)
+	}
+}
+
+// The decode tables split a frame's outcome by Pauli plane.  For every one
+// of the 2¹⁴ output frames their OR must equal the flags of the two decode
+// predicates.
+func TestDecodeTablesMatchPredicates(t *testing.T) {
+	code := steane.NewCode()
+	prog, _ := mustSimulator(t, steane.BasicZeroProtocol(code), DefaultModel()).compiled()
+	for x := 0; x < 1<<steane.N; x++ {
+		for z := 0; z < 1<<steane.N; z++ {
+			var want uint8
+			if code.IsUncorrectableZeroAncilla(uint8(x), uint8(z)) {
+				want |= outUncorrectable
+			}
+			if !code.IsHarmlessOnZeroAncilla(uint8(x), uint8(z)) {
+				want |= outResidual
+			}
+			if got := prog.xOutcome[x] | prog.zOutcome[z]; got != want {
+				t.Fatalf("frame x=%#x z=%#x: tables give flags %#x, predicates %#x", x, z, got, want)
 			}
 		}
 	}
@@ -749,9 +866,10 @@ func TestCompiledProgramLocationAccounting(t *testing.T) {
 	}
 }
 
-// The dense trial loop is the hottest code in the repository and must not
+// The dense executor is the hottest code in the repository and must not
 // allocate: one allocation per trial was a measurable share of the legacy
-// profile.
+// profile.  execDense runs the faulty trials; a whole chunk adds the scan
+// and the refills that every trial runs.
 func TestRunDenseAllocations(t *testing.T) {
 	code := steane.NewCode()
 	s := mustSimulator(t, steane.VerifyAndCorrectProtocol(code), DefaultModel())
@@ -765,6 +883,13 @@ func TestRunDenseAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("execDense allocations = %v per trial, want 0", allocs)
+	}
+	src := rand.New(rand.NewSource(2))
+	allocs = testing.AllocsPerRun(3, func() {
+		prog.denseChunk(src, mcChunkTrials)
+	})
+	if allocs != 0 {
+		t.Fatalf("denseChunk allocations = %v per %d-trial chunk, want 0", allocs, mcChunkTrials)
 	}
 }
 

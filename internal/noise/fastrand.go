@@ -87,7 +87,10 @@ func (r *lfRand) genSlow() int64 {
 // cursor.  After the warm-up the batch is generated in wrap-free segments
 // of independent adds (no carried dependency: lfBuf < lfTap, so a batch
 // never reads a slot it wrote); the warm-up revolution itself goes through
-// the scalar replay step.
+// the scalar replay step.  Each segment walks the tap and feed cursors down
+// over vec[t-n:t] and vec[f-n:f] while filling buf[i:i+n] upwards.  Indexing
+// those re-sliced windows from their end lets the compiler drop the bounds
+// checks of both vector loads; only the buf store keeps one.
 func (r *lfRand) refill() {
 	i := int32(0)
 	for r.warm > 0 && i < lfBuf {
@@ -96,27 +99,21 @@ func (r *lfRand) refill() {
 	}
 	t, f := r.tap, r.feed
 	for i < lfBuf {
-		n := lfBuf - i
 		if t == 0 {
 			t = lfLen
 		}
 		if f == 0 {
 			f = lfLen
 		}
-		if t < n {
-			n = t
+		n := min(lfBuf-i, t, f)
+		fv, out := r.vec[f-n:f], r.buf[i:i+n]
+		tv := r.vec[t-n : t][:len(fv)] // the same length, stated for the compiler
+		for k := len(fv) - 1; k >= 0; k-- {
+			x := fv[k] + tv[k]
+			fv[k] = x
+			out[len(fv)-1-k] = x
 		}
-		if f < n {
-			n = f
-		}
-		for j := int32(0); j < n; j++ {
-			t--
-			f--
-			x := r.vec[f] + r.vec[t]
-			r.vec[f] = x
-			r.buf[i] = x
-			i++
-		}
+		t, f, i = t-n, f-n, i+n
 	}
 	r.tap, r.feed = t, f
 	r.bi = 0

@@ -21,7 +21,7 @@ type TrialResult struct {
 	// after ideal decoding (the paper's Figure 4 metric).
 	Uncorrectable bool
 	// Residual is true when the output block carries any non-trivial error
-	// pattern at all (a stricter metric also reported by EXPERIMENTS.md).
+	// pattern at all (a stricter metric, Figure 4's "MC residual" column).
 	Residual bool
 }
 
