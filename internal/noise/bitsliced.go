@@ -3,7 +3,6 @@ package noise
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"speedofdata/internal/steane"
 )
@@ -317,14 +316,12 @@ func (p *trialProgram) tallyWord(st *wordState, rejected, active uint64, c *mcCo
 }
 
 // bitslicedChunk runs `trials` bit-sliced trials in words of 64 lanes,
-// continuing src's stream through lfRand, and tallies the outcomes.  The
-// word plan depends only on the trial count, so parallel and sequential
-// engine runs stay byte-identical; a ragged final word masks its tally to
-// the first trials mod 64 lanes (lanes are independent, so the surplus
-// lanes are simulated and discarded deterministically).
-func (p *trialProgram) bitslicedChunk(src *rand.Rand, trials int) mcCounts {
-	var lf lfRand
-	lf.capture(src)
+// continuing rng's stream, and tallies the outcomes.  The word plan depends
+// only on the trial count, so parallel and sequential engine runs stay
+// byte-identical; a ragged final word masks its tally to the first trials
+// mod 64 lanes (lanes are independent, so the surplus lanes are simulated
+// and discarded deterministically).
+func (p *trialProgram) bitslicedChunk(rng *lfRand, trials int) mcCounts {
 	var st wordState
 	st.measLane = make([]uint64, p.measWords*64)
 	var faultArr [32]wordFault
@@ -335,7 +332,7 @@ func (p *trialProgram) bitslicedChunk(src *rand.Rand, trials int) mcCounts {
 		if n := trials - done; n < 64 {
 			active = uint64(1)<<uint(n) - 1
 		}
-		faults := p.sampleWordFaults(&lf, scratch)
+		faults := p.sampleWordFaults(rng, scratch)
 		if cap(faults) > cap(scratch) {
 			scratch = faults // a heavy word grew the buffer; keep it
 		}
@@ -345,7 +342,7 @@ func (p *trialProgram) bitslicedChunk(src *rand.Rand, trials int) mcCounts {
 			c.tallyN(p.clean, bits.OnesCount64(active))
 			continue
 		}
-		rejected := p.runWord(&st, &lf, faults)
+		rejected := p.runWord(&st, rng, faults)
 		p.tallyWord(&st, rejected, active, &c)
 	}
 	return c

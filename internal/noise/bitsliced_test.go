@@ -89,7 +89,9 @@ func TestBitSlicedTrialConservation(t *testing.T) {
 		s.Sampling = SamplingBitSliced
 		prog, _ := s.compiled()
 		for _, trials := range []int{1, 63, 64, 65, 1000} {
-			c := prog.bitslicedChunk(rand.New(rand.NewSource(9)), trials)
+			var lf lfRand
+			lf.capture(rand.New(rand.NewSource(9)))
+			c := prog.bitslicedChunk(&lf, trials)
 			if c.Accepted+c.Rejected != trials {
 				t.Errorf("%s trials=%d: accepted %d + rejected %d != trials", name, trials, c.Accepted, c.Rejected)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	"slices"
 
 	"speedofdata/internal/steane"
@@ -28,9 +27,11 @@ import (
 //     128-entry halves, one per Pauli plane, so a trial ends in two lookups
 //     and an OR;
 //   - the locations that draw listed once in location order, with the
-//     program's largest threshold, so the scan of a fault-free trial tests
-//     each value against one window;
-//   - RNG draws devirtualised through lfRand's batched buffer.
+//     program's largest threshold, so the chunk's fault scan tests each
+//     value against one window;
+//   - RNG draws devirtualised through lfRand, whose scan computes the fault
+//     scan's values in place and tests each as it goes, across trial
+//     boundaries.
 //
 // The dense executor consumes random values in exactly the order the
 // interpreter does, so its estimates are byte-identical for the same seed
@@ -385,57 +386,6 @@ func (p *trialProgram) addToClass(prob float64, base int32, k int) {
 	}
 }
 
-// scanToFault consumes location value draws exactly like a fault-free trial
-// until it finds the first faulty static location, whose index it returns
-// (nStatic when the trial is fault-free).  This is the dense hot path: at
-// physical error rates the expected faults per trial are ~p·locations << 1,
-// so most trials are a single pass through this loop and short-circuit to
-// the precompiled clean outcome without touching the op interpreter.
-//
-// The scan walks the buffer in runs of min(draws left, values left) and
-// tests each value against one window, [maxTh, lfRetryMin), with a single
-// unsigned compare: a value inside it faults at no location and needs no
-// resample, so it just advances to the next location.  Only a value outside
-// it (about p of them) takes the exact path: at or above lfRetryMin it is
-// resampled for the same location (math/rand's f == 1 rule), otherwise it is
-// compared with that location's own threshold.  Stream parity with the
-// interpreter holds because a fault-free prefix consumes exactly one value
-// per positive-probability location, plus those resamples, in location
-// order.
-func (p *trialProgram) scanToFault(rng *lfRand) int {
-	th := p.drawTh
-	lo, width := uint64(p.maxTh), uint64(lfRetryMin-p.maxTh)
-	bi := int(rng.bi)
-	for d := 0; d < len(th); {
-		if bi == lfBuf {
-			rng.refill()
-			bi = 0
-		}
-		run := rng.buf[bi:min(lfBuf, bi+len(th)-d)]
-		j := 0
-		for j < len(run) && uint64(run[j]&lfMask)-lo < width {
-			j++
-		}
-		bi += j
-		d += j
-		if j == len(run) {
-			continue
-		}
-		v := run[j] & lfMask
-		bi++
-		if v >= lfRetryMin {
-			continue
-		}
-		if v < th[d] {
-			rng.bi = int32(bi)
-			return int(p.drawLoc[d])
-		}
-		d++
-	}
-	rng.bi = int32(bi)
-	return p.nStatic
-}
-
 // runDenseFrom finishes a dense trial whose scan found its first fault at
 // static location k (the value draw for k is already consumed; the fault's
 // choice draw is not).  Everything before k is clean — transforms on an
@@ -457,14 +407,8 @@ func (p *trialProgram) runDenseFrom(rng *lfRand, meas []uint64, k int) TrialResu
 		j0 := k - int(in.loc)
 		x, z = p.injectMove(rng, in, j0, x, z)
 		for j := j0 + 1; j < int(in.meas); j++ {
-			if p.moveVThresh >= 0 {
-				v := rng.gen() & lfMask
-				for v >= lfRetryMin {
-					v = rng.gen() & lfMask
-				}
-				if v < p.moveVThresh {
-					x, z = p.injectMove(rng, in, j, x, z)
-				}
+			if rng.draw() < p.moveVThresh {
+				x, z = p.injectMove(rng, in, j, x, z)
 			}
 		}
 	case cMeasZ, cMeasX:
@@ -520,14 +464,12 @@ func (p *trialProgram) injectMove(rng *lfRand, in *pinstr, j int, x, z uint64) (
 //
 // The per-location fault draw sits below the op switch: frame transforms
 // consume no randomness, so drawing after them leaves the value stream
-// untouched while giving the loop a single shared draw site.  That site
-// keeps the RNG's buffer cursor in a local (register) and only falls back
-// to lfRand methods on the rare fault, so the common path per location is
-// one buffered load, one mask and two integer compares.
+// untouched while giving the loop a single shared draw site.  Only faulty
+// trials draw here (the chunk's scan passes the fault-free ones, and the
+// quiet program of forced trials draws nothing), so each value comes from
+// the scalar lfRand.draw.
 func (p *trialProgram) execDense(rng *lfRand, meas []uint64, startII int, x, z uint64) TrialResult {
 	rejected := false
-	bi := rng.bi
-	retryMin := lfRetryMin
 	ops := p.ops
 	for ii := startII; ii < len(ops); ii++ {
 		in := &ops[ii]
@@ -558,37 +500,9 @@ func (p *trialProgram) execDense(rng *lfRand, meas []uint64, startII int, x, z u
 			// move (skipped entirely when movement is error-free, exactly
 			// like the interpreter), injecting on alternating operands.
 			if p.moveVThresh >= 0 {
-				k := int(in.meas)
-				for j := 0; j < k; j++ {
-					if bi == lfBuf {
-						rng.refill()
-						bi = 0
-					}
-					v := rng.buf[bi&(lfBuf-1)] & lfMask
-					bi++
-					for v >= retryMin {
-						if bi == lfBuf {
-							rng.refill()
-							bi = 0
-						}
-						v = rng.buf[bi&(lfBuf-1)] & lfMask
-						bi++
-					}
-					if v < p.moveVThresh {
-						rng.bi = bi
-						ch := choicesByKind[LocMove]
-						f := ch[rng.intn(len(ch))]
-						bi = rng.bi
-						b := uint64(1) << in.q0
-						if j&1 == 1 {
-							b = uint64(1) << in.q1
-						}
-						if f.First.HasX() {
-							x ^= b
-						}
-						if f.First.HasZ() {
-							z ^= b
-						}
+				for j := 0; j < int(in.meas); j++ {
+					if rng.draw() < p.moveVThresh {
+						x, z = p.injectMove(rng, in, j, x, z)
 					}
 				}
 			}
@@ -619,29 +533,11 @@ func (p *trialProgram) execDense(rng *lfRand, meas []uint64, startII int, x, z u
 			}
 			// The draw happens between reading the pre-fault outcome and
 			// recording it, exactly like the interpreter.
-			if in.vthresh >= 0 {
-				if bi == lfBuf {
-					rng.refill()
-					bi = 0
-				}
-				v := rng.buf[bi&(lfBuf-1)] & lfMask
-				bi++
-				for v >= retryMin {
-					if bi == lfBuf {
-						rng.refill()
-						bi = 0
-					}
-					v = rng.buf[bi&(lfBuf-1)] & lfMask
-					bi++
-				}
-				if v < in.vthresh {
-					// The single measurement fault is an outcome flip; the
-					// choice draw still happens to keep the stream aligned.
-					rng.bi = bi
-					rng.intn(len(choicesByKind[LocMeasure]))
-					bi = rng.bi
-					flipped = !flipped
-				}
+			if in.vthresh >= 0 && rng.draw() < in.vthresh {
+				// The single measurement fault is an outcome flip; the
+				// choice draw still happens to keep the stream aligned.
+				rng.intn(len(choicesByKind[LocMeasure]))
+				flipped = !flipped
 			}
 			if flipped {
 				meas[in.meas>>6] |= 1 << (in.meas & 63)
@@ -680,72 +576,43 @@ func (p *trialProgram) execDense(rng *lfRand, meas []uint64, startII int, x, z u
 					z ^= b
 				}
 				// The applied correction is itself a physical gate and can
-				// fail.  Syndromes are rare, so this cold path draws through
-				// the lfRand methods (cursor synced around it).
-				if p.corrVThresh >= 0 {
-					rng.bi = bi
-					v := rng.gen() & lfMask
-					for v >= retryMin {
-						v = rng.gen() & lfMask
+				// fail.
+				if p.corrVThresh >= 0 && rng.draw() < p.corrVThresh {
+					f := choicesByKind[LocOneQubit][rng.intn(len(choicesByKind[LocOneQubit]))]
+					if f.First.HasX() {
+						x ^= b
 					}
-					if v < p.corrVThresh {
-						f := choicesByKind[LocOneQubit][rng.intn(len(choicesByKind[LocOneQubit]))]
-						if f.First.HasX() {
-							x ^= b
-						}
-						if f.First.HasZ() {
-							z ^= b
-						}
+					if f.First.HasZ() {
+						z ^= b
 					}
-					bi = rng.bi
 				}
 			}
 			continue
 		}
 		// Shared draw site for single-location instructions (prep, H, S,
-		// inject, CX, CZ): one buffered load, one mask, two compares on the
-		// common no-fault path.  Injection applies the first Pauli to q0
-		// and, for two-qubit locations, the second to q1.
-		if in.vthresh >= 0 {
-			if bi == lfBuf {
-				rng.refill()
-				bi = 0
+		// inject, CX, CZ).  Injection applies the first Pauli to q0 and,
+		// for two-qubit locations, the second to q1.
+		if in.vthresh >= 0 && rng.draw() < in.vthresh {
+			ch := choicesByKind[in.kind]
+			f := ch[rng.intn(len(ch))]
+			b := uint64(1) << in.q0
+			if f.First.HasX() {
+				x ^= b
 			}
-			v := rng.buf[bi&(lfBuf-1)] & lfMask
-			bi++
-			for v >= retryMin {
-				if bi == lfBuf {
-					rng.refill()
-					bi = 0
-				}
-				v = rng.buf[bi&(lfBuf-1)] & lfMask
-				bi++
+			if f.First.HasZ() {
+				z ^= b
 			}
-			if v < in.vthresh {
-				rng.bi = bi
-				ch := choicesByKind[in.kind]
-				f := ch[rng.intn(len(ch))]
-				bi = rng.bi
-				b := uint64(1) << in.q0
-				if f.First.HasX() {
+			if in.kind == uint8(LocTwoQubit) {
+				b = uint64(1) << in.q1
+				if f.Second.HasX() {
 					x ^= b
 				}
-				if f.First.HasZ() {
+				if f.Second.HasZ() {
 					z ^= b
-				}
-				if in.kind == uint8(LocTwoQubit) {
-					b = uint64(1) << in.q1
-					if f.Second.HasX() {
-						x ^= b
-					}
-					if f.Second.HasZ() {
-						z ^= b
-					}
 				}
 			}
 		}
 	}
-	rng.bi = bi
 	return p.finish(x, z, rejected)
 }
 
@@ -991,12 +858,24 @@ func (p *trialProgram) runSparse(rng *lfRand, meas []uint64, faults []int32) Tri
 	return p.finish(x, z, rejected)
 }
 
-// denseChunk runs `trials` compiled dense trials, continuing src's stream
-// through lfRand, and tallies the outcomes.  Byte-identical to the legacy
-// chunk for the same source.
-func (p *trialProgram) denseChunk(src *rand.Rand, trials int) mcCounts {
-	var lf lfRand
-	lf.capture(src)
+// denseChunk runs `trials` compiled dense trials, continuing rng's stream,
+// and tallies the outcomes.  Byte-identical to the legacy chunk for the
+// same source.
+//
+// This is the dense hot path.  At physical error rates the expected faults
+// per trial are ~p·locations << 1, and a fault-free trial consumes exactly
+// one value per positive-probability location, plus the rare resample, in
+// location order.  So the chunk reads its stream as one run of positions
+// (trial i, draw d), and one rng.scan passes every value in the window
+// [maxTh, lfRetryMin), which faults at no location and needs no resample,
+// across as many trials as stay inside it; those trials tally the
+// precompiled clean outcome at once.  Only a value outside the window
+// (about p of them) takes the exact path at its position: at or above
+// lfRetryMin it is resampled for the same draw (math/rand's f == 1 rule),
+// below its location's own threshold it is the trial's first fault and
+// runDenseFrom finishes the trial, and otherwise the trial moves on to its
+// next draw.
+func (p *trialProgram) denseChunk(rng *lfRand, trials int) mcCounts {
 	var measArr [4]uint64
 	meas := measArr[:]
 	if p.measWords > len(measArr) {
@@ -1004,25 +883,34 @@ func (p *trialProgram) denseChunk(src *rand.Rand, trials int) mcCounts {
 	}
 	meas = meas[:p.measWords]
 	var c mcCounts
-	for i := 0; i < trials; i++ {
-		// Most trials are fault-free: one pass through the scan loop, then
-		// straight to the precompiled clean outcome.  Only faulty trials
-		// (expected fraction ~ sum of location probabilities) pay for the
-		// op interpreter.
-		k := p.scanToFault(&lf)
-		if k == p.nStatic {
-			c.tally(p.clean)
-			continue
+	nd := len(p.drawTh)
+	if nd == 0 {
+		c.tallyN(p.clean, trials) // no location draws, so none faults
+		return c
+	}
+	for i, d := 0, 0; i < trials; {
+		n := (trials-i)*nd - d
+		k, v := rng.scan(n, uint64(p.maxTh), uint64(lfRetryMin))
+		pos := d + k // v's draw, counted from trial i's first
+		c.tallyN(p.clean, pos/nd)
+		i, d = i+pos/nd, pos%nd
+		switch {
+		case k == n:
+			// Every remaining trial was fault-free: now i == trials.
+		case v >= lfRetryMin:
+			// Resampled: the next value is draw d's again.
+		case v < p.drawTh[d]:
+			c.tally(p.runDenseFrom(rng, meas, int(p.drawLoc[d])))
+			i, d = i+1, 0
+		default:
+			d++ // d == nd ends trial i fault-free at the next scan
 		}
-		c.tally(p.runDenseFrom(&lf, meas, k))
 	}
 	return c
 }
 
-// sparseChunk runs `trials` sparse trials.
-func (p *trialProgram) sparseChunk(src *rand.Rand, trials int) mcCounts {
-	var lf lfRand
-	lf.capture(src)
+// sparseChunk runs `trials` sparse trials, continuing rng's stream.
+func (p *trialProgram) sparseChunk(rng *lfRand, trials int) mcCounts {
 	var measArr [4]uint64
 	meas := measArr[:]
 	if p.measWords > len(measArr) {
@@ -1033,11 +921,11 @@ func (p *trialProgram) sparseChunk(src *rand.Rand, trials int) mcCounts {
 	scratch := faultArr[:0]
 	var c mcCounts
 	for i := 0; i < trials; i++ {
-		faults := p.sampleFaults(&lf, scratch)
+		faults := p.sampleFaults(rng, scratch)
 		if cap(faults) > cap(scratch) {
 			scratch = faults // a heavy trial grew the buffer; keep it
 		}
-		c.tally(p.runSparse(&lf, meas, faults))
+		c.tally(p.runSparse(rng, meas, faults))
 	}
 	return c
 }

@@ -585,6 +585,8 @@ var denseParityModels = []Model{
 // The golden acceptance test of the compiled Monte Carlo: for every protocol
 // and several seeds, the compiled dense chunk must tally byte-identical
 // outcomes to the legacy interpreter chunk driven by the same RNG stream.
+// A single-trial chunk and a full one hold the scan's chunk end, and the
+// bulk clean tally it ends on, to the interpreter.
 func TestDenseChunkMatchesLegacyChunk(t *testing.T) {
 	code := steane.NewCode()
 	for name, p := range allProtocols(code) {
@@ -592,94 +594,111 @@ func TestDenseChunkMatchesLegacyChunk(t *testing.T) {
 			s := mustSimulator(t, p, model)
 			prog, _ := s.compiled()
 			for _, seed := range []int64{1, 2, 42, -9, 1 << 50} {
-				legacy := s.monteCarloChunkLegacy(rand.New(rand.NewSource(seed)), 3000)
-				compiled := prog.denseChunk(rand.New(rand.NewSource(seed)), 3000)
-				if legacy != compiled {
-					t.Errorf("%s model %+v seed %d: compiled %+v != legacy %+v", name, model, seed, compiled, legacy)
+				for _, trials := range []int{1, 3000, mcChunkTrials} {
+					legacy := s.monteCarloChunkLegacy(rand.New(rand.NewSource(seed)), trials)
+					var lf lfRand
+					lf.capture(rand.New(rand.NewSource(seed)))
+					if compiled := prog.denseChunk(&lf, trials); legacy != compiled {
+						t.Errorf("%s model %+v seed %d, %d trials: compiled %+v != legacy %+v",
+							name, model, seed, trials, compiled, legacy)
+					}
 				}
 			}
 		}
 	}
 }
 
-// scanToFaultPerLocation is the oracle of scanToFault: it compares each
-// value with its own static location's threshold, rebuilt from locInstr and
-// the ops.
+// scanToFaultPerLocation draws a trial's location values one at a time,
+// resample included, and compares each with its own static location's
+// threshold, rebuilt from locInstr and the ops.  It returns the first
+// faulty location, or nStatic when the trial is fault-free.
 func (p *trialProgram) scanToFaultPerLocation(rng *lfRand) int {
-	bi := rng.bi
 	for i, ii := range p.locInstr {
 		th := p.ops[ii].vthresh
 		if p.ops[ii].op == cMoveRun {
 			th = p.moveVThresh
 		}
-		if th < 0 {
-			continue // p <= 0: the interpreter draws nothing here
-		}
-		if bi == lfBuf {
-			rng.refill()
-			bi = 0
-		}
-		v := rng.buf[bi] & lfMask
-		bi++
-		for v >= lfRetryMin {
-			if bi == lfBuf {
-				rng.refill()
-				bi = 0
-			}
-			v = rng.buf[bi] & lfMask
-			bi++
-		}
-		if v < th {
-			rng.bi = bi
+		// th < 0 is p <= 0: the interpreter draws nothing here.
+		if th >= 0 && rng.draw() < th {
 			return i
 		}
 	}
-	rng.bi = bi
 	return p.nStatic
 }
 
-// scanToFault's window test must decide every value as the per-location
-// scan does, including the values outside the window that no seeded stream
-// reaches in a test (a resample fires with probability 2⁻⁵⁴ per draw).  One
-// trial's values are planted in the buffer of a captured lfRand, from the
-// trial's first slot up to the refill: each slot holds its location's own
-// threshold (the smallest value that does not fault there), except one that
-// holds a boundary value, with and without the sign bit the scan masks off.
-// Both scans must return the same location and leave equal generators.
-func TestScanToFaultMatchesPerLocationScan(t *testing.T) {
+// denseChunkPerTrial is denseChunk's oracle: one trial at a time, each
+// scanned location by location.
+func (p *trialProgram) denseChunkPerTrial(rng *lfRand, trials int) mcCounts {
+	meas := make([]uint64, p.measWords)
+	var c mcCounts
+	for i := 0; i < trials; i++ {
+		if k := p.scanToFaultPerLocation(rng); k < p.nStatic {
+			c.tally(p.runDenseFrom(rng, meas, k))
+		} else {
+			c.tally(p.clean)
+		}
+	}
+	return c
+}
+
+// denseChunk's positional scan must decide every value as the per-trial
+// oracle does, including the values outside the window that no seeded
+// stream reaches in a test (a resample fires with probability 2⁻⁵⁴ per
+// draw).  Each case plants the chunk's first 607 values.  Under the first
+// fill every draw holds its location's own threshold, the smallest value
+// that does not fault there, so most values take the exact path; under the
+// second every draw holds maxTh, inside the window, so one scan crosses
+// trial boundaries up to the planted value.  One draw, at the start of a
+// trial, its end, or just past the first trial boundary, holds a boundary
+// value instead, with and without the sign bit the scan masks off.  Both
+// chunks must tally the same outcomes and leave equal generators.
+func TestDenseChunkMatchesPerTrialOracleOnPlantedValues(t *testing.T) {
 	code := steane.NewCode()
-	var base lfRand
-	base.capture(rand.New(rand.NewSource(3)))
-	base.refill()
-	faults, cleans := 0, 0
+	faulty, clean := 0, 0
 	for name, p := range allProtocols(code) {
 		for _, model := range denseParityModels {
 			prog, _ := mustSimulator(t, p, model).compiled()
-			th := prog.drawTh
-			for _, start := range []int{0, lfBuf - 5, lfBuf - 1} {
-				for o := 0; start+o < lfBuf && o < len(th); o++ {
+			th, nd := prog.drawTh, len(prog.drawTh)
+			for _, fill := range []struct {
+				name  string
+				value func(j int) int64
+			}{
+				{"own threshold", func(j int) int64 { return th[j%nd] }},
+				{"maxTh", func(int) int64 { return prog.maxTh }},
+			} {
+				var base [lfLen]int64
+				for j := range base {
+					base[j] = fill.value(j)
+				}
+				for _, slot := range []int{0, 1, nd - 1, nd, nd + 1, lfLen - 1} {
+					if slot >= lfLen {
+						continue
+					}
+					d := slot % nd
 					for _, v := range []int64{
-						0, th[o] - 1, th[o], th[o] + 1,
+						0, th[d] - 1, th[d], th[d] + 1,
 						prog.maxTh - 1, prog.maxTh, prog.maxTh + 1,
 						lfRetryMin - 1, lfRetryMin, lfRetryMin + 1, lfMask,
 					} {
 						for _, sign := range []int64{0, math.MinInt64} {
-							a := base
-							a.bi = int32(start)
-							for k := start; k < lfBuf; k++ {
-								a.buf[k] = th[min(k-start, len(th)-1)]
-							}
-							a.buf[start+o] = v | sign
-							b := a
-							got, want := prog.scanToFault(&a), prog.scanToFaultPerLocation(&b)
-							if got != want || a != b {
-								t.Fatalf("%s model %+v, trial from slot %d, %#x planted at slot %d: scan returned %d (cursor %d), per-location scan %d (cursor %d)",
-									name, model, start, v|sign, start+o, got, a.bi, want, b.bi)
-							}
-							if got < prog.nStatic {
-								faults++
-							} else {
-								cleans++
+							want := base
+							want[slot] = v | sign
+							var start lfRand
+							start.plant(&want)
+							for _, trials := range []int{1, 2, 3, 9} {
+								a, b := start, start
+								got, exp := prog.denseChunk(&a, trials), prog.denseChunkPerTrial(&b, trials)
+								if got != exp || a != b {
+									t.Fatalf("%s model %+v, %s fill, %#x planted at draw %d, %d trials: chunk %+v (cursors %d/%d), oracle %+v (cursors %d/%d)",
+										name, model, fill.name, v|sign, slot, trials, got, a.tap, a.feed, exp, b.tap, b.feed)
+								}
+								var allClean mcCounts
+								allClean.tallyN(prog.clean, trials)
+								if exp == allClean {
+									clean++
+								} else {
+									faulty++
+								}
 							}
 						}
 					}
@@ -687,8 +706,8 @@ func TestScanToFaultMatchesPerLocationScan(t *testing.T) {
 			}
 		}
 	}
-	if faults == 0 || cleans == 0 {
-		t.Errorf("planted trials: %d faulty, %d clean; the test must reach both", faults, cleans)
+	if faulty == 0 || clean == 0 {
+		t.Errorf("planted chunks: %d with a faulty outcome, %d all clean; the test must reach both", faulty, clean)
 	}
 }
 
@@ -869,7 +888,7 @@ func TestCompiledProgramLocationAccounting(t *testing.T) {
 // The dense executor is the hottest code in the repository and must not
 // allocate: one allocation per trial was a measurable share of the legacy
 // profile.  execDense runs the faulty trials; a whole chunk adds the scan
-// and the refills that every trial runs.
+// that every trial runs.
 func TestRunDenseAllocations(t *testing.T) {
 	code := steane.NewCode()
 	s := mustSimulator(t, steane.VerifyAndCorrectProtocol(code), DefaultModel())
@@ -884,9 +903,8 @@ func TestRunDenseAllocations(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("execDense allocations = %v per trial, want 0", allocs)
 	}
-	src := rand.New(rand.NewSource(2))
 	allocs = testing.AllocsPerRun(3, func() {
-		prog.denseChunk(src, mcChunkTrials)
+		prog.denseChunk(&lf, mcChunkTrials)
 	})
 	if allocs != 0 {
 		t.Fatalf("denseChunk allocations = %v per %d-trial chunk, want 0", allocs, mcChunkTrials)

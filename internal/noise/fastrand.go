@@ -11,60 +11,71 @@ import "math/rand"
 // promise, and the experiment engine seeds every job's *rand.Rand from
 // rand.NewSource, so the Monte Carlo hot loop is entitled to rely on it.
 // Drawing through *rand.Rand costs an interface dispatch plus two method
-// calls per value, and every draw's cursor update is a serial
-// store-load chain; lfRand removes all of that by continuing the exact same
-// recurrence with batched, data-parallel refills (values 273 apart are
-// independent, so a refill of 128 has no loop-carried dependency) into a
-// buffer the trial loop indexes with a register-resident cursor.
+// calls per value; lfRand continues the exact same recurrence on its own
+// copy of the vector.  Its scalar step serves the rare draws of faulty
+// trials and the samplers that draw a few values per trial, and scan lets
+// the dense fault scan compute and test its values in place, with the
+// cursors in registers.
 const (
 	lfLen   = 607
 	lfTap   = 273
 	lfMask  = 1<<63 - 1
 	lfTwo63 = float64(1 << 63)
-	// lfBuf is the refill batch size; it must stay below lfTap so the
-	// batched recurrence never reads a slot the same batch wrote.
-	lfBuf = 128
 )
 
 // lfRand continues a math/rand lagged-Fibonacci stream.  It is initialised
-// by capture, which exploits a structural property of the generator: over
-// any 607 consecutive draws, every vector slot is overwritten exactly once
-// with the value that was just returned, and the tap/feed cursors complete
-// one full revolution.  Capturing 607 raw outputs from the source therefore
-// yields (a) the exact next internal state and (b) the outputs themselves,
-// which are replayed before the recurrence takes over — so an lfRand's value
-// stream is byte-identical to the *rand.Rand it captured, from the first
-// draw on.  The dense Monte Carlo's golden tests against the *rand.Rand
-// reference enforce this end to end.
+// by capture, which drains 607 outputs from the source and solves the
+// recurrence backwards for the state that yields them as its next 607
+// outputs (see plant).  So an lfRand's value stream is byte-identical to
+// the *rand.Rand it captured, from the first draw on; the dense Monte
+// Carlo's golden tests against the *rand.Rand reference enforce this end to
+// end.
 type lfRand struct {
-	tap, feed int32
-	warm      int32 // captured outputs still to replay
-	bi        int32 // next unread buf index; lfBuf means "refill needed"
-	buf       [lfBuf]int64
+	tap, feed int
 	vec       [lfLen]int64
 }
 
 // capture drains 607 values from src (one full state revolution) and
-// positions the replay cursor at the stream's beginning.
+// plants them as the stream's next outputs.
 func (r *lfRand) capture(src *rand.Rand) {
-	// After Seed, math/rand's rngSource starts at tap=0, feed=607-273; the
-	// k-th draw (1-based) decrements both cursors first and stores its
-	// output at the new feed position.
-	r.tap, r.feed, r.warm, r.bi = 0, lfLen-lfTap, lfLen, lfBuf
-	for k := 1; k <= lfLen; k++ {
-		i := lfLen - lfTap - k
-		if i < 0 {
-			i += lfLen
+	var out [lfLen]int64
+	for j := range out {
+		out[j] = int64(src.Uint64())
+	}
+	r.plant(&out)
+}
+
+// plant positions the generator at the start of a revolution, where
+// math/rand's rngSource stands after Seed, so that its next lfLen outputs
+// are want.  Draw j (from 0) moves the tap to T_j = lfLen-1-j and the feed
+// to F_j = T_j-lfTap (mod lfLen), and adds vec[T_j] into vec[F_j], which it
+// returns; so at the revolution's end slot F_j holds want[j].  plant stores
+// that end state and then unwinds the revolution, subtracting from each
+// F_j what draw j added: want[j-lfTap] for j >= lfTap, drawn earlier in the
+// revolution and so still in place, and otherwise the starting value of
+// T_j, which the later draw j+lfLen-lfTap feeds and so is already unwound.
+// Unwinding the draws in reverse order meets both conditions; it walks the
+// feed slots upwards from lfLen-lfTap, wrapping once.
+func (r *lfRand) plant(want *[lfLen]int64) {
+	r.tap, r.feed = 0, lfLen-lfTap
+	for j, v := range want {
+		f := lfLen - lfTap - 1 - j
+		if f < 0 {
+			f += lfLen
 		}
-		r.vec[i] = int64(src.Uint64())
+		r.vec[f] = v
+	}
+	for f := lfLen - lfTap; f < lfLen; f++ {
+		r.vec[f] -= r.vec[f+lfTap-lfLen]
+	}
+	for f := 0; f < lfLen-lfTap; f++ {
+		r.vec[f] -= r.vec[f+lfTap]
 	}
 }
 
-// genSlow is the scalar recurrence step: the next raw 64-bit value
-// (math/rand Source64.Uint64 as int64).  During the warm-up revolution it
-// replays the captured outputs by reading them back from the vector without
-// modifying it; afterwards it applies the recurrence in place.
-func (r *lfRand) genSlow() int64 {
+// gen is the scalar recurrence step: the next raw 64-bit value (math/rand
+// Source64.Uint64 as int64).
+func (r *lfRand) gen() int64 {
 	t, f := r.tap-1, r.feed-1
 	if t < 0 {
 		t += lfLen
@@ -73,60 +84,59 @@ func (r *lfRand) genSlow() int64 {
 		f += lfLen
 	}
 	r.tap, r.feed = t, f
-	x := r.vec[f]
-	if r.warm > 0 {
-		r.warm--
-		return x
-	}
-	x += r.vec[t]
+	x := r.vec[f] + r.vec[t]
 	r.vec[f] = x
 	return x
 }
 
-// refill fills buf with the next lfBuf raw values and rewinds the read
-// cursor.  After the warm-up the batch is generated in wrap-free segments
-// of independent adds (no carried dependency: lfBuf < lfTap, so a batch
-// never reads a slot it wrote); the warm-up revolution itself goes through
-// the scalar replay step.  Each segment walks the tap and feed cursors down
-// over vec[t-n:t] and vec[f-n:f] while filling buf[i:i+n] upwards.  Indexing
-// those re-sliced windows from their end lets the compiler drop the bounds
-// checks of both vector loads; only the buf store keeps one.
-func (r *lfRand) refill() {
-	i := int32(0)
-	for r.warm > 0 && i < lfBuf {
-		r.buf[i] = r.genSlow()
-		i++
-	}
+// scan advances the stream over up to n values, testing each one's 63-bit
+// image against the window [lo, hi) as the recurrence computes it.  It
+// returns the number k of values inside the window it passed; when k < n it
+// has also consumed the next value, v, the first outside the window.  So
+// scan leaves the generator exactly where k+1 (or n) gen calls would.
+//
+// It works in wrap-free segments: each walks the tap and feed cursors down
+// over vec[t-m:t] and vec[f-m:f], storing every value back in place.
+// Indexing those re-sliced windows from their end lets the compiler drop
+// the bounds checks of both loads and the store.  Where the two windows
+// overlap (a segment longer than lfTap), the tap reads a value the same
+// segment wrote lfTap steps earlier, as the scalar step would.
+func (r *lfRand) scan(n int, lo, hi uint64) (k int, v int64) {
+	width := hi - lo
 	t, f := r.tap, r.feed
-	for i < lfBuf {
+	for k < n {
 		if t == 0 {
 			t = lfLen
 		}
 		if f == 0 {
 			f = lfLen
 		}
-		n := min(lfBuf-i, t, f)
-		fv, out := r.vec[f-n:f], r.buf[i:i+n]
-		tv := r.vec[t-n : t][:len(fv)] // the same length, stated for the compiler
-		for k := len(fv) - 1; k >= 0; k-- {
-			x := fv[k] + tv[k]
-			fv[k] = x
-			out[len(fv)-1-k] = x
+		m := min(n-k, t, f)
+		fv := r.vec[f-m : f]
+		tv := r.vec[t-m : t][:len(fv)] // the same length, stated for the compiler
+		for i := len(fv) - 1; i >= 0; i-- {
+			x := fv[i] + tv[i]
+			fv[i] = x
+			if uint64(x&lfMask)-lo >= width {
+				r.tap, r.feed = t-m+i, f-m+i
+				return k + len(fv) - 1 - i, x & lfMask
+			}
 		}
-		t, f, i = t-n, f-n, i+n
+		t, f, k = t-m, f-m, k+m
 	}
 	r.tap, r.feed = t, f
-	r.bi = 0
+	return n, 0
 }
 
-// gen returns the next raw value through the buffer.  Hot loops that keep
-// their own copy of bi (see execDense) bypass this accessor.
-func (r *lfRand) gen() int64 {
-	if r.bi == lfBuf {
-		r.refill()
+// draw returns the next 63-bit value that Float64 would divide by 2⁶³,
+// including its documented resample: a value at or above lfRetryMin rounds
+// up to 1.0 and is drawn again.  The compiled executors compare it with a
+// location's integer fault threshold (see intThreshold).
+func (r *lfRand) draw() int64 {
+	v := r.gen() & lfMask
+	for v >= lfRetryMin {
+		v = r.gen() & lfMask
 	}
-	v := r.buf[r.bi]
-	r.bi++
 	return v
 }
 
@@ -136,15 +146,8 @@ func (r *lfRand) int63() int64 { return r.gen() & lfMask }
 // int31 matches rand.Rand.Int31.
 func (r *lfRand) int31() int32 { return int32(r.int63() >> 32) }
 
-// Float64 matches rand.Rand.Float64, including the documented resample when
-// the 63-bit value rounds up to 1.0.
-func (r *lfRand) Float64() float64 {
-	f := float64(r.int63()) / (1 << 63)
-	for f == 1 {
-		f = float64(r.int63()) / (1 << 63)
-	}
-	return f
-}
+// Float64 matches rand.Rand.Float64.
+func (r *lfRand) Float64() float64 { return float64(r.draw()) / (1 << 63) }
 
 // intn matches rand.Rand.Intn for 0 < n <= 1<<31: the power-of-two mask
 // shortcut and the modulo-bias rejection loop consume draws in exactly the

@@ -6,19 +6,60 @@ import (
 )
 
 // The whole compiled Monte Carlo rests on lfRand reproducing math/rand's
-// stream exactly.  Compare against a twin *rand.Rand across every draw kind
-// the trial loop uses, over enough values to cycle the 607-entry state
-// vector many times (and so cover both the replayed warm-up revolution and
-// the live recurrence).
+// stream exactly, through the scalar step and through scan.  Compare the
+// scalar step against a twin *rand.Rand over enough values to cycle the
+// 607-entry state vector many times: the captured revolution, its end and
+// every tap/feed wrap.  Interleaved, scan runs over random counts and
+// windows, empty and full ones included: it must return the first value
+// outside its window and leave the generator equal to a twin that made the
+// same number of gen calls.
 func TestLFRandMatchesMathRand(t *testing.T) {
 	for _, seed := range []int64{0, 1, -7, 42, 1 << 40, -(1 << 52)} {
 		var lf lfRand
 		lf.capture(rand.New(rand.NewSource(seed)))
+		twin := lf
 		ref := rand.New(rand.NewSource(seed))
-		for i := 0; i < 20000; i++ {
-			if got, want := lf.int63(), ref.Int63(); got != want {
-				t.Fatalf("seed %d draw %d: int63 = %d, want %d", seed, i, got, want)
+		pick := rand.New(rand.NewSource(seed + 1))
+		// Full-window scans first end the captured revolution exactly and
+		// then step over its end.
+		counts := []int{0, 1, lfLen - 2, 1, 1}
+		for drawn := 0; drawn < 20000; {
+			lo, hi := uint64(0), uint64(1<<63)
+			n := pick.Intn(2 * lfLen)
+			if len(counts) > 0 {
+				n, counts = counts[0], counts[1:]
+			} else {
+				switch pick.Intn(4) {
+				case 0: // full
+				case 1: // empty
+					lo = pick.Uint64() >> 1
+					hi = lo
+				case 2: // the dense scan's shape: outliers are rare
+					lo, hi = uint64(pick.Int63n(1<<55)), uint64(lfRetryMin)
+				default:
+					lo = pick.Uint64() >> 1
+					hi = lo + pick.Uint64()%(1<<63-lo+1)
+				}
 			}
+			k, v := lf.scan(n, lo, hi)
+			wantK := n
+			for i := 0; i < n; i++ {
+				x := twin.gen() & lfMask
+				if want := ref.Int63(); x != want {
+					t.Fatalf("seed %d draw %d: gen = %d, math/rand Int63 = %d", seed, drawn+i, x, want)
+				}
+				if uint64(x) < lo || uint64(x) >= hi {
+					if wantK = i; v != x {
+						t.Fatalf("seed %d draw %d: scan over [%d, %d) stopped on %d, want %d", seed, drawn+i, lo, hi, v, x)
+					}
+					break
+				}
+			}
+			if k != wantK || lf != twin {
+				t.Fatalf("seed %d draw %d: scan(%d, [%d, %d)) passed %d values, want %d; generators equal: %v",
+					seed, drawn, n, lo, hi, k, wantK, lf == twin)
+			}
+			drawn += min(k+1, n)
 		}
 	}
 }
@@ -56,11 +97,7 @@ func TestLFRandThresholdEquivalence(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		p := probs[i%len(probs)]
 		vthresh := intThreshold(p)
-		v := b.gen() & lfMask
-		for v >= lfRetryMin {
-			v = b.gen() & lfMask
-		}
-		if got, want := v < vthresh, a.Float64() < p; got != want {
+		if got, want := b.draw() < vthresh, a.Float64() < p; got != want {
 			t.Fatalf("draw %d p=%v: integer compare = %v, Float64 compare = %v", i, p, got, want)
 		}
 	}

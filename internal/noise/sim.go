@@ -146,8 +146,8 @@ func (c *mcCounts) tally(r TrialResult) {
 	c.tallyN(r, 1)
 }
 
-// tallyN records n identical trial outcomes at once (the bit-sliced
-// executor's bulk path for all-clean words).
+// tallyN records n identical trial outcomes at once (the bulk path of the
+// bit-sliced executor's all-clean words and of the dense fault scan).
 func (c *mcCounts) tallyN(r TrialResult, n int) {
 	if r.Rejected {
 		c.Rejected += n
@@ -163,20 +163,20 @@ func (c *mcCounts) tallyN(r TrialResult, n int) {
 }
 
 // monteCarloChunk runs `trials` protocol simulations drawing faults from the
-// injected RNG stream and tallies the outcomes, dispatching on the
-// configured sampling mode.
+// injected RNG stream, which lfRand continues, and tallies the outcomes,
+// dispatching on the configured sampling mode.
 func (s *Simulator) monteCarloChunk(rng *rand.Rand, trials int) mcCounts {
 	countTrials(s.Sampling, trials)
+	prog, _ := s.compiled()
+	var lf lfRand
+	lf.capture(rng)
 	switch s.Sampling {
 	case SamplingSparse:
-		prog, _ := s.compiled()
-		return prog.sparseChunk(rng, trials)
+		return prog.sparseChunk(&lf, trials)
 	case SamplingBitSliced:
-		prog, _ := s.compiled()
-		return prog.bitslicedChunk(rng, trials)
+		return prog.bitslicedChunk(&lf, trials)
 	default:
-		prog, _ := s.compiled()
-		return prog.denseChunk(rng, trials)
+		return prog.denseChunk(&lf, trials)
 	}
 }
 
