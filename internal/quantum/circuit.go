@@ -3,6 +3,7 @@ package quantum
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"sync"
 )
 
@@ -21,10 +22,21 @@ type Circuit struct {
 	// ancillae) as opposed to scratch; nil means all qubits are data.
 	DataQubits []int
 
-	// dag memoises the dataflow graph (see DAG); it is built on first use
-	// and assumes the gate sequence is final by then.
+	// The memos below hold values derived from the name, the qubit count
+	// and the gate sequence, each computed on its first use.  The contract
+	// is that the circuit is final by then: an edit made afterwards would
+	// not reach them.  The generators build each circuit with NewCircuit
+	// and Append before anything reads it, and share it read-only after.
+
+	// dag memoises the dataflow graph (see DAG).
 	dagOnce sync.Once
 	dag     *DAG
+	// fp memoises Fingerprint.
+	fpOnce sync.Once
+	fp     string
+	// invalid memoises Validate's result.
+	validOnce sync.Once
+	invalid   error
 }
 
 // NewCircuit returns an empty circuit over n qubits.
@@ -62,19 +74,48 @@ func (c *Circuit) Add(kind GateKind, qubits ...int) *Circuit {
 func (c *Circuit) Len() int { return len(c.Gates) }
 
 // Fingerprint returns a stable structural hash of the circuit (name, qubit
-// count and the full gate sequence), suitable for keying experiment caches:
-// two circuits share a fingerprint exactly when every gate matches.
+// count and the full gate sequence), suitable for keying experiment caches
+// and seeding their RNG streams: equal circuits always share a fingerprint,
+// and distinct ones collide only as often as two 64-bit FNV-1a hashes do.
+// It is computed once, on first use (see the memo contract on Circuit), and
+// is safe for concurrent use.
 func (c *Circuit) Fingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|", c.Name, c.NumQubits, len(c.Gates))
-	for _, g := range c.Gates {
-		fmt.Fprintf(h, "%d%v%g;", int(g.Kind), g.Qubits, g.Angle)
-	}
-	return fmt.Sprintf("%s/%d/%dq/%x", c.Name, len(c.Gates), c.NumQubits, h.Sum64())
+	c.fpOnce.Do(func() {
+		h := fnv.New64a()
+		b := fmt.Appendf(nil, "%s|%d|%d|", c.Name, c.NumQubits, len(c.Gates))
+		for _, g := range c.Gates {
+			h.Write(b)
+			// The gate hashes as fmt's "%d%v%g;" of its kind, qubits and
+			// angle prints it.
+			b = strconv.AppendInt(b[:0], int64(g.Kind), 10)
+			b = append(b, '[')
+			for i, q := range g.Qubits {
+				if i > 0 {
+					b = append(b, ' ')
+				}
+				b = strconv.AppendInt(b, int64(q), 10)
+			}
+			b = append(b, ']')
+			b = strconv.AppendFloat(b, g.Angle, 'g', -1, 64)
+			b = append(b, ';')
+		}
+		h.Write(b)
+		c.fp = fmt.Sprintf("%s/%d/%dq/%x", c.Name, len(c.Gates), c.NumQubits, h.Sum64())
+	})
+	return c.fp
 }
 
-// Validate checks every gate references qubits inside the circuit.
+// Validate checks every gate references qubits inside the circuit.  A
+// circuit built by Append always passes, since Append panics on the gates
+// Validate rejects; the check runs once, on first use (see the memo
+// contract on Circuit), and is safe for concurrent use.
 func (c *Circuit) Validate() error {
+	c.validOnce.Do(func() { c.invalid = c.validate() })
+	return c.invalid
+}
+
+// validate is Validate's check.
+func (c *Circuit) validate() error {
 	for i, g := range c.Gates {
 		if err := g.Validate(); err != nil {
 			return fmt.Errorf("gate %d: %w", i, err)

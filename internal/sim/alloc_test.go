@@ -1,52 +1,63 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"speedofdata/internal/iontrap"
 )
 
 // countingHandler reschedules itself a fixed number of times — the shape of
-// every simulation driver's completion chain.
+// every simulation driver's completion chain — at a computed time on the
+// heap, or with after set, one microsecond later on a lane, as a producer
+// ticks.
 type countingHandler struct {
 	k     *Kernel
+	after bool
 	fired int
 	limit int
 }
 
 func (h *countingHandler) Fire(idx int) {
 	h.fired++
-	if h.fired < h.limit {
+	if h.fired >= h.limit {
+		return
+	}
+	if h.after {
+		h.k.AfterFire(1, PriorityNormal, h, idx+1)
+	} else {
 		h.k.AtFire(h.k.Now()+1, PriorityNormal, h, idx+1)
 	}
 }
 
 // The kernel's scheduling loop is the hot path of every event-driven run:
-// once the event slice has grown to its working size, AtFire/Run must not
-// allocate per event.
+// once the heap and the lanes have grown to their working size, AtFire,
+// AfterFire and Run must not allocate per event.
 func TestKernelSchedulingLoopAllocations(t *testing.T) {
 	k := AcquireKernel()
 	defer k.Release()
-	h := &countingHandler{k: k, limit: 1 << 30}
-	// Warm up the event-slice capacity.
-	k.Reset()
-	h.fired, h.limit = 0, 64
-	for i := 0; i < 64; i++ {
-		k.AtFire(iontrap.Microseconds(i), PriorityNormal, h, i)
-	}
-	k.Run()
-
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, after := range []bool{false, true} {
+		h := &countingHandler{k: k, after: after}
+		// Warm up the heap's and the lanes' capacity.
 		k.Reset()
-		h.fired, h.limit = 0, 256
-		k.AtFire(0, PriorityNormal, h, 0)
-		stats := k.Run()
-		if stats.Events != 256 {
-			t.Fatalf("events = %d, want 256", stats.Events)
+		h.fired, h.limit = 0, 64
+		for i := 0; i < 64; i++ {
+			k.AtFire(iontrap.Microseconds(i), PriorityNormal, h, i)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("kernel schedule/run allocations = %v per 256-event run, want 0", allocs)
+		k.Run()
+
+		allocs := testing.AllocsPerRun(100, func() {
+			k.Reset()
+			h.fired, h.limit = 0, 256
+			k.AtFire(0, PriorityNormal, h, 0)
+			stats := k.Run()
+			if stats.Events != 256 {
+				t.Fatalf("events = %d, want 256", stats.Events)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("kernel schedule/run allocations (AfterFire: %v) = %v per 256-event run, want 0", after, allocs)
+		}
 	}
 }
 
@@ -154,34 +165,130 @@ func TestResetKeepsCapacityAndSemantics(t *testing.T) {
 	}
 }
 
-// A released kernel must come back observationally fresh.
+// A released kernel must come back observationally fresh: no pending
+// event on the heap, no lane open, and no event left in the ring of a lane
+// an earlier run opened.
 func TestKernelPoolReuseIsFresh(t *testing.T) {
 	k := AcquireKernel()
-	at(k, 5, PriorityNormal, func() {})
+	h := &recordingHandler{}
+	at(k, 5, PriorityNormal, func() {
+		k.AfterFire(1, PriorityNormal, h, 1)
+		k.AtFire(k.Now(), PriorityLate, h, 2)
+		k.AtFire(k.Now()+2, PriorityNormal, h, 3)
+		k.Stop()
+	})
 	k.Run()
+	if len(k.lanes) != 2 || len(k.heap) != 1 {
+		t.Fatalf("stopped run left %d lanes and %d heap events, want 2 and 1", len(k.lanes), len(k.heap))
+	}
 	k.Release()
 	k2 := AcquireKernel()
 	defer k2.Release()
-	if k2.Now() != 0 || len(k2.events) != 0 {
-		t.Fatalf("pooled kernel not reset: now=%v pending=%d", k2.Now(), len(k2.events))
+	if k2.Now() != 0 || len(k2.heap) != 0 || len(k2.lanes) != 0 {
+		t.Fatalf("pooled kernel not reset: now=%v heap=%d lanes=%d", k2.Now(), len(k2.heap), len(k2.lanes))
+	}
+	for _, l := range k2.lanes[:cap(k2.lanes)] {
+		if l.n != 0 || slices.ContainsFunc(l.ring, func(e event) bool { return e != event{} }) {
+			t.Fatalf("pooled kernel keeps a lane event: %d pending in ring %v", l.n, l.ring)
+		}
+	}
+	if len(h.fired) != 0 {
+		t.Fatalf("dropped events fired: %v", h.fired)
+	}
+}
+
+// consumer draws one unit from a Resource every microsecond: after each
+// grant it waits on the lane its producer ticks on, then draws again.
+type consumer struct {
+	r      *Resource
+	grants int
+}
+
+// consumer event payloads.
+const (
+	consumerDraw = iota
+	consumerGranted
+)
+
+func (c *consumer) Start() { c.Fire(consumerDraw) }
+
+func (c *consumer) Fire(idx int) {
+	if idx == consumerDraw {
+		c.r.AcquireFire(1, c, consumerGranted)
+		return
+	}
+	c.grants++
+	c.r.k.AfterFire(1, PriorityNormal, c, consumerDraw)
+}
+
+// A lane that never drains — its producer and its consumer always have an
+// event pending on it — must reuse its ring, not grow with every event: a
+// run ten times longer ends with the same lane capacity.
+func TestProducerLaneCapacityIsSteady(t *testing.T) {
+	capacity := func(ticks int) (int, int) {
+		k := NewKernel()
+		r := NewResource(k, "buf", 4)
+		p, err := newProducer(k, "p", r, 1, 1) // one tick per µs
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &consumer{r: r}
+		p.Start()
+		c.Start()
+		at(k, iontrap.Microseconds(ticks)+0.5, PriorityNormal, k.Stop)
+		k.Run()
+		if p.emitted != float64(ticks) || c.grants != ticks {
+			t.Fatalf("%d µs: emitted %v and granted %d, want %d each", ticks, p.emitted, c.grants, ticks)
+		}
+		total := 0
+		for _, l := range k.lanes {
+			total += len(l.ring)
+		}
+		return len(k.lanes), total
+	}
+	lanes, short := capacity(10_000)
+	lanes2, long := capacity(100_000)
+	if lanes != 2 || lanes2 != 2 || short != long {
+		t.Fatalf("lanes %d and %d, ring capacity %d after 10^4 ticks and %d after 10^5, want 2 lanes and equal capacity",
+			lanes, lanes2, short, long)
 	}
 }
 
 // BenchmarkKernelScheduleLoop measures the closure-free schedule/run cycle
-// (the per-event cost every simulation driver pays); the CI perf smoke runs
-// it at one iteration to keep the kernel hot path exercised.
+// (the per-event cost every simulation driver pays): a completion chain on
+// the heap, and a producer feeding a consumer through a buffer, whose ticks
+// and grants ride lanes.  The CI perf smoke runs it at one iteration to keep
+// both paths exercised.
 func BenchmarkKernelScheduleLoop(b *testing.B) {
 	k := AcquireKernel()
 	defer k.Release()
-	h := &countingHandler{k: k}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Reset()
-		h.fired, h.limit = 0, 4096
-		k.AtFire(0, PriorityNormal, h, 0)
-		if stats := k.Run(); stats.Events != 4096 {
-			b.Fatalf("events = %d", stats.Events)
+	b.Run("completions", func(b *testing.B) {
+		h := &countingHandler{k: k}
+		for i := 0; i < b.N; i++ {
+			k.Reset()
+			h.fired, h.limit = 0, 4096
+			k.AtFire(0, PriorityNormal, h, 0)
+			if stats := k.Run(); stats.Events != 4096 {
+				b.Fatalf("events = %d", stats.Events)
+			}
 		}
-	}
-	b.ReportMetric(4096*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+		b.ReportMetric(4096*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+	})
+	b.Run("producer", func(b *testing.B) {
+		r, p, c := new(Resource), new(Producer), new(consumer)
+		events := 0
+		for i := 0; i < b.N; i++ {
+			k.Reset()
+			r.Reset(k, "buf", 4)
+			if err := p.Reset(k, "p", r, 1, 1); err != nil {
+				b.Fatal(err)
+			}
+			*c = consumer{r: r}
+			p.Start()
+			c.Start()
+			at(k, 1024.5, PriorityNormal, k.Stop)
+			events += k.Run().Events
+		}
+		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	})
 }

@@ -1,10 +1,15 @@
 // Package sim is the deterministic discrete-event simulation kernel behind
-// the event-driven execution models: a monotonic event queue keyed by
-// iontrap.Microseconds with stable tie-breaking, the resource abstractions
+// the event-driven execution models.  It holds the event queue, keyed by
+// iontrap.Microseconds with stable tie-breaking; the resource abstractions
 // (finite ancilla buffers, rate-limited producers, fluid sources) that the
-// factory, microarch, schedule and network layers plug into, and Dataflow,
+// factory, microarch, schedule and network layers plug into; and Dataflow,
 // the one dispatcher that replays circuits' dataflow graphs for microarch,
 // schedule and network.
+//
+// The queue is a set of lanes and a heap.  A lane is the FIFO of the events
+// scheduled with one fixed delay at one priority: producer ticks, and
+// grants and dispatches at the current time.  The heap holds the events at
+// computed times: gate completions, network arrivals, faults and horizons.
 //
 // The closed-form analyses of Sections 3-5 treat ancilla generation as an
 // infinitely buffered token bucket; this kernel removes that assumption so
@@ -60,10 +65,11 @@ type event struct {
 	idx int
 }
 
-// before is the heap ordering: time, then priority, then insertion sequence.
+// before is the event order: time, then priority, then insertion sequence.
 // The sequence component makes tie-breaking stable, which is what makes whole
-// runs deterministic.
-func (e event) before(o event) bool {
+// runs deterministic, and since no two events share a sequence number it
+// also settles every tie between a lane head and the heap top.
+func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
@@ -71,6 +77,42 @@ func (e event) before(o event) bool {
 		return e.pri < o.pri
 	}
 	return e.seq < o.seq
+}
+
+// lane is the FIFO of a run's events scheduled with one fixed delay at one
+// priority: AfterFire(delay, pri), and AtFire at the current time as delay
+// zero.  The clock never runs backwards and adding a fixed delay in floating
+// point is monotone, so the events arrive in before order and the head is
+// the lane's earliest.  The events sit in a ring whose length is a power of
+// two, so a lane that never drains (a producer always has a tick pending)
+// reuses its slots instead of growing.
+type lane struct {
+	delay iontrap.Microseconds
+	pri   Priority
+	ring  []event // pending: ring[head], ..., ring[(head+n-1)&(len(ring)-1)]
+	head  int
+	n     int
+}
+
+// push appends e, doubling the ring when it is full.
+func (l *lane) push(e event) {
+	if l.n == len(l.ring) {
+		ring := make([]event, max(8, 2*len(l.ring)))
+		m := copy(ring, l.ring[l.head:])
+		copy(ring[m:], l.ring[:l.head])
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e
+	l.n++
+}
+
+// pop removes and returns the head.
+func (l *lane) pop() event {
+	e := l.ring[l.head]
+	l.ring[l.head] = event{} // release the handler
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return e
 }
 
 // Stats summarises one kernel run.
@@ -84,16 +126,29 @@ type Stats struct {
 // Kernel is the discrete-event simulator: a monotonic clock and an event
 // queue.  Build a kernel, schedule initial events, then Run it to exhaustion
 // (or until Stop).
+//
+// The queue is a set of lanes, one per (delay, priority) pair the run has
+// scheduled with, plus a binary heap of the events at computed times.  Each
+// source is sorted, so firing the least of the lane heads and the heap top
+// under before gives exactly the order of one heap over every event.  A run
+// opens a handful of lanes (one per producer rate, and one per priority for
+// same-time events), so a linear scan over their heads is enough.
 type Kernel struct {
 	now     iontrap.Microseconds
 	seq     uint64
-	events  []event
+	heap    []event // a binary min-heap under before
+	lanes   []lane  // this run's; lanes[len:cap] keep earlier runs' rings
 	stopped bool
 	stats   Stats
 }
 
-// NewKernel returns an empty kernel at time zero.
-func NewKernel() *Kernel { return &Kernel{} }
+// NewKernel returns an empty kernel at time zero, with room for the pending
+// events and the lanes of a small replay, so a kernel the pool has to
+// allocate (the race detector makes it drop kernels at random) costs a few
+// allocations, not one per doubling of its queue.
+func NewKernel() *Kernel {
+	return &Kernel{heap: make([]event, 0, 64), lanes: make([]lane, 0, 4)}
+}
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() iontrap.Microseconds { return k.now }
@@ -102,17 +157,47 @@ func (k *Kernel) Now() iontrap.Microseconds { return k.now }
 // past is a programming error and panics: a discrete-event clock is
 // monotonic.
 func (k *Kernel) AtFire(t iontrap.Microseconds, pri Priority, h Handler, idx int) {
+	if t == k.now {
+		k.lane(0, pri).push(event{at: t, pri: pri, seq: k.seq, h: h, idx: idx})
+		k.seq++
+		return
+	}
 	if t < k.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v before current time %v", t, k.now))
 	}
-	k.events = append(k.events, event{at: t, pri: pri, seq: k.seq, h: h, idx: idx})
+	k.heap = append(k.heap, event{at: t, pri: pri, seq: k.seq, h: h, idx: idx})
 	k.seq++
-	k.up(len(k.events) - 1)
+	k.up(len(k.heap) - 1)
 }
 
 // AfterFire schedules h.Fire(idx) d microseconds from now.
 func (k *Kernel) AfterFire(d iontrap.Microseconds, pri Priority, h Handler, idx int) {
-	k.AtFire(k.now+d, pri, h, idx)
+	if !(d >= 0) {
+		// A negative delay panics in AtFire (unless now+d rounds to now),
+		// and a NaN one keeps the heap's handling of NaN times.
+		k.AtFire(k.now+d, pri, h, idx)
+		return
+	}
+	k.lane(d, pri).push(event{at: k.now + d, pri: pri, seq: k.seq, h: h, idx: idx})
+	k.seq++
+}
+
+// lane returns the run's lane for delay d at priority pri, opening it (on a
+// ring an earlier run left, when there is one) the first time.
+func (k *Kernel) lane(d iontrap.Microseconds, pri Priority) *lane {
+	for i := range k.lanes {
+		if l := &k.lanes[i]; l.delay == d && l.pri == pri {
+			return l
+		}
+	}
+	if len(k.lanes) < cap(k.lanes) {
+		k.lanes = k.lanes[:len(k.lanes)+1]
+	} else {
+		k.lanes = append(k.lanes, lane{})
+	}
+	l := &k.lanes[len(k.lanes)-1]
+	l.delay, l.pri = d, pri
+	return l
 }
 
 // Stop halts the run after the current event; remaining events are dropped.
@@ -123,8 +208,11 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Run fires events in (time, priority, insertion) order until the queue
 // drains or Stop is called, and returns the run statistics.
 func (k *Kernel) Run() Stats {
-	for !k.stopped && len(k.events) > 0 {
-		e := k.pop()
+	for !k.stopped {
+		e, ok := k.pop()
+		if !ok {
+			break
+		}
 		k.now = e.at
 		k.stats.Events++
 		k.stats.End = e.at
@@ -137,14 +225,19 @@ func (k *Kernel) Run() Stats {
 	return k.stats
 }
 
-// Reset returns the kernel to time zero with an empty queue, keeping the
-// event slice's backing capacity so a reused kernel schedules without
-// reallocating.  Outstanding events are dropped (their handlers released).
+// Reset returns the kernel to time zero with an empty queue.  Outstanding
+// events are dropped (their handlers released) and so are the lanes, so a
+// reused kernel scans only the lanes its next run opens; the heap's and the
+// rings' backing storage is kept, so it schedules without reallocating.
 func (k *Kernel) Reset() {
-	for i := range k.events {
-		k.events[i] = event{}
+	clear(k.heap)
+	k.heap = k.heap[:0]
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		clear(l.ring)
+		l.head, l.n = 0, 0
 	}
-	k.events = k.events[:0]
+	k.lanes = k.lanes[:0]
 	k.now, k.seq, k.stopped, k.stats = 0, 0, false, Stats{}
 }
 
@@ -171,39 +264,65 @@ func (k *Kernel) Release() {
 	kernelPool.Put(k)
 }
 
+// pop removes and returns the earliest pending event, the least of the heap
+// top and the lane heads, or reports that none is left.
+func (k *Kernel) pop() (event, bool) {
+	var first *event
+	from := -1 // the lane holding first; -1 is the heap
+	if len(k.heap) > 0 {
+		first = &k.heap[0]
+	}
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if head := &l.ring[l.head]; first == nil || head.before(first) {
+			first, from = head, i
+		}
+	}
+	switch {
+	case first == nil:
+		return event{}, false
+	case from >= 0:
+		return k.lanes[from].pop(), true
+	}
+	return k.popHeap(), true
+}
+
 // up restores the heap property from leaf i.
 func (k *Kernel) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if k.events[parent].before(k.events[i]) {
+		if k.heap[parent].before(&k.heap[i]) {
 			break
 		}
-		k.events[parent], k.events[i] = k.events[i], k.events[parent]
+		k.heap[parent], k.heap[i] = k.heap[i], k.heap[parent]
 		i = parent
 	}
 }
 
-// pop removes and returns the earliest event.
-func (k *Kernel) pop() event {
-	top := k.events[0]
-	last := len(k.events) - 1
-	k.events[0] = k.events[last]
-	k.events[last] = event{} // release the handler
-	k.events = k.events[:last]
+// popHeap removes and returns the heap's earliest event.
+func (k *Kernel) popHeap() event {
+	top := k.heap[0]
+	last := len(k.heap) - 1
+	k.heap[0] = k.heap[last]
+	k.heap[last] = event{} // release the handler
+	k.heap = k.heap[:last]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < len(k.events) && k.events[l].before(k.events[smallest]) {
+		if l < len(k.heap) && k.heap[l].before(&k.heap[smallest]) {
 			smallest = l
 		}
-		if r < len(k.events) && k.events[r].before(k.events[smallest]) {
+		if r < len(k.heap) && k.heap[r].before(&k.heap[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
 			break
 		}
-		k.events[i], k.events[smallest] = k.events[smallest], k.events[i]
+		k.heap[i], k.heap[smallest] = k.heap[smallest], k.heap[i]
 		i = smallest
 	}
 	return top

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"speedofdata/internal/iontrap"
@@ -64,15 +67,24 @@ func TestKernelTieBreakIsStable(t *testing.T) {
 
 func TestKernelRejectsPastEvents(t *testing.T) {
 	k := NewKernel()
-	at(k, 10, PriorityNormal, func() {
+	mustPanic := func(what string, schedule func()) {
 		defer func() {
 			if recover() == nil {
-				t.Error("scheduling into the past should panic")
+				t.Errorf("%s should panic", what)
 			}
 		}()
-		at(k, 5, PriorityNormal, func() {})
+		schedule()
+	}
+	fired := 0
+	at(k, 10, PriorityNormal, func() {
+		mustPanic("AtFire into the past", func() { at(k, 5, PriorityNormal, func() { fired++ }) })
+		mustPanic("AfterFire with a negative delay", func() {
+			k.AfterFire(-1, PriorityNormal, fireFunc(func(int) { fired++ }), 0)
+		})
 	})
-	k.Run()
+	if stats := k.Run(); stats.Events != 1 || fired != 0 {
+		t.Errorf("fired %d rejected events in a run of %d, want none in a run of 1", fired, stats.Events)
+	}
 }
 
 func TestKernelStopDropsRemainingEvents(t *testing.T) {
@@ -84,8 +96,8 @@ func TestKernelStopDropsRemainingEvents(t *testing.T) {
 	if fired != 1 || stats.Events != 1 {
 		t.Errorf("fired %d events after Stop, want 1", fired)
 	}
-	if len(k.events) != 1 {
-		t.Errorf("pending = %d, want 1", len(k.events))
+	if len(k.heap) != 1 {
+		t.Errorf("pending = %d, want 1", len(k.heap))
 	}
 }
 
@@ -237,4 +249,224 @@ func TestDeterministicRepeatedRuns(t *testing.T) {
 	if c1 != c2 || e1 != e2 || n1 != n2 {
 		t.Errorf("runs differ: (%v,%v,%v) vs (%v,%v,%v)", c1, e1, n1, c2, e2, n2)
 	}
+}
+
+// heapKernel is the reference scheduler: one binary heap over every event,
+// whose order Kernel's lanes must reproduce exactly.
+type heapKernel struct {
+	now     iontrap.Microseconds
+	seq     uint64
+	events  []event
+	stopped bool
+	stats   Stats
+}
+
+func (k *heapKernel) Now() iontrap.Microseconds { return k.now }
+
+func (k *heapKernel) AtFire(t iontrap.Microseconds, pri Priority, h Handler, idx int) {
+	if t < k.now {
+		panic(fmt.Sprintf("sim: event scheduled at %v before current time %v", t, k.now))
+	}
+	k.events = append(k.events, event{at: t, pri: pri, seq: k.seq, h: h, idx: idx})
+	k.seq++
+	for i := len(k.events) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if k.events[parent].before(&k.events[i]) {
+			break
+		}
+		k.events[parent], k.events[i] = k.events[i], k.events[parent]
+		i = parent
+	}
+}
+
+func (k *heapKernel) AfterFire(d iontrap.Microseconds, pri Priority, h Handler, idx int) {
+	k.AtFire(k.now+d, pri, h, idx)
+}
+
+func (k *heapKernel) Stop() { k.stopped = true }
+
+func (k *heapKernel) Run() Stats {
+	for !k.stopped && len(k.events) > 0 {
+		e := k.pop()
+		k.now = e.at
+		k.stats.Events++
+		k.stats.End = e.at
+		e.h.Fire(e.idx)
+	}
+	return k.stats
+}
+
+func (k *heapKernel) pop() event {
+	top := k.events[0]
+	last := len(k.events) - 1
+	k.events[0] = k.events[last]
+	k.events = k.events[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < len(k.events) && k.events[l].before(&k.events[smallest]) {
+			smallest = l
+		}
+		if r < len(k.events) && k.events[r].before(&k.events[smallest]) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		k.events[i], k.events[smallest] = k.events[smallest], k.events[i]
+		i = smallest
+	}
+	return top
+}
+
+// scheduler is the surface TestKernelMatchesHeapOrder drives on both
+// kernels.
+type scheduler interface {
+	Now() iontrap.Microseconds
+	AtFire(t iontrap.Microseconds, pri Priority, h Handler, idx int)
+	AfterFire(d iontrap.Microseconds, pri Priority, h Handler, idx int)
+	Stop()
+}
+
+// firing is one fired event: its time, handler and payload.
+type firing struct {
+	at  iontrap.Microseconds
+	h   int
+	idx int
+}
+
+// chaos is a random workload scheduled from inside its own handlers: each
+// fired event is recorded and schedules a few more, each through a randomly
+// chosen path.  Its choices depend only on its seed and on the order events
+// fire in, so two kernels that fire the same sequence build the same
+// schedule, and the first misordered event shows.
+type chaos struct {
+	k      scheduler
+	rng    *rand.Rand
+	hs     [3]chaosHandler
+	delays []iontrap.Microseconds // AfterFire's delays; the last is retuned
+	times  []iontrap.Microseconds // every time scheduled so far
+	budget int                    // events still to schedule
+	stopAt int                    // Stop at this many firings; 0 runs out
+	fanout int                    // each firing schedules fewer than this
+	fired  []firing
+}
+
+type chaosHandler struct {
+	c  *chaos
+	id int
+}
+
+func (h *chaosHandler) Fire(idx int) {
+	c := h.c
+	c.fired = append(c.fired, firing{c.k.Now(), h.id, idx})
+	if len(c.fired) == c.stopAt {
+		c.k.Stop()
+	}
+	for n := c.rng.Intn(c.fanout); n > 0; n-- {
+		c.schedule()
+	}
+}
+
+// newChaos seeds a workload on k with its first few events.
+func newChaos(k scheduler, seed int64) *chaos {
+	c := &chaos{
+		k:      k,
+		rng:    rand.New(rand.NewSource(seed)),
+		delays: []iontrap.Microseconds{0, 0.1, 0.3, 1.5},
+		times:  []iontrap.Microseconds{0},
+	}
+	for i := range c.hs {
+		c.hs[i] = chaosHandler{c: c, id: i}
+	}
+	c.budget = 20 + c.rng.Intn(400)
+	// A workload whose events schedule 1.5 more on average grows until its
+	// budget runs out, so lanes fill while they fire: their rings wrap and
+	// grow with the head mid-ring.  The others hover at a few events.
+	c.fanout = 3 + c.rng.Intn(2)
+	if c.rng.Intn(3) > 0 {
+		c.stopAt = 1 + c.rng.Intn(c.budget)
+	}
+	for n := 1 + c.rng.Intn(12); n > 0; n-- {
+		c.schedule()
+	}
+	return c
+}
+
+// schedule adds one event, unless the budget is spent.
+func (c *chaos) schedule() {
+	if c.budget == 0 {
+		return
+	}
+	c.budget--
+	h, idx, pri := &c.hs[c.rng.Intn(len(c.hs))], c.rng.Intn(1000), Priority(c.rng.Intn(2))
+	now := c.k.Now()
+	t := now
+	switch c.rng.Intn(8) {
+	case 0:
+		// AtFire at the current time, under either priority.
+	case 1:
+		// A time scheduled before, so events share it, when still ahead.
+		t = max(now, c.times[c.rng.Intn(len(c.times))])
+	case 2:
+		// A computed time equal to the one AfterFire gives the same delay.
+		t = now + c.delays[c.rng.Intn(len(c.delays))]
+	case 3:
+		// A sum that rounds to a lane's time on some clocks and not others:
+		// 0.1+0.2 against the 0.3 lane, and chains of the 0.1 lane.
+		t = now + 0.1 + 0.2
+	case 4:
+		// Retune the last delay, as Producer.SetRate does: events already
+		// on its old lane stay there, later ones open or join another.
+		c.delays[3] = []iontrap.Microseconds{1.5, 0.75, 0.3, 2}[c.rng.Intn(4)]
+		fallthrough
+	default:
+		d := c.delays[c.rng.Intn(len(c.delays))]
+		c.times = append(c.times, now+d)
+		c.k.AfterFire(d, pri, h, idx)
+		return
+	}
+	c.times = append(c.times, t)
+	c.k.AtFire(t, pri, h, idx)
+}
+
+// The lanes and the heap must fire every event in the order one heap over
+// all of them does, and report the same Stats, over random schedules that
+// stop at a random event.  Between runs a kernel is reset, or released and
+// re-acquired from the pool, or replaced, so a lane left over from the last
+// run shows, and so do rings that wrap and grow.
+func TestKernelMatchesHeapOrder(t *testing.T) {
+	var k *Kernel
+	for seed := int64(1); seed <= 500; seed++ {
+		ref := &heapKernel{}
+		want := newChaos(ref, seed)
+		wantStats := ref.Run()
+		switch {
+		case k == nil || seed%4 == 0:
+			if k != nil {
+				k.Release()
+			}
+			k = AcquireKernel()
+		case seed%4 == 1:
+			// A new kernel's rings start empty, so its lanes grow while
+			// they fire; a reused kernel's are already grown.
+			k.Release()
+			k = NewKernel()
+		default:
+			k.Reset()
+		}
+		got := newChaos(k, seed)
+		gotStats := k.Run()
+		if gotStats != wantStats || !slices.Equal(got.fired, want.fired) {
+			i := 0
+			for i < len(got.fired) && i < len(want.fired) && got.fired[i] == want.fired[i] {
+				i++
+			}
+			t.Fatalf("seed %d: stats %+v, heap %+v; first difference at firing %d of %d/%d:\n got  %v\n want %v",
+				seed, gotStats, wantStats, i, len(got.fired), len(want.fired),
+				got.fired[i:min(i+3, len(got.fired))], want.fired[i:min(i+3, len(want.fired))])
+		}
+	}
+	k.Release()
 }
