@@ -50,42 +50,56 @@ func TestFingerprintMatchesFmt(t *testing.T) {
 }
 
 // The memos are filled on first use from whichever goroutine gets there
-// first; every caller must see the same values.  CI runs this under -race.
+// first; every caller must see the same values, and the DAG's makespan memo
+// one entry per weight array.  CI runs this under -race -count=10.
 func TestCircuitMemosAgreeAcrossGoroutines(t *testing.T) {
 	c, err := Generate(QCLA, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fingerprintFmt(c)
+	var weights [2][quantum.NumGateKinds]float64
+	var wantSpans [2]float64
+	for i := range weights {
+		for k := range quantum.NumGateKinds {
+			weights[i][k] = float64(int(k)+1) / float64(i+3)
+		}
+		_, wantSpans[i] = quantum.BuildDAG(c).CriticalPath(&weights[i])
+	}
 	const n = 8
 	var (
-		wg   sync.WaitGroup
-		fps  [n]string
-		errs [n]error
-		dags [n]*quantum.DAG
+		wg    sync.WaitGroup
+		fps   [n]string
+		errs  [n]error
+		dags  [n]*quantum.DAG
+		spans [n][2]float64
 	)
 	for i := range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			// Rotate the call order so each memo is raced for first.
-			for j := range 3 {
-				switch (i + j) % 3 {
+			for j := range 5 {
+				switch (i + j) % 5 {
 				case 0:
 					fps[i] = c.Fingerprint()
 				case 1:
 					errs[i] = c.Validate()
 				case 2:
 					dags[i] = c.DAG()
+				case 3:
+					spans[i][0] = c.DAG().Makespan(&weights[0])
+				case 4:
+					spans[i][1] = c.DAG().Makespan(&weights[1])
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	for i := range n {
-		if fps[i] != want || errs[i] != nil || dags[i] != dags[0] || dags[i] == nil {
-			t.Errorf("goroutine %d: Fingerprint %s, Validate %v, DAG %p; want %s, nil, %p",
-				i, fps[i], errs[i], dags[i], want, dags[0])
+		if fps[i] != want || errs[i] != nil || dags[i] != dags[0] || dags[i] == nil || spans[i] != wantSpans {
+			t.Errorf("goroutine %d: Fingerprint %s, Validate %v, DAG %p, makespans %v; want %s, nil, %p, %v",
+				i, fps[i], errs[i], dags[i], spans[i], want, dags[0], wantSpans)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"speedofdata/internal/iontrap"
 	"speedofdata/internal/quantum"
+	"speedofdata/internal/schedule"
 	"speedofdata/internal/sim"
 )
 
@@ -25,10 +26,10 @@ import (
 
 // eventRun is the pooled per-run state.
 type eventRun struct {
-	df    sim.Dataflow
-	c     *quantum.Circuit
-	cfg   Config
-	model *costModel
+	df     sim.Dataflow
+	c      *quantum.Circuit
+	prices schedule.GatePrices
+	model  *costModel
 }
 
 var eventRunPool = sync.Pool{New: func() any { return new(eventRun) }}
@@ -38,7 +39,7 @@ var eventRunPool = sync.Pool{New: func() any { return new(eventRun) }}
 func (r *eventRun) Issue(fi, _, _ int, ready float64) {
 	g := r.c.Gates[fi]
 	site, extraLatency, ancillae := r.model.dispatch(g)
-	r.df.Acquire(fi, site, ancillae, ready, extraLatency, float64(r.cfg.Latency.GateWeightSpeedOfData(g)))
+	r.df.Acquire(fi, site, ancillae, ready, extraLatency, r.prices.SpeedOfData[g.Kind])
 }
 
 func simulateEvents(c *quantum.Circuit, cfg Config) (Result, error) {
@@ -63,7 +64,7 @@ func simulateEvents(c *quantum.Circuit, cfg Config) (Result, error) {
 		r.c, r.model = nil, nil
 		eventRunPool.Put(r)
 	}()
-	r.c, r.cfg, r.model = c, cfg, newCostModel(cfg, &res)
+	r.c, r.prices, r.model = c, cfg.Latency.Prices(), newCostModel(cfg, c.NumQubits, &res)
 	r.df.Reset(r, c)
 	defer r.df.Release()
 	if err := r.df.Sources(cfg.BufferAncillae, "ancilla source", rates...); err != nil {

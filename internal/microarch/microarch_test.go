@@ -3,6 +3,7 @@ package microarch
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -289,7 +290,7 @@ func TestDefaultScales(t *testing.T) {
 }
 
 func TestLRUCache(t *testing.T) {
-	cache := newLRUCache(2)
+	cache := newLRUCache(2, 4)
 	miss, evicted := cache.touch(1)
 	if !miss || evicted >= 0 {
 		t.Error("first access should miss without eviction")
@@ -312,6 +313,58 @@ func TestLRUCache(t *testing.T) {
 	}
 	if m, _ := cache.touch(2); !m {
 		t.Error("evicted qubit should miss")
+	}
+}
+
+// mapLRU is the compute cache as it was before its slot arrays: a map from
+// resident qubit to last-use stamp, scanned for the oldest on every miss at
+// capacity.  lruCache must match it touch for touch.
+type mapLRU struct {
+	capacity int
+	stamp    int64
+	entries  map[int]int64
+}
+
+func (c *mapLRU) touch(q int) (miss bool, evicted int) {
+	c.stamp++
+	evicted = -1
+	if _, ok := c.entries[q]; ok {
+		c.entries[q] = c.stamp
+		return false, evicted
+	}
+	miss = true
+	if len(c.entries) >= c.capacity {
+		oldestQ, oldest := -1, int64(math.MaxInt64)
+		for qq, s := range c.entries {
+			if s < oldest {
+				oldest, oldestQ = s, qq
+			}
+		}
+		delete(c.entries, oldestQ)
+		evicted = oldestQ
+	}
+	c.entries[q] = c.stamp
+	return miss, evicted
+}
+
+// Over random touch sequences, capacities 1-32 and 1-100 qubits, the slot
+// arrays miss and evict exactly as the map scan did.
+func TestLRUCacheMatchesMapScan(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for capacity := 1; capacity <= 32; capacity++ {
+		for _, nQubits := range []int{1, capacity, capacity + 1, 1 + r.Intn(100), 100} {
+			got := newLRUCache(capacity, nQubits)
+			want := &mapLRU{capacity: capacity, entries: map[int]int64{}}
+			for i := range 500 {
+				q := r.Intn(nQubits)
+				gm, ge := got.touch(q)
+				wm, we := want.touch(q)
+				if gm != wm || ge != we {
+					t.Fatalf("capacity %d, %d qubits, touch %d of q%d: (miss, evicted) = (%v, %d), map scan (%v, %d)",
+						capacity, nQubits, i, q, gm, ge, wm, we)
+				}
+			}
+		}
 	}
 }
 

@@ -44,15 +44,27 @@ type Result struct {
 func (r Result) ExecutionTimeMs() float64 { return r.ExecutionTime.Milliseconds() }
 
 // lruCache is the CQLA compute cache: a fixed number of data-qubit slots with
-// least-recently-used replacement.
+// least-recently-used replacement.  Slots live in an array, and slot[q]
+// indexes qubit q's slot, so a hit is one lookup and a miss scans at most
+// the capacity's stamps.  Stamps are unique, so the victim is always the
+// one qubit touched longest ago.
 type lruCache struct {
-	capacity int
-	stamp    int64
-	entries  map[int]int64 // qubit -> last use stamp
+	stamp int64
+	slots []lruSlot // resident qubits, at most the capacity
+	slot  []int32   // qubit -> its index in slots plus one; zero when absent
 }
 
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{capacity: capacity, entries: make(map[int]int64, capacity)}
+// lruSlot is one resident qubit and the stamp of its last use.
+type lruSlot struct {
+	q     int
+	stamp int64
+}
+
+// newLRUCache returns an empty cache of capacity slots over qubits
+// [0, nQubits).  It never holds more than nQubits qubits, so it sizes its
+// slot array by the smaller of the two.
+func newLRUCache(capacity, nQubits int) *lruCache {
+	return &lruCache{slots: make([]lruSlot, 0, min(capacity, nQubits)), slot: make([]int32, nQubits)}
 }
 
 // touch marks a qubit as resident and most recently used, reporting whether
@@ -60,23 +72,26 @@ func newLRUCache(capacity int) *lruCache {
 func (c *lruCache) touch(q int) (miss bool, evicted int) {
 	c.stamp++
 	evicted = -1
-	if _, ok := c.entries[q]; ok {
-		c.entries[q] = c.stamp
+	if s := c.slot[q]; s > 0 {
+		c.slots[s-1].stamp = c.stamp
 		return false, evicted
 	}
-	miss = true
-	if len(c.entries) >= c.capacity {
-		oldestQ, oldest := -1, int64(math.MaxInt64)
-		for qq, s := range c.entries {
-			if s < oldest {
-				oldest, oldestQ = s, qq
+	s := len(c.slots)
+	if s < cap(c.slots) {
+		c.slots = c.slots[:s+1]
+	} else {
+		s = 0
+		for i := range c.slots {
+			if c.slots[i].stamp < c.slots[s].stamp {
+				s = i
 			}
 		}
-		delete(c.entries, oldestQ)
-		evicted = oldestQ
+		evicted = c.slots[s].q
+		c.slot[evicted] = 0
 	}
-	c.entries[q] = c.stamp
-	return miss, evicted
+	c.slots[s] = lruSlot{q, c.stamp}
+	c.slot[q] = int32(s + 1)
+	return true, evicted
 }
 
 // sourceRates returns the per-source ancilla production rate (ancillae per
@@ -125,7 +140,7 @@ type costModel struct {
 	ballisticUs  float64
 }
 
-func newCostModel(cfg Config, res *Result) *costModel {
+func newCostModel(cfg Config, nQubits int, res *Result) *costModel {
 	m := &costModel{
 		cfg:          cfg,
 		topo:         cfg.Network,
@@ -137,7 +152,7 @@ func newCostModel(cfg Config, res *Result) *costModel {
 		ballisticUs:  float64(cfg.Movement.BallisticPerGateUs),
 	}
 	if cfg.Arch == CQLA || cfg.Arch == GCQLA {
-		m.cache = newLRUCache(cfg.CacheSlots)
+		m.cache = newLRUCache(cfg.CacheSlots, nQubits)
 	}
 	return m
 }
@@ -284,7 +299,8 @@ func SimulateClosedForm(c *quantum.Circuit, cfg Config) (Result, error) {
 			return Result{}, err
 		}
 	}
-	model := newCostModel(cfg, &res)
+	model := newCostModel(cfg, c.NumQubits, &res)
+	weight := cfg.Latency.Prices().SpeedOfData
 
 	pq := &sim.TaskQueue{}
 	for i, d := range indeg {
@@ -309,7 +325,7 @@ func SimulateClosedForm(c *quantum.Circuit, cfg Config) (Result, error) {
 			issue = t
 		}
 		stall += issue - start
-		finish[gi] = issue + extraLatency + float64(cfg.Latency.GateWeightSpeedOfData(g))
+		finish[gi] = issue + extraLatency + weight[g.Kind]
 		if finish[gi] > makespan {
 			makespan = finish[gi]
 		}

@@ -146,10 +146,8 @@ func MatchedLinkEPRPerMs(c *quantum.Circuit, m schedule.LatencyModel, topo Topol
 	if links == 0 {
 		return 0
 	}
-	dag := c.DAG()
-	_, sodUs := dag.WeightedCriticalPath(func(g quantum.Gate) float64 {
-		return float64(m.GateWeightSpeedOfData(g))
-	})
+	p := m.Prices()
+	sodUs := c.DAG().Makespan(&p.SpeedOfData)
 	if !(sodUs > 0) || math.IsInf(sodUs, 0) || math.IsNaN(sodUs) {
 		return 0
 	}

@@ -125,11 +125,11 @@ type teleState struct {
 // 3·ts+1 teleport ts arrived at the end of its hop, 3·x+2 cross-tile gate x
 // finished executing, and -1-pi scheduled fault pi strikes.
 type netState struct {
-	df   sim.Dataflow
-	run  *ReplayRun
-	cs   []*quantum.Circuit
-	m    schedule.LatencyModel
-	topo Topology
+	df     sim.Dataflow
+	run    *ReplayRun
+	cs     []*quantum.Circuit
+	prices schedule.GatePrices
+	topo   Topology
 
 	rates   []float64 // per-tile zero supply rates (ancillae/us)
 	bufs    []*sim.Resource
@@ -154,6 +154,7 @@ type netState struct {
 	tele     []teleState
 	teleFree []int32
 
+	perQEC   int
 	perGate  float64
 	teleAnc  float64
 	teleAncN int
@@ -366,11 +367,11 @@ func (r *netState) execTile(ci int, g quantum.Gate) int {
 // cost returns a gate's latency past its QEC zeros: ballistic movement for
 // multi-qubit gates, then the gate itself.  It also counts the zeros.
 func (r *netState) cost(ci int, g quantum.Gate) (extra, weight float64) {
-	r.run.Results[ci].AncillaeConsumed += r.m.ZeroAncillaePerQEC
+	r.run.Results[ci].AncillaeConsumed += r.perQEC
 	if g.Kind.Arity() >= 2 {
 		extra = r.ballUs
 	}
-	return extra, float64(r.m.GateWeightSpeedOfData(g))
+	return extra, r.prices.SpeedOfData[g.Kind]
 }
 
 // Issue implements sim.Issuer.  A gate whose operands share its execution
@@ -487,6 +488,7 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 		return ReplayRun{}, fmt.Errorf("network: no circuits to replay")
 	}
 	m := cfg.Latency
+	prices := m.Prices()
 	topo := NewTopology(len(cfg.Machine.Tiles))
 	nTiles := topo.TileCount()
 	maxDist := topo.Cols + topo.Rows - 1
@@ -527,7 +529,7 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 		}
 		run.Partitions[ci] = part
 		run.Results[ci] = ReplayResult{
-			ReplayResult: schedule.NewReplayResult(c, m),
+			ReplayResult: schedule.NewReplayResult(c, m, &prices),
 			CrossGates:   part.CrossGates,
 			HopHistogram: make([]int, maxDist),
 		}
@@ -541,8 +543,8 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 		r.cs, r.run, r.plan = nil, nil, nil
 		netStatePool.Put(r)
 	}()
-	r.run, r.cs, r.m, r.topo, r.nTiles = &run, cs, m, topo, nTiles
-	r.perGate = float64(m.ZeroAncillaePerQEC)
+	r.run, r.cs, r.prices, r.topo, r.nTiles = &run, cs, prices, topo, nTiles
+	r.perQEC, r.perGate = m.ZeroAncillaePerQEC, float64(m.ZeroAncillaePerQEC)
 	r.teleAncN = cfg.Machine.Movement.TeleportAncillae
 	r.teleAnc = float64(r.teleAncN)
 	r.teleUs = float64(cfg.Machine.Movement.TeleportUs)

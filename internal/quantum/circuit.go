@@ -28,7 +28,8 @@ type Circuit struct {
 	// not reach them.  The generators build each circuit with NewCircuit
 	// and Append before anything reads it, and share it read-only after.
 
-	// dag memoises the dataflow graph (see DAG).
+	// dag memoises the dataflow graph (see DAG), which in turn memoises
+	// its critical-path makespan per weight array (see DAG.Makespan).
 	dagOnce sync.Once
 	dag     *DAG
 	// fp memoises Fingerprint.

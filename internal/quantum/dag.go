@@ -1,12 +1,15 @@
 package quantum
 
-import "fmt"
+import "sync"
 
 // DAG is the dataflow graph of a circuit: node i is gate i of the source
 // circuit, and an edge u->v means gate v consumes a qubit last touched by
 // gate u.  The scheduler and the microarchitecture simulators both execute
 // circuits in dataflow order, which is what "running at the speed of data"
-// means in the paper.
+// means in the paper.  Edges only run from earlier to later gates, so
+// program order is topological.  Besides the graph, a DAG memoises the
+// critical-path makespans asked of it (see Makespan), which are as fixed as
+// the gate sequence it was built from.
 type DAG struct {
 	Circuit *Circuit
 	// Succ[i] lists the successors of gate i; Pred[i] its predecessors.
@@ -15,6 +18,16 @@ type DAG struct {
 	// InDegree[i] is len(Pred[i]), kept separately so simulations can copy
 	// and decrement it cheaply.
 	InDegree []int
+
+	// mu guards makespans, Makespan's memo: one entry per weight array.
+	mu        sync.Mutex
+	makespans []makespanEntry
+}
+
+// makespanEntry is one memoised Makespan result.
+type makespanEntry struct {
+	w        [NumGateKinds]float64
+	makespan float64
 }
 
 // BuildDAG constructs the dataflow graph of the circuit.  Gates are connected
@@ -104,59 +117,49 @@ func (c *Circuit) DAG() *DAG {
 	return c.dag
 }
 
-// TopoOrder returns a topological ordering of the gates.  Because BuildDAG
-// only ever adds edges from earlier to later gates, program order is already
-// topological; the method exists so callers do not have to rely on that.
-func (d *DAG) TopoOrder() ([]int, error) {
-	n := len(d.InDegree)
-	indeg := make([]int, n)
-	copy(indeg, d.InDegree)
-	queue := make([]int, 0, n)
-	for i, deg := range indeg {
-		if deg == 0 {
-			queue = append(queue, i)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, v := range d.Succ[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("quantum: dependence graph of %q has a cycle", d.Circuit.Name)
-	}
-	return order, nil
-}
-
-// WeightedCriticalPath returns the longest weighted dependence chain where
-// weight(i) is the duration of gate i.  finish[i] is the earliest finish time
-// of gate i when every gate starts as soon as its predecessors finish
-// (infinite hardware); the returned makespan is the maximum finish time.
-// This is the "speed of data" execution time of Section 3.
-func (d *DAG) WeightedCriticalPath(weight func(g Gate) float64) (finish []float64, makespan float64) {
-	order, err := d.TopoOrder()
-	if err != nil {
-		panic(err)
-	}
-	finish = make([]float64, len(order))
-	for _, u := range order {
+// CriticalPath returns the longest weighted dependence chain when every
+// gate of kind k takes w[k].  finish[i] is the earliest finish time of gate i
+// when every gate starts as soon as its predecessors finish (infinite
+// hardware); the returned makespan is the maximum finish time.  With the
+// speed-of-data weights this is the "speed of data" execution time of
+// Section 3.  The walk follows program order, which is topological (see
+// DAG).
+func (d *DAG) CriticalPath(w *[NumGateKinds]float64) (finish []float64, makespan float64) {
+	gates := d.Circuit.Gates
+	finish = make([]float64, len(gates))
+	for u := range finish {
 		start := 0.0
 		for _, p := range d.Pred[u] {
 			if finish[p] > start {
 				start = finish[p]
 			}
 		}
-		finish[u] = start + weight(d.Circuit.Gates[u])
+		finish[u] = start + w[gates[u].Kind]
 		if finish[u] > makespan {
 			makespan = finish[u]
 		}
 	}
 	return finish, makespan
+}
+
+// Makespan returns CriticalPath's makespan under w, computed once per DAG
+// and weight array: replays report a circuit's speed-of-data bound on every
+// run, and it only depends on the gate sequence and the weights.  The memo
+// holds one entry per distinct array and dies with the DAG.  Safe for
+// concurrent use.
+func (d *DAG) Makespan(w *[NumGateKinds]float64) float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, e := range d.makespans {
+		if e.w == *w {
+			return e.makespan
+		}
+	}
+	_, makespan := d.CriticalPath(w)
+	// An array holding a NaN never equals itself, so an entry for it could
+	// never be found again: leave it out rather than grow the memo.
+	if *w == *w {
+		d.makespans = append(d.makespans, makespanEntry{*w, makespan})
+	}
+	return makespan
 }

@@ -61,9 +61,13 @@ const (
 	GatePrepZero
 	// GatePrepPlus prepares |+>.
 	GatePrepPlus
+
+	// NumGateKinds is the number of gate kinds: the defined kinds are
+	// exactly [0, NumGateKinds), so tables indexed by kind can be arrays.
+	NumGateKinds
 )
 
-var gateNames = [...]string{
+var gateNames = [NumGateKinds]string{
 	GateI:        "I",
 	GateX:        "X",
 	GateY:        "Y",
@@ -87,7 +91,7 @@ var gateNames = [...]string{
 
 // String returns the conventional short name of the gate.
 func (k GateKind) String() string {
-	if k < 0 || int(k) >= len(gateNames) {
+	if k < 0 || k >= NumGateKinds {
 		return fmt.Sprintf("gate(%d)", int(k))
 	}
 	return gateNames[k]
@@ -151,9 +155,12 @@ type Gate struct {
 	Label string
 }
 
-// Validate reports an error if the gate's qubit list does not match its
-// arity or contains duplicates.
+// Validate reports an error if the gate's kind is undefined, or if its qubit
+// list does not match its arity or contains duplicates.
 func (g Gate) Validate() error {
+	if g.Kind < 0 || g.Kind >= NumGateKinds {
+		return fmt.Errorf("quantum: undefined gate kind %d", int(g.Kind))
+	}
 	if len(g.Qubits) != g.Kind.Arity() {
 		return fmt.Errorf("quantum: gate %s expects %d qubits, got %d", g.Kind, g.Kind.Arity(), len(g.Qubits))
 	}

@@ -93,6 +93,19 @@ func TestGateValidate(t *testing.T) {
 	if err := neg.Validate(); err == nil {
 		t.Error("negative qubit index should be invalid")
 	}
+	// The defined kinds are exactly [0, NumGateKinds), and both the gate
+	// and a circuit holding it say so.
+	for _, k := range []GateKind{-1, 0, NumGateKinds - 1, NumGateKinds, 99} {
+		g := Gate{Kind: k, Qubits: []int{0}}
+		c := &Circuit{Name: "kind", NumQubits: 1, Gates: []Gate{g}}
+		defined := k >= 0 && k < NumGateKinds
+		if err := g.Validate(); (err == nil) != defined {
+			t.Errorf("Gate.Validate on kind %d = %v, want an error: %v", int(k), err, !defined)
+		}
+		if err := c.Validate(); (err == nil) != defined {
+			t.Errorf("Circuit.Validate on kind %d = %v, want an error: %v", int(k), err, !defined)
+		}
+	}
 }
 
 // A gate with the wrong number of qubits is rejected where circuits are

@@ -86,27 +86,20 @@ func Characterize(c *quantum.Circuit, m LatencyModel) (Characterization, error) 
 	}
 
 	dag := c.DAG()
+	p := m.Prices()
 
 	// No-overlap critical path, then decompose it gate by gate.
-	finish, _ := dag.WeightedCriticalPath(func(g quantum.Gate) float64 {
-		return float64(m.GateWeightNoOverlap(g))
-	})
-	path := backtrackCriticalPath(dag, finish, func(g quantum.Gate) float64 {
-		return float64(m.GateWeightNoOverlap(g))
-	})
+	finish, _ := dag.CriticalPath(&p.NoOverlap)
+	path := backtrackCriticalPath(dag, finish, &p.NoOverlap)
 	out.CriticalPathGates = len(path)
 	for _, gi := range path {
-		g := c.Gates[gi]
-		out.DataOpLatency += m.DataOpLatency(g)
+		out.DataOpLatency += iontrap.Microseconds(p.DataOp[c.Gates[gi].Kind])
 		out.QECInteractLatency += m.QECInteractLatency()
 		out.AncillaPrepLatency += m.AncillaPrepLatency()
 	}
 
 	// Speed-of-data critical path (its own path, possibly different).
-	_, speedOfData := dag.WeightedCriticalPath(func(g quantum.Gate) float64 {
-		return float64(m.GateWeightSpeedOfData(g))
-	})
-	out.SpeedOfDataTime = iontrap.Microseconds(speedOfData)
+	out.SpeedOfDataTime = iontrap.Microseconds(dag.Makespan(&p.SpeedOfData))
 
 	ms := out.SpeedOfDataTime.Milliseconds()
 	if ms > 0 {
@@ -135,8 +128,8 @@ func CharacterizeAll(ctx context.Context, eng *engine.Engine, cs []*quantum.Circ
 
 // backtrackCriticalPath recovers one longest path (as gate indices in
 // execution order) from the per-gate finish times of a weighted critical-path
-// computation.
-func backtrackCriticalPath(dag *quantum.DAG, finish []float64, weight func(g quantum.Gate) float64) []int {
+// computation under the per-kind weights w.
+func backtrackCriticalPath(dag *quantum.DAG, finish []float64, w *[quantum.NumGateKinds]float64) []int {
 	if len(finish) == 0 {
 		return nil
 	}
@@ -152,8 +145,7 @@ func backtrackCriticalPath(dag *quantum.DAG, finish []float64, weight func(g qua
 	const eps = 1e-6
 	for {
 		rev = append(rev, cur)
-		w := weight(dag.Circuit.Gates[cur])
-		start := finish[cur] - w
+		start := finish[cur] - w[dag.Circuit.Gates[cur].Kind]
 		if start <= eps {
 			break
 		}
@@ -203,10 +195,8 @@ func DemandProfile(c *quantum.Circuit, m LatencyModel, buckets int) ([]DemandPoi
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	dag := c.DAG()
-	finish, makespan := dag.WeightedCriticalPath(func(g quantum.Gate) float64 {
-		return float64(m.GateWeightSpeedOfData(g))
-	})
+	p := m.Prices()
+	finish, makespan := c.DAG().CriticalPath(&p.SpeedOfData)
 	points := make([]DemandPoint, buckets)
 	for i := range points {
 		points[i].TimeMs = (makespan / float64(buckets) * float64(i+1)) / 1000.0
@@ -282,6 +272,7 @@ func SimulateWithThroughput(c *quantum.Circuit, m LatencyModel, ratePerMs float6
 		// and is fine).
 		return 0, fmt.Errorf("schedule: throughput %v/ms: %w", ratePerMs, sim.ErrZeroRate)
 	}
+	weight := m.Prices().SpeedOfData
 	dag := c.DAG()
 	ratePerUs := ratePerMs / 1000.0
 	perGateAncillae := float64(m.ZeroAncillaePerQEC)
@@ -318,7 +309,7 @@ func SimulateWithThroughput(c *quantum.Circuit, m LatencyModel, ratePerMs float6
 				issue = t
 			}
 		}
-		finish[gi] = issue + float64(m.GateWeightSpeedOfData(c.Gates[gi]))
+		finish[gi] = issue + weight[c.Gates[gi].Kind]
 		if finish[gi] > makespan {
 			makespan = finish[gi]
 		}

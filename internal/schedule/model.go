@@ -123,3 +123,27 @@ func (m LatencyModel) GateWeightNoOverlap(g quantum.Gate) iontrap.Microseconds {
 func (m LatencyModel) GateWeightSpeedOfData(g quantum.Gate) iontrap.Microseconds {
 	return m.DataOpLatency(g) + m.QECInteractLatency()
 }
+
+// GatePrices is a latency model's per-gate prices tabulated by gate kind, in
+// microseconds: entry k of each array is what the method of the same name
+// returns for a gate of kind k.  The replays and the critical paths price
+// every gate from it instead of reading the technology's latency map.
+type GatePrices struct {
+	DataOp      [quantum.NumGateKinds]float64
+	SpeedOfData [quantum.NumGateKinds]float64
+	NoOverlap   [quantum.NumGateKinds]float64
+}
+
+// Prices tabulates DataOpLatency, GateWeightSpeedOfData and
+// GateWeightNoOverlap for every gate kind.  Each entry is the method's own
+// result, so pricing a gate from the table is bit-identical to calling it.
+func (m LatencyModel) Prices() GatePrices {
+	var p GatePrices
+	for k := range quantum.NumGateKinds {
+		g := quantum.Gate{Kind: k}
+		p.DataOp[k] = float64(m.DataOpLatency(g))
+		p.SpeedOfData[k] = float64(m.GateWeightSpeedOfData(g))
+		p.NoOverlap[k] = float64(m.GateWeightNoOverlap(g))
+	}
+	return p
+}

@@ -69,16 +69,16 @@ type ReplayResult struct {
 
 // NewReplayResult returns circuit c's result before any replay: its name
 // and gate count, its speed-of-data bound and its total data-op and
-// QEC-interaction busy times under m.  The replayers fill in the rest.
-func NewReplayResult(c *quantum.Circuit, m LatencyModel) ReplayResult {
+// QEC-interaction busy times under m, whose gate prices p tabulates.  The
+// bound is memoised on the circuit's DAG, so replaying a circuit again does
+// not walk its graph again.  The replayers fill in the rest.
+func NewReplayResult(c *quantum.Circuit, m LatencyModel, p *GatePrices) ReplayResult {
 	res := ReplayResult{Name: c.Name, Gates: len(c.Gates)}
-	_, sod := c.DAG().WeightedCriticalPath(func(g quantum.Gate) float64 {
-		return float64(m.GateWeightSpeedOfData(g))
-	})
-	res.SpeedOfData = iontrap.Microseconds(sod)
+	res.SpeedOfData = iontrap.Microseconds(c.DAG().Makespan(&p.SpeedOfData))
+	qec := m.QECInteractLatency()
 	for _, g := range c.Gates {
-		res.DataOpBusy += m.DataOpLatency(g)
-		res.QECInteractBusy += m.QECInteractLatency()
+		res.DataOpBusy += iontrap.Microseconds(p.DataOp[g.Kind])
+		res.QECInteractBusy += qec
 	}
 	return res
 }
@@ -117,13 +117,14 @@ func Replay(c *quantum.Circuit, m LatencyModel, supply Supply) (ReplayRun, error
 }
 
 // replayState is the pooled per-run state of ReplayShared: the dataflow
-// driver, whose one source is the shared supply, and the latency model that
-// prices each gate.
+// driver, whose one source is the shared supply, and the latency model's
+// gate prices.
 type replayState struct {
 	df      sim.Dataflow
-	m       LatencyModel
+	prices  GatePrices
 	cs      []*quantum.Circuit
 	run     *ReplayRun
+	perQEC  int
 	perGate float64
 }
 
@@ -132,8 +133,8 @@ var replayStatePool = sync.Pool{New: func() any { return new(replayState) }}
 // Issue implements sim.Issuer: every gate draws its QEC step's zeros from
 // the shared supply, then runs at its speed-of-data weight.
 func (r *replayState) Issue(fi, ci, gi int, ready float64) {
-	r.run.Results[ci].AncillaeConsumed += r.m.ZeroAncillaePerQEC
-	r.df.Acquire(fi, 0, r.perGate, ready, 0, float64(r.m.GateWeightSpeedOfData(r.cs[ci].Gates[gi])))
+	r.run.Results[ci].AncillaeConsumed += r.perQEC
+	r.df.Acquire(fi, 0, r.perGate, ready, 0, r.prices.SpeedOfData[r.cs[ci].Gates[gi].Kind])
 }
 
 // ReplayShared co-schedules several circuits against one shared ancilla
@@ -153,13 +154,14 @@ func ReplayShared(cs []*quantum.Circuit, m LatencyModel, supply Supply) (ReplayR
 	}
 
 	run := ReplayRun{Results: make([]ReplayResult, len(cs))}
+	prices := m.Prices()
 	total := 0
 	for ci, c := range cs {
 		if err := c.Validate(); err != nil {
 			return ReplayRun{}, err
 		}
 		total += len(c.Gates)
-		run.Results[ci] = NewReplayResult(c, m)
+		run.Results[ci] = NewReplayResult(c, m, &prices)
 	}
 	if total == 0 {
 		return run, nil
@@ -170,7 +172,8 @@ func ReplayShared(cs []*quantum.Circuit, m LatencyModel, supply Supply) (ReplayR
 		r.cs, r.run = nil, nil
 		replayStatePool.Put(r)
 	}()
-	r.m, r.cs, r.run, r.perGate = m, cs, &run, float64(m.ZeroAncillaePerQEC)
+	r.prices, r.cs, r.run = prices, cs, &run
+	r.perQEC, r.perGate = m.ZeroAncillaePerQEC, float64(m.ZeroAncillaePerQEC)
 	r.df.Reset(r, cs...)
 	defer r.df.Release()
 	if err := r.df.Sources(supply.BufferAncillae, "shared zero supply", supply.RatePerMs/1000.0); err != nil {

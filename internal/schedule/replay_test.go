@@ -59,6 +59,37 @@ func TestReplayMatchesSimulateWithThroughput(t *testing.T) {
 	}
 }
 
+// A circuit's speed-of-data bound is memoised on its DAG per weight array:
+// priced alternately under two models, each result carries its own model's
+// bound, as a fresh DAG computes it.
+func TestSpeedOfDataMemoIsKeyedByModel(t *testing.T) {
+	c, err := circuits.Generate(circuits.QCLA, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []LatencyModel{DefaultLatencyModel(), fractionalModel()}
+	var bounds [2]float64
+	for i := range 6 {
+		m := models[i%2]
+		p := m.Prices()
+		_, want := quantum.BuildDAG(c).CriticalPath(&p.SpeedOfData)
+		bounds[i%2] = want
+		if got := NewReplayResult(c, m, &p).SpeedOfData; float64(got) != want {
+			t.Errorf("pricing %d (%s): NewReplayResult speed of data %v, want %v", i, m.Tech.Name, got, want)
+		}
+		ch, err := Characterize(c, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if float64(ch.SpeedOfDataTime) != want {
+			t.Errorf("pricing %d (%s): Characterize speed of data %v, want %v", i, m.Tech.Name, ch.SpeedOfDataTime, want)
+		}
+	}
+	if bounds[0] == bounds[1] {
+		t.Fatalf("both models give speed of data %v; the test needs two different bounds", bounds[0])
+	}
+}
+
 func TestReplayInfiniteSupplyHitsSpeedOfData(t *testing.T) {
 	m := DefaultLatencyModel()
 	c, err := circuits.Generate(circuits.QCLA, 8)

@@ -74,6 +74,39 @@ func TestDataOpLatencies(t *testing.T) {
 	}
 }
 
+// fractionalModel is the default model on a technology whose latencies are
+// not whole microseconds, so sums of them round.
+func fractionalModel() LatencyModel {
+	m := DefaultLatencyModel()
+	m.Tech = iontrap.Technology{Name: "fractional", Latency: map[iontrap.Op]iontrap.Microseconds{
+		iontrap.OpOneQubitGate: 0.1, iontrap.OpTwoQubitGate: 0.7, iontrap.OpMeasure: 3.3,
+		iontrap.OpZeroPrep: 5.1, iontrap.OpStraightMove: 0.1, iontrap.OpTurn: 0.3,
+	}}
+	m.SerialZeroPrepLatency = SimpleFactoryLatency(m.Tech)
+	return m
+}
+
+// The price table holds exactly what the three per-gate methods return, for
+// every gate kind, under whole and fractional latencies.
+func TestGatePricesMatchModel(t *testing.T) {
+	for _, m := range []LatencyModel{DefaultLatencyModel(), fractionalModel()} {
+		p := m.Prices()
+		for k := range quantum.NumGateKinds {
+			g := quantum.Gate{Kind: k, Qubits: make([]int, k.Arity())}
+			for i := range g.Qubits {
+				g.Qubits[i] = i
+			}
+			if p.DataOp[k] != float64(m.DataOpLatency(g)) ||
+				p.SpeedOfData[k] != float64(m.GateWeightSpeedOfData(g)) ||
+				p.NoOverlap[k] != float64(m.GateWeightNoOverlap(g)) {
+				t.Errorf("%s, %s: table %v/%v/%v, methods %v/%v/%v", m.Tech.Name, k,
+					p.DataOp[k], p.SpeedOfData[k], p.NoOverlap[k],
+					m.DataOpLatency(g), m.GateWeightSpeedOfData(g), m.GateWeightNoOverlap(g))
+			}
+		}
+	}
+}
+
 func TestCharacterizeSmallCircuit(t *testing.T) {
 	// One T gate: data op 61, interact 122, prep 646; speed of data 183.
 	c := quantum.NewCircuit("single T", 1)
