@@ -6,12 +6,13 @@
 //
 //	qsd <experiment> [flags]
 //	qsd serve [flags]
-//	qsd loadtest [flags]
 //
 // Run without arguments, qsd prints its usage: every registered experiment
 // id with its aliases and title, then the flags.  The experiment parameter
 // flags are generated from the core parameter table (core.Params), one per
-// row, and each one's help names the experiments that honour it.
+// row, and each one's help names the experiments that honour it.  Every
+// flag is checked before any work starts, whichever subcommand reads it, so
+// a malformed serving flag fails a batch run too.
 //
 // Every experiment runs as a job batch on the shared experiment engine
 // (internal/engine): -parallel selects the worker count, a progress line on
@@ -48,38 +49,25 @@
 // lines on stderr (-access-log, -log-level), with spans slower than
 // -slow-span flagged.  -debug-addr opens a side listener with /debug/pprof/
 // and the metrics endpoints, kept off the public address.
-//
-// `qsd loadtest` drives an open-loop Poisson load (internal/loadgen) against
-// -url, or against an in-process server when -url is empty, and prints the
-// measured latency quantiles, shed and error counts.  -lt-rate and
-// -lt-duration set the offered load; -lt-mix picks weighted experiments
-// ("id[?query]:weight,..."); -lt-cache-hit replays earlier requests at that
-// fraction (fingerprint cache hits); -lt-sse opens progress subscriptions at
-// that fraction.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"speedofdata/internal/core"
 	"speedofdata/internal/engine"
-	"speedofdata/internal/loadgen"
 	"speedofdata/internal/obs"
 	"speedofdata/internal/report"
 	"speedofdata/internal/server"
@@ -101,12 +89,12 @@ func run(args []string, out *os.File) error {
 	parallel := fs.Int("parallel", 0, "experiment engine workers (0 = GOMAXPROCS, 1 = sequential)")
 	progress := fs.Bool("progress", true, "print a job progress line on stderr")
 	addr := fs.String("addr", ":8080", "listen address for qsd serve")
-	maxConcurrent := fs.Int("max-concurrent", 0, "serve/loadtest: concurrent experiment requests (0 = 2×GOMAXPROCS)")
-	maxQueue := fs.Int("max-queue", 0, "serve/loadtest: admission queue depth (0 = default)")
-	queueTimeout := fs.Duration("queue-timeout", 0, "serve/loadtest: longest admission wait before shedding (0 = default)")
-	requestTimeout := fs.Duration("request-timeout", 0, "serve/loadtest: execution deadline of an admitted request (0 = default)")
-	rateLimit := fs.Float64("rate-limit", 0, "serve/loadtest: per-client sustained requests/s (0 = disabled)")
-	rateBurst := fs.Int("rate-burst", 0, "serve/loadtest: per-client burst size (0 = derived from -rate-limit)")
+	maxConcurrent := fs.Int("max-concurrent", 0, "serve: concurrent experiment requests (0 = 2×GOMAXPROCS)")
+	maxQueue := fs.Int("max-queue", 0, "serve: admission queue depth (0 = default)")
+	queueTimeout := fs.Duration("queue-timeout", 0, "serve: longest admission wait before shedding (0 = default)")
+	requestTimeout := fs.Duration("request-timeout", 0, "serve: execution deadline of an admitted request (0 = default)")
+	rateLimit := fs.Float64("rate-limit", 0, "serve: per-client sustained requests/s (0 = disabled)")
+	rateBurst := fs.Int("rate-burst", 0, "serve: per-client burst size (0 = derived from -rate-limit)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "serve: graceful shutdown drain deadline")
 	debugAddr := fs.String("debug-addr", "", "serve: side listener exposing /debug/pprof/ and the metrics endpoints, kept off the public address (empty = disabled)")
 	accessLog := fs.Bool("access-log", true, "serve: emit one structured JSON log line per request on stderr")
@@ -116,12 +104,6 @@ func run(args []string, out *os.File) error {
 	storeReadonly := fs.Bool("store-readonly", false, "open -store without the writer lock: borrow another process's results, persist nothing")
 	storeSync := fs.String("store-sync", "compact", "store fsync policy: compact, always or never")
 	storeMaxBytes := fs.Int64("store-max-bytes", 0, "store live-byte bound before oldest-entry eviction (0 = 256 MiB)")
-	ltURL := fs.String("url", "", "loadtest: target base URL (empty = in-process server)")
-	ltRate := fs.Float64("lt-rate", 20, "loadtest: offered arrival rate, requests/s")
-	ltDuration := fs.Duration("lt-duration", 5*time.Second, "loadtest: offered load duration")
-	ltMix := fs.String("lt-mix", "table5:2,table1:1", "loadtest: weighted mix, \"id[?query]:weight,...\"")
-	ltCacheHit := fs.Float64("lt-cache-hit", 0, "loadtest: fraction of requests replaying an earlier URL (cache hits)")
-	ltSSE := fs.Float64("lt-sse", 0, "loadtest: fraction of arrivals opening a progress subscription")
 	if len(args) == 0 {
 		usage(os.Stderr, fs)
 		return fmt.Errorf("missing experiment id")
@@ -131,12 +113,44 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 
+	// Check every flag and the experiment id before any work, whichever
+	// subcommand reads them.
+	cfg := server.Config{
+		MaxConcurrent:  *maxConcurrent,
+		MaxQueue:       *maxQueue,
+		QueueTimeout:   *queueTimeout,
+		RequestTimeout: *requestTimeout,
+		RatePerClient:  *rateLimit,
+		BurstPerClient: *rateBurst,
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("bad -log-level %q: want debug, info, warn or error", *logLevel)
+	}
+	syncPol, err := store.ParseSyncPolicy(*storeSync)
+	if err != nil {
+		return err
+	}
+	f, err := report.ParseFormat(*format)
+	if err != nil {
+		return err
+	}
+	if err := core.ValidateParams(&e, &p, false); err != nil {
+		return err
+	}
+	ids := []string{id}
+	if id == "all" {
+		ids = core.AllExperimentOrder
+	} else if _, ok := core.CanonicalExperimentID(id); !ok && id != "serve" {
+		usage(os.Stderr, fs)
+		return fmt.Errorf("unknown experiment %q", id)
+	}
+
 	eng := engine.New(*parallel)
 	if *storeDir != "" {
-		syncPol, err := store.ParseSyncPolicy(*storeSync)
-		if err != nil {
-			return err
-		}
 		opts := store.Options{ReadOnly: *storeReadonly, Sync: syncPol, MaxBytes: *storeMaxBytes}
 		st, err := store.Open(*storeDir, opts)
 		var locked *store.LockedError
@@ -160,27 +174,8 @@ func run(args []string, out *os.File) error {
 		}()
 	}
 	e.Engine = eng
-	if err := core.ValidateParams(&e, &p, false); err != nil {
-		return err
-	}
-
-	cfg := server.Config{
-		MaxConcurrent:  *maxConcurrent,
-		MaxQueue:       *maxQueue,
-		QueueTimeout:   *queueTimeout,
-		RequestTimeout: *requestTimeout,
-		RatePerClient:  *rateLimit,
-		BurstPerClient: *rateBurst,
-	}
 
 	if id == "serve" {
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		var level slog.Level
-		if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-			return fmt.Errorf("bad -log-level %q: want debug, info, warn or error", *logLevel)
-		}
 		o := obs.New()
 		o.Log = slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 		if *slowSpan > 0 {
@@ -214,59 +209,9 @@ func run(args []string, out *os.File) error {
 		return serveUntilShutdown(ctx, ln, h, *drainTimeout)
 	}
 
-	if id == "loadtest" {
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		base := *ltURL
-		if base == "" {
-			// Spin an in-process server on a loopback port: the loadtest then
-			// measures this build end to end with no external dependency.
-			eng.CacheLimit = 1 << 14
-			h := server.NewWithConfig(e, p, cfg)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return err
-			}
-			srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-			go srv.Serve(ln)
-			defer srv.Close()
-			base = "http://" + ln.Addr().String()
-			fmt.Fprintf(os.Stderr, "qsd: loadtest against in-process server %s\n", base)
-		}
-		mix, err := parseMix(*ltMix, *ltCacheHit, *ltSSE)
-		if err != nil {
-			return err
-		}
-		res, err := loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL:  base,
-			Rate:     *ltRate,
-			Duration: *ltDuration,
-			Seed:     p.Seed,
-			Mix:      mix,
-		})
-		if err != nil {
-			return err
-		}
-		return writeLoadResult(out, *format, res)
-	}
-
-	f, err := report.ParseFormat(*format)
-	if err != nil {
-		return err
-	}
 	if *progress {
 		eng.Progress = progressLine(os.Stderr)
 	}
-
-	ids := []string{id}
-	if id == "all" {
-		ids = core.AllExperimentOrder
-	} else if _, ok := core.CanonicalExperimentID(id); !ok {
-		usage(os.Stderr, fs)
-		return fmt.Errorf("unknown experiment %q", id)
-	}
-
 	doc, err := core.RunReport(context.Background(), e, p, ids)
 	if err != nil {
 		return err
@@ -305,81 +250,6 @@ func serveUntilShutdown(ctx context.Context, ln net.Listener, h *server.Server, 
 		return fmt.Errorf("drain deadline exceeded, connections force-closed: %v", err)
 	}
 	return nil
-}
-
-// parseMix expands a "-lt-mix" spec into a loadgen mix.  Each comma-separated
-// entry is "id[?query]:weight"; the optional query is fixed on every request
-// to that endpoint, and a fresh random seed parameter is added to non-replay
-// requests so a cache-cold mix defeats the fingerprint cache.
-func parseMix(spec string, cacheHit, sse float64) (loadgen.Mix, error) {
-	mix := loadgen.Mix{CacheHit: cacheHit, SSE: sse}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		i := strings.LastIndexByte(entry, ':')
-		if i <= 0 || i == len(entry)-1 {
-			return mix, fmt.Errorf("bad mix entry %q: want id[?query]:weight", entry)
-		}
-		weight, err := strconv.ParseFloat(entry[i+1:], 64)
-		if err != nil || weight <= 0 {
-			return mix, fmt.Errorf("bad mix weight in %q", entry)
-		}
-		id, fixedQuery := entry[:i], ""
-		if j := strings.IndexByte(id, '?'); j >= 0 {
-			id, fixedQuery = id[:j], id[j+1:]
-		}
-		if _, ok := core.CanonicalExperimentID(id); !ok && id != "all" {
-			return mix, fmt.Errorf("unknown experiment %q in mix", id)
-		}
-		fixed, err := url.ParseQuery(fixedQuery)
-		if err != nil {
-			return mix, fmt.Errorf("bad mix query in %q: %v", entry, err)
-		}
-		mix.Endpoints = append(mix.Endpoints, loadgen.Endpoint{
-			ID:     id,
-			Weight: weight,
-			Params: func(r *rand.Rand) url.Values {
-				v := url.Values{}
-				for k, vals := range fixed {
-					v[k] = vals
-				}
-				v.Set("seed", strconv.Itoa(r.Intn(1<<30)))
-				return v
-			},
-		})
-	}
-	if len(mix.Endpoints) == 0 {
-		return mix, fmt.Errorf("empty mix %q", spec)
-	}
-	return mix, nil
-}
-
-// writeLoadResult renders a loadtest result as JSON or a readable summary.
-func writeLoadResult(out *os.File, format string, res loadgen.Result) error {
-	switch format {
-	case "json":
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	case "text", "":
-		fmt.Fprintf(out, "offered %.1f/s achieved %.1f/s\n", res.OfferedPerSec, res.AchievedPerSec)
-		fmt.Fprintf(out, "sent %d ok %d shed %d errors %d (retry-after on %d/%d sheds)\n",
-			res.Sent, res.OK, res.Shed, res.Errors, res.RetryAfterSeen, res.Shed)
-		if res.Errors > 0 {
-			fmt.Fprintf(out, "error breakdown: %d timeout %d transport %d http-status\n",
-				res.Timeouts, res.TransportErrors, res.HTTPErrors)
-		}
-		fmt.Fprintf(out, "latency p50 %v p90 %v p99 %v p999 %v max %v\n",
-			res.P50, res.P90, res.P99, res.P999, res.Max)
-		if res.SSESessions > 0 {
-			fmt.Fprintf(out, "sse sessions %d events %d\n", res.SSESessions, res.SSEEvents)
-		}
-		return nil
-	default:
-		return fmt.Errorf("loadtest supports -format text or json, got %q", format)
-	}
 }
 
 // progressLine returns an engine progress callback that keeps one updating
@@ -424,7 +294,6 @@ func paramFlags(fs *flag.FlagSet, e *core.Experiments, p *core.RunParams) {
 func usage(w io.Writer, fs *flag.FlagSet) {
 	fmt.Fprintln(w, "usage: qsd <experiment> [flags]")
 	fmt.Fprintln(w, "       qsd serve [flags]")
-	fmt.Fprintln(w, "       qsd loadtest [flags]")
 	fmt.Fprintln(w, "experiments (aliases in parentheses):")
 	for _, info := range core.ExperimentInfos() {
 		name := info.ID

@@ -2,12 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -16,82 +13,6 @@ import (
 	"speedofdata/internal/engine"
 	"speedofdata/internal/server"
 )
-
-func TestParseMix(t *testing.T) {
-	mix, err := parseMix("table1:3, fig4?trials=20000:1", 0.25, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mix.Endpoints) != 2 || mix.CacheHit != 0.25 || mix.SSE != 0.1 {
-		t.Fatalf("unexpected mix: %+v", mix)
-	}
-	if mix.Endpoints[0].ID != "table1" || mix.Endpoints[0].Weight != 3 {
-		t.Errorf("first endpoint: %+v", mix.Endpoints[0])
-	}
-	// The fig4 entry keeps its fixed query and gains a random seed.
-	rng := rand.New(rand.NewSource(1))
-	v := mix.Endpoints[1].Params(rng)
-	if v.Get("trials") != "20000" {
-		t.Errorf("fixed query lost: %v", v)
-	}
-	if v.Get("seed") == "" {
-		t.Errorf("random seed param missing: %v", v)
-	}
-
-	for _, bad := range []string{
-		"",
-		"table1",
-		"table1:",
-		":3",
-		"table1:-1",
-		"table1:zero",
-		"nonsense:1",
-		"fig4?%zz:1",
-	} {
-		if _, err := parseMix(bad, 0, 0); err == nil {
-			t.Errorf("parseMix(%q) accepted", bad)
-		}
-	}
-}
-
-// TestLoadtestInProcess runs the loadtest subcommand end to end against its
-// own in-process server and checks the JSON report it prints.
-func TestLoadtestInProcess(t *testing.T) {
-	f, err := os.CreateTemp(t.TempDir(), "loadtest-*.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	err = run([]string{
-		"loadtest",
-		"-lt-rate", "30",
-		"-lt-duration", "1s",
-		"-lt-mix", "table1:1",
-		"-lt-cache-hit", "0.5",
-		"-format", "json",
-		"-seed", "9",
-	}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Sent int64 `json:"sent"`
-		OK   int64 `json:"ok"`
-		P50  int64 `json:"p50_ns"`
-	}
-	if err := json.NewDecoder(f).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent == 0 || res.OK != res.Sent {
-		t.Errorf("loadtest result: sent=%d ok=%d, want all OK", res.Sent, res.OK)
-	}
-	if res.P50 <= 0 {
-		t.Errorf("p50 %d, want positive", res.P50)
-	}
-}
 
 // TestServeUntilShutdownGraceful covers the serve drain path without
 // signals: an SSE client is connected when shutdown triggers and must see a

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"speedofdata/internal/core"
 )
@@ -27,7 +29,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestRejectedInputsExit1 runs qsd on inputs it must refuse: each one exits
-// with status 1 and a "qsd:" message, before printing any report.
+// with status 1 and a "qsd:" message, before printing any report or binding
+// a port.  A malformed flag is refused whichever subcommand is run.  Every
+// serve row listens on a loopback port the kernel picks, and a run that
+// outlives the timeout is killed, so a regression fails instead of serving.
 func TestRejectedInputsExit1(t *testing.T) {
 	for _, args := range []string{
 		"fig4 -ci NaN",
@@ -46,12 +51,23 @@ func TestRejectedInputsExit1(t *testing.T) {
 		"fig15 -max-scale 0",
 		"fig4 -seed x",
 		"nosuch",
+		"serve -addr 127.0.0.1:0 -max-concurrent -1",
+		"serve -addr 127.0.0.1:0 -queue-timeout -1s",
+		"serve -addr 127.0.0.1:0 -rate-limit NaN",
+		"serve -addr 127.0.0.1:0 -rate-burst -1",
+		"serve -addr 127.0.0.1:0 -log-level loud",
+		"serve -addr 127.0.0.1:0 -format xml",
+		"table1 -store-sync sometimes",
+		"table1 -log-level loud",
+		"table1 -max-concurrent -1",
 	} {
-		cmd := exec.Command(os.Args[0])
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0])
 		cmd.Env = append(os.Environ(), "QSD_ARGS="+args)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
+		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Errorf("qsd %s: %v, want exit status 1", args, err)

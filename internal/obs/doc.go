@@ -1,8 +1,8 @@
 // Package obs is the zero-dependency observability core of the serving
 // stack: a typed metrics registry with atomic, allocation-free hot-path
-// updates, an HDR-style latency histogram shared with the load generator,
-// and a bounded request tracer whose spans propagate through context from
-// the HTTP middleware down to individual engine jobs.
+// updates, an HDR-style latency histogram, and a bounded request tracer
+// whose spans propagate through context from the HTTP middleware down to
+// individual engine jobs.
 //
 // The paper's central methodology is accounting for where time goes —
 // decomposing makespan into compute, factory-starved and network-blocked

@@ -11,8 +11,7 @@ import (
 // bounded relative error (about 3%) across nanoseconds-to-minutes without
 // storing samples.  Recording is a pair of atomic adds, so request
 // goroutines share one Histogram without contention; the zero value is
-// ready to use.  It started life as the load generator's latency histogram
-// (internal/loadgen) and now also backs every registry summary series.
+// ready to use.  It backs every registry summary series.
 type Histogram struct {
 	counts [histBuckets]atomic.Int64
 	total  atomic.Int64

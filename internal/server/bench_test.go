@@ -7,14 +7,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"speedofdata/internal/core"
 	"speedofdata/internal/engine"
-	"speedofdata/internal/loadgen"
 	"speedofdata/internal/obs"
 	"speedofdata/internal/store"
 )
@@ -115,47 +114,97 @@ func BenchmarkWarmRestartGate(b *testing.B) {
 	}
 }
 
-// BenchmarkInstrumentationOverheadGate drives the same cache-warm open-loop
-// mix against a plain server and one carrying the observability layer
-// (metrics registry and request tracing; the access log stays off).  A
-// cache-warm request is almost pure per-request overhead, so the
-// instrumented p50 must stay within 5% of the plain p50, plus 1 ms for timer
-// and scheduling noise.
+// BenchmarkInstrumentationOverheadGate drives the same cache-warm open loop
+// against a plain server and one carrying the observability layer (metrics
+// registry and request tracing; the access log stays off).  A cache-warm
+// request is almost pure per-request overhead, so the instrumented p50 must
+// stay within 5% of the plain p50, plus 1 ms for timer and scheduling noise.
 func BenchmarkInstrumentationOverheadGate(b *testing.B) {
-	warmMix := func(cfg Config) loadgen.Result {
-		ts := gateServer(cfg, nil)
-		defer ts.Close()
-		res, err := loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL:  ts.URL,
-			Rate:     50,
-			Duration: 2 * time.Second,
-			Seed:     2,
-			Mix: loadgen.Mix{
-				// One URL per endpoint: everything after the first request
-				// is a cache hit.
-				Endpoints: []loadgen.Endpoint{
-					{ID: "fig4", Weight: 1, Params: func(*rand.Rand) url.Values {
-						return url.Values{"seed": {"1"}, "trials": {"5000"}}
-					}},
-					{ID: "table5", Weight: 1},
-				},
-				SSE: 0.05,
-			},
-		})
+	for i := 0; i < b.N; i++ {
+		plain, instr := p50(warmLoad(b, Config{})), p50(warmLoad(b, Config{Obs: obs.New()}))
+		b.ReportMetric(float64(instr.Microseconds())/1e3, "instrumented-warm-p50-ms")
+		if budget := plain/20 + time.Millisecond; instr > plain+budget {
+			b.Errorf("instrumented warm p50 %v exceeds uninstrumented %v by more than 5%%+1ms",
+				instr, plain)
+		}
+	}
+}
+
+// warmLoad runs the overhead gate's open loop against a fresh server built
+// with cfg: 100 Poisson arrivals at 50/s from seed 2, each a GET of one of
+// two URLs, so every request after the first of each is a cache hit.  Each
+// fires on schedule whatever the server's pace, while five /v1/progress
+// subscriptions stay open for the whole run.  Every request must answer 200;
+// warmLoad returns their latencies.
+func warmLoad(b *testing.B, cfg Config) []time.Duration {
+	const (
+		arrivals = 100
+		rate     = 50 // arrivals per second
+		streams  = 5
+	)
+	ts := gateServer(cfg, nil)
+	defer ts.Close()
+	paths := []string{"/v1/experiments/fig4?seed=1&trials=5000", "/v1/experiments/table5"}
+	// An idle connection for every request that can be in flight: the
+	// default transport keeps two, and redialling the rest would land in the
+	// measured latencies.
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: arrivals}}
+	defer client.CloseIdleConnections()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var open sync.WaitGroup
+	for k := 0; k < streams; k++ {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/progress", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Errors > 0 {
-			b.Fatalf("warm mix (instrumented %v) saw errors: %+v", cfg.Obs != nil, res)
+		resp, err := client.Do(req)
+		if err != nil {
+			b.Fatal(err)
 		}
-		return res
+		open.Add(1)
+		go func() {
+			defer open.Done()
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}()
 	}
-	for i := 0; i < b.N; i++ {
-		plain, instr := warmMix(Config{}), warmMix(Config{Obs: obs.New()})
-		b.ReportMetric(float64(instr.P50.Microseconds())/1e3, "instrumented-warm-p50-ms")
-		if budget := plain.P50/20 + time.Millisecond; instr.P50 > plain.P50+budget {
-			b.Errorf("instrumented warm p50 %v exceeds uninstrumented %v by more than 5%%+1ms",
-				instr.P50, plain.P50)
+
+	rng := rand.New(rand.NewSource(2))
+	lat := make([]time.Duration, arrivals)
+	errs := make([]error, arrivals)
+	var wg sync.WaitGroup
+	start := time.Now()
+	var due time.Duration
+	for i := range lat {
+		due += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+		path := paths[rng.Intn(len(paths))]
+		time.Sleep(due - time.Since(start))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			resp, err := client.Get(ts.URL + path)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			lat[i] = time.Since(t0)
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("%s: status %d", path, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	cancel()
+	open.Wait()
+	for _, err := range errs {
+		if err != nil {
+			b.Fatalf("warm load (instrumented %v): %v", cfg.Obs != nil, err)
 		}
 	}
+	return lat
 }

@@ -290,7 +290,8 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthStatus is the /v1/healthz response body: liveness plus the
-// admission-control gauges the load harness asserts steady-state health on.
+// admission-control gauges, which TestAdmissionSaturationSheds and
+// TestHealthzAgreesWithMetrics assert on.
 type healthStatus struct {
 	// Status is "ok" while serving and "draining" after Shutdown.
 	Status string `json:"status"`
