@@ -126,6 +126,16 @@ func run(args []string, out *os.File) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	switch {
+	case *parallel < 0:
+		return fmt.Errorf("parallel must be non-negative (0 = GOMAXPROCS), got %d", *parallel)
+	case *storeMaxBytes < 0:
+		return fmt.Errorf("store-max-bytes must be non-negative (0 = 256 MiB), got %d", *storeMaxBytes)
+	case *drainTimeout < 0:
+		return fmt.Errorf("drain-timeout must be non-negative, got %v", *drainTimeout)
+	case *slowSpan < 0:
+		return fmt.Errorf("slow-span must be non-negative (0 = disabled), got %v", *slowSpan)
+	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
 		return fmt.Errorf("bad -log-level %q: want debug, info, warn or error", *logLevel)

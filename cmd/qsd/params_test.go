@@ -60,6 +60,10 @@ func TestRejectedInputsExit1(t *testing.T) {
 		"table1 -store-sync sometimes",
 		"table1 -log-level loud",
 		"table1 -max-concurrent -1",
+		"table1 -parallel -3",
+		"table1 -store-max-bytes -5",
+		"serve -addr 127.0.0.1:0 -drain-timeout -1s",
+		"serve -addr 127.0.0.1:0 -slow-span -1s",
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		cmd := exec.CommandContext(ctx, os.Args[0])

@@ -61,6 +61,7 @@ type PipelineRun struct {
 // unitProc is one functional-unit group executing on the kernel.
 type unitProc struct {
 	k         *sim.Kernel
+	id        sim.HandlerID // the proc on k
 	stats     *StageStats
 	in        *sim.Resource // nil: unlimited physical supply (first stage)
 	out       *sim.Resource
@@ -78,8 +79,8 @@ type unitProc struct {
 	blockedAt iontrap.Microseconds
 }
 
-// unitProc event payloads for the sim.Handler interface: every stage event
-// schedules the proc itself with a phase instead of a bound-method closure.
+// unitProc event payloads for its sim.Handler: every stage event schedules
+// the proc itself with a phase instead of a bound-method closure.
 const (
 	procStart = iota
 	procAcquired
@@ -109,7 +110,7 @@ type horizon struct{ k *sim.Kernel }
 // Fire implements sim.Handler.
 func (h horizon) Fire(int) { h.k.Stop() }
 
-func (u *unitProc) start() { u.k.AtFire(0, sim.PriorityNormal, u, procStart) }
+func (u *unitProc) start() { u.k.AtFire(0, sim.PriorityNormal, u.id, procStart) }
 
 // request begins one operation by acquiring the input qubits.
 func (u *unitProc) request() {
@@ -119,7 +120,7 @@ func (u *unitProc) request() {
 	}
 	u.starving = true
 	u.blockedAt = u.k.Now()
-	u.in.AcquireFire(u.qubitsIn, u, procAcquired)
+	u.in.AcquireFire(u.qubitsIn, u.id, procAcquired)
 }
 
 // work runs the operation itself: the pipeline-fill latency for the first
@@ -132,7 +133,7 @@ func (u *unitProc) work() {
 			d = u.latency
 		}
 	}
-	u.k.AfterFire(d, sim.PriorityNormal, u, procComplete)
+	u.k.AfterFire(d, sim.PriorityNormal, u.id, procComplete)
 }
 
 // complete deposits the product, stalling on a full downstream buffer.
@@ -149,7 +150,7 @@ func (u *unitProc) flush() {
 			u.stalled = true
 			u.blockedAt = u.k.Now()
 		}
-		u.out.OnSpaceFire(u, procFlush)
+		u.out.OnSpaceFire(u.id, procFlush)
 		return
 	}
 	u.held = 0
@@ -242,6 +243,7 @@ func SimulatePipeline(d Design, horizonMs, bufferQubits float64) (PipelineRun, e
 				qubitsOut: float64(a.Unit.QubitsOut) * a.Unit.successRate(),
 				first:     true,
 			}
+			p.id = k.Handle(p)
 			procs = append(procs, p)
 			if si == len(d.Stages)-1 {
 				lastOutputs++
@@ -252,7 +254,7 @@ func SimulatePipeline(d Design, horizonMs, bufferQubits float64) (PipelineRun, e
 	for _, p := range procs {
 		p.start()
 	}
-	k.AtFire(iontrap.Microseconds(horizonMs*1000.0), sim.PriorityLate, horizon{k}, 0)
+	k.AtFire(iontrap.Microseconds(horizonMs*1000.0), sim.PriorityLate, k.Handle(horizon{k}), 0)
 	stats := k.Run()
 	for _, p := range procs {
 		p.finish(k.Now())

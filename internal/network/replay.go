@@ -120,12 +120,14 @@ type teleState struct {
 
 // netState is the pooled per-run state of ReplayShared.  The sim.Dataflow
 // issues gates and draws their zeros from per-tile fluid supplies; netState
-// adds the mesh: routes, EPR-pair links, teleports and faults, on its own
-// sim.Handler events.  Payloads: 3·ts teleport ts granted its EPR pair,
-// 3·ts+1 teleport ts arrived at the end of its hop, 3·x+2 cross-tile gate x
-// finished executing, and -1-pi scheduled fault pi strikes.
+// adds the mesh: routes, EPR-pair links, teleports and faults, on events
+// that name it by its handler ID on the run's kernel.  Payloads: 3·ts
+// teleport ts granted its EPR pair, 3·ts+1 teleport ts arrived at the end of
+// its hop, 3·x+2 cross-tile gate x finished executing, and -1-pi scheduled
+// fault pi strikes.
 type netState struct {
 	df     sim.Dataflow
+	id     sim.HandlerID // netState on the run's kernel
 	run    *ReplayRun
 	cs     []*quantum.Circuit
 	prices schedule.GatePrices
@@ -282,7 +284,7 @@ func (r *netState) applyFault(pi int) {
 		if !s.waiting || s.hop >= len(s.route) || r.linkIdx[s.route[s.hop]] != li {
 			continue
 		}
-		if !r.bufs[li].CancelAcquireFire(r, 3*ts) {
+		if !r.bufs[li].CancelAcquireFire(r.id, 3*ts) {
 			continue
 		}
 		s.waiting = false
@@ -331,7 +333,7 @@ func (r *netState) teleStep(ts int) {
 	}
 	s.hopReady = now
 	s.waiting = true
-	r.bufs[r.linkIdx[s.route[s.hop]]].AcquireFire(1, r, 3*ts)
+	r.bufs[r.linkIdx[s.route[s.hop]]].AcquireFire(1, r.id, 3*ts)
 }
 
 // teleGranted fires when the hop's EPR pair is delivered: draw the teleport
@@ -356,7 +358,7 @@ func (r *netState) teleGranted(ts int) {
 	res.Hops++
 	arrive := depart + r.teleUs
 	r.netBlocked[p.ci] += arrive - depart
-	r.df.Kernel().AtFire(iontrap.Microseconds(arrive), sim.PriorityNormal, r, 3*ts+1)
+	r.df.Kernel().AtFire(iontrap.Microseconds(arrive), sim.PriorityNormal, r.id, 3*ts+1)
 }
 
 // execTile returns the tile a gate executes on: its last operand's.
@@ -436,7 +438,7 @@ func (r *netState) operandArrived(x int, arrive float64) {
 	// Return the moved operands home; the gate completes (and unblocks its
 	// successors) once placement is restored, the same to-and-back
 	// convention the microarch teleport accounting uses.
-	r.df.Kernel().AtFire(iontrap.Microseconds(p.execDone), sim.PriorityNormal, r, 3*x+2)
+	r.df.Kernel().AtFire(iontrap.Microseconds(p.execDone), sim.PriorityNormal, r.id, 3*x+2)
 }
 
 // launchReturns fires at a cross-tile gate's execution completion and sends
@@ -560,6 +562,7 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 	r.df.Reset(r, cs...)
 	defer r.df.Release()
 	k := r.df.Kernel()
+	r.id = k.Handle(r)
 	// Per-tile zero supplies are fluid token buckets (the same arithmetic
 	// schedule.Replay uses), fed by the tile's own factories.
 	r.rates = r.rates[:0]
@@ -627,7 +630,7 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 	// one scheduled past the makespan never applies.
 	for pi, f := range cfg.Faults {
 		if f.At > 0 {
-			k.AtFire(f.At, sim.PriorityNormal, r, -1-pi)
+			k.AtFire(f.At, sim.PriorityNormal, r.id, -1-pi)
 		}
 	}
 

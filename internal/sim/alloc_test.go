@@ -13,6 +13,7 @@ import (
 // ticks.
 type countingHandler struct {
 	k     *Kernel
+	id    HandlerID // registered on k after each Reset
 	after bool
 	fired int
 	limit int
@@ -24,15 +25,15 @@ func (h *countingHandler) Fire(idx int) {
 		return
 	}
 	if h.after {
-		h.k.AfterFire(1, PriorityNormal, h, idx+1)
+		h.k.AfterFire(1, PriorityNormal, h.id, idx+1)
 	} else {
-		h.k.AtFire(h.k.Now()+1, PriorityNormal, h, idx+1)
+		h.k.AtFire(h.k.Now()+1, PriorityNormal, h.id, idx+1)
 	}
 }
 
 // The kernel's scheduling loop is the hot path of every event-driven run:
-// once the heap and the lanes have grown to their working size, AtFire,
-// AfterFire and Run must not allocate per event.
+// once the heap, the lanes and the handler table have grown to their working
+// size, Handle, AtFire, AfterFire and Run must not allocate per event.
 func TestKernelSchedulingLoopAllocations(t *testing.T) {
 	k := AcquireKernel()
 	defer k.Release()
@@ -40,16 +41,16 @@ func TestKernelSchedulingLoopAllocations(t *testing.T) {
 		h := &countingHandler{k: k, after: after}
 		// Warm up the heap's and the lanes' capacity.
 		k.Reset()
-		h.fired, h.limit = 0, 64
+		h.id, h.fired, h.limit = k.Handle(h), 0, 64
 		for i := 0; i < 64; i++ {
-			k.AtFire(iontrap.Microseconds(i), PriorityNormal, h, i)
+			k.AtFire(iontrap.Microseconds(i), PriorityNormal, h.id, i)
 		}
 		k.Run()
 
 		allocs := testing.AllocsPerRun(100, func() {
 			k.Reset()
-			h.fired, h.limit = 0, 256
-			k.AtFire(0, PriorityNormal, h, 0)
+			h.id, h.fired, h.limit = k.Handle(h), 0, 256
+			k.AtFire(0, PriorityNormal, h.id, 0)
 			stats := k.Run()
 			if stats.Events != 256 {
 				t.Fatalf("events = %d, want 256", stats.Events)
@@ -75,14 +76,15 @@ func TestAcquireFireGrantsAtCumulativeProduction(t *testing.T) {
 	p.Start()
 	var times []iontrap.Microseconds
 	var order []int
+	h := k.Handle(fireFunc(func(idx int) {
+		times = append(times, k.Now())
+		order = append(order, idx)
+		if len(times) == 4 {
+			k.Stop()
+		}
+	}))
 	for i := 0; i < 4; i++ {
-		r.AcquireFire(float64(i+1), fireFunc(func(idx int) {
-			times = append(times, k.Now())
-			order = append(order, idx)
-			if len(times) == 4 {
-				k.Stop()
-			}
-		}), i)
+		r.AcquireFire(float64(i+1), h, i)
 	}
 	k.Run()
 	want := []iontrap.Microseconds{2, 6, 12, 20}
@@ -101,14 +103,14 @@ type fireFunc func(int)
 
 func (f fireFunc) Fire(idx int) { f(idx) }
 
-// at schedules fn at time t through the Handler API.
+// at schedules fn at time t as a handler of its own.
 func at(k *Kernel, t iontrap.Microseconds, pri Priority, fn func()) {
-	k.AtFire(t, pri, fireFunc(func(int) { fn() }), 0)
+	k.AtFire(t, pri, k.Handle(fireFunc(func(int) { fn() })), 0)
 }
 
 // acquire requests n units from r and calls fn once they are granted.
 func acquire(r *Resource, n float64, fn func()) {
-	r.AcquireFire(n, fireFunc(func(int) { fn() }), 0)
+	r.AcquireFire(n, r.k.Handle(fireFunc(func(int) { fn() })), 0)
 }
 
 // A drained queue must reuse its capacity, and Reset must produce a
@@ -166,31 +168,38 @@ func TestResetKeepsCapacityAndSemantics(t *testing.T) {
 }
 
 // A released kernel must come back observationally fresh: no pending
-// event on the heap, no lane open, and no event left in the ring of a lane
-// an earlier run opened.
+// event on the heap, no lane open, no event left in the ring of a lane an
+// earlier run opened, and no handler registered or still held by the
+// table's backing array.
 func TestKernelPoolReuseIsFresh(t *testing.T) {
 	k := AcquireKernel()
 	h := &recordingHandler{}
+	id := k.Handle(h)
 	at(k, 5, PriorityNormal, func() {
-		k.AfterFire(1, PriorityNormal, h, 1)
-		k.AtFire(k.Now(), PriorityLate, h, 2)
-		k.AtFire(k.Now()+2, PriorityNormal, h, 3)
+		k.AfterFire(1, PriorityNormal, id, 1)
+		k.AtFire(k.Now(), PriorityLate, id, 2)
+		k.AtFire(k.Now()+2, PriorityNormal, id, 3)
 		k.Stop()
 	})
 	k.Run()
-	if len(k.lanes) != 2 || len(k.heap) != 1 {
-		t.Fatalf("stopped run left %d lanes and %d heap events, want 2 and 1", len(k.lanes), len(k.heap))
+	if len(k.lanes) != 2 || len(k.heap) != 1 || len(k.handlers) != 2 {
+		t.Fatalf("stopped run left %d lanes, %d heap events and %d handlers, want 2, 1 and 2",
+			len(k.lanes), len(k.heap), len(k.handlers))
 	}
 	k.Release()
 	k2 := AcquireKernel()
 	defer k2.Release()
-	if k2.Now() != 0 || len(k2.heap) != 0 || len(k2.lanes) != 0 {
-		t.Fatalf("pooled kernel not reset: now=%v heap=%d lanes=%d", k2.Now(), len(k2.heap), len(k2.lanes))
+	if k2.Now() != 0 || len(k2.heap) != 0 || len(k2.lanes) != 0 || len(k2.handlers) != 0 {
+		t.Fatalf("pooled kernel not reset: now=%v heap=%d lanes=%d handlers=%d",
+			k2.Now(), len(k2.heap), len(k2.lanes), len(k2.handlers))
 	}
 	for _, l := range k2.lanes[:cap(k2.lanes)] {
 		if l.n != 0 || slices.ContainsFunc(l.ring, func(e event) bool { return e != event{} }) {
 			t.Fatalf("pooled kernel keeps a lane event: %d pending in ring %v", l.n, l.ring)
 		}
+	}
+	if i := slices.IndexFunc(k2.handlers[:cap(k2.handlers)], func(h Handler) bool { return h != nil }); i >= 0 {
+		t.Fatalf("pooled kernel's handler table still holds %v at %d", k2.handlers[:cap(k2.handlers)][i], i)
 	}
 	if len(h.fired) != 0 {
 		t.Fatalf("dropped events fired: %v", h.fired)
@@ -201,6 +210,7 @@ func TestKernelPoolReuseIsFresh(t *testing.T) {
 // grant it waits on the lane its producer ticks on, then draws again.
 type consumer struct {
 	r      *Resource
+	id     HandlerID // registered by Start
 	grants int
 }
 
@@ -210,15 +220,18 @@ const (
 	consumerGranted
 )
 
-func (c *consumer) Start() { c.Fire(consumerDraw) }
+func (c *consumer) Start() {
+	c.id = c.r.k.Handle(c)
+	c.Fire(consumerDraw)
+}
 
 func (c *consumer) Fire(idx int) {
 	if idx == consumerDraw {
-		c.r.AcquireFire(1, c, consumerGranted)
+		c.r.AcquireFire(1, c.id, consumerGranted)
 		return
 	}
 	c.grants++
-	c.r.k.AfterFire(1, PriorityNormal, c, consumerDraw)
+	c.r.k.AfterFire(1, PriorityNormal, c.id, consumerDraw)
 }
 
 // A lane that never drains — its producer and its consumer always have an
@@ -257,8 +270,9 @@ func TestProducerLaneCapacityIsSteady(t *testing.T) {
 // BenchmarkKernelScheduleLoop measures the closure-free schedule/run cycle
 // (the per-event cost every simulation driver pays): a completion chain on
 // the heap, and a producer feeding a consumer through a buffer, whose ticks
-// and grants ride lanes.  The CI perf smoke runs it at one iteration to keep
-// both paths exercised.
+// and grants ride lanes.  Each run registers its handlers afresh, as the
+// replays do.  The CI perf smoke runs it at one iteration to keep both
+// paths exercised.
 func BenchmarkKernelScheduleLoop(b *testing.B) {
 	k := AcquireKernel()
 	defer k.Release()
@@ -266,8 +280,8 @@ func BenchmarkKernelScheduleLoop(b *testing.B) {
 		h := &countingHandler{k: k}
 		for i := 0; i < b.N; i++ {
 			k.Reset()
-			h.fired, h.limit = 0, 4096
-			k.AtFire(0, PriorityNormal, h, 0)
+			h.id, h.fired, h.limit = k.Handle(h), 0, 4096
+			k.AtFire(0, PriorityNormal, h.id, 0)
 			if stats := k.Run(); stats.Events != 4096 {
 				b.Fatalf("events = %d", stats.Events)
 			}

@@ -33,6 +33,7 @@ type Issuer interface {
 type Dataflow struct {
 	is       Issuer
 	k        *Kernel
+	id       HandlerID // the dispatcher on k
 	rq       TaskQueue
 	gates    []gateState // the flat index space
 	circuits []circuitState
@@ -69,11 +70,13 @@ type circuitState struct {
 // grants the gate count plus the flat index, and the dispatcher dispatchIdx.
 const dispatchIdx = -1
 
-// Reset starts a replay of cs issued by is on a kernel from the pool.  The
-// gate array and the ready queue are sized up front, one allocation each
-// when they must grow.
+// Reset starts a replay of cs issued by is on a kernel from the pool, with
+// the dispatcher registered as the kernel's handler for the run.  The gate
+// array and the ready queue are sized up front, one allocation each when
+// they must grow.
 func (d *Dataflow) Reset(is Issuer, cs ...*quantum.Circuit) {
 	d.is, d.k = is, AcquireKernel()
+	d.id = d.k.Handle(d)
 	n := 0
 	for _, c := range cs {
 		n += len(c.Gates)
@@ -98,8 +101,8 @@ func (d *Dataflow) Release() {
 	clear(d.circuits)
 }
 
-// Kernel returns the run's kernel, on which a layer schedules its own
-// events.
+// Kernel returns the run's kernel, on which a layer registers its own
+// handler (Kernel.Handle) and schedules its own events.
 func (d *Dataflow) Kernel() *Kernel { return d.k }
 
 // Sources sets up the run's ancilla sources, one per rate in ancillae per
@@ -143,7 +146,7 @@ func (d *Dataflow) Acquire(fi, site int, n, start, extra, weight float64) {
 	}
 	g := &d.gates[fi]
 	g.start, g.extra, g.weight = start, extra, weight
-	d.bufs[site].AcquireFire(n, d, len(d.gates)+fi)
+	d.bufs[site].AcquireFire(n, d.id, len(d.gates)+fi)
 }
 
 // Draw reserves n ancillae for gate fi from fluid source site and returns
@@ -168,7 +171,7 @@ func (d *Dataflow) Finish(fi int, at float64) {
 	if at > d.makespan {
 		d.makespan = at
 	}
-	d.k.AtFire(iontrap.Microseconds(at), PriorityNormal, d, fi)
+	d.k.AtFire(iontrap.Microseconds(at), PriorityNormal, d.id, fi)
 }
 
 // Run issues the root gates at time zero and runs the kernel until the last
@@ -180,7 +183,7 @@ func (d *Dataflow) Run() (Stats, error) {
 			d.rq.Push(Task{Index: i})
 		}
 	}
-	d.k.AtFire(0, PriorityLate, d, dispatchIdx)
+	d.k.AtFire(0, PriorityLate, d.id, dispatchIdx)
 	d.armed = true
 	stats := d.k.Run()
 	if d.finished != len(d.gates) {
@@ -262,7 +265,7 @@ func (d *Dataflow) completed(fi int) {
 			d.rq.Push(Task{Index: si, Ready: g.ready})
 			if !d.armed {
 				d.armed = true
-				d.k.AtFire(d.k.Now(), PriorityLate, d, dispatchIdx)
+				d.k.AtFire(d.k.Now(), PriorityLate, d.id, dispatchIdx)
 			}
 		}
 	}

@@ -98,13 +98,17 @@ func TestCancelAcquireFire(t *testing.T) {
 	k := NewKernel()
 	buf := NewResource(k, "buf", 0)
 	h := &recordingHandler{}
-	buf.AcquireFire(1, h, 1)
-	buf.AcquireFire(1, h, 2)
-	buf.AcquireFire(1, h, 3)
-	if !buf.CancelAcquireFire(h, 2) {
+	id := k.Handle(h)
+	buf.AcquireFire(1, id, 1)
+	buf.AcquireFire(1, id, 2)
+	buf.AcquireFire(1, id, 3)
+	if buf.CancelAcquireFire(k.Handle(&recordingHandler{}), 2) {
+		t.Fatal("cancelled another handler's request")
+	}
+	if !buf.CancelAcquireFire(id, 2) {
 		t.Fatal("pending request not found")
 	}
-	if buf.CancelAcquireFire(h, 2) {
+	if buf.CancelAcquireFire(id, 2) {
 		t.Fatal("cancelled request found twice")
 	}
 	at(k, 1, PriorityNormal, func() { buf.Put(2) })
@@ -113,10 +117,10 @@ func TestCancelAcquireFire(t *testing.T) {
 		t.Errorf("fired = %v, want [1 3] (request 2 cancelled, FIFO kept)", h.fired)
 	}
 	// A delivered request can no longer be cancelled: the grant stands.
-	buf.AcquireFire(1, h, 4)
+	buf.AcquireFire(1, id, 4)
 	at(k, 2, PriorityNormal, func() {
 		buf.Put(1)
-		if buf.CancelAcquireFire(h, 4) {
+		if buf.CancelAcquireFire(id, 4) {
 			t.Error("cancel succeeded after delivery")
 		}
 	})
@@ -130,12 +134,13 @@ func TestCancelAcquireFire(t *testing.T) {
 // blocked on a full buffer does.
 type rewaiter struct {
 	r     *Resource
+	id    HandlerID
 	fired []int
 }
 
 func (w *rewaiter) Fire(idx int) {
 	w.fired = append(w.fired, idx)
-	w.r.OnSpaceFire(w, idx)
+	w.r.OnSpaceFire(w.id, idx)
 }
 
 // Waiters fire FIFO, one that registers again while the list fires waits
@@ -145,12 +150,14 @@ func TestResourceWaitersFIFOAndReused(t *testing.T) {
 	k := NewKernel()
 	buf := NewResource(k, "buf", 1)
 	w := &rewaiter{r: buf}
-	buf.OnSpaceFire(w, 1)
-	buf.OnSpaceFire(w, 2)
+	w.id = k.Handle(w)
+	buf.OnSpaceFire(w.id, 1)
+	buf.OnSpaceFire(w.id, 2)
 	h := &recordingHandler{}
+	id := k.Handle(h)
 	cycle := func() {
 		buf.Put(1)
-		buf.AcquireFire(1, h, 0)
+		buf.AcquireFire(1, id, 0)
 		k.Run()
 	}
 	cycle()

@@ -58,13 +58,13 @@ func (s *FluidSource) AvailableAt(n float64) float64 {
 type request struct {
 	remaining float64
 	since     iontrap.Microseconds
-	h         Handler
+	h         HandlerID
 	idx       int
 }
 
 // waiter is one registered OnSpaceFire call.
 type waiter struct {
-	h   Handler
+	h   HandlerID
 	idx int
 }
 
@@ -105,12 +105,12 @@ func (r *Resource) HighWater() float64 { return r.highWater }
 // Consumed returns the cumulative quantity granted to consumers.
 func (r *Resource) Consumed() float64 { return r.consumed }
 
-// AcquireFire requests n units: h.Fire(idx) fires (as a normal-priority
-// kernel event) once the full demand has been delivered.  Requests are
-// served first come, first served, draining the buffer incrementally so
-// demands larger than the capacity still complete.  A zero demand is granted
-// immediately.
-func (r *Resource) AcquireFire(n float64, h Handler, idx int) {
+// AcquireFire requests n units: the Fire(idx) of handler h fires (as a
+// normal-priority kernel event) once the full demand has been delivered.
+// Requests are served first come, first served, draining the buffer
+// incrementally so demands larger than the capacity still complete.  A zero
+// demand is granted immediately.
+func (r *Resource) AcquireFire(n float64, h HandlerID, idx int) {
 	if n <= grantEps {
 		r.k.AtFire(r.k.Now(), PriorityNormal, h, idx)
 		return
@@ -118,7 +118,6 @@ func (r *Resource) AcquireFire(n float64, h Handler, idx int) {
 	if r.head > 0 && len(r.pending) == cap(r.pending) {
 		// Reuse the front the granted requests freed before growing.
 		m := copy(r.pending, r.pending[r.head:])
-		clear(r.pending[m:])
 		r.pending, r.head = r.pending[:m], 0
 	}
 	r.pending = append(r.pending, request{remaining: n, since: r.k.Now(), h: h, idx: idx})
@@ -172,7 +171,6 @@ func (r *Resource) deliver(take float64) {
 	r.consumed += take
 	if head.remaining <= grantEps {
 		done := *head
-		*head = request{}
 		if r.head++; r.head == len(r.pending) {
 			r.pending, r.head = r.pending[:0], 0
 		}
@@ -200,9 +198,8 @@ func (r *Resource) drain() {
 		ws := r.waiters
 		r.waiters, r.spare = r.spare[:0], nil
 		for _, w := range ws {
-			w.h.Fire(w.idx)
+			r.k.handlers[w.h].Fire(w.idx)
 		}
-		clear(ws)
 		r.spare = ws[:0]
 	}
 }
@@ -214,12 +211,11 @@ func (r *Resource) drain() {
 // will fire), so the caller must let that grant stand.  Fault injection uses
 // this to pull teleports off a dying link without disturbing grants that
 // already escaped.
-func (r *Resource) CancelAcquireFire(h Handler, idx int) bool {
+func (r *Resource) CancelAcquireFire(h HandlerID, idx int) bool {
 	for i := r.head; i < len(r.pending); i++ {
 		if r.pending[i].h == h && r.pending[i].idx == idx {
 			last := len(r.pending) - 1
 			copy(r.pending[i:], r.pending[i+1:])
-			r.pending[last] = request{}
 			r.pending = r.pending[:last]
 			if r.head == last {
 				r.pending, r.head = r.pending[:0], 0
@@ -230,18 +226,16 @@ func (r *Resource) CancelAcquireFire(h Handler, idx int) bool {
 	return false
 }
 
-// OnSpaceFire registers a one-shot h.Fire(idx) invoked the next time
-// buffered quantity is consumed (i.e. space frees up).  Producers use it to
-// resume after stalling on a full buffer.
-func (r *Resource) OnSpaceFire(h Handler, idx int) {
+// OnSpaceFire registers a one-shot Fire(idx) of handler h, invoked the next
+// time buffered quantity is consumed (i.e. space frees up).  Producers use
+// it to resume after stalling on a full buffer.
+func (r *Resource) OnSpaceFire(h HandlerID, idx int) {
 	r.waiters = append(r.waiters, waiter{h: h, idx: idx})
 }
 
 // Reset re-initialises the resource for a new run on kernel k, keeping the
 // pending/waiter slices' backing capacity.
 func (r *Resource) Reset(k *Kernel, name string, capacity float64) {
-	clear(r.pending)
-	clear(r.waiters)
 	*r = Resource{Name: name, k: k, capacity: capacity,
 		pending: r.pending[:0], waiters: r.waiters[:0], spare: r.spare[:0]}
 }
@@ -257,6 +251,7 @@ type Producer struct {
 	Name string
 
 	k        *Kernel
+	id       HandlerID // the producer on k
 	out      *Resource
 	interval iontrap.Microseconds
 	batch    float64
@@ -269,7 +264,7 @@ type Producer struct {
 	halted    bool
 }
 
-// Producer event payloads for the Handler interface.
+// Producer event payloads for its Handler.
 const (
 	producerTick = iota
 	producerWake
@@ -287,7 +282,7 @@ func (p *Producer) Fire(idx int) {
 }
 
 // Start schedules the first completion one interval from now.
-func (p *Producer) Start() { p.k.AfterFire(p.interval, PriorityNormal, p, producerTick) }
+func (p *Producer) Start() { p.k.AfterFire(p.interval, PriorityNormal, p.id, producerTick) }
 
 // Halt stops production permanently: completions already scheduled fire but
 // emit nothing, and no further completions are scheduled.  A stall in
@@ -313,7 +308,8 @@ func (p *Producer) SetRate(ratePerUs float64) error {
 	return nil
 }
 
-// Reset re-initialises the producer for a new run, keeping its identity.
+// Reset re-initialises the producer for a new run on kernel k, keeping its
+// identity, and registers it as one of k's handlers for the run.
 func (p *Producer) Reset(k *Kernel, name string, out *Resource, ratePerUs, batch float64) error {
 	if !(ratePerUs > 0) {
 		return fmt.Errorf("producer %q rate %v: %w", name, ratePerUs, ErrZeroRate)
@@ -321,7 +317,7 @@ func (p *Producer) Reset(k *Kernel, name string, out *Resource, ratePerUs, batch
 	if batch <= 0 {
 		return fmt.Errorf("sim: producer %q has non-positive batch %v", name, batch)
 	}
-	*p = Producer{Name: name, k: k, out: out,
+	*p = Producer{Name: name, k: k, id: k.Handle(p), out: out,
 		interval: iontrap.Microseconds(batch / ratePerUs), batch: batch}
 	return nil
 }
@@ -355,7 +351,7 @@ func (p *Producer) flush() {
 			p.stalled = true
 			p.stalledAt = p.k.Now()
 		}
-		p.out.OnSpaceFire(p, producerWake)
+		p.out.OnSpaceFire(p.id, producerWake)
 		return
 	}
 	p.held = 0
@@ -363,7 +359,7 @@ func (p *Producer) flush() {
 		p.stalled = false
 		p.stallUs += p.k.Now() - p.stalledAt
 	}
-	p.k.AfterFire(p.interval, PriorityNormal, p, producerTick)
+	p.k.AfterFire(p.interval, PriorityNormal, p.id, producerTick)
 }
 
 // wake retries the deposit after space freed up.

@@ -10,6 +10,9 @@
 // scheduled with one fixed delay at one priority: producer ticks, and
 // grants and dispatches at the current time.  The heap holds the events at
 // computed times: gate completions, network arrivals, faults and horizons.
+// A queued event is 32 bytes of plain data: its time, one key packing its
+// priority and insertion sequence, its payload, and the ID of its handler in
+// the run's handler table (Kernel.Handle).
 //
 // The closed-form analyses of Sections 3-5 treat ancilla generation as an
 // infinitely buffered token bucket; this kernel removes that assumption so
@@ -27,14 +30,18 @@ import (
 	"speedofdata/internal/iontrap"
 )
 
-// Handler receives kernel events.  Every event is a Handler plus a small
-// integer payload — typically a gate index — passed through AtFire or
-// AfterFire, so scheduling allocates nothing: the event holds an interface
-// already in hand plus an int, where a closure would be allocated per event
-// to capture the same state.
+// Handler receives kernel events.  An owner registers itself once per run
+// with Kernel.Handle and schedules by the HandlerID it gets back plus a
+// small integer payload — typically a gate index — through AtFire or
+// AfterFire, so scheduling allocates nothing and a queued event is plain
+// data: the ID and an int, where a closure would be allocated per event to
+// capture the same state.
 type Handler interface {
 	Fire(idx int)
 }
+
+// HandlerID names a Handler in one run's handler table; see Kernel.Handle.
+type HandlerID int32
 
 // ErrZeroRate reports a producer or fluid source configured with a
 // non-positive production rate: nothing would ever become available, so the
@@ -43,7 +50,8 @@ type Handler interface {
 var ErrZeroRate = errors.New("sim: ancilla production rate is not positive")
 
 // Priority orders events that share a timestamp.  Lower priorities fire
-// first; insertion order breaks remaining ties.
+// first; insertion order breaks remaining ties.  The two constants below are
+// its only values.
 type Priority int
 
 const (
@@ -56,27 +64,33 @@ const (
 	PriorityLate
 )
 
-// event is one scheduled Handler call with its payload.
+// event is one scheduled Handler call with its payload.  It is 32 bytes of
+// plain data in four fields, and the queue's speed rests on that: the
+// compiler can hold a struct of at most four words in at most four fields
+// in registers, so the lanes and the heap copy and compare events without
+// round trips through memory, and storing one needs no write barrier.  The
+// Handler itself (two words) or a fifth field would undo it; TestEventLayout
+// pins the layout.
 type event struct {
 	at  iontrap.Microseconds
-	pri Priority
-	seq uint64
-	h   Handler
+	key uint64 // orderKey(priority, insertion sequence)
 	idx int
+	h   HandlerID
 }
 
-// before is the event order: time, then priority, then insertion sequence.
-// The sequence component makes tie-breaking stable, which is what makes whole
-// runs deterministic, and since no two events share a sequence number it
-// also settles every tie between a lane head and the heap top.
+// orderKey packs an event's priority and insertion sequence into one key
+// whose order is (priority, sequence): the priority in bit 63, the sequence
+// below it.  A run would need 2⁶³ events to reach the priority bit.
+func orderKey(pri Priority, seq uint64) uint64 { return uint64(pri)<<63 | seq }
+
+// before is the event order: time, then priority, then insertion sequence,
+// the last two as one key.  The sequence makes tie-breaking stable, which is
+// what makes whole runs deterministic, and since no two events share a
+// sequence number it also settles every tie between a lane head and the
+// heap top.  A NaN time is before nothing and nothing is before it, as when
+// the fields were compared one by one.
 func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.pri != o.pri {
-		return e.pri < o.pri
-	}
-	return e.seq < o.seq
+	return e.at < o.at || (e.at == o.at && e.key < o.key)
 }
 
 // lane is the FIFO of a run's events scheduled with one fixed delay at one
@@ -109,7 +123,6 @@ func (l *lane) push(e event) {
 // pop removes and returns the head.
 func (l *lane) pop() event {
 	e := l.ring[l.head]
-	l.ring[l.head] = event{} // release the handler
 	l.head = (l.head + 1) & (len(l.ring) - 1)
 	l.n--
 	return e
@@ -132,54 +145,75 @@ type Stats struct {
 // source is sorted, so firing the least of the lane heads and the heap top
 // under before gives exactly the order of one heap over every event.  A run
 // opens a handful of lanes (one per producer rate, and one per priority for
-// same-time events), so a linear scan over their heads is enough.
+// same-time events), so a linear scan over their heads is enough.  Events
+// name their handlers by index into the run's handler table, which Reset
+// clears.
 type Kernel struct {
-	now     iontrap.Microseconds
-	seq     uint64
-	heap    []event // a binary min-heap under before
-	lanes   []lane  // this run's; lanes[len:cap] keep earlier runs' rings
-	stopped bool
-	stats   Stats
+	now      iontrap.Microseconds
+	seq      uint64
+	heap     []event   // a binary min-heap under before
+	lanes    []lane    // this run's; lanes[len:cap] keep earlier runs' rings
+	handlers []Handler // this run's, by HandlerID
+	stopped  bool
+	stats    Stats
 }
 
 // NewKernel returns an empty kernel at time zero, with room for the pending
-// events and the lanes of a small replay, so a kernel the pool has to
-// allocate (the race detector makes it drop kernels at random) costs a few
-// allocations, not one per doubling of its queue.
+// events, the lanes and the handlers of a small replay, so a kernel the pool
+// has to allocate (the race detector makes it drop kernels at random) costs
+// a few allocations, not one per doubling of its queue.
 func NewKernel() *Kernel {
-	return &Kernel{heap: make([]event, 0, 64), lanes: make([]lane, 0, 4)}
+	return &Kernel{heap: make([]event, 0, 64), lanes: make([]lane, 0, 4), handlers: make([]Handler, 0, 16)}
 }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() iontrap.Microseconds { return k.now }
 
-// AtFire schedules h.Fire(idx) at absolute time t.  Scheduling into the
-// past is a programming error and panics: a discrete-event clock is
-// monotonic.
-func (k *Kernel) AtFire(t iontrap.Microseconds, pri Priority, h Handler, idx int) {
+// Handle registers h for this run and returns the ID that AtFire, AfterFire
+// and a Resource's AcquireFire, CancelAcquireFire and OnSpaceFire take in
+// its place.  The ID is valid until Reset; an owner registers once per run,
+// where it binds to the run's kernel.
+func (k *Kernel) Handle(h Handler) HandlerID {
+	k.handlers = append(k.handlers, h)
+	return HandlerID(len(k.handlers) - 1)
+}
+
+// AtFire schedules the Fire(idx) of handler h at absolute time t.
+// Scheduling into the past is a programming error and panics: a
+// discrete-event clock is monotonic.
+func (k *Kernel) AtFire(t iontrap.Microseconds, pri Priority, h HandlerID, idx int) {
 	if t == k.now {
-		k.lane(0, pri).push(event{at: t, pri: pri, seq: k.seq, h: h, idx: idx})
-		k.seq++
+		k.lane(0, pri).push(event{at: t, key: k.next(pri), h: h, idx: idx})
 		return
 	}
 	if t < k.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v before current time %v", t, k.now))
 	}
-	k.heap = append(k.heap, event{at: t, pri: pri, seq: k.seq, h: h, idx: idx})
-	k.seq++
+	k.heap = append(k.heap, event{at: t, key: k.next(pri), h: h, idx: idx})
 	k.up(len(k.heap) - 1)
 }
 
-// AfterFire schedules h.Fire(idx) d microseconds from now.
-func (k *Kernel) AfterFire(d iontrap.Microseconds, pri Priority, h Handler, idx int) {
+// AfterFire schedules the Fire(idx) of handler h d microseconds from now.
+func (k *Kernel) AfterFire(d iontrap.Microseconds, pri Priority, h HandlerID, idx int) {
 	if !(d >= 0) {
 		// A negative delay panics in AtFire (unless now+d rounds to now),
 		// and a NaN one keeps the heap's handling of NaN times.
 		k.AtFire(k.now+d, pri, h, idx)
 		return
 	}
-	k.lane(d, pri).push(event{at: k.now + d, pri: pri, seq: k.seq, h: h, idx: idx})
+	k.lane(d, pri).push(event{at: k.now + d, key: k.next(pri), h: h, idx: idx})
+}
+
+// next returns the order key of an event scheduled now at pri and advances
+// the insertion sequence.  A priority other than the two constants is a
+// programming error and panics, since it would not pack into one bit.
+func (k *Kernel) next(pri Priority) uint64 {
+	if uint(pri) > uint(PriorityLate) {
+		panic("sim: undefined event priority")
+	}
+	key := orderKey(pri, k.seq)
 	k.seq++
+	return key
 }
 
 // lane returns the run's lane for delay d at priority pri, opening it (on a
@@ -216,7 +250,7 @@ func (k *Kernel) Run() Stats {
 		k.now = e.at
 		k.stats.Events++
 		k.stats.End = e.at
-		e.h.Fire(e.idx)
+		k.handlers[e.h].Fire(e.idx)
 	}
 	// One atomic add per run (not per event) keeps the loop's zero-overhead
 	// guarantee while feeding the process-wide event counter.
@@ -226,9 +260,11 @@ func (k *Kernel) Run() Stats {
 }
 
 // Reset returns the kernel to time zero with an empty queue.  Outstanding
-// events are dropped (their handlers released) and so are the lanes, so a
-// reused kernel scans only the lanes its next run opens; the heap's and the
-// rings' backing storage is kept, so it schedules without reallocating.
+// events are dropped and so are the lanes, so a reused kernel scans only the
+// lanes its next run opens, and the handler table is emptied, releasing the
+// handlers and invalidating their IDs; the heap's, the rings' and the
+// table's backing storage is kept, so the next run schedules without
+// reallocating.
 func (k *Kernel) Reset() {
 	clear(k.heap)
 	k.heap = k.heap[:0]
@@ -238,6 +274,8 @@ func (k *Kernel) Reset() {
 		l.head, l.n = 0, 0
 	}
 	k.lanes = k.lanes[:0]
+	clear(k.handlers)
+	k.handlers = k.handlers[:0]
 	k.now, k.seq, k.stopped, k.stats = 0, 0, false, Stats{}
 }
 
@@ -307,7 +345,6 @@ func (k *Kernel) popHeap() event {
 	top := k.heap[0]
 	last := len(k.heap) - 1
 	k.heap[0] = k.heap[last]
-	k.heap[last] = event{} // release the handler
 	k.heap = k.heap[:last]
 	i := 0
 	for {
