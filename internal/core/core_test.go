@@ -430,6 +430,58 @@ func TestMeshScenariosShareCells(t *testing.T) {
 	}
 }
 
+// fig15, buffersweep and fig15buf each sweep microarch configurations as
+// one job per configuration, keyed by the whole configuration, so on one
+// engine a cell two of them reach is computed once.  At 8-bit QCLA,
+// buffersweep's Fully-Multiplexed infinite-buffer reference is the fig15
+// cell at the matched factory count, and fig15buf at buffer 0 is fig15's
+// whole grid of 23 cells.  Each output equals the same scenario run on an
+// engine of its own.
+func TestFigure15ScenariosShareCells(t *testing.T) {
+	e := NewExperiments()
+	e.Bits = 8
+	e.Engine = engine.New(1)
+	reg := obs.NewRegistry()
+	e.Engine.Instrument(reg)
+	jobs := reg.Histogram("qsd_engine_job_seconds",
+		"Compute latency of engine jobs by kind.", obs.Labels{"kind": "microarch.simulate"})
+	base := DefaultRunParams()
+	if base.Benchmark != circuits.QCLA.String() {
+		t.Fatalf("default benchmark %s, want QCLA", base.Benchmark)
+	}
+	fm, unbuffered := base, base
+	fm.Arch = "fm"
+	unbuffered.Buffer = 0
+	for _, run := range []struct {
+		id         string
+		p          RunParams
+		cells      int64
+		memoryHits int
+	}{
+		{"fig15", base, 23, 0},
+		{"buffersweep", fm, 10, 1},
+		{"fig15buf", unbuffered, 23, 23},
+	} {
+		computed, hits := jobs.Count(), e.Engine.Tiers().MemoryHits
+		got, err := RunExperiment(e, run.id, run.p)
+		if err != nil {
+			t.Fatalf("%s: %v", run.id, err)
+		}
+		hits = e.Engine.Tiers().MemoryHits - hits
+		if computed = jobs.Count() - computed; hits != run.memoryHits || computed+int64(hits) != run.cells {
+			t.Errorf("%s: %d cells from the memory tier and %d computed, want %d of %d from memory",
+				run.id, hits, computed, run.memoryHits, run.cells)
+		}
+		alone := NewExperiments()
+		alone.Bits = e.Bits
+		alone.Engine = engine.New(1)
+		want, err := RunExperiment(alone, run.id, run.p)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s on its own engine differs from the shared one (%v)", run.id, err)
+		}
+	}
+}
+
 // A 2-tile mesh has only the bisection boundary, so netfault's dead arm
 // disconnects it: the request fails with the typed partition error, also
 // when the partitioned cell comes back from the engine cache.

@@ -388,9 +388,11 @@ func (e Experiments) characterizedBenchmark(b circuits.Benchmark) (*quantum.Circ
 // BufferSweep sweeps the ancilla buffer capacity for one benchmark on one
 // architecture, with the generation resources matched to the benchmark's
 // average demand so the buffer — not raw bandwidth — is the variable under
-// test.  Capacities run through DefaultBufferCaps, ending on the
-// infinite-buffer reference point.
-func (e Experiments) BufferSweep(b circuits.Benchmark, arch microarch.Architecture) ([]microarch.BufferPoint, error) {
+// test.  It returns one result per capacity of DefaultBufferCaps, in order,
+// ending on the infinite-buffer reference.  When Figure 15's grid has a cell
+// of the same architecture at the matched resource count, that reference is
+// the cell, and the two share it through the engine cache.
+func (e Experiments) BufferSweep(b circuits.Benchmark, arch microarch.Architecture) ([]microarch.Result, error) {
 	c, ch, err := e.characterizedBenchmark(b)
 	if err != nil {
 		return nil, err
@@ -419,7 +421,13 @@ func (e Experiments) BufferSweep(b circuits.Benchmark, arch microarch.Architectu
 			}
 		}
 	}
-	return microarch.BufferSweepEngine(e.ctx(), e.Engine, c, base, microarch.DefaultBufferCaps())
+	caps := microarch.DefaultBufferCaps()
+	cfgs := make([]microarch.Config, len(caps))
+	for i, cap := range caps {
+		cfgs[i] = base
+		cfgs[i].BufferAncillae = cap
+	}
+	return microarch.Sweep(e.ctx(), e.Engine, c, cfgs)
 }
 
 // ContentionLevel is one shared-supply operating point of the co-scheduling

@@ -633,18 +633,19 @@ func renderBufferSweep(e Experiments, benchName, archName string) (report.Sectio
 			return report.Section{}, err
 		}
 	}
-	points, err := e.BufferSweep(bench, arch)
+	results, err := e.BufferSweep(bench, arch)
 	if err != nil {
 		return report.Section{}, err
 	}
+	caps := microarch.DefaultBufferCaps()
 	tb := report.Table{
 		Title: fmt.Sprintf("Ancilla buffer sweep (%d-bit %s on %v, demand-matched supply)", e.Bits, bench, arch),
 		Headers: []string{"Buffer (ancillae)", "Execution time (ms)", "Ancilla stall (ms)",
 			"Producer stall (ms)", "Buffer high water", "Kernel events"},
 	}
-	for _, p := range points {
-		tb.AddRow(bufferLabel(int(p.BufferAncillae)), p.ExecutionTimeMs, p.AncillaStallMs,
-			p.ProducerStallMs, p.BufferHighWater, p.Events)
+	for i, r := range results {
+		tb.AddRow(bufferLabel(int(caps[i])), r.ExecutionTimeMs(), r.AncillaStallTime.Milliseconds(),
+			r.ProducerStallTime.Milliseconds(), r.BufferHighWater, r.Events)
 	}
 	note := report.Text("The final row is the infinite-buffer (closed-form) reference the finite capacities converge to.\n")
 	return report.NewSection("", tb, note), nil

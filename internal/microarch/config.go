@@ -14,7 +14,6 @@ import (
 	"speedofdata/internal/factory"
 	"speedofdata/internal/iontrap"
 	"speedofdata/internal/layout"
-	"speedofdata/internal/network"
 	"speedofdata/internal/schedule"
 )
 
@@ -80,7 +79,9 @@ func ParseArchitecture(name string) (Architecture, error) {
 	return 0, fmt.Errorf("microarch: unknown architecture %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
-// Config describes one simulation run.
+// Config describes one simulation run.  It holds values only, no pointers:
+// Sweep keys each job by the whole Config's %v rendering, which must show
+// every field's contents, never a heap address.
 type Config struct {
 	Arch Architecture
 	// Latency supplies gate and QEC timings (Section 3 model).
@@ -109,18 +110,6 @@ type Config struct {
 	// capacity switches the simulation to finite-buffer dynamics where
 	// production stalls when the buffer fills.
 	BufferAncillae float64
-
-	// Network optionally places the data qubits on a 2D-mesh teleport
-	// interconnect (internal/network): teleport accounting then delegates
-	// to the mesh cost model, so every teleport pays the dimension-order
-	// routed hop distance between its operands' tiles — max(1, hops) times
-	// both the teleport latency and the teleport ancillae — instead of the
-	// flat single-hop constant.  Qubits map to tiles with the topology's
-	// block-cyclic TileOf; a 1×1 mesh reproduces the flat model exactly.
-	// The zero value keeps the flat model.  (A value, not a pointer: Config
-	// participates in engine job fingerprints via its %v rendering, which
-	// must reflect the mesh contents, never a heap address.)
-	Network network.Topology
 }
 
 // DefaultConfig returns a configuration for the given architecture with the
@@ -169,11 +158,6 @@ func (c Config) Validate() error {
 	}
 	if c.BufferAncillae < 0 {
 		return fmt.Errorf("microarch: negative ancilla buffer capacity %v", c.BufferAncillae)
-	}
-	if c.Network != (network.Topology{}) {
-		if err := c.Network.Validate(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -263,7 +263,9 @@ func TestFigure15Shape(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	c := benchmarkCircuit(t, circuits.QRCA, 4)
-	if _, err := engine.Run(context.Background(), nil, scaleJobs(c, DefaultConfig(FullyMultiplexed), []int{0})); err == nil {
+	noFactory := DefaultConfig(FullyMultiplexed)
+	noFactory.SharedFactories = 0
+	if _, err := Sweep(context.Background(), nil, c, []Config{DefaultConfig(QLA), noFactory}); err == nil {
 		t.Error("non-positive scale should fail")
 	}
 	bad := DefaultConfig(QLA)
@@ -497,65 +499,6 @@ func TestConfigRejectsNonPhysicalMovement(t *testing.T) {
 		if _, err := Simulate(c, cfg); err == nil {
 			t.Errorf("Simulate accepted non-physical movement %+v", cfg.Movement)
 		}
-	}
-}
-
-// With a mesh configured, teleport accounting delegates to the network cost
-// model: a 1x1 mesh reproduces the flat model bit for bit, and a spread-out
-// mesh pays routed multi-hop teleports, so it can only slow execution down
-// and consume more ancillae.
-func TestNetworkDelegatedTeleportAccounting(t *testing.T) {
-	c := benchmarkCircuit(t, circuits.QCLA, 8)
-	for _, arch := range []Architecture{QLA, CQLA} {
-		flatCfg := DefaultConfig(arch)
-		flat, err := Simulate(c, flatCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		oneTile := flatCfg
-		oneTile.Network = network.Topology{Cols: 1, Rows: 1, TileQubits: c.NumQubits}
-		same, err := Simulate(c, oneTile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if same != flat {
-			t.Errorf("%v: 1x1 mesh diverged from the flat model:\n got %+v\nwant %+v", arch, same, flat)
-		}
-
-		spread := flatCfg
-		spread.Network = network.Topology{Cols: 2, Rows: 2, TileQubits: (c.NumQubits + 3) / 4}
-		routed, err := Simulate(c, spread)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if routed.ExecutionTime < flat.ExecutionTime {
-			t.Errorf("%v: routed teleports sped execution up (%v < %v)", arch, routed.ExecutionTime, flat.ExecutionTime)
-		}
-		if routed.AncillaeConsumed < flat.AncillaeConsumed {
-			t.Errorf("%v: routed teleports consumed fewer ancillae (%d < %d)",
-				arch, routed.AncillaeConsumed, flat.AncillaeConsumed)
-		}
-		if routed.Teleports != flat.Teleports {
-			t.Errorf("%v: routing changed the teleport count (%d != %d)", arch, routed.Teleports, flat.Teleports)
-		}
-
-		// The closed form shares the cost model, so the parity guarantee
-		// holds with a mesh configured too.
-		closed, err := SimulateClosedForm(c, spread)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if closed.ExecutionTime != routed.ExecutionTime {
-			t.Errorf("%v: mesh broke event/closed-form parity (%v != %v)",
-				arch, closed.ExecutionTime, routed.ExecutionTime)
-		}
-	}
-
-	bad := DefaultConfig(QLA)
-	bad.Network = network.Topology{Cols: 0, Rows: 1, TileQubits: 1}
-	if _, err := Simulate(c, bad); err == nil {
-		t.Error("invalid mesh topology should fail validation")
 	}
 }
 

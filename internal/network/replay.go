@@ -617,7 +617,7 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 		}
 		name := "EPR link " + l.String()
 		r.bufs[i].Reset(k, name, cfg.LinkBufferPairs)
-		if err := r.prods[i].Reset(k, name, r.bufs[i], rate, 1); err != nil {
+		if err := r.prods[i].Reset(k, name, r.bufs[i], rate); err != nil {
 			return ReplayRun{}, err
 		}
 		// A statically dead link's generator never starts: the channel

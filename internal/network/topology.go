@@ -20,25 +20,19 @@ func (l Link) String() string { return fmt.Sprintf("%d->%d", l.From, l.To) }
 // Topology is the 2D mesh arrangement of a tiled Qalypso machine
 // (Section 5.3): tile i sits at mesh coordinate (i mod Cols, i div Cols),
 // and teleports route between tiles with deterministic dimension-order
-// routing.  The zero value is invalid; build with NewTopology or fill the
-// fields and Validate.
+// routing.  The zero value is invalid; build with NewTopology.
 type Topology struct {
 	// Cols and Rows are the mesh dimensions.
 	Cols, Rows int
 	// Tiles is the number of populated tiles; only the last row may be
 	// partial.  Zero means the full Cols×Rows grid.
 	Tiles int
-	// TileQubits is the block size of the static block-cyclic qubit→tile
-	// mapping used by TileOf (the microarch delegation path).  The routed
-	// replayer assigns qubits with PartitionCircuit instead and ignores it.
-	TileQubits int
 }
 
-// NewTopology arranges n tiles on a near-square mesh (layout.MeshDims) with
-// a unit block mapping.
+// NewTopology arranges n tiles on a near-square mesh (layout.MeshDims).
 func NewTopology(n int) Topology {
 	cols, rows := layout.MeshDims(n)
-	return Topology{Cols: cols, Rows: rows, Tiles: n, TileQubits: 1}
+	return Topology{Cols: cols, Rows: rows, Tiles: n}
 }
 
 // TileCount returns the number of populated tiles.
@@ -49,38 +43,11 @@ func (t Topology) TileCount() int {
 	return t.Cols * t.Rows
 }
 
-// Validate rejects meshes no route can be computed on.
-func (t Topology) Validate() error {
-	if t.Cols < 1 || t.Rows < 1 {
-		return fmt.Errorf("network: mesh dimensions %dx%d must be positive", t.Cols, t.Rows)
-	}
-	if t.Tiles < 0 || t.Tiles > t.Cols*t.Rows {
-		return fmt.Errorf("network: %d tiles do not fit a %dx%d mesh", t.Tiles, t.Cols, t.Rows)
-	}
-	if t.Tiles > 0 && t.Tiles <= t.Cols*(t.Rows-1) {
-		return fmt.Errorf("network: %d tiles leave whole rows of a %dx%d mesh empty", t.Tiles, t.Cols, t.Rows)
-	}
-	if t.TileQubits < 1 {
-		return fmt.Errorf("network: tile qubit block size %d must be positive", t.TileQubits)
-	}
-	return nil
-}
-
 // Coord returns tile i's mesh coordinate.
 func (t Topology) Coord(i int) (x, y int) { return i % t.Cols, i / t.Cols }
 
 // Index returns the tile at mesh coordinate (x, y).
 func (t Topology) Index(x, y int) int { return y*t.Cols + x }
-
-// TileOf maps a qubit to its tile under the static block-cyclic mapping:
-// consecutive blocks of TileQubits qubits fill consecutive tiles, wrapping
-// around when the qubit count exceeds the mesh.
-func (t Topology) TileOf(q int) int {
-	if q < 0 {
-		return 0
-	}
-	return (q / t.TileQubits) % t.TileCount()
-}
 
 // HopDistance returns the routed distance between two tiles in links: the
 // Manhattan distance on the mesh.  The partial-row fallback in Route never

@@ -69,7 +69,7 @@ func TestAcquireFireGrantsAtCumulativeProduction(t *testing.T) {
 	k := AcquireKernel()
 	defer k.Release()
 	r := NewResource(k, "anc", 0)
-	p, err := newProducer(k, "factory", r, 0.5, 1)
+	p, err := newProducer(k, "factory", r, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,18 +151,18 @@ func TestResetKeepsCapacityAndSemantics(t *testing.T) {
 		t.Fatalf("reset resource accepted %v, want the new capacity 5", got)
 	}
 
-	p, err := newProducer(k, "p", r, 1, 1)
+	p, err := newProducer(k, "p", r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
-	if err := p.Reset(k, "p2", r, 2, 1); err != nil {
+	if err := p.Reset(k, "p2", r, 2); err != nil {
 		t.Fatal(err)
 	}
 	if p.emitted != 0 || p.StallTime() != 0 || p.Name != "p2" {
 		t.Fatalf("reset producer carries old state: %+v", p)
 	}
-	if err := p.Reset(k, "bad", r, 0, 1); err == nil {
+	if err := p.Reset(k, "bad", r, 0); err == nil {
 		t.Fatal("reset with zero rate must fail")
 	}
 }
@@ -241,7 +241,7 @@ func TestProducerLaneCapacityIsSteady(t *testing.T) {
 	capacity := func(ticks int) (int, int) {
 		k := NewKernel()
 		r := NewResource(k, "buf", 4)
-		p, err := newProducer(k, "p", r, 1, 1) // one tick per µs
+		p, err := newProducer(k, "p", r, 1) // one tick per µs
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func BenchmarkKernelScheduleLoop(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k.Reset()
 			r.Reset(k, "buf", 4)
-			if err := p.Reset(k, "p", r, 1, 1); err != nil {
+			if err := p.Reset(k, "p", r, 1); err != nil {
 				b.Fatal(err)
 			}
 			*c = consumer{r: r}

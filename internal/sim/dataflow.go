@@ -125,7 +125,7 @@ func (d *Dataflow) Sources(buffer float64, name string, ratesPerUs ...float64) e
 			d.prods = append(d.prods, new(Producer))
 		}
 		d.bufs[i].Reset(d.k, name, buffer)
-		if err := d.prods[i].Reset(d.k, name, d.bufs[i], rate, 1); err != nil {
+		if err := d.prods[i].Reset(d.k, name, d.bufs[i], rate); err != nil {
 			return err
 		}
 		d.prods[i].Start()

@@ -18,7 +18,7 @@ func (h *recordingHandler) Fire(idx int) { h.fired = append(h.fired, idx) }
 func TestProducerHalt(t *testing.T) {
 	k := NewKernel()
 	buf := NewResource(k, "buf", 0)
-	p, err := newProducer(k, "p", buf, 1, 1) // one unit per µs
+	p, err := newProducer(k, "p", buf, 1) // one unit per µs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestProducerHalt(t *testing.T) {
 func TestProducerHaltWhileStalled(t *testing.T) {
 	k := NewKernel()
 	buf := NewResource(k, "buf", 1)
-	p, err := newProducer(k, "p", buf, 1, 1)
+	p, err := newProducer(k, "p", buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestProducerHaltWhileStalled(t *testing.T) {
 func TestProducerSetRate(t *testing.T) {
 	k := NewKernel()
 	buf := NewResource(k, "buf", 0)
-	p, err := newProducer(k, "p", buf, 1, 1)
+	p, err := newProducer(k, "p", buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

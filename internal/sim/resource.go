@@ -240,10 +240,10 @@ func (r *Resource) Reset(k *Kernel, name string, capacity float64) {
 		pending: r.pending[:0], waiters: r.waiters[:0], spare: r.spare[:0]}
 }
 
-// Producer deposits a fixed batch into a Resource at a steady cadence,
-// stalling (and accounting the stall) whenever the buffer is full.  It
-// models an ancilla factory's output side: with a batch of one ancilla every
-// 1/rate microseconds, the k-th ancilla is ready at k/rate — the discrete
+// Producer deposits one unit into a Resource at a steady cadence, stalling
+// (and accounting the stall) whenever the buffer is full.  It models an
+// ancilla factory's output side: with one ancilla every 1/rate
+// microseconds, the k-th ancilla is ready at k/rate — the discrete
 // counterpart of FluidSource — but unlike the fluid model production stops
 // when there is nowhere to put the product.
 type Producer struct {
@@ -254,7 +254,6 @@ type Producer struct {
 	id       HandlerID // the producer on k
 	out      *Resource
 	interval iontrap.Microseconds
-	batch    float64
 
 	held      float64
 	stalled   bool
@@ -304,21 +303,18 @@ func (p *Producer) SetRate(ratePerUs float64) error {
 	if !(ratePerUs > 0) {
 		return fmt.Errorf("producer %q rate %v: %w", p.Name, ratePerUs, ErrZeroRate)
 	}
-	p.interval = iontrap.Microseconds(p.batch / ratePerUs)
+	p.interval = iontrap.Microseconds(1 / ratePerUs)
 	return nil
 }
 
 // Reset re-initialises the producer for a new run on kernel k, keeping its
 // identity, and registers it as one of k's handlers for the run.
-func (p *Producer) Reset(k *Kernel, name string, out *Resource, ratePerUs, batch float64) error {
+func (p *Producer) Reset(k *Kernel, name string, out *Resource, ratePerUs float64) error {
 	if !(ratePerUs > 0) {
 		return fmt.Errorf("producer %q rate %v: %w", name, ratePerUs, ErrZeroRate)
 	}
-	if batch <= 0 {
-		return fmt.Errorf("sim: producer %q has non-positive batch %v", name, batch)
-	}
 	*p = Producer{Name: name, k: k, id: k.Handle(p), out: out,
-		interval: iontrap.Microseconds(batch / ratePerUs), batch: batch}
+		interval: iontrap.Microseconds(1 / ratePerUs)}
 	return nil
 }
 
@@ -337,8 +333,8 @@ func (p *Producer) tick() {
 	if p.halted {
 		return
 	}
-	p.emitted += p.batch
-	p.held += p.batch
+	p.emitted++
+	p.held++
 	p.flush()
 }
 

@@ -14,9 +14,9 @@ import (
 
 // newProducer returns a Producer initialised through Reset, the way the
 // replays set up their pooled producers.
-func newProducer(k *Kernel, name string, out *Resource, ratePerUs, batch float64) (*Producer, error) {
+func newProducer(k *Kernel, name string, out *Resource, ratePerUs float64) (*Producer, error) {
 	p := new(Producer)
-	if err := p.Reset(k, name, out, ratePerUs, batch); err != nil {
+	if err := p.Reset(k, name, out, ratePerUs); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -139,11 +139,8 @@ func TestZeroRateIsTypedError(t *testing.T) {
 	}
 	k := NewKernel()
 	out := NewResource(k, "buf", 4)
-	if _, err := newProducer(k, "p", out, 0, 1); !errors.Is(err, ErrZeroRate) {
+	if _, err := newProducer(k, "p", out, 0); !errors.Is(err, ErrZeroRate) {
 		t.Errorf("zero-rate producer error = %v, want ErrZeroRate", err)
-	}
-	if _, err := newProducer(k, "p", out, 1, 0); err == nil {
-		t.Error("zero-batch producer should be rejected")
 	}
 }
 
@@ -178,7 +175,7 @@ func TestAcquireLargerThanCapacityDrainsIncrementally(t *testing.T) {
 	// as they are produced, so the request still completes.
 	k := NewKernel()
 	r := NewResource(k, "anc", 2)
-	p, err := newProducer(k, "factory", r, 1.0, 1) // 1 per µs
+	p, err := newProducer(k, "factory", r, 1.0) // 1 per µs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +193,7 @@ func TestAcquireLargerThanCapacityDrainsIncrementally(t *testing.T) {
 func TestProducerStallsOnFullBuffer(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "anc", 3)
-	p, err := newProducer(k, "factory", r, 1.0, 1)
+	p, err := newProducer(k, "factory", r, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +225,7 @@ func TestDeterministicRepeatedRuns(t *testing.T) {
 	run := func() (float64, iontrap.Microseconds, int) {
 		k := NewKernel()
 		r := NewResource(k, "anc", 4)
-		p, err := newProducer(k, "factory", r, 0.7, 1)
+		p, err := newProducer(k, "factory", r, 0.7)
 		if err != nil {
 			t.Fatal(err)
 		}
