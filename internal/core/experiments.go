@@ -54,12 +54,12 @@ func NewExperiments() Experiments {
 	return Experiments{Options: DefaultOptions(), Bits: 32, Engine: engine.Sequential()}
 }
 
-// generateBenchmarks produces the paper's three kernels at the configured
-// width, one engine job per kernel.
-func (e Experiments) generateBenchmarks(ctx context.Context) ([]*quantum.Circuit, error) {
-	jobs := make([]engine.Job[*quantum.Circuit], len(circuits.Benchmarks()))
-	for i, b := range circuits.Benchmarks() {
-		b := b
+// generate produces the given benchmarks at the configured width, one
+// engine job per benchmark, so every experiment on one engine shares each
+// circuit (and the DAG and fingerprint it memoises).
+func (e Experiments) generate(ctx context.Context, bs ...circuits.Benchmark) ([]*quantum.Circuit, error) {
+	jobs := make([]engine.Job[*quantum.Circuit], len(bs))
+	for i, b := range bs {
 		jobs[i] = engine.Job[*quantum.Circuit]{
 			Key: engine.Fingerprint("circuits.generate", b, e.Bits),
 			Run: func(context.Context, *rand.Rand) (*quantum.Circuit, error) {
@@ -74,7 +74,7 @@ func (e Experiments) generateBenchmarks(ctx context.Context) ([]*quantum.Circuit
 // job per benchmark.
 func (e Experiments) Table2And3() ([]schedule.Characterization, error) {
 	ctx := e.ctx()
-	cs, err := e.generateBenchmarks(ctx)
+	cs, err := e.generate(ctx, circuits.Benchmarks()...)
 	if err != nil {
 		return nil, err
 	}
@@ -292,12 +292,12 @@ func (e Experiments) Figure7(buckets int) (map[string][]schedule.DemandPoint, er
 		b := b
 		jobs[i] = engine.Job[[]schedule.DemandPoint]{
 			Key: engine.Fingerprint("core.figure7", b, e.Bits, e.Options.Latency, buckets),
-			Run: func(context.Context, *rand.Rand) ([]schedule.DemandPoint, error) {
-				c, err := circuits.Generate(b, e.Bits)
+			Run: func(ctx context.Context, _ *rand.Rand) ([]schedule.DemandPoint, error) {
+				cs, err := e.generate(ctx, b)
 				if err != nil {
 					return nil, err
 				}
-				return schedule.DemandProfile(c, e.Options.Latency, buckets)
+				return schedule.DemandProfile(cs[0], e.Options.Latency, buckets)
 			},
 		}
 	}
@@ -324,11 +324,9 @@ func (e Experiments) Figure8() (map[string][]schedule.SweepPoint, error) {
 		jobs[i] = engine.Job[[]schedule.SweepPoint]{
 			Key: engine.Fingerprint("core.figure8", b, e.Bits, e.Options.Latency),
 			Run: func(ctx context.Context, _ *rand.Rand) ([]schedule.SweepPoint, error) {
-				c, err := circuits.Generate(b, e.Bits)
-				if err != nil {
-					return nil, err
-				}
-				ch, err := schedule.Characterize(c, e.Options.Latency)
+				e := e
+				e.Ctx = ctx
+				c, ch, err := e.characterizedBenchmark(b)
 				if err != nil {
 					return nil, err
 				}
@@ -372,17 +370,19 @@ func (e Experiments) Figure15Buffered(b circuits.Benchmark, maxScale int, archs 
 }
 
 // characterizedBenchmark generates one benchmark and its Table 2/3
-// characterisation.
+// characterisation through the same engine jobs as Tables 2 and 3, so every
+// scenario on one engine shares them.
 func (e Experiments) characterizedBenchmark(b circuits.Benchmark) (*quantum.Circuit, schedule.Characterization, error) {
-	c, err := circuits.Generate(b, e.Bits)
+	ctx := e.ctx()
+	cs, err := e.generate(ctx, b)
 	if err != nil {
 		return nil, schedule.Characterization{}, err
 	}
-	ch, err := schedule.Characterize(c, e.Options.Latency)
+	chs, err := schedule.CharacterizeAll(ctx, e.Engine, cs, e.Options.Latency)
 	if err != nil {
 		return nil, schedule.Characterization{}, err
 	}
-	return c, ch, nil
+	return cs[0], chs[0], nil
 }
 
 // BufferSweep sweeps the ancilla buffer capacity for one benchmark on one
@@ -453,7 +453,7 @@ var DefaultContentionFractions = []float64{0.25, 0.5, 1, 2}
 // interfere: demand is bursty, and a neighbour's burst steals headroom.
 func (e Experiments) Contention(bufferAncillae float64) ([]ContentionLevel, error) {
 	ctx := e.ctx()
-	cs, err := e.generateBenchmarks(ctx)
+	cs, err := e.generate(ctx, circuits.Benchmarks()...)
 	if err != nil {
 		return nil, err
 	}
@@ -566,7 +566,7 @@ var DefaultNetContentionFactors = []float64{0.5, 1, 2}
 // another's at shared links even when the factories keep up.
 func (e Experiments) NetContention(tiles, linkBufferPairs int) ([]NetContentionLevel, error) {
 	ctx := e.ctx()
-	cs, err := e.generateBenchmarks(ctx)
+	cs, err := e.generate(ctx, circuits.Benchmarks()...)
 	if err != nil {
 		return nil, err
 	}

@@ -53,6 +53,19 @@ func (a Architecture) String() string {
 	return archNames[a]
 }
 
+// generalised returns the organisation a simulates as: GQLA for QLA and
+// GCQLA for CQLA, since each differs from its generalisation only in the
+// generator count its configuration carries, and a itself otherwise.
+func (a Architecture) generalised() Architecture {
+	switch a {
+	case QLA:
+		return GQLA
+	case CQLA:
+		return GCQLA
+	}
+	return a
+}
+
 // Architectures returns the simulated organisations in presentation order.
 func Architectures() []Architecture {
 	return []Architecture{QLA, GQLA, CQLA, GCQLA, FullyMultiplexed}

@@ -440,6 +440,59 @@ func TestFigure15EngineMatchesSequential(t *testing.T) {
 	}
 }
 
+// QLA and CQLA simulate exactly as GQLA and GCQLA at equal resources, which
+// is what lets Sweep key them as those: over random configurations
+// (benchmarks at 4 to 16 bits, generator counts, cache sizes, finite and
+// infinite buffers) each pair's Results are equal but for Arch.  A Sweep
+// of both computes one job and returns each under the architecture asked
+// for.
+func TestQLAAndCQLASimulateAsTheirGeneralisations(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buffers := []float64{0, 0, 1, 2, 4, 8, 32, 2.5}
+	for i := 0; i < 100; i++ {
+		b := circuits.Benchmarks()[rng.Intn(len(circuits.Benchmarks()))]
+		c := benchmarkCircuit(t, b, 4+rng.Intn(13))
+		for _, pair := range [][2]Architecture{{QLA, GQLA}, {CQLA, GCQLA}} {
+			cfg := DefaultConfig(pair[0])
+			cfg.GeneratorsPerQubit = 1 + rng.Intn(8)
+			cfg.CacheSlots = 1 + rng.Intn(24)
+			cfg.BufferAncillae = buffers[rng.Intn(len(buffers))]
+			general := cfg
+			general.Arch = pair[1]
+			want, err := Simulate(c, general)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Simulate(c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Arch != pair[0] {
+				t.Fatalf("%v simulated as %v", pair[0], got.Arch)
+			}
+			if got.Arch = want.Arch; got != want {
+				t.Fatalf("%s: %v at %d generators, %d slots, buffer %v: %+v, but %v %+v",
+					c.Name, pair[0], cfg.GeneratorsPerQubit, cfg.CacheSlots, cfg.BufferAncillae, got, pair[1], want)
+			}
+			if i%20 != 0 {
+				continue
+			}
+			eng := engine.New(1)
+			rs, err := Sweep(context.Background(), eng, c, []Config{cfg, general})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs[0].Arch != pair[0] || rs[1].Arch != pair[1] || eng.Tiers().MemoryHits != 1 {
+				t.Fatalf("Sweep of %v and %v returned %v and %v with %d memory hits, want them as asked and 1 hit",
+					pair[0], pair[1], rs[0].Arch, rs[1].Arch, eng.Tiers().MemoryHits)
+			}
+			if rs[0].Arch = want.Arch; rs[0] != want || rs[1] != want {
+				t.Fatalf("Sweep results %+v and %+v, want %+v", rs[0], rs[1], want)
+			}
+		}
+	}
+}
+
 func TestSweepEngineCancellation(t *testing.T) {
 	c := benchmarkCircuit(t, circuits.QRCA, 8)
 	ctx, cancel := context.WithCancel(context.Background())

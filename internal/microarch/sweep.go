@@ -37,17 +37,29 @@ type Curve struct {
 // engine job of kind microarch.simulate keyed by the circuit and the whole
 // configuration, so every sweep that reaches an equal configuration (a
 // Figure 15 grid cell, a buffer-capacity point) shares its simulation
-// through the engine cache.  Invalid configurations fail Config.Validate.
+// through the engine cache.  QLA and CQLA simulate exactly as GQLA and GCQLA
+// at the same resources, so they are keyed and simulated as those, and
+// Figure 15's scale-1 QLA and CQLA cells are its GQLA and GCQLA cells; each
+// Result comes back under the architecture asked for.  Invalid
+// configurations fail Config.Validate.
 func Sweep(ctx context.Context, eng *engine.Engine, c *quantum.Circuit, cfgs []Config) ([]Result, error) {
 	fp := c.Fingerprint()
 	jobs := make([]engine.Job[Result], len(cfgs))
 	for i, cfg := range cfgs {
+		cfg.Arch = cfg.Arch.generalised()
 		jobs[i] = engine.Job[Result]{
 			Key: engine.Fingerprint("microarch.simulate", fp, cfg),
 			Run: func(context.Context, *rand.Rand) (Result, error) { return Simulate(c, cfg) },
 		}
 	}
-	return engine.Run(ctx, eng, jobs)
+	results, err := engine.Run(ctx, eng, jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range results {
+		results[i].Arch = cfgs[i].Arch
+	}
+	return results, nil
 }
 
 // DefaultBufferCaps returns the standard buffer-capacity sweep: powers of two

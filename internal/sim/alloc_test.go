@@ -143,23 +143,30 @@ func TestResetKeepsCapacityAndSemantics(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "a", 2)
 	r.Put(2)
+	acquire(r, 1, func() {})
 	r.Reset(k, "b", 5)
-	if r.Name != "b" || r.level != 0 || r.produced != 0 || r.HighWater() != 0 {
+	if r.Name != "b" || r.level != 0 || r.Consumed() != 0 || r.HighWater() != 0 {
 		t.Fatalf("reset resource carries old state: %+v", r)
 	}
 	if got := r.Put(10); got != 5 {
 		t.Fatalf("reset resource accepted %v, want the new capacity 5", got)
 	}
 
+	// Stall a producer on the full buffer, then reset it mid-stall.
 	p, err := newProducer(k, "p", r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
+	at(k, 3.5, PriorityNormal, k.Stop)
+	k.Run()
+	if p.StallTime() == 0 {
+		t.Fatal("producer did not stall on the full buffer")
+	}
 	if err := p.Reset(k, "p2", r, 2); err != nil {
 		t.Fatal(err)
 	}
-	if p.emitted != 0 || p.StallTime() != 0 || p.Name != "p2" {
+	if p.held != 0 || p.stalled || p.StallTime() != 0 || p.Name != "p2" {
 		t.Fatalf("reset producer carries old state: %+v", p)
 	}
 	if err := p.Reset(k, "bad", r, 0); err == nil {
@@ -236,7 +243,10 @@ func (c *consumer) Fire(idx int) {
 
 // A lane that never drains — its producer and its consumer always have an
 // event pending on it — must reuse its ring, not grow with every event: a
-// run ten times longer ends with the same lane capacity.
+// run ten times longer ends with the same lane capacity.  Every tick here is
+// queued, none fires in place: when a tick fires, the consumer's draw at the
+// same time is still queued behind it on the lane, so the next tick is never
+// the next event popped.
 func TestProducerLaneCapacityIsSteady(t *testing.T) {
 	capacity := func(ticks int) (int, int) {
 		k := NewKernel()
@@ -250,8 +260,9 @@ func TestProducerLaneCapacityIsSteady(t *testing.T) {
 		c.Start()
 		at(k, iontrap.Microseconds(ticks)+0.5, PriorityNormal, k.Stop)
 		k.Run()
-		if p.emitted != float64(ticks) || c.grants != ticks {
-			t.Fatalf("%d µs: emitted %v and granted %d, want %d each", ticks, p.emitted, c.grants, ticks)
+		if r.Consumed() != float64(ticks) || r.level != 0 || c.grants != ticks {
+			t.Fatalf("%d µs: consumed %v with %v left buffered in %d grants, want %d units in %d grants",
+				ticks, r.Consumed(), r.level, c.grants, ticks, ticks)
 		}
 		total := 0
 		for _, l := range k.lanes {

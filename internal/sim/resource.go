@@ -57,7 +57,6 @@ func (s *FluidSource) AvailableAt(n float64) float64 {
 // exist, so a demand larger than the buffer capacity still completes).
 type request struct {
 	remaining float64
-	since     iontrap.Microseconds
 	h         HandlerID
 	idx       int
 }
@@ -87,10 +86,8 @@ type Resource struct {
 	waiters  []waiter // producers blocked on a full buffer
 	spare    []waiter // the other waiter array, swapped in while one fires
 
-	produced  float64
 	consumed  float64
 	highWater float64
-	waitUs    iontrap.Microseconds
 }
 
 // NewResource builds a buffer with the given capacity; capacity <= 0 means
@@ -120,7 +117,7 @@ func (r *Resource) AcquireFire(n float64, h HandlerID, idx int) {
 		m := copy(r.pending, r.pending[r.head:])
 		r.pending, r.head = r.pending[:m], 0
 	}
-	r.pending = append(r.pending, request{remaining: n, since: r.k.Now(), h: h, idx: idx})
+	r.pending = append(r.pending, request{remaining: n, h: h, idx: idx})
 	r.drain()
 }
 
@@ -159,7 +156,6 @@ func (r *Resource) Put(n float64) float64 {
 			r.highWater = r.level
 		}
 	}
-	r.produced += accepted
 	return accepted
 }
 
@@ -174,7 +170,6 @@ func (r *Resource) deliver(take float64) {
 		if r.head++; r.head == len(r.pending) {
 			r.pending, r.head = r.pending[:0], 0
 		}
-		r.waitUs += r.k.Now() - done.since
 		r.k.AtFire(r.k.Now(), PriorityNormal, done.h, done.idx)
 	}
 }
@@ -245,7 +240,9 @@ func (r *Resource) Reset(k *Kernel, name string, capacity float64) {
 // ancilla factory's output side: with one ancilla every 1/rate
 // microseconds, the k-th ancilla is ready at k/rate — the discrete
 // counterpart of FluidSource — but unlike the fluid model production stops
-// when there is nowhere to put the product.
+// when there is nowhere to put the product.  Each completion is one kernel
+// event; through stretches where nothing else is due, the next one fires in
+// place instead of through the queue (see tick).
 type Producer struct {
 	// Name labels the producer in diagnostics.
 	Name string
@@ -259,7 +256,6 @@ type Producer struct {
 	stalled   bool
 	stalledAt iontrap.Microseconds
 	stallUs   iontrap.Microseconds
-	emitted   float64
 	halted    bool
 }
 
@@ -328,19 +324,29 @@ func (p *Producer) StallTime() iontrap.Microseconds {
 	return p.stallUs
 }
 
-// tick is one production completion.
+// tick is one production completion, and the ones after it that fire in
+// place: while a completion schedules nothing (its unit went to the buffer,
+// not to a waiting request) and the next one would be the next event the
+// kernel fires anyway, that one fires here without a trip through the
+// queue (Kernel.fireInPlace).  Otherwise the next completion is queued.
 func (p *Producer) tick() {
-	if p.halted {
-		return
+	for !p.halted {
+		seq := p.k.seq
+		p.held++
+		if !p.deposit() {
+			return
+		}
+		if p.k.seq != seq || !p.k.fireInPlace(p.interval) {
+			p.k.AfterFire(p.interval, PriorityNormal, p.id, producerTick)
+			return
+		}
 	}
-	p.emitted++
-	p.held++
-	p.flush()
 }
 
-// flush deposits held product; if the buffer rejects part of it the producer
-// stalls until space frees, otherwise the next completion is scheduled.
-func (p *Producer) flush() {
+// deposit puts held product into the buffer and reports whether all of it
+// went in; if the buffer rejects part of it the producer stalls until space
+// frees.
+func (p *Producer) deposit() bool {
 	p.held -= p.out.Put(p.held)
 	if p.held > grantEps {
 		if !p.stalled {
@@ -348,20 +354,21 @@ func (p *Producer) flush() {
 			p.stalledAt = p.k.Now()
 		}
 		p.out.OnSpaceFire(p.id, producerWake)
-		return
+		return false
 	}
 	p.held = 0
 	if p.stalled {
 		p.stalled = false
 		p.stallUs += p.k.Now() - p.stalledAt
 	}
-	p.k.AfterFire(p.interval, PriorityNormal, p.id, producerTick)
+	return true
 }
 
-// wake retries the deposit after space freed up.
+// wake retries the deposit after space freed up and, once it goes in,
+// queues the next completion.  A wake fires inside another handler's event
+// (the drain of a consumer's request), so that completion is always queued.
 func (p *Producer) wake() {
-	if p.halted {
-		return
+	if !p.halted && p.deposit() {
+		p.k.AfterFire(p.interval, PriorityNormal, p.id, producerTick)
 	}
-	p.flush()
 }

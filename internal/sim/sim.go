@@ -12,7 +12,9 @@
 // computed times: gate completions, network arrivals, faults and horizons.
 // A queued event is 32 bytes of plain data: its time, one key packing its
 // priority and insertion sequence, its payload, and the ID of its handler in
-// the run's handler table (Kernel.Handle).
+// the run's handler table (Kernel.Handle).  A producer's next tick skips the
+// queue when it would be the next event fired anyway: it fires in place,
+// under the key it would have had, so it counts in Stats all the same.
 //
 // The closed-form analyses of Sections 3-5 treat ancilla generation as an
 // infinitely buffered token bucket; this kernel removes that assumption so
@@ -98,8 +100,8 @@ func (e *event) before(o *event) bool {
 // zero.  The clock never runs backwards and adding a fixed delay in floating
 // point is monotone, so the events arrive in before order and the head is
 // the lane's earliest.  The events sit in a ring whose length is a power of
-// two, so a lane that never drains (a producer always has a tick pending)
-// reuses its slots instead of growing.
+// two, so a lane that never drains (a producer whose ticks keep meeting
+// other events) reuses its slots instead of growing.
 type lane struct {
 	delay iontrap.Microseconds
 	pri   Priority
@@ -147,7 +149,10 @@ type Stats struct {
 // opens a handful of lanes (one per producer rate, and one per priority for
 // same-time events), so a linear scan over their heads is enough.  Events
 // name their handlers by index into the run's handler table, which Reset
-// clears.
+// clears.  An event a handler schedules as its last act, when it would be
+// the next one popped, may fire in place instead (fireInPlace): producers
+// tick that way through stretches where nothing else is due, so a producer
+// does not always have a tick queued.
 type Kernel struct {
 	now      iontrap.Microseconds
 	seq      uint64
@@ -232,6 +237,36 @@ func (k *Kernel) lane(d iontrap.Microseconds, pri Priority) *lane {
 	l := &k.lanes[len(k.lanes)-1]
 	l.delay, l.pri = d, pri
 	return l
+}
+
+// fireInPlace reports whether an event scheduled now, d microseconds ahead
+// at normal priority, would be the very next event Run fires: the run is
+// not stopped, d is a non-negative number, and the event, with the key the
+// next insertion number gives it, is before the heap top and every lane
+// head.  If so it fires the event here instead: it takes the insertion
+// number and sets the clock and Stats as Run would, and the caller then does
+// what the event's handler would do.  The caller must be the handler of the
+// event Run fired last, at the end of its Fire, where Run would pop next.
+// Since the event fired is the one Run would pop, under the same key, the
+// fired order, Stats and every output are those of queueing it.
+func (k *Kernel) fireInPlace(d iontrap.Microseconds) bool {
+	if k.stopped || !(d >= 0) {
+		return false
+	}
+	e := event{at: k.now + d, key: orderKey(PriorityNormal, k.seq)}
+	if len(k.heap) > 0 && !e.before(&k.heap[0]) {
+		return false
+	}
+	for i := range k.lanes {
+		if l := &k.lanes[i]; l.n > 0 && !e.before(&l.ring[l.head]) {
+			return false
+		}
+	}
+	k.seq++
+	k.now = e.at
+	k.stats.Events++
+	k.stats.End = e.at
+	return true
 }
 
 // Stop halts the run after the current event; remaining events are dropped.

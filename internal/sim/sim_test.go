@@ -148,9 +148,10 @@ func TestResourceGrantsFIFO(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "anc", 0) // unbounded
 	var grants []string
+	var times []iontrap.Microseconds
 	at(k, 0, PriorityNormal, func() {
-		acquire(r, 2, func() { grants = append(grants, "first") })
-		acquire(r, 1, func() { grants = append(grants, "second") })
+		acquire(r, 2, func() { grants = append(grants, "first"); times = append(times, k.Now()) })
+		acquire(r, 1, func() { grants = append(grants, "second"); times = append(times, k.Now()) })
 	})
 	at(k, 5, PriorityNormal, func() { r.Put(2) })  // completes only the first
 	at(k, 10, PriorityNormal, func() { r.Put(5) }) // completes the second, rest buffered
@@ -158,15 +159,14 @@ func TestResourceGrantsFIFO(t *testing.T) {
 	if len(grants) != 2 || grants[0] != "first" || grants[1] != "second" {
 		t.Fatalf("grants = %v", grants)
 	}
-	if r.level != 4 {
-		t.Errorf("leftover level = %v, want 4", r.level)
+	// Both requests were made at t=0: the first waited until t=5, the
+	// second until t=10.
+	if times[0] != 5 || times[1] != 10 {
+		t.Errorf("granted at %v, want [5 10]", times)
 	}
-	if r.consumed != 3 || r.produced != 7 {
-		t.Errorf("consumed %v / produced %v, want 3 / 7", r.consumed, r.produced)
-	}
-	// The first request waited from t=0 to t=5, the second to t=10.
-	if r.waitUs != 15 {
-		t.Errorf("wait time = %v, want 15", r.waitUs)
+	// Of the 7 units put, 3 went to the requests and 4 stay buffered.
+	if r.Consumed() != 3 || r.level != 4 {
+		t.Errorf("consumed %v with %v left buffered, want 3 and 4", r.Consumed(), r.level)
 	}
 }
 
@@ -216,8 +216,10 @@ func TestProducerStallsOnFullBuffer(t *testing.T) {
 	if level != 3 {
 		t.Errorf("level at t=20 = %v, want refilled to capacity 3", level)
 	}
-	if p.emitted < 5 {
-		t.Errorf("emitted = %v, want production to have resumed", p.emitted)
+	// Refilled after the consumer took 2: production resumed past the
+	// first 3 units.
+	if got := r.Consumed() + level; got != 5 {
+		t.Errorf("deposited %v units, want 5: production should have resumed", got)
 	}
 }
 
