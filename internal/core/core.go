@@ -95,15 +95,18 @@ func (a Analysis) Speedup() float64 { return a.Characterization.Speedup() }
 
 // Analyze performs the full analysis of a logical circuit.
 func Analyze(c *quantum.Circuit, opts Options) (Analysis, error) {
-	if opts.TileQubits <= 0 {
-		return Analysis{}, fmt.Errorf("core: tile size must be positive, got %d", opts.TileQubits)
-	}
-	if err := opts.Latency.Validate(); err != nil {
-		return Analysis{}, err
-	}
 	ch, err := schedule.Characterize(c, opts.Latency)
 	if err != nil {
 		return Analysis{}, err
+	}
+	return analyzeCharacterized(c, ch, opts)
+}
+
+// analyzeCharacterized is the part of Analyze that follows
+// characterization: factory sizing, the Table 9 row and the Qalypso plan.
+func analyzeCharacterized(c *quantum.Circuit, ch schedule.Characterization, opts Options) (Analysis, error) {
+	if opts.TileQubits <= 0 {
+		return Analysis{}, fmt.Errorf("core: tile size must be positive, got %d", opts.TileQubits)
 	}
 	zero := factory.PipelinedZeroFactory(opts.Tech)
 	pi8 := factory.Pi8Factory(opts.Tech)
@@ -147,18 +150,24 @@ func AnalyzeBenchmark(b circuits.Benchmark, bits int, opts Options) (Analysis, e
 	return Analyze(c, opts)
 }
 
-// AnalyzeAllBenchmarksEngine analyses the paper's three kernels at the given
-// width (32 in the paper) through the experiment engine, one job per kernel,
-// in benchmark order.
-func AnalyzeAllBenchmarksEngine(ctx context.Context, eng *engine.Engine, bits int, opts Options) ([]Analysis, error) {
-	benchmarks := circuits.Benchmarks()
-	jobs := make([]engine.Job[Analysis], len(benchmarks))
-	for i, b := range benchmarks {
-		b := b
+// AnalyzeBenchmarksEngine analyses the given kernels at the given width (32
+// in the paper) through the experiment engine, one core.analyze job per
+// kernel, in argument order.  Each job analyses the circuit and
+// characterization of the circuits.generate and schedule.characterize jobs
+// Tables 2 and 3 run, so every experiment on one engine generates and
+// characterizes each kernel once.
+func AnalyzeBenchmarksEngine(ctx context.Context, eng *engine.Engine, bits int, opts Options, bs ...circuits.Benchmark) ([]Analysis, error) {
+	jobs := make([]engine.Job[Analysis], len(bs))
+	for i, b := range bs {
 		jobs[i] = engine.Job[Analysis]{
 			Key: engine.Fingerprint("core.analyze", b, bits, opts.Tech, opts.Latency, opts.TileQubits),
-			Run: func(context.Context, *rand.Rand) (Analysis, error) {
-				return AnalyzeBenchmark(b, bits, opts)
+			Run: func(ctx context.Context, _ *rand.Rand) (Analysis, error) {
+				e := Experiments{Options: opts, Bits: bits, Engine: eng, Ctx: ctx}
+				c, ch, err := e.characterizedBenchmark(b)
+				if err != nil {
+					return Analysis{}, err
+				}
+				return analyzeCharacterized(c, ch, opts)
 			},
 		}
 	}

@@ -56,7 +56,7 @@ func TestAnalyzeBenchmarkQRCA(t *testing.T) {
 }
 
 func TestAnalyzeAllBenchmarksShape(t *testing.T) {
-	analyses, err := AnalyzeAllBenchmarksEngine(context.Background(), nil, 16, DefaultOptions())
+	analyses, err := AnalyzeBenchmarksEngine(context.Background(), nil, 16, DefaultOptions(), circuits.Benchmarks()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,6 +489,80 @@ func TestFigure15ScenariosShareCells(t *testing.T) {
 		want, err := RunExperiment(alone, run.id, run.p)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s on its own engine differs from the shared one (%v)", run.id, err)
+		}
+	}
+}
+
+// Table 9 and the Shor estimate analyse the circuits and characterizations
+// of the circuits.generate and schedule.characterize jobs Tables 2 and 3
+// run: table9 alone on a fresh engine computes each kernel's two jobs once,
+// and after Table 2 on one engine, every analysis holds the very circuit
+// Table 2 generated and neither adds a generate or characterize job.
+func TestAnalysesShareCircuitsAndCharacterizations(t *testing.T) {
+	newExperiments := func() (Experiments, func(kind string) int64) {
+		e := NewExperiments()
+		e.Bits = 8
+		e.Engine = engine.New(1)
+		reg := obs.NewRegistry()
+		e.Engine.Instrument(reg)
+		return e, func(kind string) int64 {
+			return reg.Histogram("qsd_engine_job_seconds",
+				"Compute latency of engine jobs by kind.", obs.Labels{"kind": kind}).Count()
+		}
+	}
+	kinds := []string{"circuits.generate", "schedule.characterize"}
+
+	alone, computed := newExperiments()
+	if _, err := RunExperiment(alone, "table9", DefaultRunParams()); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range kinds {
+		if got := computed(kind); got != 3 {
+			t.Errorf("table9 alone computed %d %s jobs, want 3", got, kind)
+		}
+	}
+
+	e, computed := newExperiments()
+	for _, id := range []string{"table2", "table9", "shor"} {
+		if _, err := RunExperiment(e, id, DefaultRunParams()); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	benchmarks := circuits.Benchmarks()
+	cs, err := e.generate(e.ctx(), benchmarks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyses, err := AnalyzeBenchmarksEngine(e.ctx(), e.Engine, e.Bits, e.Options, benchmarks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ripple, lookahead, err := CompareShorAddersEngine(e.ctx(), e.Engine, e.Bits, e.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range kinds {
+		if got := computed(kind); got != 3 {
+			t.Errorf("table2, table9 and shor computed %d %s jobs, want 3", got, kind)
+		}
+	}
+	for i, b := range benchmarks {
+		if analyses[i].Circuit != cs[i] {
+			t.Errorf("Table 9 analysed another %s circuit than Table 2's", b)
+		}
+	}
+	for _, a := range []struct {
+		name string
+		got  *quantum.Circuit
+		want *quantum.Circuit
+	}{
+		{"ripple-carry adder", ripple.AdderAnalysis.Circuit, cs[0]},
+		{"carry-lookahead adder", lookahead.AdderAnalysis.Circuit, cs[1]},
+		{"ripple-carry QFT", ripple.QFTAnalysis.Circuit, cs[2]},
+		{"carry-lookahead QFT", lookahead.QFTAnalysis.Circuit, cs[2]},
+	} {
+		if a.got != a.want {
+			t.Errorf("Shor's %s analysis holds another circuit than Table 2's", a.name)
 		}
 	}
 }

@@ -136,7 +136,7 @@ func (e Experiments) FactoryDesigns() (simple factory.SimpleZeroFactory, zero, p
 
 // Table9 returns the per-benchmark chip area breakdown.
 func (e Experiments) Table9() ([]AreaBreakdown, error) {
-	analyses, err := AnalyzeAllBenchmarksEngine(e.ctx(), e.Engine, e.Bits, e.Options)
+	analyses, err := AnalyzeBenchmarksEngine(e.ctx(), e.Engine, e.Bits, e.Options, circuits.Benchmarks()...)
 	if err != nil {
 		return nil, err
 	}

@@ -78,8 +78,10 @@ func (s ShorEstimate) ExecutionTimeSeconds() float64 {
 
 // EstimateShor estimates the resources needed to run Shor's algorithm on an
 // n-bit modulus with the chosen adder kernel, under the library's
-// speed-of-data execution model.
-func EstimateShor(bits int, adder ShorAdder, opts Options) (ShorEstimate, error) {
+// speed-of-data execution model.  It analyses the adder and the QFT through
+// eng (see AnalyzeBenchmarksEngine), so on one engine it shares their
+// circuits, characterizations and analyses with Tables 2, 3 and 9.
+func EstimateShor(ctx context.Context, eng *engine.Engine, bits int, adder ShorAdder, opts Options) (ShorEstimate, error) {
 	if bits < 2 {
 		return ShorEstimate{}, requestErrorf("core: Shor estimate needs a modulus of at least 2 bits, got %d", bits)
 	}
@@ -93,14 +95,11 @@ func EstimateShor(bits int, adder ShorAdder, opts Options) (ShorEstimate, error)
 		return ShorEstimate{}, fmt.Errorf("core: unknown adder kind %v", adder)
 	}
 
-	adderAnalysis, err := AnalyzeBenchmark(adderKind, bits, opts)
+	analyses, err := AnalyzeBenchmarksEngine(ctx, eng, bits, opts, adderKind, circuits.QFT)
 	if err != nil {
 		return ShorEstimate{}, err
 	}
-	qftAnalysis, err := AnalyzeBenchmark(circuits.QFT, bits, opts)
-	if err != nil {
-		return ShorEstimate{}, err
-	}
+	adderAnalysis, qftAnalysis := analyses[0], analyses[1]
 
 	// Modular exponentiation: 2n controlled multiplications, each of about
 	// 2n modular additions, each modular addition costing roughly one adder
@@ -149,8 +148,8 @@ func CompareShorAddersEngine(ctx context.Context, eng *engine.Engine, bits int, 
 		a := a
 		jobs[i] = engine.Job[ShorEstimate]{
 			Key: engine.Fingerprint("core.shor", a, bits, opts.Tech, opts.Latency, opts.TileQubits),
-			Run: func(context.Context, *rand.Rand) (ShorEstimate, error) {
-				return EstimateShor(bits, a, opts)
+			Run: func(ctx context.Context, _ *rand.Rand) (ShorEstimate, error) {
+				return EstimateShor(ctx, eng, bits, a, opts)
 			},
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestEstimateShorBasics(t *testing.T) {
 	opts := DefaultOptions()
-	est, err := EstimateShor(16, ShorRippleCarry, opts)
+	est, err := EstimateShor(context.Background(), nil, 16, ShorRippleCarry, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +43,10 @@ func TestEstimateShorBasics(t *testing.T) {
 
 func TestEstimateShorErrors(t *testing.T) {
 	opts := DefaultOptions()
-	if _, err := EstimateShor(1, ShorRippleCarry, opts); err == nil {
+	if _, err := EstimateShor(context.Background(), nil, 1, ShorRippleCarry, opts); err == nil {
 		t.Error("1-bit modulus should be rejected")
 	}
-	if _, err := EstimateShor(8, ShorAdder(99), opts); err == nil {
+	if _, err := EstimateShor(context.Background(), nil, 8, ShorAdder(99), opts); err == nil {
 		t.Error("unknown adder should be rejected")
 	}
 	if ShorAdder(99).String() == "" {
@@ -86,7 +86,7 @@ func TestShorScalingProperty(t *testing.T) {
 		if e, ok := cache[bits]; ok {
 			return e
 		}
-		e, err := EstimateShor(bits, ShorRippleCarry, opts)
+		e, err := EstimateShor(context.Background(), nil, bits, ShorRippleCarry, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

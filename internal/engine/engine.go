@@ -416,6 +416,28 @@ func SeedFor(base int64, key string) int64 {
 	return int64(h.Sum64())
 }
 
+// lazySource is math/rand's default Source, built from seed on its first
+// draw.  Seeding that source fills a 607-word state vector, which costs far
+// more than most jobs, and only the Monte Carlo chunks ever draw; so a job
+// that never draws never pays for its stream, and one that does sees
+// exactly the values rand.NewSource(seed) would give.  Seed starts over the
+// same way.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.source().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+
 // Fingerprint joins the %v renderings of its arguments with '|' into a job
 // key.  Callers must include every input the job's result depends on.
 //
@@ -561,7 +583,7 @@ func Run[R any](ctx context.Context, e *Engine, jobs []Job[R]) ([]R, error) {
 								fmt.Errorf("engine: job %q panicked", job.Key))
 						}
 					}()
-					v, err = job.Run(jobCtx, rand.New(rand.NewSource(seed)))
+					v, err = job.Run(jobCtx, rand.New(&lazySource{seed: seed}))
 					if err == nil {
 						e.cachePut(job.Key, v)
 					}
@@ -570,7 +592,7 @@ func Run[R any](ctx context.Context, e *Engine, jobs []Job[R]) ([]R, error) {
 				}()
 			} else {
 				e.jobStart()
-				v, err = job.Run(jobCtx, rand.New(rand.NewSource(seed)))
+				v, err = job.Run(jobCtx, rand.New(&lazySource{seed: seed}))
 				e.jobEnd()
 				if err == nil {
 					e.cachePut(job.Key, v)

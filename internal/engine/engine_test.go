@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -192,6 +193,47 @@ func TestSeedForIsStable(t *testing.T) {
 	}
 	if a == SeedFor(1, "other") {
 		t.Fatal("SeedFor must depend on the key")
+	}
+}
+
+// A job's rng builds its source on the first draw, yet must give exactly
+// the values of rand.NewSource(SeedFor(0, key)): through Int63, Uint64,
+// Float64 and Intn, whichever draws first, and again after Seed.  The
+// compiled Monte Carlo captures its stream through Uint64, and the dense
+// goldens rest on this stream.
+func TestJobRNGMatchesMathRand(t *testing.T) {
+	draw := func(r *rand.Rand) []uint64 {
+		var out []uint64
+		for round, seed := range []int64{7, -3, 1 << 40} {
+			for i := 0; i < 700; i++ {
+				switch (i + round) % 4 {
+				case 0:
+					out = append(out, uint64(r.Int63()))
+				case 1:
+					out = append(out, r.Uint64())
+				case 2:
+					out = append(out, math.Float64bits(r.Float64()))
+				default:
+					out = append(out, uint64(r.Intn(1+i*i)))
+				}
+			}
+			r.Seed(seed)
+		}
+		return out
+	}
+	const key = "rng-stream"
+	got, err := Run(context.Background(), New(1), []Job[[]uint64]{{
+		Key: key,
+		Run: func(_ context.Context, rng *rand.Rand) ([]uint64, error) { return draw(rng), nil },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := draw(rand.New(rand.NewSource(SeedFor(0, key))))
+	for i := range want {
+		if got[0][i] != want[i] {
+			t.Fatalf("draw %d: job rng gave %d, math/rand %d", i, got[0][i], want[i])
+		}
 	}
 }
 

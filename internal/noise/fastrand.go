@@ -101,6 +101,14 @@ func (r *lfRand) gen() int64 {
 // the bounds checks of both loads and the store.  Where the two windows
 // overlap (a segment longer than lfTap), the tap reads a value the same
 // segment wrote lfTap steps earlier, as the scalar step would.
+//
+// The segment loop is unrolled four ways, with a scalar tail for the last
+// m mod 4 values.  Each turn still computes, stores and tests one value
+// before the next, in stream order, so a turn stops exactly where the
+// scalar loop would.  Every exit leaves by index and the value is read
+// back from fv[i] after the loop: were the stopping value live on an exit,
+// the compiler would spill each one to a stack slot, a second store per
+// value.
 func (r *lfRand) scan(n int, lo, hi uint64) (k int, v int64) {
 	width := hi - lo
 	t, f := r.tap, r.feed
@@ -114,15 +122,44 @@ func (r *lfRand) scan(n int, lo, hi uint64) (k int, v int64) {
 		m := min(n-k, t, f)
 		fv := r.vec[f-m : f]
 		tv := r.vec[t-m : t][:len(fv)] // the same length, stated for the compiler
-		for i := len(fv) - 1; i >= 0; i-- {
+		i := len(fv) - 1
+		for ; i >= 3; i -= 4 {
 			x := fv[i] + tv[i]
 			fv[i] = x
 			if uint64(x&lfMask)-lo >= width {
-				r.tap, r.feed = t-m+i, f-m+i
-				return k + len(fv) - 1 - i, x & lfMask
+				goto stop
+			}
+			x = fv[i-1] + tv[i-1]
+			fv[i-1] = x
+			if uint64(x&lfMask)-lo >= width {
+				i -= 1
+				goto stop
+			}
+			x = fv[i-2] + tv[i-2]
+			fv[i-2] = x
+			if uint64(x&lfMask)-lo >= width {
+				i -= 2
+				goto stop
+			}
+			x = fv[i-3] + tv[i-3]
+			fv[i-3] = x
+			if uint64(x&lfMask)-lo >= width {
+				i -= 3
+				goto stop
+			}
+		}
+		for ; i >= 0; i-- {
+			x := fv[i] + tv[i]
+			fv[i] = x
+			if uint64(x&lfMask)-lo >= width {
+				goto stop
 			}
 		}
 		t, f, k = t-m, f-m, k+m
+		continue
+	stop:
+		r.tap, r.feed = t-m+i, f-m+i
+		return k + len(fv) - 1 - i, fv[i] & lfMask
 	}
 	r.tap, r.feed = t, f
 	return n, 0
