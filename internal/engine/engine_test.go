@@ -184,20 +184,17 @@ func TestFirstErrorCancelsBatch(t *testing.T) {
 }
 
 func TestSeedForIsStable(t *testing.T) {
-	a := SeedFor(1, "key")
-	if a != SeedFor(1, "key") {
+	a := SeedFor("key")
+	if a != SeedFor("key") {
 		t.Fatal("SeedFor must be deterministic")
 	}
-	if a == SeedFor(2, "key") {
-		t.Fatal("SeedFor must depend on the base seed")
-	}
-	if a == SeedFor(1, "other") {
+	if a == SeedFor("other") {
 		t.Fatal("SeedFor must depend on the key")
 	}
 }
 
 // A job's rng builds its source on the first draw, yet must give exactly
-// the values of rand.NewSource(SeedFor(0, key)): through Int63, Uint64,
+// the values of rand.NewSource(SeedFor(key)): through Int63, Uint64,
 // Float64 and Intn, whichever draws first, and again after Seed.  The
 // compiled Monte Carlo captures its stream through Uint64, and the dense
 // goldens rest on this stream.
@@ -229,7 +226,7 @@ func TestJobRNGMatchesMathRand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := draw(rand.New(rand.NewSource(SeedFor(0, key))))
+	want := draw(rand.New(rand.NewSource(SeedFor(key))))
 	for i := range want {
 		if got[0][i] != want[i] {
 			t.Fatalf("draw %d: job rng gave %d, math/rand %d", i, got[0][i], want[i])

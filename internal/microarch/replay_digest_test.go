@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"speedofdata/internal/iontrap"
 	"speedofdata/internal/network"
 	"speedofdata/internal/quantum"
 	"speedofdata/internal/schedule"
@@ -24,11 +23,11 @@ var updateDigest = flag.Bool("update", false, "rewrite testdata/replay_digest.tx
 // faulted runs.  It replays a fixed, seeded set of random small
 // configurations — buffered Simulate, buffered multi-circuit
 // schedule.ReplayShared, and network.ReplayShared with finite link buffers
-// under no faults, static faults, faults scheduled mid-run and partitioning
-// faults — and compares the SHA-256 of every %+v result and error string
-// (events, stalls, high-water marks, link and fault statistics) with the
-// committed digest.  Run it with -update only for a change meant to alter
-// these replays.
+// under no faults, random dead and degraded links, a degraded link beside a
+// dead physical link, and partitioning faults — and compares the SHA-256 of
+// every %+v result and error string (events, stalls, high-water marks, link
+// and fault statistics) with the committed digest.  Run it with -update
+// only for a change meant to alter these replays.
 func TestReplayDigest(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	h := sha256.New()
@@ -93,9 +92,9 @@ func digestSchedule(rng *rand.Rand, h io.Writer) {
 }
 
 // digestNetwork hashes routed-mesh replays with finite link buffers under
-// four fault plans: none; static dead and degraded links; a link degrading
-// and then a physical link (both directions) dying mid-run; and every link
-// dead, which partitions any mesh with cross-tile traffic.
+// four fault plans: none; random dead and degraded links; one link degraded
+// and one physical link (both directions) dead; and every link dead, which
+// partitions any mesh with cross-tile traffic.
 func digestNetwork(t *testing.T, rng *rand.Rand, h io.Writer) {
 	m := schedule.DefaultLatencyModel()
 	for i := 0; i < 64; i++ {
@@ -122,16 +121,11 @@ func digestNetwork(t *testing.T, rng *rand.Rand, h io.Writer) {
 				}
 			}
 		case mode == 2:
-			clean, err := network.ReplayShared(cs, cfg)
-			if err != nil {
-				t.Fatalf("network %d: %v", i, err)
-			}
-			at := clean.Makespan * iontrap.Microseconds(0.05+0.7*rng.Float64())
 			slow, dead := links[rng.Intn(len(links))], links[rng.Intn(len(links))]
 			cfg.Faults = network.FaultPlan{
-				{Link: slow, At: at / 2, RateFactor: 0.1 + 0.8*rng.Float64()},
-				{Link: dead, At: at, Dead: true},
-				{Link: network.Link{From: dead.To, To: dead.From}, At: at, Dead: true},
+				{Link: slow, RateFactor: 0.1 + 0.8*rng.Float64()},
+				{Link: dead, Dead: true},
+				{Link: network.Link{From: dead.To, To: dead.From}, Dead: true},
 			}
 		default:
 			for _, l := range links {

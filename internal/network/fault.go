@@ -3,9 +3,6 @@ package network
 import (
 	"errors"
 	"fmt"
-	"math"
-
-	"speedofdata/internal/iontrap"
 )
 
 // ErrPartitioned reports that link failures disconnected the mesh: some
@@ -15,19 +12,13 @@ import (
 var ErrPartitioned = errors.New("network: mesh partitioned by link failures")
 
 // LinkFault is one injected interconnect fault: a directed link either dies
-// outright or has its EPR-pair generation rate degraded.
+// outright or has its EPR-pair generation rate degraded.  Faults are static:
+// they shape the link before the replay's first event.
 type LinkFault struct {
 	// Link is the directed channel the fault strikes.
 	Link Link
-	// At is the kernel timestamp (microseconds into the replay) at which
-	// the fault strikes; zero applies it before the run starts (a static
-	// fault).  Scheduled faults fire as ordinary kernel events, so their
-	// interleaving with the workload is deterministic.
-	At iontrap.Microseconds
-	// Dead kills the link: its generator halts, buffered pairs are
-	// stranded, and every route is re-resolved around it.  Teleports
-	// already granted a pair on the link still cross (the last pair out);
-	// teleports queued on it re-route.
+	// Dead kills the link: its generator never starts, its channel stays
+	// empty, and every route is resolved around it.
 	Dead bool
 	// RateFactor in (0, 1) scales the link's EPR generation rate for a
 	// degradation fault (ignored when Dead).
@@ -35,8 +26,10 @@ type LinkFault struct {
 }
 
 // FaultPlan is a deterministic set of link faults injected into one replay
-// through Config.Faults.  The empty plan is the pristine mesh and replays
-// byte-identically to a config without one.
+// through Config.Faults.  Entries on one link combine: a dead entry wins over
+// every degradation in either order, and among degradations the last factor
+// wins.  The empty plan is the pristine mesh and replays byte-identically to
+// a config without one.
 type FaultPlan []LinkFault
 
 // Validate rejects plans no replay on the given topology can apply.
@@ -47,9 +40,6 @@ func (p FaultPlan) Validate(topo Topology) error {
 		if from < 0 || from >= n || to < 0 || to >= n || topo.HopDistance(from, to) != 1 {
 			return fmt.Errorf("network: fault %d targets %s, not a link of the %dx%d mesh (%d tiles)",
 				i, f.Link, topo.Cols, topo.Rows, n)
-		}
-		if f.At < 0 || math.IsInf(float64(f.At), 0) || math.IsNaN(float64(f.At)) {
-			return fmt.Errorf("network: fault %d on %s at non-physical time %v", i, f.Link, f.At)
 		}
 		if !f.Dead && !(f.RateFactor > 0 && f.RateFactor < 1) {
 			return fmt.Errorf("network: fault %d on %s: degradation rate factor %v must be in (0, 1)",
@@ -64,17 +54,13 @@ func (p FaultPlan) Validate(topo Topology) error {
 // waiting the injected faults caused.  A zero-fault replay reports the zero
 // value.
 type FaultStats struct {
-	// FailedLinks and DegradedLinks count the directed links each fault
-	// kind actually struck during the run.
+	// FailedLinks and DegradedLinks count the distinct directed links the
+	// plan kills and degrades; a link that is both counts as failed only.
 	FailedLinks   int
 	DegradedLinks int
 	// Reroutes counts teleports launched on a route that deviates from the
 	// fault-free dimension-order choice.
 	Reroutes int
-	// InFlightReroutes counts teleports re-resolved mid-flight: they were
-	// queued on (or headed for) a link when it died and found a new path
-	// from where they stood.
-	InFlightReroutes int
 	// DetourHops is the extra link traversals beyond the Manhattan
 	// distance, summed over rerouted teleports.
 	DetourHops int

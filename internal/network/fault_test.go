@@ -3,13 +3,11 @@ package network
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
 	"speedofdata/internal/circuits"
 	"speedofdata/internal/engine"
-	"speedofdata/internal/iontrap"
 	"speedofdata/internal/quantum"
 	"speedofdata/internal/schedule"
 )
@@ -39,20 +37,6 @@ func testMesh(t *testing.T, b circuits.Benchmark, tiles int) (*quantum.Circuit, 
 func deadBisection(topo Topology) FaultPlan {
 	b, _ := BisectionBoundary(topo)
 	return FaultPlan{{Link: b[0], Dead: true}, {Link: b[1], Dead: true}}
-}
-
-// trimHist drops the trailing zeros of every hop histogram in place: a
-// faulted replay sizes the histogram for the worst detour (TileCount-1)
-// even when no detour happens, so comparisons against fault-free runs
-// normalise the length first.
-func trimHist(run *ReplayRun) {
-	for i := range run.Results {
-		h := run.Results[i].HopHistogram
-		for len(h) > 0 && h[len(h)-1] == 0 {
-			h = h[:len(h)-1]
-		}
-		run.Results[i].HopHistogram = h
-	}
 }
 
 // The parity anchor of the fault layer: an absent plan and an empty plan
@@ -90,36 +74,6 @@ func TestZeroFaultPlanByteIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Error("shared replay: empty fault plan diverged from absent plan")
-	}
-}
-
-// A fault scheduled past the makespan never applies: the kernel stops when
-// the workload completes, so the run matches the fault-free one in every
-// field but the histogram sizing.
-func TestScheduledFaultBeyondMakespanIsInert(t *testing.T) {
-	c, mesh := testMesh(t, circuits.QCLA, 4)
-	cfg := mesh.Config
-	clean, err := Replay(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundary, ok := BisectionBoundary(NewTopology(len(cfg.Machine.Tiles)))
-	if !ok {
-		t.Fatal("no bisection boundary on a 4-tile mesh")
-	}
-	cfg.Faults = FaultPlan{{Link: boundary[0], At: clean.Makespan * 1000, Dead: true}}
-	late, err := Replay(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if late.Faults != (FaultStats{}) {
-		t.Errorf("unapplied fault left stats %+v", late.Faults)
-	}
-	trimHist(&clean)
-	trimHist(&late)
-	clean.Faults = late.Faults
-	if !reflect.DeepEqual(clean, late) {
-		t.Errorf("fault beyond makespan changed the replay:\n got %+v\nwant %+v", late, clean)
 	}
 }
 
@@ -164,41 +118,48 @@ func TestDeadBisectionLinkReroutesAndCompletes(t *testing.T) {
 	}
 }
 
-// A fault striking mid-run re-resolves cached routes and re-paths teleports
-// queued on the dying link instead of hanging the replay.
-func TestScheduledMidRunFaultReroutes(t *testing.T) {
+// Entries on one link combine as FaultPlan documents: a dead entry wins
+// over a degradation in either order, and among degradations the last
+// factor wins.
+func TestFaultPlanEntriesOnOneLinkCombine(t *testing.T) {
 	c, mesh := testMesh(t, circuits.QCLA, 4)
 	cfg := mesh.Config
 	cfg.LinkEPRPerMs = mesh.LinkRate(1)
-	clean, err := Replay(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	boundary, _ := BisectionBoundary(mesh.Topology)
-	at := clean.Makespan / 2
-	cfg.Faults = FaultPlan{
-		{Link: boundary[0], At: at, Dead: true},
-		{Link: boundary[1], At: at, Dead: true},
+	l := boundary[0]
+	dead := LinkFault{Link: l, Dead: true}
+	half, quarter := LinkFault{Link: l, RateFactor: 0.5}, LinkFault{Link: l, RateFactor: 0.25}
+	replay := func(plan FaultPlan) ReplayRun {
+		t.Helper()
+		cfg.Faults = plan
+		run, err := Replay(c, cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", plan, err)
+		}
+		return run
 	}
-	run, err := Replay(c, cfg)
-	if err != nil {
-		t.Fatalf("mid-run dead link: %v", err)
+	for _, tc := range []struct {
+		name             string
+		plan, want       FaultPlan
+		failed, degraded int
+	}{
+		{"degrade then kill", FaultPlan{half, dead}, FaultPlan{dead}, 1, 0},
+		{"kill then degrade", FaultPlan{dead, half}, FaultPlan{dead}, 1, 0},
+		{"two degradations", FaultPlan{half, quarter}, FaultPlan{quarter}, 0, 1},
+	} {
+		got, want := replay(tc.plan), replay(tc.want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %+v replayed unlike %+v:\n got %+v\nwant %+v", tc.name, tc.plan, tc.want, got, want)
+		}
+		if got.Faults.FailedLinks != tc.failed || got.Faults.DegradedLinks != tc.degraded {
+			t.Errorf("%s: %d failed and %d degraded links, want %d and %d",
+				tc.name, got.Faults.FailedLinks, got.Faults.DegradedLinks, tc.failed, tc.degraded)
+		}
 	}
-	if run.Faults.FailedLinks != 2 {
-		t.Errorf("failed links = %d, want 2", run.Faults.FailedLinks)
-	}
-	if run.Faults.Reroutes+run.Faults.InFlightReroutes == 0 {
-		t.Error("mid-run link death caused no reroutes at all")
-	}
-	if run.Makespan < clean.Makespan-1e-6 {
-		t.Errorf("mid-run fault sped the replay up: %v < %v", run.Makespan, clean.Makespan)
-	}
-	again, err := Replay(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(run, again) {
-		t.Error("mid-run faulted replay is not deterministic")
+	// The link carries enough traffic that its factor shows, so the
+	// two-degradation row tells the last factor from the first.
+	if reflect.DeepEqual(replay(FaultPlan{half}), replay(FaultPlan{quarter})) {
+		t.Error("half and a quarter of the link's rate replayed alike")
 	}
 }
 
@@ -219,7 +180,7 @@ func TestDegradedLinksSlowButDoNotReroute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Faults.Reroutes != 0 || run.Faults.InFlightReroutes != 0 || run.Faults.FailedLinks != 0 {
+	if run.Faults.Reroutes != 0 || run.Faults.FailedLinks != 0 {
 		t.Errorf("degradation rerouted or failed links: %+v", run.Faults)
 	}
 	if run.Faults.DegradedLinks != len(topo.Links()) {
@@ -511,20 +472,18 @@ func TestFaultPlanValidate(t *testing.T) {
 	topo := NewTopology(4)
 	good := FaultPlan{
 		{Link: Link{0, 1}, Dead: true},
-		{Link: Link{1, 0}, At: 50, RateFactor: 0.5},
+		{Link: Link{1, 0}, RateFactor: 0.5},
 	}
 	if err := good.Validate(topo); err != nil {
 		t.Fatalf("good plan invalid: %v", err)
 	}
 	bad := []FaultPlan{
-		{{Link: Link{0, 3}, Dead: true}},                                            // not adjacent
-		{{Link: Link{0, 7}, Dead: true}},                                            // off the mesh
-		{{Link: Link{-1, 0}, Dead: true}},                                           // negative tile
-		{{Link: Link{0, 1}, At: -1, Dead: true}},                                    // negative time
-		{{Link: Link{0, 1}, RateFactor: 0}},                                         // zero factor
-		{{Link: Link{0, 1}, RateFactor: 1}},                                         // no-op factor
-		{{Link: Link{0, 1}, RateFactor: 1.5}},                                       // speed-up
-		{{Link: Link{0, 1}, At: iontrap.Microseconds(math.Inf(1)), RateFactor: .5}}, // infinite time
+		{{Link: Link{0, 3}, Dead: true}},      // not adjacent
+		{{Link: Link{0, 7}, Dead: true}},      // off the mesh
+		{{Link: Link{-1, 0}, Dead: true}},     // negative tile
+		{{Link: Link{0, 1}, RateFactor: 0}},   // zero factor
+		{{Link: Link{0, 1}, RateFactor: 1}},   // no-op factor
+		{{Link: Link{0, 1}, RateFactor: 1.5}}, // speed-up
 	}
 	for i, p := range bad {
 		if err := p.Validate(topo); err == nil {

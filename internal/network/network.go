@@ -73,9 +73,9 @@ type Config struct {
 	// the work is not repeated.
 	Partitions []Partition
 	// Faults is the deterministic fault plan injected into the replay:
-	// dead links and EPR-rate degradations, static (At == 0) or scheduled
-	// at event-kernel timestamps.  Empty runs the fault-free fast path,
-	// byte-identical to a build without the fault layer.
+	// dead links and EPR-rate degradations, applied before the first
+	// event.  Empty runs the fault-free fast path, byte-identical to a
+	// build without the fault layer.
 	Faults FaultPlan
 }
 

@@ -16,9 +16,6 @@ var (
 	// reroutes totals teleports whose spawn route deviated from the
 	// fault-free dimension-order choice.
 	reroutes atomic.Int64
-	// inFlightReroutes totals teleports re-pathed after their link died
-	// mid-flight.
-	inFlightReroutes atomic.Int64
 	// partitioned counts replays aborted with ErrPartitioned.
 	partitioned atomic.Int64
 	// lastFailedLinks and lastDegradedLinks gauge the fault plan of the most
@@ -35,7 +32,6 @@ func obsRecordReplay(fs FaultStats, part bool) {
 	}
 	faultedReplays.Add(1)
 	reroutes.Add(int64(fs.Reroutes))
-	inFlightReroutes.Add(int64(fs.InFlightReroutes))
 	lastFailedLinks.Store(int64(fs.FailedLinks))
 	lastDegradedLinks.Store(int64(fs.DegradedLinks))
 	if part {
@@ -55,9 +51,6 @@ func Instrument(reg *obs.Registry) {
 	reg.CounterFunc("qsd_network_reroutes_total",
 		"Teleports routed around failed links at spawn time.", nil,
 		func() float64 { return float64(reroutes.Load()) })
-	reg.CounterFunc("qsd_network_inflight_reroutes_total",
-		"Teleports re-pathed after their next link died mid-flight.", nil,
-		func() float64 { return float64(inFlightReroutes.Load()) })
 	reg.CounterFunc("qsd_network_partitioned_total",
 		"Replays aborted because link failures disconnected the mesh.", nil,
 		func() float64 { return float64(partitioned.Load()) })

@@ -110,21 +110,18 @@ type netGate struct {
 // that index.
 type teleState struct {
 	gate     int    // owning netGate slot
-	route    []Link // cached route (read-only; replaced on mid-flight reroute)
+	route    []Link // cached route (read-only)
 	hop      int
-	dest     int     // final tile, for re-resolving after a fault
 	ret      bool    // return trip (fires the outbound join)
-	waiting  bool    // an EPR-pair acquire is pending on route[hop]
 	hopReady float64 // when the current hop requested its EPR pair
 }
 
 // netState is the pooled per-run state of ReplayShared.  The sim.Dataflow
 // issues gates and draws their zeros from per-tile fluid supplies; netState
-// adds the mesh: routes, EPR-pair links, teleports and faults, on events
-// that name it by its handler ID on the run's kernel.  Payloads: 3·ts
-// teleport ts granted its EPR pair, 3·ts+1 teleport ts arrived at the end of
-// its hop, 3·x+2 cross-tile gate x finished executing, and -1-pi scheduled
-// fault pi strikes.
+// adds the mesh: routes, EPR-pair links and teleports, on events that name
+// it by its handler ID on the run's kernel.  Payloads: 3·ts teleport ts
+// granted its EPR pair, 3·ts+1 teleport ts arrived at the end of its hop,
+// and 3·x+2 cross-tile gate x finished executing.
 type netState struct {
 	df     sim.Dataflow
 	id     sim.HandlerID // netState on the run's kernel
@@ -143,11 +140,9 @@ type netState struct {
 	// the route cache on the plain dimension-order path; everything below
 	// it is only touched when a plan is present.
 	faulted      bool
-	plan         FaultPlan
-	linkRate     float64 // healthy per-link EPR rate (pairs/us)
-	linkDown     []bool  // per linkIdx: the link is dead
-	linkDegraded []bool  // per linkIdx: the link runs at a reduced rate
-	rerouted     []bool  // per routes index: cached route deviates from dimension order
+	linkDown     []bool // per linkIdx: the link is dead
+	linkDegraded []bool // per linkIdx: the link runs at a reduced rate
+	rerouted     []bool // per routes index: cached route deviates from dimension order
 	fstats       FaultStats
 	replayErr    error
 
@@ -172,8 +167,6 @@ var netStatePool = sync.Pool{New: func() any { return new(netState) }}
 // Fire implements sim.Handler.
 func (r *netState) Fire(idx int) {
 	switch {
-	case idx < 0:
-		r.applyFault(-1 - idx)
 	case idx%3 == 0:
 		r.teleGranted(idx / 3)
 	case idx%3 == 1:
@@ -210,21 +203,13 @@ func (r *netState) route(from, to int) []Link {
 // table.
 func (r *netState) linkIsDown(l Link) bool { return r.linkDown[r.linkIdx[l]] }
 
-// fail aborts the replay with the first error (mesh partitioned mid-run).
+// fail aborts the replay with the first error (a route found the mesh
+// partitioned).
 func (r *netState) fail(err error) {
 	if r.replayErr == nil {
 		r.replayErr = err
 		r.df.Kernel().Stop()
 	}
-}
-
-// clearRoutes drops every cached route so the next lookup re-resolves
-// against the updated link-status table.  In-flight teleports keep their old
-// slices; teleStep re-checks each hop against linkDown, so stale routes
-// self-heal at the next hop.
-func (r *netState) clearRoutes() {
-	clear(r.routes)
-	clear(r.rerouted)
 }
 
 // noteSpawn accounts a teleport launched on a non-preferred route.
@@ -233,66 +218,6 @@ func (r *netState) noteSpawn(route []Link) {
 	if r.rerouted[from*r.nTiles+to] {
 		r.fstats.Reroutes++
 		r.fstats.DetourHops += len(route) - r.topo.HopDistance(from, to)
-	}
-}
-
-// reroute re-resolves teleport s from the tile it stands on, after the link
-// it queued on or was headed for died.
-func (r *netState) reroute(s *teleState, cur int) bool {
-	nr := r.route(cur, s.dest)
-	if r.replayErr != nil {
-		return false
-	}
-	r.fstats.InFlightReroutes++
-	r.fstats.DetourHops += len(nr) - r.topo.HopDistance(cur, s.dest)
-	s.route, s.hop = nr, 0
-	return true
-}
-
-// applyFault applies one scheduled fault at its kernel timestamp.
-func (r *netState) applyFault(pi int) {
-	f := r.plan[pi]
-	li := r.linkIdx[f.Link]
-	if !f.Dead {
-		if r.linkDown[li] {
-			return // degrading a dead link changes nothing
-		}
-		if !r.linkDegraded[li] {
-			r.linkDegraded[li] = true
-			r.fstats.DegradedLinks++
-		}
-		// RateFactor scales the link's configured rate; a later fault on
-		// the same link overrides an earlier one rather than compounding.
-		if err := r.prods[li].SetRate(r.linkRate * f.RateFactor); err != nil {
-			r.fail(err)
-		}
-		return
-	}
-	if r.linkDown[li] {
-		return
-	}
-	r.linkDown[li] = true
-	r.fstats.FailedLinks++
-	r.prods[li].Halt()
-	r.clearRoutes()
-	// Teleports queued on the dying link re-route from where they stand.
-	// A request whose pair already left the buffer is not pending any
-	// more: that grant event is en route and the teleport crosses on the
-	// last pair out.
-	for ts := range r.tele {
-		s := &r.tele[ts]
-		if !s.waiting || s.hop >= len(s.route) || r.linkIdx[s.route[s.hop]] != li {
-			continue
-		}
-		if !r.bufs[li].CancelAcquireFire(r.id, 3*ts) {
-			continue
-		}
-		s.waiting = false
-		r.netBlocked[r.gates[s.gate].ci] += float64(r.df.Kernel().Now()) - s.hopReady
-		if !r.reroute(s, s.route[s.hop].From) {
-			return
-		}
-		r.teleStep(ts)
 	}
 }
 
@@ -306,15 +231,12 @@ func (r *netState) spawnTele(x int, route []Link, ret bool) {
 		ts = len(r.tele)
 		r.tele = append(r.tele, teleState{})
 	}
-	r.tele[ts] = teleState{gate: x, route: route, ret: ret, dest: route[len(route)-1].To}
+	r.tele[ts] = teleState{gate: x, route: route, ret: ret}
 	r.teleStep(ts)
 }
 
 // teleStep requests the current hop's EPR pair, or resolves the teleport
-// when the route is exhausted.  Under an active fault plan the planned hop
-// is re-checked against the link-status table first: a teleport headed for a
-// link that died while it was in transit re-resolves from its current tile
-// instead of queueing on a dead channel forever.
+// when the route is exhausted.
 func (r *netState) teleStep(ts int) {
 	s := &r.tele[ts]
 	now := float64(r.df.Kernel().Now())
@@ -328,11 +250,7 @@ func (r *netState) teleStep(ts int) {
 		}
 		return
 	}
-	if l := s.route[s.hop]; r.faulted && r.linkDown[r.linkIdx[l]] && !r.reroute(s, l.From) {
-		return
-	}
 	s.hopReady = now
-	s.waiting = true
 	r.bufs[r.linkIdx[s.route[s.hop]]].AcquireFire(1, r.id, 3*ts)
 }
 
@@ -340,7 +258,6 @@ func (r *netState) teleStep(ts int) {
 // ancillae from the departing tile's zero supply, then transit.
 func (r *netState) teleGranted(ts int) {
 	s := &r.tele[ts]
-	s.waiting = false
 	p := &r.gates[s.gate]
 	res := &r.run.Results[p.ci]
 	l := s.route[s.hop]
@@ -542,7 +459,7 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 
 	r := netStatePool.Get().(*netState)
 	defer func() {
-		r.cs, r.run, r.plan = nil, nil, nil
+		r.cs, r.run = nil, nil
 		netStatePool.Put(r)
 	}()
 	r.run, r.cs, r.prices, r.topo, r.nTiles = &run, cs, prices, topo, nTiles
@@ -551,7 +468,7 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 	r.teleAnc = float64(r.teleAncN)
 	r.teleUs = float64(cfg.Machine.Movement.TeleportUs)
 	r.ballUs = float64(cfg.Machine.Movement.BallisticPerGateUs)
-	r.faulted, r.plan = faulted, cfg.Faults
+	r.faulted = faulted
 	r.fstats, r.replayErr = FaultStats{}, nil
 	r.netBlocked = append(r.netBlocked[:0], make([]float64, len(cs))...)
 	r.routes = append(r.routes[:0], make([][]Link, nTiles*nTiles)...)
@@ -581,7 +498,6 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 		clear(r.linkIdx)
 	}
 	linkRatePerUs := cfg.linkRatePerMs() / 1000.0
-	r.linkRate = linkRatePerUs
 	if faulted {
 		r.linkDown = append(r.linkDown[:0], make([]bool, len(links))...)
 		r.linkDegraded = append(r.linkDegraded[:0], make([]bool, len(links))...)
@@ -590,11 +506,11 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 		r.linkIdx[l] = i
 		rate, dead := linkRatePerUs, false
 		if faulted {
-			// Static faults (At == 0) shape the link before the run
-			// starts; a later plan entry on the same link overrides an
-			// earlier one.
+			// The plan shapes the link before the run starts.  A dead
+			// entry wins over every degradation of the link in either
+			// order; among degradations the last factor wins.
 			for _, f := range cfg.Faults {
-				if f.At != 0 || f.Link != l {
+				if f.Link != l {
 					continue
 				}
 				if f.Dead {
@@ -624,13 +540,6 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 		// stays empty and every route avoids it from the first dispatch.
 		if !dead {
 			r.prods[i].Start()
-		}
-	}
-	// Scheduled faults fire as ordinary kernel events at their timestamps;
-	// one scheduled past the makespan never applies.
-	for pi, f := range cfg.Faults {
-		if f.At > 0 {
-			k.AtFire(f.At, sim.PriorityNormal, r.id, -1-pi)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -33,23 +34,29 @@ func BenchmarkMonteCarloChunkBitSliced(b *testing.B) { benchmarkChunk(b, Samplin
 
 // BenchmarkBitSlicedOverDense is the bit-sliced executor's perf gate: at
 // 20,000 trials on each Figure 4 protocol, its total time must be at least
-// 5x below the dense executor's.
+// 5x below the dense executor's.  Each protocol's time on each executor is
+// the fastest of 5 runs: the bit-sliced runs take about a millisecond, so a
+// single run would let one host stall fail the gate.
 func BenchmarkBitSlicedOverDense(b *testing.B) {
-	const trials = 20000
+	const trials, runs = 20000, 5
 	code := steane.NewCode()
 	modes := []Sampling{SamplingDense, SamplingBitSliced}
 	var total [2]time.Duration
 	for i := 0; i < b.N; i++ {
 		for _, p := range steane.StandardProtocols(code) {
 			for m, mode := range modes {
-				s, err := NewSimulator(code, p, DefaultModel())
-				if err != nil {
-					b.Fatal(err)
+				fastest := time.Duration(math.MaxInt64)
+				for range runs {
+					s, err := NewSimulator(code, p, DefaultModel())
+					if err != nil {
+						b.Fatal(err)
+					}
+					s.Sampling = mode
+					t0 := time.Now()
+					s.MonteCarlo(trials, 12345)
+					fastest = min(fastest, time.Since(t0))
 				}
-				s.Sampling = mode
-				t0 := time.Now()
-				s.MonteCarlo(trials, 12345)
-				total[m] += time.Since(t0)
+				total[m] += fastest
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -23,7 +22,6 @@ type eagerProducer struct {
 	stalled   bool
 	stalledAt iontrap.Microseconds
 	stallUs   iontrap.Microseconds
-	halted    bool
 }
 
 func newEagerProducer(k *Kernel, out *Resource, ratePerUs float64) *eagerProducer {
@@ -42,22 +40,6 @@ func (p *eagerProducer) Fire(idx int) {
 
 func (p *eagerProducer) Start() { p.k.AfterFire(p.interval, PriorityNormal, p.id, producerTick) }
 
-func (p *eagerProducer) Halt() {
-	p.halted = true
-	if p.stalled {
-		p.stalled = false
-		p.stallUs += p.k.Now() - p.stalledAt
-	}
-}
-
-func (p *eagerProducer) SetRate(ratePerUs float64) error {
-	if !(ratePerUs > 0) {
-		return fmt.Errorf("producer rate %v: %w", ratePerUs, ErrZeroRate)
-	}
-	p.interval = iontrap.Microseconds(1 / ratePerUs)
-	return nil
-}
-
 func (p *eagerProducer) StallTime() iontrap.Microseconds {
 	if p.stalled {
 		return p.stallUs + p.k.Now() - p.stalledAt
@@ -66,9 +48,6 @@ func (p *eagerProducer) StallTime() iontrap.Microseconds {
 }
 
 func (p *eagerProducer) tick() {
-	if p.halted {
-		return
-	}
 	p.held++
 	p.flush()
 }
@@ -91,18 +70,11 @@ func (p *eagerProducer) flush() {
 	p.k.AfterFire(p.interval, PriorityNormal, p.id, producerTick)
 }
 
-func (p *eagerProducer) wake() {
-	if p.halted {
-		return
-	}
-	p.flush()
-}
+func (p *eagerProducer) wake() { p.flush() }
 
 // source is what a tickWorkload drives of a producer.
 type source interface {
 	Start()
-	Halt()
-	SetRate(ratePerUs float64) error
 	StallTime() iontrap.Microseconds
 }
 
@@ -121,12 +93,12 @@ func (c tickCounter) Fire(idx int) {
 }
 
 // tickFiring is what one workload event observed: when it fired, its
-// payload, a note on what it did, and every buffer's level and consumed
+// payload, the requests still open, and every buffer's level and consumed
 // units and every source's stall time at that moment.
 type tickFiring struct {
 	at       iontrap.Microseconds
 	idx      int
-	note     int
+	open     int
 	levels   [3]float64
 	consumed [3]float64
 	stalls   [4]iontrap.Microseconds
@@ -137,24 +109,23 @@ type tickFiring struct {
 const (
 	workloadTimer = -1 - iota
 	workloadStop
-	workloadCancel // logged only: a cancellation, not an event
 )
 
 // tickWorkload drives producers feeding buffers through a random schedule:
-// whole, fractional and zero demands from events at both priorities, many
-// of them on tick times; cancellations, rate changes and halts mid-run; and
-// a stop at a horizon or at a random event.  It records what each of its
-// events observes.  Its choices depend only on its seed and on the order its
-// events fire in, so two runs that fire the same order build the same
-// schedule, and the first difference shows.
+// whole, fractional and zero demands and timers from events at both
+// priorities, many of them on tick times, and a stop at a horizon or at a
+// random event.  It records what each of its events observes.  Its choices
+// depend only on its seed and on the order its events fire in, so two runs
+// that fire the same order build the same schedule, and the first
+// difference shows.
 type tickWorkload struct {
 	k      *Kernel
 	rng    *rand.Rand
 	id     HandlerID
 	bufs   []*Resource
 	srcs   []source
-	rates  []float64 // the rates sources start at and are retuned to
-	open   []int     // requests neither granted nor cancelled
+	rates  []float64 // the rates sources run at
+	open   int       // requests not yet granted
 	next   int       // the next request's serial number
 	budget int       // actions still to take
 	stopAt int       // Stop at this many firings; 0 runs to the horizon
@@ -200,11 +171,11 @@ func newTickWorkload(k *Kernel, seed int64, mk func(k *Kernel, out *Resource, ra
 func (w *tickWorkload) Fire(idx int) {
 	switch {
 	case idx >= 0:
-		w.open = slices.DeleteFunc(w.open, func(r int) bool { return r == idx })
+		w.open--
 	case idx == workloadStop:
 		w.k.Stop()
 	}
-	w.record(idx, len(w.open))
+	w.record(idx)
 	if len(w.log) == w.stopAt {
 		w.k.Stop()
 	}
@@ -214,8 +185,8 @@ func (w *tickWorkload) Fire(idx int) {
 }
 
 // record logs one observation.
-func (w *tickWorkload) record(idx, note int) {
-	f := tickFiring{at: w.k.Now(), idx: idx, note: note}
+func (w *tickWorkload) record(idx int) {
+	f := tickFiring{at: w.k.Now(), idx: idx, open: w.open}
 	for i, b := range w.bufs {
 		f.levels[i], f.consumed[i] = b.level, b.Consumed()
 	}
@@ -234,47 +205,23 @@ func (w *tickWorkload) act() {
 	rng, k := w.rng, w.k
 	pri := Priority(rng.Intn(2))
 	switch rng.Intn(12) {
-	case 0, 1, 2, 3:
+	case 0, 1, 2, 3, 4, 5:
 		// A demand: whole, fractional or zero.
 		demands := []float64{1, 1, 2, 3, 0.5, 1.5, 0.25, 0}
 		w.bufs[rng.Intn(len(w.bufs))].AcquireFire(demands[rng.Intn(len(demands))], w.id, w.next)
-		w.open = append(w.open, w.next)
+		w.open++
 		w.next++
-	case 4, 5:
+	case 6, 7, 8:
 		// One interval of a rate later: on a tick time when this event fired
 		// on one, and on that cadence's lane at normal priority.
 		k.AfterFire(iontrap.Microseconds(1/w.rates[rng.Intn(len(w.rates))]), pri, w.id, workloadTimer)
-	case 6:
+	case 9, 10:
 		// A whole number of microseconds later, where the integer cadences
 		// tick, or now.
 		k.AtFire(k.Now()+iontrap.Microseconds(rng.Intn(4)), pri, w.id, workloadTimer)
-	case 7:
+	case 11:
 		// A time off every cadence.
 		k.AtFire(k.Now()+iontrap.Microseconds(rng.Float64()*3), pri, w.id, workloadTimer)
-	case 8, 9:
-		if len(w.open) == 0 {
-			return
-		}
-		r := w.open[rng.Intn(len(w.open))]
-		found := false
-		for _, b := range w.bufs {
-			if b.CancelAcquireFire(w.id, r) {
-				found = true
-				break
-			}
-		}
-		if found {
-			w.open = slices.DeleteFunc(w.open, func(o int) bool { return o == r })
-			w.record(workloadCancel, r)
-		}
-	case 10:
-		if err := w.srcs[rng.Intn(len(w.srcs))].SetRate(w.rates[rng.Intn(len(w.rates))]); err != nil {
-			panic(err)
-		}
-	case 11:
-		if rng.Intn(3) == 0 {
-			w.srcs[rng.Intn(len(w.srcs))].Halt()
-		}
 	}
 }
 

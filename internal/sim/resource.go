@@ -199,28 +199,6 @@ func (r *Resource) drain() {
 	}
 }
 
-// CancelAcquireFire withdraws a pending AcquireFire identified by its
-// handler and payload, preserving the FIFO order of the remaining requests.
-// It reports whether a matching request was still pending: false means the
-// demand was already fully delivered (the completion event is en route and
-// will fire), so the caller must let that grant stand.  Fault injection uses
-// this to pull teleports off a dying link without disturbing grants that
-// already escaped.
-func (r *Resource) CancelAcquireFire(h HandlerID, idx int) bool {
-	for i := r.head; i < len(r.pending); i++ {
-		if r.pending[i].h == h && r.pending[i].idx == idx {
-			last := len(r.pending) - 1
-			copy(r.pending[i:], r.pending[i+1:])
-			r.pending = r.pending[:last]
-			if r.head == last {
-				r.pending, r.head = r.pending[:0], 0
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // OnSpaceFire registers a one-shot Fire(idx) of handler h, invoked the next
 // time buffered quantity is consumed (i.e. space frees up).  Producers use
 // it to resume after stalling on a full buffer.
@@ -256,7 +234,6 @@ type Producer struct {
 	stalled   bool
 	stalledAt iontrap.Microseconds
 	stallUs   iontrap.Microseconds
-	halted    bool
 }
 
 // Producer event payloads for its Handler.
@@ -278,30 +255,6 @@ func (p *Producer) Fire(idx int) {
 
 // Start schedules the first completion one interval from now.
 func (p *Producer) Start() { p.k.AfterFire(p.interval, PriorityNormal, p.id, producerTick) }
-
-// Halt stops production permanently: completions already scheduled fire but
-// emit nothing, and no further completions are scheduled.  A stall in
-// progress is closed so StallTime stops growing.  Link-failure injection
-// halts the dead link's EPR generator with this.
-func (p *Producer) Halt() {
-	p.halted = true
-	if p.stalled {
-		p.stalled = false
-		p.stallUs += p.k.Now() - p.stalledAt
-	}
-}
-
-// SetRate changes the production rate for completions scheduled from now on;
-// a completion already in flight still arrives on the old cadence.  A
-// non-positive rate returns ErrZeroRate (use Halt to stop production).
-// EPR-rate degradation faults retune the link generator with this.
-func (p *Producer) SetRate(ratePerUs float64) error {
-	if !(ratePerUs > 0) {
-		return fmt.Errorf("producer %q rate %v: %w", p.Name, ratePerUs, ErrZeroRate)
-	}
-	p.interval = iontrap.Microseconds(1 / ratePerUs)
-	return nil
-}
 
 // Reset re-initialises the producer for a new run on kernel k, keeping its
 // identity, and registers it as one of k's handlers for the run.
@@ -330,7 +283,7 @@ func (p *Producer) StallTime() iontrap.Microseconds {
 // kernel fires anyway, that one fires here without a trip through the
 // queue (Kernel.fireInPlace).  Otherwise the next completion is queued.
 func (p *Producer) tick() {
-	for !p.halted {
+	for {
 		seq := p.k.seq
 		p.held++
 		if !p.deposit() {
@@ -368,7 +321,7 @@ func (p *Producer) deposit() bool {
 // queues the next completion.  A wake fires inside another handler's event
 // (the drain of a consumer's request), so that completion is always queued.
 func (p *Producer) wake() {
-	if !p.halted && p.deposit() {
+	if p.deposit() {
 		p.k.AfterFire(p.interval, PriorityNormal, p.id, producerTick)
 	}
 }

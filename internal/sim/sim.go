@@ -9,7 +9,7 @@
 // The queue is a set of lanes and a heap.  A lane is the FIFO of the events
 // scheduled with one fixed delay at one priority: producer ticks, and
 // grants and dispatches at the current time.  The heap holds the events at
-// computed times: gate completions, network arrivals, faults and horizons.
+// computed times: gate completions, network arrivals and horizons.
 // A queued event is 32 bytes of plain data: its time, one key packing its
 // priority and insertion sequence, its payload, and the ID of its handler in
 // the run's handler table (Kernel.Handle).  A producer's next tick skips the
@@ -175,8 +175,7 @@ func NewKernel() *Kernel {
 func (k *Kernel) Now() iontrap.Microseconds { return k.now }
 
 // Handle registers h for this run and returns the ID that AtFire, AfterFire
-// and a Resource's AcquireFire, CancelAcquireFire and OnSpaceFire take in
-// its place.  The ID is valid until Reset; an owner registers once per run,
+// and a Resource's AcquireFire and OnSpaceFire take in its place.  The ID is valid until Reset; an owner registers once per run,
 // where it binds to the run's kernel.
 func (k *Kernel) Handle(h Handler) HandlerID {
 	k.handlers = append(k.handlers, h)

@@ -451,8 +451,8 @@ func (c *chaos) schedule() {
 		// 0.1+0.2 against the 0.3 lane, and chains of the 0.1 lane.
 		t = now + 0.1 + 0.2
 	case 4:
-		// Retune the last delay, as Producer.SetRate does: events already
-		// on its old lane stay there, later ones open or join another.
+		// Retune the last delay: events already on its old lane stay
+		// there, later ones open or join another.
 		c.delays[3] = []iontrap.Microseconds{1.5, 0.75, 0.3, 2}[c.rng.Intn(4)]
 		fallthrough
 	default:
