@@ -7,7 +7,24 @@ import (
 	"testing"
 
 	"speedofdata/internal/engine"
+	"speedofdata/internal/report"
 )
+
+// docText renders a document with the text encoder, as qsd prints it.
+func docText(t *testing.T, d report.Document) string {
+	t.Helper()
+	var b strings.Builder
+	if err := d.Encode(&b, report.FormatText); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// sectionText renders one section as qsd prints it alone.
+func sectionText(t *testing.T, s report.Section) string {
+	t.Helper()
+	return docText(t, report.Document{Sections: []report.Section{s}})
+}
 
 func TestCanonicalExperimentID(t *testing.T) {
 	cases := map[string]string{
@@ -111,7 +128,7 @@ func TestRunExperimentSections(t *testing.T) {
 		if sec.ID != id {
 			t.Errorf("%s: section id = %q", id, sec.ID)
 		}
-		if len(sec.Blocks) == 0 || sec.Text() == "" {
+		if len(sec.Blocks) == 0 || sectionText(t, sec) == "" {
 			t.Errorf("%s: empty section", id)
 		}
 	}
@@ -137,7 +154,7 @@ func TestRunReportDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiers1 := e.Engine.Tiers()
-	if first.String() != second.String() {
+	if docText(t, first) != docText(t, second) {
 		t.Error("repeated report differs")
 	}
 	if tiers1.MemoryHits <= tiers0.MemoryHits {
@@ -146,8 +163,8 @@ func TestRunReportDeterministic(t *testing.T) {
 	if tiers1.MemoryMisses != tiers0.MemoryMisses {
 		t.Errorf("repeat recomputed: misses %d -> %d", tiers0.MemoryMisses, tiers1.MemoryMisses)
 	}
-	if !strings.Contains(first.String(), "=== table5 ===") {
-		t.Errorf("missing section banner:\n%s", first.String())
+	if !strings.Contains(docText(t, first), "=== table5 ===") {
+		t.Errorf("missing section banner:\n%s", docText(t, first))
 	}
 	if _, err := RunReport(context.Background(), e, p, []string{"bogus"}); err == nil {
 		t.Error("unknown id in batch should error")
@@ -167,7 +184,7 @@ func TestEventDrivenScenarioSections(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if sec.ID != id || sec.Text() == "" {
+		if sec.ID != id || sectionText(t, sec) == "" {
 			t.Errorf("%s: empty or mislabelled section", id)
 		}
 	}
@@ -188,8 +205,8 @@ func TestEventDrivenScenarioSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sec.Text(), "16-ancilla buffers") {
-		t.Errorf("fig15buf should mention the default 16-ancilla buffer:\n%s", sec.Text())
+	if !strings.Contains(sectionText(t, sec), "16-ancilla buffers") {
+		t.Errorf("fig15buf should mention the default 16-ancilla buffer:\n%s", sectionText(t, sec))
 	}
 	// Negative buffer is rejected by parameter validation.
 	bad := p
@@ -275,7 +292,7 @@ func TestNetworkScenarioRegistration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if sec.ID != id || sec.Text() == "" {
+		if sec.ID != id || sectionText(t, sec) == "" {
 			t.Errorf("%s: empty or mislabelled section", id)
 		}
 	}
@@ -287,7 +304,7 @@ func TestNetworkScenarioRegistration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if sec.ID != id || sec.Text() == "" {
+		if sec.ID != id || sectionText(t, sec) == "" {
 			t.Errorf("%s: empty or mislabelled section", id)
 		}
 	}
@@ -317,7 +334,7 @@ func TestNetworkScenariosDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return doc.String()
+		return docText(t, doc)
 	}
 	if seq, par := render(1), render(8); seq != par {
 		t.Errorf("network sections differ between 1 and 8 workers:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)

@@ -1,11 +1,16 @@
 package report
 
 import (
-	"encoding/csv"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Format selects a document encoding.
@@ -44,167 +49,380 @@ func (f Format) ContentType() string {
 	}
 }
 
-// Encode writes the document to w in the given format.
-func (d Document) Encode(w io.Writer, f Format) error {
+// Append appends the document to b in the given format.  On an error, such
+// as a NaN or infinite series value in JSON, it returns b unextended.
+func (d Document) Append(b []byte, f Format) ([]byte, error) {
+	// A single-experiment document is a few kilobytes in any format: grow
+	// once for that instead of many times from nothing.
+	b = slices.Grow(b, 4<<10)
 	switch f {
 	case FormatJSON:
-		return d.encodeJSON(w)
+		return d.appendJSON(b)
 	case FormatCSV:
-		return d.encodeCSV(w)
+		return d.appendCSV(b), nil
 	case FormatText, "":
-		_, err := io.WriteString(w, d.String())
+		return d.appendText(b), nil
+	}
+	return b, fmt.Errorf("report: unknown format %q", f)
+}
+
+// Encode writes the document to w in the given format, in one Write.  A
+// document that cannot be encoded writes nothing.
+func (d Document) Encode(w io.Writer, f Format) error {
+	b, err := d.Append(nil, f)
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("report: unknown format %q", f)
+	_, err = w.Write(b)
+	return err
 }
 
-// jsonDocument mirrors Document for encoding.
-type jsonDocument struct {
-	Sections []jsonSection `json:"sections"`
+// jsonWriter appends JSON laid out as encoding/json's Encoder lays it out
+// with SetIndent("", "  "): every element and key on its own line, indented
+// two spaces per level, and an empty array or object as [] or {}.
+type jsonWriter struct {
+	b     []byte
+	depth int
+	first bool // nothing written yet inside the innermost open container
 }
 
-type jsonSection struct {
-	ID     string      `json:"id"`
-	Blocks []jsonBlock `json:"blocks"`
+func (w *jsonWriter) open(c byte) {
+	w.b = append(w.b, c)
+	w.depth++
+	w.first = true
 }
 
-// jsonBlock is the tagged union of block kinds.  Exactly one of Table,
-// Series and Text is set, according to Type.
-type jsonBlock struct {
-	Type   string      `json:"type"`
-	Table  *jsonTable  `json:"table,omitempty"`
-	Series *jsonSeries `json:"series,omitempty"`
-	Text   string      `json:"text,omitempty"`
-}
-
-type jsonTable struct {
-	Title   string   `json:"title,omitempty"`
-	Headers []string `json:"headers,omitempty"`
-	Rows    [][]any  `json:"rows"`
-}
-
-type jsonSeries struct {
-	Title  string        `json:"title,omitempty"`
-	XLabel string        `json:"xlabel,omitempty"`
-	YLabel string        `json:"ylabel,omitempty"`
-	Points []SeriesPoint `json:"points"`
-}
-
-// MarshalJSON emits the point as {"x": ..., "y": ...}.
-func (p SeriesPoint) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		X float64 `json:"x"`
-		Y float64 `json:"y"`
-	}{p.X, p.Y})
-}
-
-// jsonValue returns the cell's value for JSON encoding.  Values the encoder
-// cannot represent (channels, functions, NaN/Inf floats) fall back to their
-// %v string so one odd cell never fails a whole document.
-func (c Cell) jsonValue() any {
-	if f, ok := c.v.(float64); ok {
-		// JSON has no NaN/Inf literals.
-		if _, err := json.Marshal(f); err != nil {
-			return c.Machine()
-		}
-		return f
+func (w *jsonWriter) close(c byte) {
+	w.depth--
+	if !w.first {
+		w.newline()
 	}
-	if c.v == nil {
-		return nil
-	}
-	if _, err := json.Marshal(c.v); err != nil {
-		return fmt.Sprintf("%v", c.v)
-	}
-	return c.v
+	w.b = append(w.b, c)
+	w.first = false
 }
 
-func (d Document) encodeJSON(w io.Writer) error {
-	doc := jsonDocument{Sections: make([]jsonSection, len(d.Sections))}
-	for i, s := range d.Sections {
-		js := jsonSection{ID: s.ID, Blocks: make([]jsonBlock, 0, len(s.Blocks))}
+// next starts an element of the innermost container.
+func (w *jsonWriter) next() {
+	if !w.first {
+		w.b = append(w.b, ',')
+	}
+	w.first = false
+	w.newline()
+}
+
+// key starts an object member; k needs no escaping.
+func (w *jsonWriter) key(k string) {
+	w.next()
+	w.b = append(append(append(w.b, '"'), k...), `": `...)
+}
+
+// jsonIndent is a newline and the indentation of depth 8, the deepest line
+// of the document layout (a table cell).
+const jsonIndent = "\n                "
+
+func (w *jsonWriter) newline() {
+	w.b = append(w.b, jsonIndent[:1+2*w.depth]...)
+}
+
+// appendJSON appends the document as the historical JSON layout:
+//
+//	{"sections": [{"id", "blocks": [{"type", "table" | "series" | "text"}]}]}
+//
+// with a table as {"title", "headers", "rows"} and a series as {"title",
+// "xlabel", "ylabel", "points": [{"x", "y"}]}; empty titles, labels,
+// headers and texts are left out, and the document ends in a newline.
+func (d Document) appendJSON(b []byte) ([]byte, error) {
+	w := jsonWriter{b: b}
+	w.open('{')
+	w.key("sections")
+	w.open('[')
+	for _, s := range d.Sections {
+		w.next()
+		w.open('{')
+		w.key("id")
+		w.b = appendJSONString(w.b, s.ID)
+		w.key("blocks")
+		w.open('[')
 		for _, blk := range s.Blocks {
-			switch b := blk.(type) {
-			case Table:
-				jt := &jsonTable{Title: b.Title, Headers: b.Headers, Rows: make([][]any, len(b.Rows))}
-				for r, row := range b.Rows {
-					cells := make([]any, len(row))
-					for c, cell := range row {
-						cells[c] = cell.jsonValue()
-					}
-					jt.Rows[r] = cells
-				}
-				js.Blocks = append(js.Blocks, jsonBlock{Type: "table", Table: jt})
-			case Series:
-				points := b.Points
-				if points == nil {
-					points = []SeriesPoint{}
-				}
-				js.Blocks = append(js.Blocks, jsonBlock{Type: "series", Series: &jsonSeries{
-					Title: b.Title, XLabel: b.XLabel, YLabel: b.YLabel, Points: points,
-				}})
-			case Text:
-				js.Blocks = append(js.Blocks, jsonBlock{Type: "text", Text: string(b)})
-			default:
-				js.Blocks = append(js.Blocks, jsonBlock{Type: "text", Text: blk.blockText()})
+			w.next()
+			if err := w.block(s.ID, blk); err != nil {
+				return b, err
 			}
 		}
-		doc.Sections[i] = js
+		w.close(']')
+		w.close('}')
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	w.close(']')
+	w.close('}')
+	return append(w.b, '\n'), nil
 }
 
-// encodeCSV flattens the document into one CSV stream.  Every record is
+// block appends one block of section id as a tagged object.  A block of
+// another kind (a pointer to a Table, say) is carried as its text.
+func (w *jsonWriter) block(id string, blk Block) error {
+	w.open('{')
+	w.key("type")
+	switch b := blk.(type) {
+	case Table:
+		w.b = append(w.b, `"table"`...)
+		w.key("table")
+		w.open('{')
+		w.optString("title", b.Title)
+		if len(b.Headers) > 0 {
+			w.key("headers")
+			w.open('[')
+			for _, h := range b.Headers {
+				w.next()
+				w.b = appendJSONString(w.b, h)
+			}
+			w.close(']')
+		}
+		w.key("rows")
+		w.open('[')
+		for _, row := range b.Rows {
+			w.next()
+			w.open('[')
+			for _, c := range row {
+				w.next()
+				w.cell(c)
+			}
+			w.close(']')
+		}
+		w.close(']')
+		w.close('}')
+	case Series:
+		w.b = append(w.b, `"series"`...)
+		w.key("series")
+		w.open('{')
+		w.optString("title", b.Title)
+		w.optString("xlabel", b.XLabel)
+		w.optString("ylabel", b.YLabel)
+		w.key("points")
+		w.open('[')
+		for _, p := range b.Points {
+			if !finite(p.X) || !finite(p.Y) {
+				return fmt.Errorf("report: section %q: series point (%v, %v) has no JSON encoding", id, p.X, p.Y)
+			}
+			w.next()
+			w.open('{')
+			w.key("x")
+			w.b = appendJSONFloat(w.b, p.X)
+			w.key("y")
+			w.b = appendJSONFloat(w.b, p.Y)
+			w.close('}')
+		}
+		w.close(']')
+		w.close('}')
+	case Text:
+		w.b = append(w.b, `"text"`...)
+		w.optString("text", string(b))
+	default:
+		w.b = append(w.b, `"text"`...)
+		w.optString("text", string(blk.appendText(nil)))
+	}
+	w.close('}')
+	return nil
+}
+
+// optString appends the member k: s unless s is empty.
+func (w *jsonWriter) optString(k, s string) {
+	if s != "" {
+		w.key(k)
+		w.b = appendJSONString(w.b, s)
+	}
+}
+
+// cell appends a table cell: nil as null, a finite float at full precision,
+// NaN and infinities as their strings ("NaN", "+Inf"), and any other value
+// as json.Marshal encodes it, or as its %v string when json.Marshal cannot,
+// so one odd cell never fails a whole document.
+func (w *jsonWriter) cell(c Cell) {
+	switch v := c.v.(type) {
+	case nil:
+		w.b = append(w.b, "null"...)
+	case float64:
+		if finite(v) {
+			w.b = appendJSONFloat(w.b, v)
+		} else {
+			w.b = append(strconv.AppendFloat(append(w.b, '"'), v, 'g', -1, 64), '"')
+		}
+	case int:
+		w.b = strconv.AppendInt(w.b, int64(v), 10)
+	case string:
+		w.b = appendJSONString(w.b, v)
+	case bool:
+		w.b = strconv.AppendBool(w.b, v)
+	default:
+		m, err := json.Marshal(v)
+		if err != nil {
+			w.b = appendJSONString(w.b, fmt.Sprintf("%v", v))
+			return
+		}
+		// Indent the value as the enclosing document is indented.
+		buf := bytes.NewBuffer(w.b)
+		_ = json.Indent(buf, m, strings.Repeat("  ", w.depth), "  ") // m is valid JSON
+		w.b = buf.Bytes()
+	}
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// appendJSONFloat appends a finite float as encoding/json does: the
+// shortest form that round-trips, in 'f' notation, or in 'e' notation below
+// 1e-6 and from 1e21 on, with a one-digit negative exponent unpadded.
+func appendJSONFloat(b []byte, v float64) []byte {
+	abs := math.Abs(v)
+	if abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(b, v, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, v, 'e', -1, 64)
+	if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 becomes e-7
+		b = b[:n-1]
+	}
+	return b
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string, escaped as encoding/json
+// escapes it: quote, backslash and control bytes, the HTML-sensitive <, >
+// and &, and U+2028 and U+2029, with each byte of invalid UTF-8 written as
+// \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
+}
+
+// appendCSV flattens the document into one CSV stream.  Every record is
 // prefixed with the section id and the kind of the record: "header" records
 // carry table headers (or series axis labels), "row" records carry
-// full-precision cell values, "text" records carry free-form notes.
-func (d Document) encodeCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
+// full-precision cell values, "text" records carry free-form notes.  Blocks
+// of any other kind are left out.
+func (d Document) appendCSV(b []byte) []byte {
 	for _, s := range d.Sections {
 		for _, blk := range s.Blocks {
-			switch b := blk.(type) {
+			switch blk := blk.(type) {
 			case Table:
-				if len(b.Headers) > 0 {
-					if err := cw.Write(append([]string{s.ID, "header"}, b.Headers...)); err != nil {
-						return err
+				if len(blk.Headers) > 0 {
+					b = appendCSVRecordStart(b, s.ID, "header")
+					for _, h := range blk.Headers {
+						b = appendCSVField(append(b, ','), h)
 					}
+					b = append(b, '\n')
 				}
-				for _, row := range b.Rows {
-					rec := make([]string, 2, 2+len(row))
-					rec[0], rec[1] = s.ID, "row"
-					for _, cell := range row {
-						rec = append(rec, cell.Machine())
+				for _, row := range blk.Rows {
+					b = appendCSVRecordStart(b, s.ID, "row")
+					for _, c := range row {
+						b = c.appendCSV(append(b, ','))
 					}
-					if err := cw.Write(rec); err != nil {
-						return err
-					}
+					b = append(b, '\n')
 				}
 			case Series:
-				x, y := b.XLabel, b.YLabel
+				x, y := blk.XLabel, blk.YLabel
 				if x == "" {
 					x = "x"
 				}
 				if y == "" {
 					y = "y"
 				}
-				if err := cw.Write([]string{s.ID, "header", x, y}); err != nil {
-					return err
-				}
-				for _, p := range b.Points {
-					if err := cw.Write([]string{s.ID, "row",
-						strconv.FormatFloat(p.X, 'g', -1, 64),
-						strconv.FormatFloat(p.Y, 'g', -1, 64)}); err != nil {
-						return err
-					}
+				b = appendCSVRecordStart(b, s.ID, "header")
+				b = appendCSVField(append(b, ','), x)
+				b = appendCSVField(append(b, ','), y)
+				b = append(b, '\n')
+				for _, p := range blk.Points {
+					b = appendCSVRecordStart(b, s.ID, "row")
+					b = strconv.AppendFloat(append(b, ','), p.X, 'g', -1, 64)
+					b = strconv.AppendFloat(append(b, ','), p.Y, 'g', -1, 64)
+					b = append(b, '\n')
 				}
 			case Text:
-				if err := cw.Write([]string{s.ID, "text", string(b)}); err != nil {
-					return err
-				}
+				b = appendCSVRecordStart(b, s.ID, "text")
+				b = appendCSVField(append(b, ','), string(blk))
+				b = append(b, '\n')
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return b
+}
+
+// appendCSVRecordStart appends a record's section id and kind fields.
+func appendCSVRecordStart(b []byte, id, kind string) []byte {
+	return append(append(appendCSVField(b, id), ','), kind...)
+}
+
+// appendCSV appends the cell as one CSV field: a float at full round-trip
+// precision, and a string or another value's %v text quoted as a field.
+func (c Cell) appendCSV(b []byte) []byte {
+	switch v := c.v.(type) {
+	case float64:
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
+	case nil, int, bool:
+		return c.appendText(b) // never quoted
+	case string:
+		return appendCSVField(b, v)
+	default:
+		return appendCSVField(b, fmt.Sprintf("%v", v))
+	}
+}
+
+// appendCSVField appends f as encoding/csv's Writer writes a field: quoted,
+// with each quote doubled, when it holds a comma, quote, CR or LF, starts
+// with a Unicode space, or is the end-of-data marker `\.`.
+func appendCSVField(b []byte, f string) []byte {
+	r, _ := utf8.DecodeRuneInString(f)
+	if f != `\.` && !strings.ContainsAny(f, ",\"\r\n") && !unicode.IsSpace(r) {
+		return append(b, f...)
+	}
+	b = append(b, '"')
+	for {
+		i := strings.IndexByte(f, '"')
+		if i < 0 {
+			break
+		}
+		b = append(append(b, f[:i+1]...), '"')
+		f = f[i+1:]
+	}
+	return append(append(b, f...), '"')
 }

@@ -5,16 +5,20 @@
 //
 // Values stay typed all the way to the encoder.  A Cell holds the original
 // Go value; the text encoder applies the paper's compact float formatting
-// (FormatFloat) while the machine-readable encoders emit full-precision
-// values, so a JSON consumer can round-trip every number exactly even though
-// the terminal rendering rounds for readability.
+// while the machine-readable encoders emit full-precision values, so a JSON
+// consumer can round-trip every number exactly even though the terminal
+// rendering rounds for readability.
+//
+// Each encoder appends one document into one byte slice: cells of the
+// common types (nil, float64, int, string, bool) are formatted with strconv
+// and copied, never through reflection or fmt.
 package report
 
 import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // Cell is one typed table value.  The zero Cell holds nil and renders empty.
@@ -25,33 +29,22 @@ type Cell struct {
 // CellOf wraps a value in a Cell.
 func CellOf(v any) Cell { return Cell{v: v} }
 
-// Text renders the cell for the plain-text encoder: floats compactly via
-// FormatFloat, strings verbatim, everything else with %v.
-func (c Cell) Text() string {
+// appendText renders the cell for the plain-text encoder: floats compactly
+// via appendCompact, strings verbatim, everything else as %v prints it.
+func (c Cell) appendText(b []byte) []byte {
 	switch v := c.v.(type) {
 	case nil:
-		return ""
+		return b
 	case float64:
-		return FormatFloat(v)
+		return appendCompact(b, v)
 	case string:
-		return v
+		return append(b, v...)
+	case int:
+		return strconv.AppendInt(b, int64(v), 10)
+	case bool:
+		return strconv.AppendBool(b, v)
 	default:
-		return fmt.Sprintf("%v", v)
-	}
-}
-
-// Machine renders the cell for machine-readable encoders (CSV): floats at
-// full round-trip precision, strings verbatim, everything else with %v.
-func (c Cell) Machine() string {
-	switch v := c.v.(type) {
-	case nil:
-		return ""
-	case float64:
-		return strconv.FormatFloat(v, 'g', -1, 64)
-	case string:
-		return v
-	default:
-		return fmt.Sprintf("%v", v)
+		return fmt.Appendf(b, "%v", v)
 	}
 }
 
@@ -71,80 +64,98 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.Rows = append(t.Rows, row)
 }
 
-// FormatFloat renders a float compactly: integers without decimals, small
+// appendCompact renders a float compactly: integers without decimals, small
 // values in scientific notation, everything else with one decimal.  It is
 // the text encoder's float format; machine-readable encoders bypass it and
-// emit full precision (see Cell.Machine and the JSON encoder).
-func FormatFloat(v float64) string {
+// emit full precision.
+func appendCompact(b []byte, v float64) []byte {
 	switch {
 	case v == 0:
-		return "0"
+		return append(b, '0')
 	case math.Abs(v) < 0.01:
-		return fmt.Sprintf("%.2e", v)
+		return strconv.AppendFloat(b, v, 'e', 2, 64)
 	case math.Abs(v-math.Round(v)) < 1e-9 && math.Abs(v) < 1e9:
-		return fmt.Sprintf("%.0f", v)
+		return strconv.AppendFloat(b, v, 'f', 0, 64)
 	default:
-		return fmt.Sprintf("%.1f", v)
+		return strconv.AppendFloat(b, v, 'f', 1, 64)
 	}
 }
 
-// String renders the table as plain text with aligned columns.
-func (t Table) String() string {
-	cols := len(t.Headers)
-	for _, r := range t.Rows {
-		if len(r) > cols {
-			cols = len(r)
-		}
+// appendRepeat appends n copies of c (none when n <= 0).
+func appendRepeat(b []byte, c byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, c)
 	}
-	widths := make([]int, cols)
-	measure := func(row []string) {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	text := make([][]string, len(t.Rows))
-	for i, r := range t.Rows {
-		text[i] = make([]string, len(r))
-		for j, c := range r {
-			text[i][j] = c.Text()
-		}
-	}
-	if len(t.Headers) > 0 {
-		measure(t.Headers)
-	}
-	for _, r := range text {
-		measure(r)
-	}
-	var b strings.Builder
+	return b
+}
+
+// appendPadded appends s left-justified in width runes, as fmt's %-*s does.
+// Column widths are measured in bytes, so a cell holding multi-byte runes
+// gets more padding than its byte length needs; the historical renderer
+// did the same and the text output keeps it.
+func appendPadded(b, s []byte, width int) []byte {
+	return appendRepeat(append(b, s...), ' ', width-utf8.RuneCount(s))
+}
+
+// appendText renders the table as plain text with aligned columns.  Each
+// header and cell text is appended once, into b past the title; the padded
+// rows are built after those texts, once the column widths are known, and
+// then moved down over them.
+func (t Table) appendText(b []byte) []byte {
 	if t.Title != "" {
-		b.WriteString(t.Title)
-		b.WriteString("\n")
+		b = append(append(b, t.Title...), '\n')
 	}
-	writeRow := func(row []string) {
-		for i := 0; i < cols; i++ {
-			cell := ""
-			if i < len(row) {
-				cell = row[i]
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i]+2, cell)
+	cols, texts := len(t.Headers), len(t.Headers)
+	for _, r := range t.Rows {
+		cols = max(cols, len(r))
+		texts += len(r)
+	}
+	// widths[i] is column i's width in bytes; ends[k] is where the k-th
+	// text, headers first, ends in b.
+	offs := make([]int, cols+texts)
+	widths, ends := offs[:cols], offs[cols:]
+	start, k := len(b), 0
+	for i, h := range t.Headers {
+		b = append(b, h...)
+		widths[i] = max(widths[i], len(h))
+		ends[k] = len(b)
+		k++
+	}
+	for _, r := range t.Rows {
+		for i, c := range r {
+			from := len(b)
+			b = c.appendText(b)
+			widths[i] = max(widths[i], len(b)-from)
+			ends[k] = len(b)
+			k++
 		}
-		b.WriteString("\n")
+	}
+	rendered, from := len(b), start
+	k = 0
+	row := func(n int) {
+		for i, w := range widths {
+			if i < n {
+				b = appendPadded(b, b[from:ends[k]], w+2)
+				from = ends[k]
+				k++
+			} else {
+				b = appendRepeat(b, ' ', w+2)
+			}
+		}
+		b = append(b, '\n')
 	}
 	if len(t.Headers) > 0 {
-		writeRow(t.Headers)
-		total := 0
+		row(len(t.Headers))
 		for _, w := range widths {
-			total += w + 2
+			b = appendRepeat(b, '-', w+2)
 		}
-		b.WriteString(strings.Repeat("-", total))
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
-	for _, r := range text {
-		writeRow(r)
+	for _, r := range t.Rows {
+		row(len(r))
 	}
-	return b.String()
+	n := copy(b[start:], b[rendered:])
+	return b[:start+n]
 }
 
 // Series is a one-dimensional curve rendered as an ASCII bar chart by the
@@ -169,8 +180,10 @@ func (s *Series) Add(x, y float64) {
 	s.Points = append(s.Points, SeriesPoint{X: x, Y: y})
 }
 
-// String renders the series with one bar per point, scaled to the maximum Y.
-func (s Series) String() string {
+// appendText renders the series with one bar per point, scaled to the
+// maximum Y.  Each bar is clamped to [0, Width]: a negative or NaN Y draws
+// an empty bar, as does every point of a series whose maximum is infinite.
+func (s Series) appendText(b []byte) []byte {
 	width := s.Width
 	if width <= 0 {
 		width = 50
@@ -181,21 +194,33 @@ func (s Series) String() string {
 			maxY = p.Y
 		}
 	}
-	var b strings.Builder
 	if s.Title != "" {
-		fmt.Fprintf(&b, "%s\n", s.Title)
+		b = append(append(b, s.Title...), '\n')
 	}
 	if s.XLabel != "" || s.YLabel != "" {
-		fmt.Fprintf(&b, "x: %s, y: %s\n", s.XLabel, s.YLabel)
+		b = append(append(b, "x: "...), s.XLabel...)
+		b = append(append(b, ", y: "...), s.YLabel...)
+		b = append(b, '\n')
 	}
+	var x [32]byte
 	for _, p := range s.Points {
-		bar := 0
+		n := 0
 		if maxY > 0 {
-			bar = int(math.Round(p.Y / maxY * float64(width)))
+			// NaN, from a NaN or infinite Y, fails both tests and draws nothing.
+			if bar := math.Round(p.Y / maxY * float64(width)); bar >= float64(width) {
+				n = width
+			} else if bar > 0 {
+				n = int(bar)
+			}
 		}
-		fmt.Fprintf(&b, "%12s | %-*s %s\n", FormatFloat(p.X), width, strings.Repeat("#", bar), FormatFloat(p.Y))
+		xs := appendCompact(x[:0], p.X)
+		b = appendRepeat(b, ' ', 12-len(xs))
+		b = append(append(b, xs...), " | "...)
+		b = appendRepeat(b, '#', n)
+		b = appendRepeat(b, ' ', width-n+1)
+		b = append(appendCompact(b, p.Y), '\n')
 	}
-	return b.String()
+	return b
 }
 
 // Text is a free-form preformatted block (summary lines, footnotes).  The
@@ -205,13 +230,11 @@ type Text string
 // Block is one content element of a Section: a Table, a Series or a Text
 // note.
 type Block interface {
-	// blockText renders the block for the plain-text encoder.
-	blockText() string
+	// appendText renders the block for the plain-text encoder.
+	appendText(b []byte) []byte
 }
 
-func (t Table) blockText() string  { return t.String() }
-func (s Series) blockText() string { return s.String() }
-func (t Text) blockText() string   { return string(t) }
+func (t Text) appendText(b []byte) []byte { return append(b, t...) }
 
 // Section is one rendered experiment: a stable identifier (the experiment id
 // the qsd tool and the HTTP API accept) plus its content blocks in
@@ -224,15 +247,6 @@ type Section struct {
 // NewSection builds a section from blocks.
 func NewSection(id string, blocks ...Block) Section {
 	return Section{ID: id, Blocks: blocks}
-}
-
-// Text renders the section's blocks as concatenated plain text.
-func (s Section) Text() string {
-	var b strings.Builder
-	for _, blk := range s.Blocks {
-		b.WriteString(blk.blockText())
-	}
-	return b.String()
 }
 
 // Document collects experiment sections in presentation order.  The qsd tool
@@ -248,18 +262,19 @@ func (d *Document) AddSection(s Section) {
 	d.Sections = append(d.Sections, s)
 }
 
-// String renders the document as plain text.  A single section prints bare;
-// multiple sections are separated by "=== id ===" banners.
-func (d Document) String() string {
-	if len(d.Sections) == 1 {
-		return d.Sections[0].Text()
-	}
-	var b strings.Builder
+// appendText renders the document as plain text.  A single section prints
+// bare; multiple sections are separated by "=== id ===" banners.
+func (d Document) appendText(b []byte) []byte {
 	for i, s := range d.Sections {
-		if i > 0 {
-			b.WriteByte('\n')
+		if len(d.Sections) > 1 {
+			if i > 0 {
+				b = append(b, '\n')
+			}
+			b = append(append(append(b, "=== "...), s.ID...), " ===\n"...)
 		}
-		fmt.Fprintf(&b, "=== %s ===\n%s", s.ID, s.Text())
+		for _, blk := range s.Blocks {
+			b = blk.appendText(b)
+		}
 	}
-	return b.String()
+	return b
 }

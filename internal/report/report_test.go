@@ -1,6 +1,8 @@
 package report
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -12,7 +14,7 @@ func TestTableRendering(t *testing.T) {
 	}
 	tb.AddRow("32-Bit QRCA", 29508.0, "5.2%")
 	tb.AddRow("32-Bit QCLA", 3827.0, "5.3%")
-	out := tb.String()
+	out := textOf(tb)
 	if !strings.Contains(out, "Table X") {
 		t.Error("missing title")
 	}
@@ -36,7 +38,7 @@ func TestTableRendering(t *testing.T) {
 func TestTableWithoutHeaders(t *testing.T) {
 	tb := Table{}
 	tb.AddRow("a", 1)
-	out := tb.String()
+	out := textOf(tb)
 	if strings.Contains(out, "---") {
 		t.Error("no separator expected without headers")
 	}
@@ -54,8 +56,8 @@ func TestFormatFloat(t *testing.T) {
 		29508:   "29508",
 	}
 	for in, want := range cases {
-		if got := FormatFloat(in); got != want {
-			t.Errorf("FormatFloat(%v) = %q, want %q", in, got, want)
+		if got := string(appendCompact(nil, in)); got != want {
+			t.Errorf("appendCompact(%v) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -65,7 +67,7 @@ func TestSeriesRendering(t *testing.T) {
 	s.Add(10, 100)
 	s.Add(20, 50)
 	s.Add(40, 25)
-	out := s.String()
+	out := textOf(s)
 	if !strings.Contains(out, "Figure 8") || !strings.Contains(out, "ancillae/ms") {
 		t.Error("missing labels")
 	}
@@ -82,11 +84,35 @@ func TestSeriesRendering(t *testing.T) {
 func TestSeriesEmptyAndZero(t *testing.T) {
 	s := Series{}
 	s.Add(1, 0)
-	out := s.String()
+	out := textOf(s)
 	if !strings.Contains(out, "0") {
 		t.Error("zero point should render")
 	}
 	if strings.Contains(out, "#") {
 		t.Error("zero values should have empty bars")
+	}
+}
+
+// TestSeriesClampsBars: under a positive maximum, a negative, NaN or
+// infinite Y once gave a bar of negative length, and strings.Repeat
+// panicked.  Each bar is clamped to [0, Width], NaN drawing nothing.
+func TestSeriesClampsBars(t *testing.T) {
+	s := Series{Width: 4, Points: []SeriesPoint{{0, 1}, {1, -1}, {2, math.NaN()}, {3, 0.5}}}
+	want := "" +
+		"           0 | #### 1\n" +
+		"           1 |      -1\n" +
+		"           2 |      NaN\n" +
+		"           3 | ##   0.5\n"
+	if got := textOf(s); got != want {
+		t.Errorf("clamped bars:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	inf := Series{Width: 4, Points: []SeriesPoint{{0, 1}, {1, math.Inf(1)}}}
+	if got := textOf(inf); strings.Contains(got, "#") {
+		t.Errorf("an infinite maximum should draw no bars:\n%s", got)
+	}
+	var buf bytes.Buffer
+	d := Document{Sections: []Section{NewSection("s", Series{Points: []SeriesPoint{{0, 1}, {1, -1}}})}}
+	if err := d.Encode(&buf, FormatText); err != nil {
+		t.Fatal(err)
 	}
 }

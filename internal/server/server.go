@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sync/atomic"
 
 	"speedofdata/internal/core"
@@ -168,13 +169,12 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// queryParams overlays the request's query string on the server defaults,
-// one query parameter per row of the core parameter table, and holds the
-// result to the table's ranges and HTTP caps.  It returns the experiment
-// runner (bits applied) and the run parameters.
-func (s *Server) queryParams(r *http.Request) (core.Experiments, core.RunParams, error) {
+// queryParams overlays the request's parsed query string on the server
+// defaults, one query parameter per row of the core parameter table, and
+// holds the result to the table's ranges and HTTP caps.  It returns the
+// experiment runner (bits applied) and the run parameters.
+func (s *Server) queryParams(q url.Values) (core.Experiments, core.RunParams, error) {
 	exp, p := s.exp, s.defaults
-	q := r.URL.Query()
 	for _, prm := range core.Params {
 		for _, name := range [...]string{prm.Name, prm.Alias} {
 			if v := q.Get(name); name != "" && v != "" {
@@ -205,8 +205,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown experiment %q", id)
 		return
 	}
+	q := r.URL.Query()
 	f := report.FormatJSON
-	if v := r.URL.Query().Get("format"); v != "" {
+	if v := q.Get("format"); v != "" {
 		parsed, err := report.ParseFormat(v)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -214,7 +215,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 		f = parsed
 	}
-	exp, p, err := s.queryParams(r)
+	exp, p, err := s.queryParams(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -261,8 +262,14 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	body, err := doc.Append(nil, f)
+	if err != nil {
+		// The document has no encoding in this format (JSON has no NaN).
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	w.Header().Set("Content-Type", f.ContentType())
-	doc.Encode(w, f)
+	w.Write(body) // a client that has gone needs no answer
 }
 
 // cacheStats is the /v1/cache response body.  hits/misses cover the memory

@@ -20,6 +20,7 @@ import (
 
 	"speedofdata/internal/core"
 	"speedofdata/internal/engine"
+	"speedofdata/internal/report"
 	"speedofdata/internal/store"
 )
 
@@ -147,8 +148,43 @@ func TestTextFormatMatchesCLIRenderer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body != sec.Text() {
-		t.Errorf("HTTP text differs from CLI renderer:\n%q\n%q", body, sec.Text())
+	var want strings.Builder
+	if err := (report.Document{Sections: []report.Section{sec}}).Encode(&want, report.FormatText); err != nil {
+		t.Fatal(err)
+	}
+	if body != want.String() {
+		t.Errorf("HTTP text differs from CLI renderer:\n%q\n%q", body, want.String())
+	}
+}
+
+// TestUnencodableDocumentIs500: a document the requested format cannot
+// encode, a series with a NaN point in JSON, is a server failure answered
+// with 500 and the JSON error envelope, not a 200 with an empty body.  Text
+// encodes the same document.
+func TestUnencodableDocumentIs500(t *testing.T) {
+	srv := New(core.NewExperiments(), core.DefaultRunParams())
+	srv.runReport = func(ctx context.Context, exp core.Experiments, p core.RunParams, ids []string) (report.Document, error) {
+		s := report.Series{Title: "nan"}
+		s.Add(0, 1)
+		s.Add(1, math.NaN())
+		return report.Document{Sections: []report.Section{report.NewSection(ids[0], s)}}, nil
+	}
+	serve := func(format string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/experiments/fig8?format="+format, nil))
+		return rec
+	}
+	rec := serve("json")
+	if rec.Code != http.StatusInternalServerError || !strings.HasPrefix(rec.Header().Get("Content-Type"), "application/json") {
+		t.Fatalf("status %d, content type %q, body %q; want 500 with a JSON error",
+			rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
+	}
+	var e errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "NaN") {
+		t.Errorf("body %q is not the JSON error envelope naming the NaN: %v", rec.Body.String(), err)
+	}
+	if rec := serve("text"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "NaN") {
+		t.Errorf("text: status %d, body %q; want 200 with the series", rec.Code, rec.Body.String())
 	}
 }
 
@@ -408,7 +444,7 @@ func TestParamBoundsTable(t *testing.T) {
 	srv := New(exp, core.DefaultRunParams())
 	parse := func(query string) error {
 		req := httptest.NewRequest("GET", "/v1/experiments/fig4?"+query, nil)
-		_, _, err := srv.queryParams(req)
+		_, _, err := srv.queryParams(req.URL.Query())
 		return err
 	}
 
@@ -960,8 +996,8 @@ func TestBitSlicedSamplingParameter(t *testing.T) {
 	}
 }
 
-// FuzzQueryParams feeds arbitrary raw query strings to queryParams: it must
-// never panic, and every query it accepts must leave each numeric setting of
+// FuzzQueryParams feeds arbitrary raw query strings, parsed as the handler
+// parses them, to queryParams: it must never panic, and every query it accepts must leave each numeric setting of
 // the core parameter table inside its range and HTTP cap or floor, and not
 // NaN.
 func FuzzQueryParams(f *testing.F) {
@@ -974,7 +1010,7 @@ func FuzzQueryParams(f *testing.F) {
 	}
 	srv := New(core.NewExperiments(), core.DefaultRunParams())
 	f.Fuzz(func(t *testing.T, raw string) {
-		exp, p, err := srv.queryParams(&http.Request{URL: &url.URL{RawQuery: raw}})
+		exp, p, err := srv.queryParams((&url.URL{RawQuery: raw}).Query())
 		if err != nil {
 			return
 		}
@@ -1004,7 +1040,7 @@ func TestQueryParamsAllocs(t *testing.T) {
 	srv := New(core.NewExperiments(), core.DefaultRunParams())
 	req := httptest.NewRequest("GET", "/v1/experiments/fig15buf?bits=8&benchmark=QCLA&arch=Fully-Multiplexed&buffer=8&format=json", nil)
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := srv.queryParams(req); err != nil {
+		if _, _, err := srv.queryParams(req.URL.Query()); err != nil {
 			t.Fatal(err)
 		}
 	})
