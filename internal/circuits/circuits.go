@@ -10,7 +10,7 @@
 // supports, with each Toffoli expanded into the standard 7-T-gate network.
 // The QFT's controlled-phase rotations are decomposed per Section 2.5 into CX
 // gates plus single-qubit π/2^k rotations, which are synthesised into H/T
-// sequences using the fowler package.
+// sequences sized by the fowler package's length model.
 package circuits
 
 import (

@@ -86,7 +86,6 @@ func GenerateQCLAWithLayout(cfg QCLAConfig) (*quantum.Circuit, QCLALayout, error
 	}
 
 	c := quantum.NewCircuit(fmt.Sprintf("%d-bit QCLA", n), next)
-	c.DataQubits = append(append([]int(nil), layout.A...), layout.B...)
 
 	// Step 1: generate bits g[i] = a_i AND b_i into the carry register.
 	for i := 0; i < n; i++ {

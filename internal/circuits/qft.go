@@ -20,18 +20,14 @@ type QFTConfig struct {
 	// rotation (Section 2.5: exhaustive search over H/T sequences up to an
 	// acceptable error).
 	SynthesisEps float64
-	// Searcher optionally provides a fowler.Searcher used to find real H/T
-	// sequences; when nil or when the searcher cannot reach SynthesisEps, the
-	// generator falls back to LengthModel to size a representative sequence.
-	Searcher *fowler.Searcher
-	// LengthModel estimates H/T sequence lengths for precisions beyond the
-	// searcher's reach.
+	// LengthModel sizes the representative H/T sequence of each synthesised
+	// rotation at SynthesisEps.
 	LengthModel fowler.LengthModel
 }
 
 // DefaultQFTConfig returns the configuration used for the paper reproduction:
-// truncation at k = 8 and 1e-3 synthesis precision from the default length
-// model (no live search, so generation is fast and deterministic).
+// truncation at k = 8 and 1e-3 synthesis precision, with sequences sized by
+// the default length model.
 func DefaultQFTConfig(bits int) QFTConfig {
 	return QFTConfig{
 		Bits:         bits,
@@ -50,9 +46,6 @@ type QFTStats struct {
 	// SynthesisedRotations is the number of single-qubit rotations replaced
 	// by H/T sequences (as opposed to exact Clifford+T gates).
 	SynthesisedRotations int
-	// SearchedSequences counts rotations whose sequence came from a live
-	// Fowler search rather than the length model.
-	SearchedSequences int
 }
 
 // GenerateQFT builds the n-qubit QFT lowered to the fault-tolerant gate set:
@@ -131,17 +124,9 @@ func appendRotation(c *quantum.Circuit, cfg *QFTConfig, stats *QFTStats, qubit, 
 		return
 	}
 	stats.SynthesisedRotations++
-	// Try a real Fowler search first; fall back to a representative sequence
-	// sized by the length model.  For the architectural evaluation what
-	// matters is the gate count, mix and dependence structure of the
-	// sequence, all of which the fallback preserves.
-	if cfg.Searcher != nil {
-		if seq, ok := cfg.Searcher.ApproximateRz(k, cfg.SynthesisEps); ok {
-			stats.SearchedSequences++
-			appendSequence(c, qubit, seq.Gates, dagger)
-			return
-		}
-	}
+	// A representative sequence sized by the length model: for the
+	// architectural evaluation what matters is the gate count, mix and
+	// dependence structure of the sequence, all of which it preserves.
 	length := cfg.LengthModel.Length(cfg.SynthesisEps)
 	appendSequence(c, qubit, representativeSequence(length), dagger)
 }

@@ -80,22 +80,6 @@ func TestQFT32MatchesPaperShape(t *testing.T) {
 	}
 }
 
-func TestQFTWithLiveSearcher(t *testing.T) {
-	searcher := fowler.NewSearcher(8)
-	searcher.MaxStates = 20000
-	cfg := QFTConfig{Bits: 6, MaxK: 8, SynthesisEps: 0.2, Searcher: searcher, LengthModel: fowler.DefaultLengthModel()}
-	_, stats, err := GenerateQFTWithStats(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SynthesisedRotations == 0 {
-		t.Fatal("expected some synthesised rotations")
-	}
-	if stats.SearchedSequences == 0 {
-		t.Error("with a generous precision target the live searcher should supply some sequences")
-	}
-}
-
 func TestQFTDeterministic(t *testing.T) {
 	a, err := Generate(QFT, 12)
 	if err != nil {

@@ -56,7 +56,6 @@ func GenerateQRCAWithLayout(cfg QRCAConfig) (*quantum.Circuit, QRCALayout, error
 	}
 	total := 3*n + 1
 	c := quantum.NewCircuit(fmt.Sprintf("%d-bit QRCA", n), total)
-	c.DataQubits = append(append([]int(nil), layout.A...), layout.B...)
 
 	carry := func(ci, a, b, co int) {
 		appendToffoli(c, a, b, co, cfg.DecomposeToffoli)

@@ -61,8 +61,6 @@ type StatBackend interface {
 
 // ResultType describes one registered cacheable result type.
 type ResultType struct {
-	// Sample is a zero value of the concrete type.
-	Sample any
 	// Name is the stable type name recorded on disk (reflect's package-
 	// qualified rendering, e.g. "report.Section").
 	Name string
@@ -97,7 +95,7 @@ func RegisterResultType(sample any, version int) {
 		panic("engine: RegisterResultType of untyped nil")
 	}
 	gob.Register(sample)
-	rt := ResultType{Sample: sample, Name: t.String(), Version: version}
+	rt := ResultType{Name: t.String(), Version: version}
 	resultTypeMu.Lock()
 	defer resultTypeMu.Unlock()
 	resultTypeByType[t] = rt

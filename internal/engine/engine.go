@@ -450,8 +450,6 @@ func (s *lazySource) Seed(seed int64) { s.key, s.seed, s.src = "", seed, nil }
 // through typed fast paths (no reflection); everything else goes through
 // %v.  Both produce identical bytes, so keys — and the RNG streams seeded
 // from them — are unchanged from the reflection-based implementation.
-// Hot loops building many keys with a shared prefix should use NewKey
-// directly.
 func Fingerprint(parts ...any) string {
 	b := make([]byte, 0, 96)
 	for i, p := range parts {

@@ -15,55 +15,6 @@ type Keyer interface {
 	AppendKey(b []byte) []byte
 }
 
-// Key builds a job fingerprint incrementally without reflection.  The zero
-// value is not useful; start with NewKey.  Methods use value receivers and
-// return the extended key, so calls chain:
-//
-//	key := engine.NewKey("noise.mc").Str(fp).Int64(seed).Int(chunk).String()
-//
-// A Key's backing buffer is owned by the chain that builds it: extend a key
-// along one chain only (branching two chains off one prefix would alias the
-// buffer).  Each append writes '|' then the value, matching the layout
-// Fingerprint has always produced, so typed and reflected paths yield
-// byte-identical keys.  The method set is deliberately only what the hot
-// key-building loops need; everything else goes through Fingerprint.
-type Key struct {
-	b []byte
-}
-
-// NewKey starts a key with the given domain prefix (no leading separator).
-func NewKey(domain string) Key {
-	b := make([]byte, 0, 96)
-	return Key{b: append(b, domain...)}
-}
-
-// String finalises the key.
-func (k Key) String() string { return string(k.b) }
-
-// Str appends a separator and a string part.
-func (k Key) Str(s string) Key {
-	k.b = append(append(k.b, '|'), s...)
-	return k
-}
-
-// Int appends a separator and a decimal int part.
-func (k Key) Int(v int) Key {
-	k.b = strconv.AppendInt(append(k.b, '|'), int64(v), 10)
-	return k
-}
-
-// Int64 appends a separator and a decimal int64 part.
-func (k Key) Int64(v int64) Key {
-	k.b = strconv.AppendInt(append(k.b, '|'), v, 10)
-	return k
-}
-
-// Keyer appends a separator and a Keyer-rendered part.
-func (k Key) Keyer(v Keyer) Key {
-	k.b = v.AppendKey(append(k.b, '|'))
-	return k
-}
-
 // appendPart renders one fingerprint part.  The typed cases cover the
 // experiment layers' common part types without fmt's reflection; every case
 // matches the bytes %v would produce for that type, and anything else falls

@@ -59,36 +59,19 @@ func TestFingerprintMatchesLegacyRendering(t *testing.T) {
 	}
 }
 
-func TestKeyBuilderMatchesFingerprint(t *testing.T) {
-	want := Fingerprint("noise.mc", "fp/1/2", keyerPart{7}, int64(-9), 3, 8192)
-	got := NewKey("noise.mc").Str("fp/1/2").Keyer(keyerPart{7}).Int64(-9).Int(3).Int(8192).String()
-	if got != want {
-		t.Fatalf("Key builder = %q, want %q", got, want)
-	}
-}
-
 func TestFingerprintUsesKeyerFastPath(t *testing.T) {
 	if got, want := Fingerprint("k", keyerPart{12}), "k|{12}"; got != want {
 		t.Fatalf("Keyer part = %q, want %q", got, want)
 	}
-	if got, want := NewKey("k").Keyer(keyerPart{12}).String(), "k|{12}"; got != want {
-		t.Fatalf("Key.Keyer = %q, want %q", got, want)
-	}
 }
 
-// The typed key builder is on the per-job critical path of every experiment
-// batch: it must stay allocation-light (one buffer, one final string).
-func TestKeyBuilderAllocations(t *testing.T) {
-	allocs := testing.AllocsPerRun(1000, func() {
-		_ = NewKey("noise.mc").Str("some/protocol/fingerprint").Keyer(keyerPart{4}).Int64(42).Int(17).Int(8192).String()
-	})
-	if allocs > 2 {
-		t.Fatalf("Key builder allocations = %v, want <= 2 (buffer + string)", allocs)
-	}
-}
-
-// Fingerprint itself pays interface boxing for non-constant ints but must
-// not regress to reflection-level allocation counts.
+// Fingerprint pays interface boxing for non-constant parts but must not
+// regress to reflection-level allocation counts, with or without a Keyer
+// part.  The second call has a Monte Carlo chunk key's parts: a domain, a
+// fingerprint string, the error model (a Keyer), the seed, the chunk index
+// and its trial count.  Boxing a part allocates unless it is a constant or a
+// one-word value below 256, so a 24-byte noise.Model and a chunk index from
+// 256 up each add one allocation to what this bound counts.
 func TestFingerprintAllocations(t *testing.T) {
 	fp := "some/protocol/fingerprint"
 	seed := int64(42)
@@ -97,5 +80,12 @@ func TestFingerprintAllocations(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Fatalf("Fingerprint allocations = %v, want <= 4", allocs)
+	}
+	model, chunk, trials := keyerPart{4}, 17, 8192
+	allocs = testing.AllocsPerRun(1000, func() {
+		_ = Fingerprint("noise.mc", fp, model, seed, chunk, trials)
+	})
+	if allocs > 4 {
+		t.Fatalf("Fingerprint allocations with a Keyer part = %v, want <= 4", allocs)
 	}
 }

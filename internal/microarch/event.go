@@ -10,20 +10,6 @@ import (
 	"speedofdata/internal/sim"
 )
 
-// simulateEvents is the event-driven core behind Simulate: the circuit's
-// dataflow graph replays on a sim.Dataflow, which issues ready gates in
-// (readiness, gate index) order — the closed form's order, so with infinite
-// buffers (fluid sources) the two models perform identical arithmetic and
-// produce bit-identical results.  This layer adds the architecture's cost
-// model and its ancilla sources, one per site: with cfg.BufferAncillae > 0
-// each is a finite buffer fed by a rate-matched producer, so gates stall
-// until their demand is delivered and producers stall when the buffer fills,
-// the dynamics the closed form cannot express.
-//
-// The run state is pooled across runs; sweeps call Simulate thousands of
-// times and the steady state allocates a constant handful per run (see
-// TestSimulateEventsSteadyStateAllocations).
-
 // eventRun is the pooled per-run state.
 type eventRun struct {
 	df     sim.Dataflow
@@ -42,7 +28,26 @@ func (r *eventRun) Issue(fi, _, _ int, ready float64) {
 	r.df.Acquire(fi, site, ancillae, ready, extraLatency, r.prices.SpeedOfData[g.Kind])
 }
 
-func simulateEvents(c *quantum.Circuit, cfg Config) (Result, error) {
+// Simulate runs the dataflow simulation of a logical circuit on the selected
+// microarchitecture.  Gates issue in first-come-first-served order of data
+// readiness (ties broken by gate index); each gate waits for its operands,
+// for any required data movement (ballistic, teleportation, or cache
+// fetch/writeback), and for the encoded ancillae its QEC step and teleports
+// consume, drawn from the architecture's generator sources, one per site.
+//
+// The circuit's dataflow graph replays on a sim.Dataflow, which issues in
+// sim.ListSchedule's order, the closed form's.  Simulate honours
+// cfg.BufferAncillae: zero buffers the generators infinitely (fluid sources,
+// the paper's closed-form token-bucket model, reproduced bit for bit — see
+// SimulateClosedForm); a positive capacity makes each source a finite buffer
+// fed by a rate-matched producer, so gates stall until their demand is
+// delivered and producers stall when the buffer fills, the dynamics the
+// closed form cannot express.
+//
+// The run state is pooled across runs; sweeps call Simulate thousands of
+// times and the steady state allocates a constant handful per run (see
+// TestSimulateEventsSteadyStateAllocations).
+func Simulate(c *quantum.Circuit, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}

@@ -203,22 +203,6 @@ func (m *costModel) dispatch(g quantum.Gate) (site int, extraLatency, ancillae f
 	return site, extraLatency, ancillae
 }
 
-// Simulate runs the dataflow simulation of a logical circuit on the selected
-// microarchitecture.  Gates issue in first-come-first-served order of data
-// readiness (ties broken by gate index); each gate waits for its operands,
-// for any required data movement (ballistic, teleportation, or cache
-// fetch/writeback), and for the encoded ancillae its QEC step and teleports
-// consume, drawn from the architecture's generator sources.
-//
-// Simulate executes on the discrete-event kernel of internal/sim and honours
-// cfg.BufferAncillae: zero buffers the generators infinitely (the paper's
-// closed-form token-bucket model, reproduced bit for bit — see
-// SimulateClosedForm), a positive capacity bounds each source's buffer so
-// production stalls when it fills and gates stall when it empties.
-func Simulate(c *quantum.Circuit, cfg Config) (Result, error) {
-	return simulateEvents(c, cfg)
-}
-
 // SimulateClosedForm is the original analytical model: list scheduling
 // against infinitely buffered token-bucket ancilla sources, with no event
 // kernel.  It is retained as the parity oracle for the event-driven
@@ -239,13 +223,6 @@ func SimulateClosedForm(c *quantum.Circuit, cfg Config) (Result, error) {
 		return res, nil
 	}
 
-	dag := c.DAG()
-	n := len(c.Gates)
-	finish := make([]float64, n)
-	ready := make([]float64, n)
-	indeg := make([]int, n)
-	copy(indeg, dag.InDegree)
-
 	rates, err := sourceRates(cfg, c.NumQubits)
 	if err != nil {
 		return Result{}, err
@@ -253,55 +230,25 @@ func SimulateClosedForm(c *quantum.Circuit, cfg Config) (Result, error) {
 	// The analytical ancilla model is sim.FluidSource's token bucket: the
 	// same accumulate-then-divide arithmetic the event-driven path uses in
 	// fluid mode, which is what keeps the two bit-identical.
-	pools := make([]*sim.FluidSource, len(rates))
+	pools := make([]sim.FluidSource, len(rates))
 	for i, r := range rates {
-		if pools[i], err = sim.NewFluidSource(r); err != nil {
+		if err := pools[i].Reset(r); err != nil {
 			return Result{}, err
 		}
 	}
 	model := newCostModel(cfg, c.NumQubits, &res)
 	weight := cfg.Latency.Prices().SpeedOfData
-
-	pq := &sim.TaskQueue{}
-	for i, d := range indeg {
-		if d == 0 {
-			pq.Push(sim.Task{Index: i, Ready: 0})
-		}
-	}
-	processed := 0
-	makespan := 0.0
 	stall := 0.0
-	for pq.Len() > 0 {
-		item := pq.Pop()
-		gi := item.Index
+	makespan := sim.ListSchedule(c, func(gi int, ready float64) float64 {
 		g := c.Gates[gi]
-		processed++
-
-		start := item.Ready
 		site, extraLatency, ancillae := model.dispatch(g)
-
-		issue := start
+		issue := ready
 		if t := pools[site].AvailableAt(ancillae); t > issue {
 			issue = t
 		}
-		stall += issue - start
-		finish[gi] = issue + extraLatency + weight[g.Kind]
-		if finish[gi] > makespan {
-			makespan = finish[gi]
-		}
-		for _, s := range dag.Succ[gi] {
-			if finish[gi] > ready[s] {
-				ready[s] = finish[gi]
-			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				pq.Push(sim.Task{Index: s, Ready: ready[s]})
-			}
-		}
-	}
-	if processed != n {
-		return Result{}, fmt.Errorf("microarch: dependence graph of %q is cyclic", c.Name)
-	}
+		stall += issue - ready
+		return issue + extraLatency + weight[g.Kind]
+	})
 	res.ExecutionTime = iontrap.Microseconds(makespan)
 	res.AncillaStallTime = iontrap.Microseconds(stall)
 	return res, nil

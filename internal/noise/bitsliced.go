@@ -34,7 +34,7 @@ import (
 // location order: bit-sliced estimates are statistically — not byte —
 // equivalent to dense, validated within 3σ of the dense sampler and the
 // first-order oracle, and never share engine cache keys (the chunk key
-// carries a "bitsliced" namespace, see Simulator.chunkKey).
+// carries a "bitsliced" namespace, see Simulator.chunkJobs).
 //
 // Lanes are fully independent, so a ragged tail word simply masks the tally
 // to its first `trials mod 64` lanes; the word executor itself performs zero

@@ -228,22 +228,7 @@ func (s *Simulator) monteCarloEngine(ctx context.Context, eng *engine.Engine, tr
 	if trials <= 0 {
 		panic("noise: trials must be positive")
 	}
-	chunks := (trials + mcChunkTrials - 1) / mcChunkTrials
-	_, fp := s.compiled()
-	jobs := make([]engine.Job[mcCounts], chunks)
-	for i := 0; i < chunks; i++ {
-		n := mcChunkTrials
-		if i == chunks-1 {
-			n = trials - i*mcChunkTrials
-		}
-		jobs[i] = engine.Job[mcCounts]{
-			Key: s.chunkKey(fp, seed, i, n),
-			Run: func(_ context.Context, rng *rand.Rand) (mcCounts, error) {
-				return chunk(rng, n), nil
-			},
-		}
-	}
-	tallies, err := engine.Run(ctx, eng, jobs)
+	tallies, err := engine.Run(ctx, eng, s.chunkJobs(seed, 0, trials, chunk))
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -254,23 +239,35 @@ func (s *Simulator) monteCarloEngine(ctx context.Context, eng *engine.Engine, tr
 	return estimateFrom(total, trials), nil
 }
 
-// chunkKey is the engine job key of Monte Carlo chunk i (of n trials) under
-// the current sampling mode.  Dense keys name no mode; the tests' legacy
-// interpreter oracle reuses them (and so the RNG streams) to check dense
-// byte for byte.  Sparse and bit-sliced each draw random values in their own
-// order and get their own namespace — neither may ever share a chunk result
-// with another mode.  MonteCarloTarget builds the same keys, so a
-// sequential-sampling run and a fixed-trial run of the same seed share cache
-// entries chunk for chunk.
-func (s *Simulator) chunkKey(fp string, seed int64, i, n int) string {
-	key := engine.NewKey("noise.mc").Str(fp).Keyer(s.Model).Int64(seed).Int(i).Int(n)
-	switch s.Sampling {
-	case SamplingSparse:
-		key = key.Str("sparse")
-	case SamplingBitSliced:
-		key = key.Str("bitsliced")
+// chunkJobs returns the engine jobs of a run of trials Monte Carlo trials
+// whose first chunk has index first: full mcChunkTrials chunks, then a
+// ragged last one, each run by chunk.
+//
+// A chunk's key names its index and trial count under the current sampling
+// mode.  Dense keys name no mode; the tests' legacy interpreter oracle
+// reuses them (and so the RNG streams) to check dense byte for byte.  Sparse
+// and bit-sliced each draw random values in their own order and get their
+// own namespace — neither may ever share a chunk result with another mode.
+// MonteCarloTarget builds its batches here too, so a sequential-sampling run
+// and a fixed-trial run of the same seed share cache entries chunk for
+// chunk.
+func (s *Simulator) chunkJobs(seed int64, first, trials int, chunk func(*rand.Rand, int) mcCounts) []engine.Job[mcCounts] {
+	_, fp := s.compiled()
+	jobs := make([]engine.Job[mcCounts], (trials+mcChunkTrials-1)/mcChunkTrials)
+	for i := range jobs {
+		n := min(mcChunkTrials, trials-i*mcChunkTrials)
+		key := engine.Fingerprint("noise.mc", fp, s.Model, seed, first+i, n)
+		if s.Sampling != SamplingDense {
+			key = engine.Fingerprint(key, s.Sampling.String())
+		}
+		jobs[i] = engine.Job[mcCounts]{
+			Key: key,
+			Run: func(_ context.Context, rng *rand.Rand) (mcCounts, error) {
+				return chunk(rng, n), nil
+			},
+		}
 	}
-	return key.String()
+	return jobs
 }
 
 // estimateFrom converts merged chunk tallies into the rate estimate.

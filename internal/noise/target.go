@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"speedofdata/internal/engine"
 )
@@ -85,7 +84,6 @@ func (s *Simulator) MonteCarloTarget(ctx context.Context, eng *engine.Engine, t 
 		conf = DefaultConfidence
 	}
 	z := normalQuantile((1 + conf) / 2)
-	_, fp := s.compiled()
 
 	var total mcCounts
 	trials, chunk, seq := 0, 0, 0
@@ -94,20 +92,7 @@ func (s *Simulator) MonteCarloTarget(ctx context.Context, eng *engine.Engine, t 
 		if remaining := t.MaxTrials - trials; want > remaining {
 			want = remaining
 		}
-		jobs := make([]engine.Job[mcCounts], 0, (want+mcChunkTrials-1)/mcChunkTrials)
-		for done := 0; done < want; done += mcChunkTrials {
-			n := mcChunkTrials
-			if want-done < n {
-				n = want - done
-			}
-			i := chunk + len(jobs)
-			jobs = append(jobs, engine.Job[mcCounts]{
-				Key: s.chunkKey(fp, seed, i, n),
-				Run: func(_ context.Context, rng *rand.Rand) (mcCounts, error) {
-					return s.monteCarloChunk(rng, n), nil
-				},
-			})
-		}
+		jobs := s.chunkJobs(seed, chunk, want, s.monteCarloChunk)
 		tallies, err := engine.Run(ctx, eng, jobs)
 		if err != nil {
 			return Estimate{}, false, err

@@ -18,9 +18,6 @@ type Circuit struct {
 	NumQubits int
 	// Gates is the gate sequence in program order.
 	Gates []Gate
-	// DataQubits optionally lists which qubits are long-lived data (or data
-	// ancillae) as opposed to scratch; nil means all qubits are data.
-	DataQubits []int
 
 	// The memos below hold values derived from the name, the qubit count
 	// and the gate sequence, each computed on its first use.  The contract

@@ -150,9 +150,6 @@ type Gate struct {
 	Kind   GateKind
 	Qubits []int
 	Angle  float64
-	// Label optionally carries provenance (e.g. "carry", "uma") used by
-	// tests and reports; it has no semantic effect.
-	Label string
 }
 
 // Validate reports an error if the gate's kind is undefined, or if its qubit

@@ -273,59 +273,26 @@ func SimulateWithThroughput(c *quantum.Circuit, m LatencyModel, ratePerMs float6
 		return 0, fmt.Errorf("schedule: throughput %v/ms: %w", ratePerMs, sim.ErrZeroRate)
 	}
 	weight := m.Prices().SpeedOfData
-	dag := c.DAG()
 	ratePerUs := ratePerMs / 1000.0
 	perGateAncillae := float64(m.ZeroAncillaePerQEC)
 
-	n := len(c.Gates)
-	finish := make([]float64, n)
-	ready := make([]float64, n)
-	indeg := make([]int, n)
-	copy(indeg, dag.InDegree)
-
 	// List scheduling in first-come-first-served order of data readiness
-	// (ties broken by gate index, the deterministic order sim.TaskQueue
-	// shares with Replay's event-driven dispatcher): each gate issues when
-	// its operands are ready and the shared ancilla pool (refilled at the
-	// steady rate, with accumulation allowed) has produced enough encoded
-	// zeros for its QEC step.
-	pq := &sim.TaskQueue{}
-	for i, d := range indeg {
-		if d == 0 {
-			pq.Push(sim.Task{Index: i, Ready: 0})
-		}
-	}
+	// (ties broken by gate index, the order sim.ListSchedule shares with
+	// Replay's event-driven dispatcher): each gate issues when its operands
+	// are ready and the shared ancilla pool (refilled at the steady rate,
+	// with accumulation allowed) has produced enough encoded zeros for its
+	// QEC step.
 	consumed := 0.0
-	makespan := 0.0
-	processed := 0
-	for pq.Len() > 0 {
-		item := pq.Pop()
-		gi := item.Index
-		processed++
+	makespan := sim.ListSchedule(c, func(gi int, ready float64) float64 {
 		consumed += perGateAncillae
-		issue := item.Ready
+		issue := ready
 		if !math.IsInf(ratePerMs, 1) {
 			if t := consumed / ratePerUs; t > issue {
 				issue = t
 			}
 		}
-		finish[gi] = issue + weight[c.Gates[gi].Kind]
-		if finish[gi] > makespan {
-			makespan = finish[gi]
-		}
-		for _, s := range dag.Succ[gi] {
-			if finish[gi] > ready[s] {
-				ready[s] = finish[gi]
-			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				pq.Push(sim.Task{Index: s, Ready: ready[s]})
-			}
-		}
-	}
-	if processed != n {
-		return 0, fmt.Errorf("schedule: dependence graph of %q is cyclic", c.Name)
-	}
+		return issue + weight[c.Gates[gi].Kind]
+	})
 	return iontrap.Microseconds(makespan), nil
 }
 

@@ -2,7 +2,9 @@ package schedule
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"speedofdata/internal/circuits"
@@ -57,6 +59,54 @@ func TestReplayMatchesSimulateWithThroughput(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomCircuit draws a small circuit over the whole gate set: up to
+// maxQubits qubits and maxGates gates on random distinct operands.
+func randomCircuit(rng *rand.Rand, maxQubits, maxGates int) *quantum.Circuit {
+	n := 1 + rng.Intn(maxQubits)
+	c := quantum.NewCircuit(fmt.Sprintf("random-%d", n), n)
+	var kinds []quantum.GateKind
+	for k := quantum.GateI; k <= quantum.GatePrepPlus; k++ { // GatePrepPlus is the last kind
+		kinds = append(kinds, k)
+	}
+	for i, gates := 0, rng.Intn(maxGates+1); i < gates; i++ {
+		if k := kinds[rng.Intn(len(kinds))]; k.Arity() <= n {
+			c.Add(k, rng.Perm(n)[:k.Arity()]...)
+		}
+	}
+	return c
+}
+
+// FuzzReplayParity runs the Figure 8 oracle pair over random small circuits
+// and supply rates, finite or unbounded: the event-driven Replay with a
+// fluid supply must reproduce SimulateWithThroughput bit for bit.
+func FuzzReplayParity(f *testing.F) {
+	f.Add(int64(1), 100.0, false)
+	f.Add(int64(2), 0.5, false)
+	f.Add(int64(3), 1e5, false)
+	f.Add(int64(4), 1.0, true)
+	f.Fuzz(func(t *testing.T, seed int64, ratePerMs float64, unbounded bool) {
+		if unbounded {
+			ratePerMs = math.Inf(1)
+		} else if !(ratePerMs >= 1e-3 && ratePerMs <= 1e9) {
+			return
+		}
+		c := randomCircuit(rand.New(rand.NewSource(seed)), 12, 80)
+		m := DefaultLatencyModel()
+		want, err := SimulateWithThroughput(c, m, ratePerMs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := Replay(c, m, Supply{RatePerMs: ratePerMs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run.Results[0].ExecutionTime; got != want || run.Makespan != want {
+			t.Fatalf("%d qubits, %d gates at %v/ms: replay makespan %v (run %v) != closed form %v",
+				c.NumQubits, len(c.Gates), ratePerMs, got, run.Makespan, want)
+		}
+	})
 }
 
 // A circuit's speed-of-data bound is memoised on its DAG per weight array:

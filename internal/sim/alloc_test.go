@@ -116,24 +116,24 @@ func acquire(r *Resource, n float64, fn func()) {
 // A drained queue must reuse its capacity, and Reset must produce a
 // resource/producer indistinguishable from a fresh one.
 func TestResetKeepsCapacityAndSemantics(t *testing.T) {
-	q := &TaskQueue{}
+	q := &taskQueue{}
 	for i := 0; i < 100; i++ {
-		q.Push(Task{Index: i, Ready: float64(100 - i)})
+		q.push(task{index: i, ready: float64(100 - i)})
 	}
-	for q.Len() > 0 {
-		q.Pop()
+	for q.len() > 0 {
+		q.pop()
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < 100; i++ {
-			q.Push(Task{Index: i, Ready: float64(100 - i)})
+			q.push(task{index: i, ready: float64(100 - i)})
 		}
 		last := -1.0
-		for q.Len() > 0 {
-			item := q.Pop()
-			if item.Ready < last {
+		for q.len() > 0 {
+			item := q.pop()
+			if item.ready < last {
 				t.Fatal("pop order broken on a reused queue")
 			}
-			last = item.Ready
+			last = item.ready
 		}
 	})
 	if allocs != 0 {

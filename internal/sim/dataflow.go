@@ -23,9 +23,10 @@ type Issuer interface {
 // one flat index space, circuit by circuit.  A gate becomes ready when its
 // last predecessor completes, and a late-priority dispatcher, armed once per
 // timestamp, issues the ready gates in (readiness, flat index) order after
-// every completion at that timestamp.  That is the closed-form oracles'
-// order, and with fluid sources the same token-bucket arithmetic, which is
-// what keeps infinite-buffer replays bit-identical to them.
+// every completion at that timestamp.  That is ListSchedule's order, through
+// which the closed-form oracles price gates, and with fluid sources the same
+// token-bucket arithmetic, which is what keeps infinite-buffer replays
+// bit-identical to them.
 //
 // Each replay is Reset, given its Sources, Run and Released.  A Dataflow
 // lives in a layer's pooled run state, so its arrays and sources are reused
@@ -34,7 +35,7 @@ type Dataflow struct {
 	is       Issuer
 	k        *Kernel
 	id       HandlerID // the dispatcher on k
-	rq       TaskQueue
+	rq       taskQueue
 	gates    []gateState // the flat index space
 	circuits []circuitState
 
@@ -180,7 +181,7 @@ func (d *Dataflow) Finish(fi int, at float64) {
 func (d *Dataflow) Run() (Stats, error) {
 	for i, g := range d.gates {
 		if g.indeg == 0 {
-			d.rq.Push(Task{Index: i})
+			d.rq.push(task{index: i})
 		}
 	}
 	d.k.AtFire(0, PriorityLate, d.id, dispatchIdx)
@@ -241,10 +242,10 @@ func (d *Dataflow) Fire(idx int) {
 // the queue empties or a layer stops the run.
 func (d *Dataflow) dispatch() {
 	d.armed = false
-	for d.rq.Len() > 0 && !d.k.stopped {
-		t := d.rq.Pop()
-		g := d.gates[t.Index]
-		d.is.Issue(t.Index, g.circuit, g.gate, t.Ready)
+	for d.rq.len() > 0 && !d.k.stopped {
+		t := d.rq.pop()
+		g := d.gates[t.index]
+		d.is.Issue(t.index, g.circuit, g.gate, t.ready)
 	}
 }
 
@@ -262,7 +263,7 @@ func (d *Dataflow) completed(fi int) {
 			g.ready = at
 		}
 		if g.indeg--; g.indeg == 0 {
-			d.rq.Push(Task{Index: si, Ready: g.ready})
+			d.rq.push(task{index: si, ready: g.ready})
 			if !d.armed {
 				d.armed = true
 				d.k.AtFire(d.k.Now(), PriorityLate, d.id, dispatchIdx)
@@ -272,4 +273,48 @@ func (d *Dataflow) completed(fi int) {
 	if d.finished == len(d.gates) {
 		d.k.Stop()
 	}
+}
+
+// ListSchedule is Dataflow's dispatch without the kernel: it list-schedules
+// c's dataflow graph, popping gates in (readiness, gate index) order and
+// asking issue for each gate's finish time, given the time its last operand
+// became ready.  A gate becomes ready at the latest finish over its
+// predecessors.  It returns the makespan, the latest finish.
+//
+// The closed-form oracles (microarch.SimulateClosedForm,
+// schedule.SimulateWithThroughput) price gates through it.  While every
+// finish lies after its gate's readiness, its order is the one a Dataflow
+// replay issues in, so a closed form whose issue prices a gate as its
+// replay's Issuer does reproduces that replay bit for bit.
+func ListSchedule(c *quantum.Circuit, issue func(gi int, ready float64) (finish float64)) float64 {
+	dag := c.DAG()
+	gates := make([]struct {
+		ready float64 // latest predecessor finish
+		indeg int     // predecessors not yet issued
+	}, len(c.Gates))
+	var q taskQueue
+	for gi, deg := range dag.InDegree {
+		gates[gi].indeg = deg
+		if deg == 0 {
+			q.push(task{index: gi})
+		}
+	}
+	makespan := 0.0
+	for q.len() > 0 {
+		t := q.pop()
+		finish := issue(t.index, t.ready)
+		if finish > makespan {
+			makespan = finish
+		}
+		for _, s := range dag.Succ[t.index] {
+			g := &gates[s]
+			if finish > g.ready {
+				g.ready = finish
+			}
+			if g.indeg--; g.indeg == 0 {
+				q.push(task{index: s, ready: g.ready})
+			}
+		}
+	}
+	return makespan
 }

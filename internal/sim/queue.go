@@ -1,34 +1,34 @@
 package sim
 
-// Task is one unit of deferred work keyed by the time it becomes ready and a
-// stable index (a gate number, or an offset into a flattened multi-circuit
-// gate space).
-type Task struct {
-	Index int
-	Ready float64
+// task is one ready gate keyed by the time it became ready and a stable
+// index (a gate number, or an offset into a flattened multi-circuit gate
+// space).
+type task struct {
+	index int
+	ready float64
 }
 
 // less orders by readiness time, then index.
-func (a Task) less(b Task) bool {
-	if a.Ready != b.Ready {
-		return a.Ready < b.Ready
+func (a task) less(b task) bool {
+	if a.ready != b.ready {
+		return a.ready < b.ready
 	}
-	return a.Index < b.Index
+	return a.index < b.index
 }
 
-// TaskQueue is a binary min-heap of tasks ordered by (readiness time, index).
-// The explicit index tie-break makes the pop order fully deterministic.  The
-// closed-form oracles (microarch.SimulateClosedForm,
-// schedule.SimulateWithThroughput) and the Dataflow dispatcher share this
-// one queue, and that shared issue order is load-bearing for their
-// bit-for-bit parity.
-type TaskQueue struct{ items []Task }
+// taskQueue is a binary min-heap of tasks ordered by (readiness time,
+// index).  The explicit index tie-break makes the pop order fully
+// deterministic.  Dataflow and ListSchedule are its only users: the
+// event-driven replays and the closed-form oracles, which price gates
+// through ListSchedule, issue in its one order, and that is load-bearing
+// for their bit-for-bit parity.
+type taskQueue struct{ items []task }
 
-// Len returns the number of queued tasks.
-func (q *TaskQueue) Len() int { return len(q.items) }
+// len returns the number of queued tasks.
+func (q *taskQueue) len() int { return len(q.items) }
 
-// Push adds a task.
-func (q *TaskQueue) Push(t Task) {
+// push adds a task.
+func (q *taskQueue) push(t task) {
 	q.items = append(q.items, t)
 	i := len(q.items) - 1
 	for i > 0 {
@@ -41,8 +41,8 @@ func (q *TaskQueue) Push(t Task) {
 	}
 }
 
-// Pop removes and returns the earliest task.
-func (q *TaskQueue) Pop() Task {
+// pop removes and returns the earliest task.
+func (q *taskQueue) pop() task {
 	top := q.items[0]
 	last := len(q.items) - 1
 	q.items[0] = q.items[last]

@@ -21,19 +21,10 @@ type FluidSource struct {
 	consumed  float64
 }
 
-// NewFluidSource builds a fluid source producing ratePerUs ancillae per
-// microsecond.  A non-positive rate returns ErrZeroRate (an infinite rate is
-// allowed and grants everything immediately).
-func NewFluidSource(ratePerUs float64) (*FluidSource, error) {
-	if !(ratePerUs > 0) {
-		return nil, fmt.Errorf("fluid source rate %v: %w", ratePerUs, ErrZeroRate)
-	}
-	return &FluidSource{ratePerUs: ratePerUs}, nil
-}
-
-// Reset re-initialises the source in place for a new run (same validation
-// as NewFluidSource), letting simulation drivers reuse per-source storage
-// across runs.
+// Reset starts the source afresh at ratePerUs ancillae per microsecond, so
+// one value serves run after run; a source is usable only once Reset.  A
+// non-positive rate returns ErrZeroRate (an infinite rate is allowed and
+// grants everything immediately).
 func (s *FluidSource) Reset(ratePerUs float64) error {
 	if !(ratePerUs > 0) {
 		return fmt.Errorf("fluid source rate %v: %w", ratePerUs, ErrZeroRate)

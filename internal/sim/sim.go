@@ -4,7 +4,8 @@
 // (finite ancilla buffers, rate-limited producers, fluid sources) that the
 // factory, microarch, schedule and network layers plug into; and Dataflow,
 // the one dispatcher that replays circuits' dataflow graphs for microarch,
-// schedule and network.
+// schedule and network, with ListSchedule, its kernel-free form, through
+// which the closed-form oracles price gates in the same issue order.
 //
 // The queue is a set of lanes and a heap.  A lane is the FIFO of the events
 // scheduled with one fixed delay at one priority: producer ticks, and

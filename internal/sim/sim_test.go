@@ -106,8 +106,8 @@ func TestKernelStopDropsRemainingEvents(t *testing.T) {
 }
 
 func TestFluidSourceMatchesTokenBucket(t *testing.T) {
-	s, err := NewFluidSource(0.5) // 0.5 ancillae per µs
-	if err != nil {
+	var s FluidSource
+	if err := s.Reset(0.5); err != nil { // 0.5 ancillae per µs
 		t.Fatal(err)
 	}
 	// The closed-form token bucket returns consumed/rate after accumulating.
@@ -121,8 +121,8 @@ func TestFluidSourceMatchesTokenBucket(t *testing.T) {
 		t.Errorf("consumed = %v, want 5", s.consumed)
 	}
 	// An infinite rate grants immediately.
-	inf, err := NewFluidSource(math.Inf(1))
-	if err != nil {
+	var inf FluidSource
+	if err := inf.Reset(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := inf.AvailableAt(100); got != 0 {
@@ -131,10 +131,11 @@ func TestFluidSourceMatchesTokenBucket(t *testing.T) {
 }
 
 func TestZeroRateIsTypedError(t *testing.T) {
-	if _, err := NewFluidSource(0); !errors.Is(err, ErrZeroRate) {
+	var s FluidSource
+	if err := s.Reset(0); !errors.Is(err, ErrZeroRate) {
 		t.Errorf("zero-rate fluid source error = %v, want ErrZeroRate", err)
 	}
-	if _, err := NewFluidSource(-1); !errors.Is(err, ErrZeroRate) {
+	if err := s.Reset(-1); !errors.Is(err, ErrZeroRate) {
 		t.Errorf("negative-rate fluid source error = %v, want ErrZeroRate", err)
 	}
 	k := NewKernel()

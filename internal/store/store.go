@@ -113,9 +113,6 @@ type Options struct {
 	// oldest entries are evicted to stay under it.  The memory tier above
 	// (engine.CacheLimit) is bounded by entries; the disk tier by bytes.
 	MaxBytes int64
-	// CompactFraction triggers compaction when dead bytes exceed this
-	// fraction of the file (<= 0 selects 0.5).
-	CompactFraction float64
 	// CompactMinBytes suppresses compaction until dead bytes reach it
 	// (<= 0 selects 1 MiB), so small stores never churn.
 	CompactMinBytes int64
@@ -124,9 +121,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = DefaultMaxBytes
-	}
-	if o.CompactFraction <= 0 {
-		o.CompactFraction = 0.5
 	}
 	if o.CompactMinBytes <= 0 {
 		o.CompactMinBytes = 1 << 20
@@ -478,7 +472,8 @@ func (s *Store) skip() {
 }
 
 // maybeCompactLocked enforces the byte bound (evicting oldest entries) and
-// runs a compaction when dead bytes dominate the segment.
+// runs a compaction when dead bytes reach CompactMinBytes and make up more
+// than half the segment.
 func (s *Store) maybeCompactLocked() {
 	if s.live > s.opts.MaxBytes {
 		refs := make([]recordRef, 0, len(s.index))
@@ -498,8 +493,7 @@ func (s *Store) maybeCompactLocked() {
 			s.evicted++
 		}
 	}
-	if s.dead >= s.opts.CompactMinBytes &&
-		float64(s.dead) > s.opts.CompactFraction*float64(s.live+s.dead) {
+	if s.dead >= s.opts.CompactMinBytes && s.dead > s.live {
 		s.compactLocked()
 	}
 }
