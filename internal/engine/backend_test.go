@@ -33,43 +33,45 @@ func (b *mapBackend) Put(key string, v any) {
 	b.m[key] = v
 }
 
-// TestLRUEvictsColdestKey fills the cache past its limit and checks that the
-// entry evicted is the least recently used one, not an arbitrary victim.
+// valueJobs returns one job per key, each returning val and counting its
+// runs in computes.
+func valueJobs(computes *atomic.Int64, val int, keys ...string) []Job[int] {
+	jobs := make([]Job[int], len(keys))
+	for i, k := range keys {
+		jobs[i] = Job[int]{Key: k, Run: func(context.Context, *rand.Rand) (int, error) {
+			computes.Add(1)
+			return val, nil
+		}}
+	}
+	return jobs
+}
+
+// TestLRUEvictsColdestKey fills the memory tier past its limit and checks
+// that the entry evicted is the least recently used one, not an arbitrary
+// victim.
 func TestLRUEvictsColdestKey(t *testing.T) {
 	eng := New(1)
 	eng.CacheLimit = 2
-	eng.cachePut("a", 1)
-	eng.cachePut("b", 2)
-	// Touch a so b becomes the eviction candidate.
-	if _, _, ok := eng.cacheGet("a"); !ok {
-		t.Fatal("a missing before eviction")
+	var computes atomic.Int64
+	run := func(keys ...string) {
+		t.Helper()
+		if _, err := Run(context.Background(), eng, valueJobs(&computes, 1, keys...)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	eng.cachePut("c", 3)
-	if _, _, ok := eng.cacheGet("b"); ok {
-		t.Fatal("b survived eviction; want the LRU entry evicted")
+	run("a", "b")
+	run("a") // touch a so b becomes the eviction candidate
+	run("c")
+	if n := computes.Load(); n != 3 {
+		t.Fatalf("%d computes before the probe, want 3 (a hit on a)", n)
 	}
-	if v, _, ok := eng.cacheGet("a"); !ok || v != 1 {
-		t.Fatalf("a = %v, %v after eviction; want 1 (recently used)", v, ok)
+	run("a", "c")
+	if n := computes.Load(); n != 3 {
+		t.Fatalf("a or c recomputed (%d computes); want both kept", n)
 	}
-	if v, _, ok := eng.cacheGet("c"); !ok || v != 3 {
-		t.Fatalf("c = %v, %v; want 3 (just inserted)", v, ok)
-	}
-}
-
-// TestLRUUpdateMovesToFront re-putting an existing key must refresh both its
-// value and its recency.
-func TestLRUUpdateMovesToFront(t *testing.T) {
-	eng := New(1)
-	eng.CacheLimit = 2
-	eng.cachePut("a", 1)
-	eng.cachePut("b", 2)
-	eng.cachePut("a", 10) // refresh a; b is now LRU
-	eng.cachePut("c", 3)
-	if _, _, ok := eng.cacheGet("b"); ok {
-		t.Fatal("b survived; want it evicted as LRU")
-	}
-	if v, _, ok := eng.cacheGet("a"); !ok || v != 10 {
-		t.Fatalf("a = %v, %v; want updated value 10", v, ok)
+	run("b")
+	if n := computes.Load(); n != 4 {
+		t.Fatalf("b served without computing (%d computes); want it evicted as LRU", n)
 	}
 }
 
@@ -135,24 +137,53 @@ func TestBackendPromotionDoesNotWriteBack(t *testing.T) {
 	backend.m["k"] = 7
 	eng := New(1)
 	eng.Backend = backend
-	if v, _, ok := eng.cacheGet("k"); !ok || v != 7 {
-		t.Fatalf("cacheGet = %v, %v; want backend hit", v, ok)
+	var computes atomic.Int64
+	got, err := Run(context.Background(), eng, valueJobs(&computes, 0, "k"))
+	if err != nil || got[0] != 7 || computes.Load() != 0 {
+		t.Fatalf("Run = %v, %v after %d computes; want the backend's 7", got, err, computes.Load())
 	}
 	if backend.puts.Load() != 0 {
 		t.Fatalf("backend puts = %d, want 0 on promotion", backend.puts.Load())
 	}
 }
 
+// TestBackendRecordOfAnotherTypeMisses a stored record whose type is not the
+// job's result type (a build whose stage returned another type wrote it)
+// counts as a store miss: the job computes and replaces the record.
+func TestBackendRecordOfAnotherTypeMisses(t *testing.T) {
+	backend := newMapBackend()
+	backend.m["k"] = "stale"
+	eng := New(1)
+	eng.Backend = backend
+	var computes atomic.Int64
+	got, err := Run(context.Background(), eng, valueJobs(&computes, 5, "k"))
+	if err != nil || got[0] != 5 || computes.Load() != 1 {
+		t.Fatalf("Run = %v, %v after %d computes; want 5 computed once", got, err, computes.Load())
+	}
+	if v := backend.m["k"]; v != 5 {
+		t.Fatalf("backend record = %v, want the computed 5", v)
+	}
+	if tiers := eng.Tiers(); tiers.StoreHits != 0 || tiers.StoreMisses != 1 {
+		t.Fatalf("tiers = %+v, want one store miss", tiers)
+	}
+}
+
 // TestTiersStats exercises the counter plumbing behind /v1/healthz.
 func TestTiersStats(t *testing.T) {
 	backend := newMapBackend()
+	backend.m["disk-only"] = 2
 	eng := New(1)
 	eng.Backend = backend
-	eng.cacheGet("missing") // memory miss + store miss
-	eng.cachePut("k", 1)    // memory + write-through
-	eng.cacheGet("k")       // memory hit
-	backend.m["disk-only"] = 2
-	eng.cacheGet("disk-only") // memory miss + store hit
+	var computes atomic.Int64
+	for _, keys := range [][]string{
+		{"k"},         // memory miss + store miss, computed and written through
+		{"k"},         // memory hit
+		{"disk-only"}, // memory miss + store hit
+	} {
+		if _, err := Run(context.Background(), eng, valueJobs(&computes, 1, keys...)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	got := eng.Tiers()
 	want := TierStats{MemoryHits: 1, MemoryMisses: 2, MemoryEntries: 2, StoreHits: 1, StoreMisses: 1}
 	if got != want {
@@ -164,18 +195,20 @@ func TestTiersStats(t *testing.T) {
 	}
 }
 
-// TestCacheHitAllocations guards the memory tier's hit path: an LRU
-// move-to-front must not allocate.
+// TestCacheHitAllocations guards the memory tier's hit path: a lookup that
+// moves a kept entry to the LRU front must not allocate.
 func TestCacheHitAllocations(t *testing.T) {
 	eng := New(1)
-	eng.cachePut("a", 1)
-	eng.cachePut("b", 2)
+	var computes atomic.Int64
+	if _, err := Run(context.Background(), eng, valueJobs(&computes, 1, "a", "b")); err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, ok := eng.cacheGet("a"); !ok {
-			t.Fatal("unexpected miss")
+		if _, outcome := eng.lookup("a"); outcome != "cache-memory" {
+			t.Fatalf("lookup(a) = %q, want a memory hit", outcome)
 		}
-		if _, _, ok := eng.cacheGet("b"); !ok {
-			t.Fatal("unexpected miss")
+		if _, outcome := eng.lookup("b"); outcome != "cache-memory" {
+			t.Fatalf("lookup(b) = %q, want a memory hit", outcome)
 		}
 	})
 	if allocs > 0 {

@@ -13,17 +13,16 @@
 //     processes and platforms.
 //   - Order preservation: Run returns results indexed exactly like the input
 //     job slice, so callers keep their presentation order for free.
-//   - Memoisation: results are cached by job key — in memory (an LRU tier
-//     bounded by CacheLimit entries) and, when a CacheBackend is attached,
-//     in a second tier that survives the process (internal/store) — so
-//     repeating a job fingerprint (e.g. the same benchmark characterisation
-//     feeding two figures, or a restarted server re-serving a grid) returns
-//     the cached value without recomputation.
-//   - Coalescing: identical jobs that are in flight at the same time (e.g.
-//     two HTTP requests racing on the same sweep) are computed once; the
-//     followers wait for the leader's result instead of duplicating work
-//     (singleflight).  A job must therefore never schedule a nested batch
-//     containing its own key, which would wait on itself.
+//   - Memoisation: the engine keeps one table entry per job key, so a key
+//     is computed once while its result is kept.  The first job with a key
+//     leads its entry: it alone consults the CacheBackend tier that
+//     survives the process (internal/store), when one is attached, or
+//     computes.  A job whose key is in flight (e.g. two HTTP requests
+//     racing on the same sweep) waits for the leader's result, and one
+//     whose key is kept (e.g. the same benchmark characterisation feeding
+//     two figures) returns it at once.  Kept entries form an LRU tier
+//     bounded by CacheLimit entries.  A job must therefore never schedule
+//     a nested batch containing its own key, which would wait on itself.
 package engine
 
 import (
@@ -43,9 +42,9 @@ import (
 // Job is one unit of experiment work.
 type Job[R any] struct {
 	// Key is a stable fingerprint of everything the job's result depends on
-	// (use Fingerprint).  It seeds the job's RNG stream and keys the result
-	// cache.  An empty key disables caching for the job and seeds the RNG
-	// from the job's batch index instead.
+	// (use Fingerprint).  It seeds the job's RNG stream and names the job's
+	// entry in the engine's memo table: jobs with equal keys share one
+	// result, so they must share a result type.
 	Key string
 	// Run computes the result.  rng is the job's private deterministic
 	// stream; jobs must not use any other randomness source.  Long-running
@@ -53,13 +52,12 @@ type Job[R any] struct {
 	Run func(ctx context.Context, rng *rand.Rand) (R, error)
 }
 
-// Engine executes job batches on a bounded worker pool with a shared result
-// cache.  The zero value runs with GOMAXPROCS workers and no cache; a nil
-// *Engine runs sequentially with no cache.  Construct with New for a
-// parallel, caching engine.  An Engine is safe for concurrent use, including
-// nested Run calls from inside jobs: the worker bound applies to the whole
-// engine, not per batch, so fanning out chunks from inside a job never
-// multiplies concurrency beyond Workers.
+// Engine executes job batches on a bounded worker pool and memoises their
+// results in one table keyed by job key.  Construct it with New; a nil
+// *Engine runs sequentially and memoises nothing.  An Engine is safe for
+// concurrent use, including nested Run calls from inside jobs: the worker
+// bound applies to the whole engine, not per batch, so fanning out chunks
+// from inside a job never multiplies concurrency beyond Workers.
 type Engine struct {
 	// Workers bounds the total number of jobs executing concurrently across
 	// every (possibly nested) Run on this engine; values <= 0 mean
@@ -71,20 +69,21 @@ type Engine struct {
 	// context carries no trace).  Calls are serialised and done counts are
 	// monotonic per batch.
 	Progress func(done, total int, key, traceID string)
-	// CacheLimit bounds the number of memoised results; 0 means unlimited.
-	// When the cache is full, the least-recently-used entry is evicted per
-	// insertion, so the memory tier keeps the hottest keys resident (in
-	// front of the Backend tier, when one is attached) while capping a
-	// long-lived server's memory growth; the one-shot CLI stays unlimited.
-	// The memory tier is bounded by entry count; a disk Backend bounds
-	// itself by bytes (see internal/store).
+	// CacheLimit bounds the number of kept results; 0 means unlimited.
+	// When the memory tier is full, the least-recently-used entry is evicted
+	// per insertion, so it keeps the hottest keys resident (in front of the
+	// Backend tier, when one is attached) while capping a long-lived
+	// server's memory growth; the one-shot CLI stays unlimited.  The memory
+	// tier is bounded by entry count; a disk Backend bounds itself by bytes
+	// (see internal/store).
 	CacheLimit int
 	// Backend is an optional second cache tier (typically the disk-backed
-	// internal/store).  On a memory miss the engine consults it before
-	// computing and promotes hits into the memory tier; computed results are
-	// written through.  Evicting a memory entry loses nothing: the entry was
-	// already written through when it was computed.  Set it before the first
-	// Run and leave it in place; a nil Backend keeps the engine memory-only.
+	// internal/store).  The leader of a key missing from the memory tier
+	// consults it before computing and keeps a hit in the memory tier;
+	// computed results are written through.  Evicting a memory entry loses
+	// nothing: the entry was already written through when it was computed.
+	// Set it before the first Run and leave it in place; a nil Backend keeps
+	// the engine memory-only.
 	Backend CacheBackend
 	// Partial, when set, receives intermediate results of long-running
 	// experiments via PublishPartial (e.g. the refining estimates of a
@@ -93,18 +92,18 @@ type Engine struct {
 	// monotonically increasing sequence number.  Calls are serialised.
 	Partial func(key string, seq int, value any)
 
-	mu    sync.Mutex
-	cache map[string]*cacheEntry
-	// lru is the recency ring of cache entries: lru.next is the most
-	// recently used, lru.prev the eviction candidate.  Only New initialises
-	// it (alongside cache); a zero-value Engine has no cache at all.
-	lru       cacheEntry
+	mu sync.Mutex
+	// memo holds an entry per key that is in flight or kept.  lru is the
+	// recency ring of the kept ones: lru.next is the most recently used,
+	// lru.prev the eviction candidate; kept counts them.
+	memo      map[string]*entry
+	lru       entry
+	kept      int
 	hits      int
 	misses    int
 	storeHits int
 	storeMiss int
 	coalesced int
-	inflight  map[string]*flight
 	// partialMu serialises PublishPartial calls, separately from mu so
 	// publishing never contends with the job hot path.
 	partialMu sync.Mutex
@@ -124,28 +123,32 @@ type Engine struct {
 	jobHists sync.Map // kind string -> *obs.Histogram
 }
 
-// New returns an engine with the given worker bound and an empty cache.
+// New returns an engine with the given worker bound and an empty memo table.
 func New(workers int) *Engine {
-	e := &Engine{Workers: workers, cache: make(map[string]*cacheEntry)}
+	e := &Engine{Workers: workers, memo: make(map[string]*entry)}
 	e.lru.next, e.lru.prev = &e.lru, &e.lru
 	return e
 }
 
-// cacheEntry is one memoised result on the LRU recency ring.
-type cacheEntry struct {
+// entry is one key's slot in the memo table.  Its leader sets val and err,
+// then closes done; until then the entry is in flight.  prev and next link
+// a kept entry into the recency ring and are nil while it is in flight.
+type entry struct {
 	key        string
+	done       chan struct{}
 	val        any
-	prev, next *cacheEntry
+	err        error
+	prev, next *entry
 }
 
 // lruUnlink removes ent from the recency ring.
-func (e *Engine) lruUnlink(ent *cacheEntry) {
+func (e *Engine) lruUnlink(ent *entry) {
 	ent.prev.next = ent.next
 	ent.next.prev = ent.prev
 }
 
 // lruFront moves (or inserts) ent to the most-recently-used position.
-func (e *Engine) lruFront(ent *cacheEntry) {
+func (e *Engine) lruFront(ent *entry) {
 	ent.prev = &e.lru
 	ent.next = e.lru.next
 	ent.prev.next = ent
@@ -168,8 +171,10 @@ func (e *Engine) workerCount() int {
 
 // TierStats describes both cache tiers' lookup effectiveness.
 type TierStats struct {
-	// MemoryHits and MemoryMisses count memory-tier lookups; MemoryEntries
-	// is the tier's current size (bounded by CacheLimit).
+	// MemoryHits and MemoryMisses count memory-tier lookups that found a
+	// kept key / led an absent one; a job that joins a key in flight counts
+	// as neither (see Coalesced).  MemoryEntries is the tier's current size
+	// (bounded by CacheLimit).
 	MemoryHits, MemoryMisses, MemoryEntries int
 	// StoreHits and StoreMisses count the memory misses that went on to the
 	// Backend tier and found / did not find the key there.  Both stay zero
@@ -189,7 +194,7 @@ func (e *Engine) Tiers() TierStats {
 	return TierStats{
 		MemoryHits:    e.hits,
 		MemoryMisses:  e.misses,
-		MemoryEntries: len(e.cache),
+		MemoryEntries: e.kept,
 		StoreHits:     e.storeHits,
 		StoreMisses:   e.storeMiss,
 	}
@@ -207,7 +212,8 @@ func (e *Engine) InFlight() int {
 }
 
 // Coalesced reports how many jobs were served by waiting on an identical
-// in-flight computation instead of recomputing (singleflight hits).
+// in-flight computation instead of recomputing.  Such a job counts here
+// only, not as a memory or store lookup.
 func (e *Engine) Coalesced() int {
 	if e == nil {
 		return 0
@@ -270,13 +276,9 @@ func (e *Engine) jobHist(kind string) *obs.Histogram {
 
 // kindOf maps a job key to its metric/span label: the experiment id for
 // top-level "qsd|<id>|..." keys, the stage name (first segment) for nested
-// keys like "circuits.generate|QCLA|32", "anon" for uncacheable jobs.  The
-// label space is bounded by the experiment registry and stage names, as the
-// registry requires.
+// keys like "circuits.generate|QCLA|32".  The label space is bounded by the
+// experiment registry and stage names, as the registry requires.
 func kindOf(key string) string {
-	if key == "" {
-		return "anon"
-	}
 	first, rest, ok := strings.Cut(key, "|")
 	if !ok {
 		return first
@@ -288,122 +290,105 @@ func kindOf(key string) string {
 	return first
 }
 
-// flight is one in-progress computation of a job key.  Followers wait on
-// done and then read val/err; the leader settles and closes it.
-type flight struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
-// joinFlight registers interest in the computation of key.  It returns the
-// flight and whether the caller is the leader (must compute and settle it).
-// A nil flight means singleflight does not apply (empty key or nil engine)
-// and the caller should just compute.
-func (e *Engine) joinFlight(key string) (*flight, bool) {
-	if e == nil || key == "" {
-		return nil, false
+// lookup resolves key in the memo table and reports how: "cache-memory"
+// for a kept entry, which moves to the LRU front; "coalesced" for an entry
+// in flight, which the caller must wait on; "" when the key was absent and
+// the caller leads the entry just registered for it, which it alone fills
+// and settles.  A nil engine keeps no table, so its caller leads an
+// unregistered entry.
+func (e *Engine) lookup(key string) (*entry, string) {
+	if e == nil {
+		return &entry{key: key}, ""
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if f, ok := e.inflight[key]; ok {
-		e.coalesced++
-		return f, false
-	}
-	if e.inflight == nil {
-		e.inflight = make(map[string]*flight)
-	}
-	f := &flight{done: make(chan struct{})}
-	e.inflight[key] = f
-	return f, true
-}
-
-// settleFlight publishes the leader's result and releases the followers.
-func (e *Engine) settleFlight(key string, f *flight, val any, err error) {
-	f.val, f.err = val, err
-	e.mu.Lock()
-	delete(e.inflight, key)
-	e.mu.Unlock()
-	close(f.done)
-}
-
-// cacheGet looks key up in the memory cache, then in the store, and reports
-// which tier served the hit ("cache-memory" or "cache-store" — the span
-// outcome vocabulary).
-func (e *Engine) cacheGet(key string) (any, string, bool) {
-	if e == nil {
-		return nil, "", false
-	}
-	e.mu.Lock()
-	if e.cache == nil || key == "" {
+	ent, ok := e.memo[key]
+	switch {
+	case !ok:
 		e.misses++
-		e.mu.Unlock()
-		return nil, "", false
+		ent = &entry{key: key, done: make(chan struct{})}
+		e.memo[key] = ent
+		return ent, ""
+	case ent.next == nil:
+		e.coalesced++
+		return ent, "coalesced"
 	}
-	if ent, ok := e.cache[key]; ok {
-		e.hits++
-		e.lruUnlink(ent)
-		e.lruFront(ent)
-		v := ent.val
-		e.mu.Unlock()
-		return v, "cache-memory", true
-	}
-	e.misses++
-	backend := e.Backend
-	e.mu.Unlock()
-	if backend == nil {
-		return nil, "", false
-	}
-	// Memory miss: consult the second tier outside the lock (it may do disk
-	// I/O) and promote a hit into the memory tier so repeats stay cheap.
-	v, ok := backend.Get(key)
-	e.mu.Lock()
-	if ok {
-		e.storeHits++
-		e.memPutLocked(key, v)
-	} else {
-		e.storeMiss++
-	}
-	e.mu.Unlock()
-	return v, "cache-store", ok
+	e.hits++
+	e.lruUnlink(ent)
+	e.lruFront(ent)
+	return ent, "cache-memory"
 }
 
-func (e *Engine) cachePut(key string, v any) {
-	if e == nil || key == "" {
-		return
-	}
-	e.mu.Lock()
-	if e.cache == nil {
-		e.mu.Unlock()
-		return
-	}
-	e.memPutLocked(key, v)
-	backend := e.Backend
-	e.mu.Unlock()
-	if backend != nil {
-		backend.Put(key, v)
-	}
-}
-
-// memPutLocked inserts or refreshes a memory-tier entry at the front of the
-// recency ring, evicting from the back past CacheLimit.  Callers hold e.mu.
-func (e *Engine) memPutLocked(key string, v any) {
-	if ent, ok := e.cache[key]; ok {
-		ent.val = v
-		e.lruUnlink(ent)
-		e.lruFront(ent)
-		return
-	}
-	if e.CacheLimit > 0 {
-		for len(e.cache) >= e.CacheLimit {
-			oldest := e.lru.prev
-			e.lruUnlink(oldest)
-			delete(e.cache, oldest.key)
+// fill resolves the entry its caller leads and reports the outcome: the
+// Backend's record when it holds the key ("cache-store"), else the job's
+// own result ("computed"), written through to the Backend on success.  The
+// entry is settled on every path, a panic in job.Run included, so no
+// follower waits on it forever.
+func fill[R any](ctx context.Context, e *Engine, ent *entry, job Job[R], kind string) (outcome string) {
+	defer func() {
+		if outcome == "" {
+			ent.err = fmt.Errorf("engine: job %q panicked", job.Key)
+		}
+		e.settle(ent, outcome)
+	}()
+	if e != nil && e.Backend != nil {
+		// A record of another type than R was written by a build whose
+		// stage returned another type under this key: it is a miss, and the
+		// computed result replaces it.
+		if v, ok := e.Backend.Get(job.Key); ok {
+			if _, isR := v.(R); isR {
+				ent.val = v
+				return "cache-store"
+			}
 		}
 	}
-	ent := &cacheEntry{key: key, val: v}
-	e.cache[key] = ent
-	e.lruFront(ent)
+	start := time.Now()
+	e.jobStart()
+	defer e.jobEnd()
+	v, err := job.Run(ctx, rand.New(&lazySource{key: job.Key}))
+	if err == nil && e != nil && e.Backend != nil {
+		e.Backend.Put(job.Key, v)
+	}
+	ent.val, ent.err = v, err
+	if e != nil {
+		e.jobsRun.Inc()
+		if h := e.jobHist(kind); h != nil {
+			h.Record(time.Since(start))
+		}
+	}
+	return "computed"
+}
+
+// settle publishes a leader's outcome: it counts the Backend lookup, keeps
+// a successful entry at the LRU front, evicting from the back past
+// CacheLimit, or drops a failed one so a later job retries the key, and
+// then releases the followers.
+func (e *Engine) settle(ent *entry, outcome string) {
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	if e.Backend != nil {
+		if outcome == "cache-store" {
+			e.storeHits++
+		} else {
+			e.storeMiss++
+		}
+	}
+	if ent.err != nil {
+		delete(e.memo, ent.key)
+	} else {
+		for e.CacheLimit > 0 && e.kept >= e.CacheLimit {
+			oldest := e.lru.prev
+			e.lruUnlink(oldest)
+			delete(e.memo, oldest.key)
+			e.kept--
+		}
+		e.lruFront(ent)
+		e.kept++
+	}
+	e.mu.Unlock()
+	close(ent.done)
 }
 
 // SeedFor derives the RNG seed of a job from its key via FNV-1a, the
@@ -422,26 +407,22 @@ func SeedFor(key string) int64 {
 // 607-word state vector, cost more than most jobs, and only the Monte Carlo
 // chunks ever draw; so a job that never draws never pays for its stream,
 // and one that does sees exactly the values rand.NewSource(SeedFor(key))
-// would give.  Seed starts over the same way, from the seed it is given.
+// would give.  Seed starts a stream from the seed it is given.
 type lazySource struct {
-	key  string // hashed into seed on the first draw, then cleared
-	seed int64
-	src  rand.Source64
+	key string
+	src rand.Source64
 }
 
 func (s *lazySource) source() rand.Source64 {
 	if s.src == nil {
-		if s.key != "" {
-			s.seed, s.key = SeedFor(s.key), ""
-		}
-		s.src = rand.NewSource(s.seed).(rand.Source64)
+		s.src = rand.NewSource(SeedFor(s.key)).(rand.Source64)
 	}
 	return s.src
 }
 
 func (s *lazySource) Int63() int64    { return s.source().Int63() }
 func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
-func (s *lazySource) Seed(seed int64) { s.key, s.seed, s.src = "", seed, nil }
+func (s *lazySource) Seed(seed int64) { s.src = rand.NewSource(seed).(rand.Source64) }
 
 // Fingerprint joins the %v renderings of its arguments with '|' into a job
 // key.  Callers must include every input the job's result depends on.
@@ -528,92 +509,34 @@ func Run[R any](ctx context.Context, e *Engine, jobs []Job[R]) ([]R, error) {
 			job := jobs[i]
 			kind := kindOf(job.Key)
 			span := parentSpan.Child(kind)
-			if v, tier, ok := e.cacheGet(job.Key); ok {
-				if r, isR := v.(R); isR {
-					out[i] = r
-					span.EndWith(tier)
-					finish(job.Key)
-					continue
+			ent, outcome := e.lookup(job.Key)
+			switch outcome {
+			case "":
+				jobCtx := ctx
+				if span != nil {
+					// Nested batches scheduled by this job parent under its span.
+					jobCtx = obs.ContextWithSpan(ctx, span)
 				}
-			}
-			fl, leader := e.joinFlight(job.Key)
-			if fl != nil && !leader {
+				outcome = fill(jobCtx, e, ent, job, kind)
+			case "coalesced":
 				// An identical job is already computing somewhere on this
 				// engine (possibly for another Run batch, e.g. a concurrent
 				// HTTP request): wait for its result instead of recomputing.
 				select {
 				case <-ctx.Done():
 					return
-				case <-fl.done:
-				}
-				if fl.err != nil {
-					span.Fail(fl.err)
-					fail(fl.err)
-					return
-				}
-				if r, isR := fl.val.(R); isR {
-					out[i] = r
-					span.EndWith("coalesced")
-					finish(job.Key)
-					continue
-				}
-				// Result type differs across generic instantiations sharing
-				// a key; fall through and compute locally.
-			}
-			src := &lazySource{key: job.Key}
-			if job.Key == "" {
-				src.key = fmt.Sprintf("#%d", i)
-			}
-			jobCtx := ctx
-			if span != nil {
-				// Nested batches scheduled by this job parent under its span.
-				jobCtx = obs.ContextWithSpan(ctx, span)
-			}
-			start := time.Now()
-			var v R
-			var err error
-			if fl != nil && leader {
-				// Settle the flight even if job.Run panics (e.g. a server
-				// handler recovering the panic keeps the process alive):
-				// otherwise followers of this key would block forever.
-				settled := false
-				func() {
-					e.jobStart()
-					defer func() {
-						e.jobEnd()
-						if !settled {
-							e.settleFlight(job.Key, fl, nil,
-								fmt.Errorf("engine: job %q panicked", job.Key))
-						}
-					}()
-					v, err = job.Run(jobCtx, rand.New(src))
-					if err == nil {
-						e.cachePut(job.Key, v)
-					}
-					e.settleFlight(job.Key, fl, v, err)
-					settled = true
-				}()
-			} else {
-				e.jobStart()
-				v, err = job.Run(jobCtx, rand.New(src))
-				e.jobEnd()
-				if err == nil {
-					e.cachePut(job.Key, v)
+				case <-ent.done:
 				}
 			}
-			if e != nil {
-				e.jobsRun.Inc()
-				if h := e.jobHist(kind); h != nil {
-					h.Record(time.Since(start))
-				}
-			}
-			if err != nil {
-				span.Fail(err)
-				fail(err)
+			if ent.err != nil {
+				span.Fail(ent.err)
+				fail(ent.err)
 				return
 			}
-			span.EndWith("computed")
-			out[i] = v
+			// Only a nil result of an interface type R fails this assertion,
+			// and R's zero value is that nil.
+			out[i], _ = ent.val.(R)
+			span.EndWith(outcome)
 			finish(job.Key)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,25 +142,6 @@ func TestCacheHitOnRepeatedFingerprint(t *testing.T) {
 	tiers := e.Tiers()
 	if tiers.MemoryHits != 2 || tiers.MemoryMisses != 1 {
 		t.Fatalf("cache stats = %d hits / %d misses, want 2 / 1", tiers.MemoryHits, tiers.MemoryMisses)
-	}
-}
-
-func TestEmptyKeyDisablesCaching(t *testing.T) {
-	var computed atomic.Int32
-	job := Job[int]{
-		Run: func(context.Context, *rand.Rand) (int, error) {
-			computed.Add(1)
-			return 1, nil
-		},
-	}
-	e := New(1)
-	for round := 0; round < 2; round++ {
-		if _, err := Run(context.Background(), e, []Job[int]{job}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := computed.Load(); n != 2 {
-		t.Fatalf("uncached job computed %d times, want 2", n)
 	}
 }
 
@@ -452,6 +434,40 @@ func TestSingleflightCoalesces(t *testing.T) {
 	}
 }
 
+// TestEachKeyComputedOnce races eight batches of one fresh key on an
+// eight-worker engine, for 2,000 keys, and requires each key's job body to
+// run once: a job that looks the key up just as another settles it must be
+// served the kept result, not compute it again.
+func TestEachKeyComputedOnce(t *testing.T) {
+	const keys, batches = 2000, 8
+	eng := New(batches)
+	for k := 0; k < keys; k++ {
+		var runs atomic.Int32
+		job := Job[int]{
+			Key: Fingerprint("once", k),
+			Run: func(context.Context, *rand.Rand) (int, error) {
+				runs.Add(1)
+				return k, nil
+			},
+		}
+		var wg sync.WaitGroup
+		for b := 0; b < batches; b++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out, err := Run(context.Background(), eng, []Job[int]{job})
+				if err != nil || out[0] != k {
+					t.Errorf("key %d: Run = %v, %v", k, out, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := runs.Load(); n != 1 {
+			t.Fatalf("key %d computed %d times, want 1", k, n)
+		}
+	}
+}
+
 // TestSingleflightPropagatesError ensures a coalesced follower receives the
 // leader's error instead of hanging or recomputing.
 func TestSingleflightPropagatesError(t *testing.T) {
@@ -556,10 +572,7 @@ func TestCacheLimitEvicts(t *testing.T) {
 	if _, err := Run(context.Background(), eng, jobs); err != nil {
 		t.Fatal(err)
 	}
-	eng.mu.Lock()
-	size := len(eng.cache)
-	eng.mu.Unlock()
-	if size > 4 {
+	if size := eng.Tiers().MemoryEntries; size > 4 {
 		t.Errorf("cache grew to %d entries despite limit 4", size)
 	}
 }

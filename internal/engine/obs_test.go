@@ -19,7 +19,6 @@ func TestKindOf(t *testing.T) {
 		"circuits.generate|QCLA|32": "circuits.generate",
 		"mc|3|1.5":                  "mc",
 		"bare":                      "bare",
-		"":                          "anon",
 	}
 	for key, want := range cases {
 		if got := kindOf(key); got != want {

@@ -112,6 +112,7 @@ type teleState struct {
 	gate     int    // owning netGate slot
 	route    []Link // cached route (read-only)
 	hop      int
+	link     int     // linkIdx of the current hop
 	ret      bool    // return trip (fires the outbound join)
 	hopReady float64 // when the current hop requested its EPR pair
 }
@@ -134,12 +135,10 @@ type netState struct {
 	bufs    []*sim.Resource
 	prods   []*sim.Producer
 	linkIdx map[Link]int
-	routes  [][]Link // (from*tiles+to) -> cached dimension-order route
+	routes  [][]Link // (from*tiles+to) -> cached route
 
-	// Fault state.  faulted is false for an empty Config.Faults, keeping
-	// the route cache on the plain dimension-order path; everything below
-	// it is only touched when a plan is present.
-	faulted      bool
+	// Fault state.  Every fault is applied before the first event, so an
+	// empty Config.Faults leaves these all false and FaultStats zero.
 	linkDown     []bool // per linkIdx: the link is dead
 	linkDegraded []bool // per linkIdx: the link runs at a reduced rate
 	rerouted     []bool // per routes index: cached route deviates from dimension order
@@ -177,24 +176,20 @@ func (r *netState) Fire(idx int) {
 	}
 }
 
-// route returns the cached route between two tiles: the plain dimension-order
-// route on a pristine mesh, the fault-avoiding fallback (opposite dimension
-// order, then a bounded BFS detour) when a fault plan is active.  On a
-// partitioned mesh it fails the replay and returns nil; callers must check
-// replayErr before using the route.
+// route returns the cached route between two tiles: the dimension-order
+// route, or the fault-avoiding fallback (opposite dimension order, then a
+// bounded BFS detour) when a dead link blocks it.  On a partitioned mesh it
+// fails the replay and returns nil; callers must check replayErr before
+// using the route.
 func (r *netState) route(from, to int) []Link {
 	i := from*r.nTiles + to
 	if r.routes[i] == nil {
-		if r.faulted {
-			rt, rer, err := r.topo.RouteAvoiding(from, to, r.linkIsDown)
-			if err != nil {
-				r.fail(err)
-				return nil
-			}
-			r.routes[i], r.rerouted[i] = rt, rer
-		} else {
-			r.routes[i] = r.topo.Route(from, to)
+		rt, rer, err := r.topo.RouteAvoiding(from, to, r.linkIsDown)
+		if err != nil {
+			r.fail(err)
+			return nil
 		}
+		r.routes[i], r.rerouted[i] = rt, rer
 	}
 	return r.routes[i]
 }
@@ -251,7 +246,8 @@ func (r *netState) teleStep(ts int) {
 		return
 	}
 	s.hopReady = now
-	r.bufs[r.linkIdx[s.route[s.hop]]].AcquireFire(1, r.id, 3*ts)
+	s.link = r.linkIdx[s.route[s.hop]]
+	r.bufs[s.link].AcquireFire(1, r.id, 3*ts)
 }
 
 // teleGranted fires when the hop's EPR pair is delivered: draw the teleport
@@ -263,7 +259,7 @@ func (r *netState) teleGranted(ts int) {
 	l := s.route[s.hop]
 	granted := float64(r.df.Kernel().Now())
 	r.netBlocked[p.ci] += granted - s.hopReady
-	if r.faulted && r.linkDegraded[r.linkIdx[l]] {
+	if r.linkDegraded[s.link] {
 		r.fstats.DegradedWaitUs += granted - s.hopReady
 	}
 	depart := granted
@@ -331,9 +327,7 @@ func (r *netState) Issue(fi, ci, gi int, ready float64) {
 	for _, route := range p.moves {
 		res.Teleports++
 		res.HopHistogram[len(route)]++
-		if r.faulted {
-			r.noteSpawn(route)
-		}
+		r.noteSpawn(route)
 		r.spawnTele(x, route, false)
 	}
 }
@@ -372,9 +366,7 @@ func (r *netState) launchReturns(x int) {
 		}
 		res.Teleports++
 		res.HopHistogram[len(back)]++
-		if r.faulted {
-			r.noteSpawn(back)
-		}
+		r.noteSpawn(back)
 		r.spawnTele(x, back, true)
 	}
 }
@@ -411,8 +403,7 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 	topo := NewTopology(len(cfg.Machine.Tiles))
 	nTiles := topo.TileCount()
 	maxDist := topo.Cols + topo.Rows - 1
-	faulted := len(cfg.Faults) > 0
-	if faulted && nTiles > maxDist {
+	if len(cfg.Faults) > 0 && nTiles > maxDist {
 		// Detours may be longer than any Manhattan distance; a BFS route
 		// is still bounded by the tile count.  Zero-fault histograms keep
 		// their original size, preserving byte identity.
@@ -468,7 +459,6 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 	r.teleAnc = float64(r.teleAncN)
 	r.teleUs = float64(cfg.Machine.Movement.TeleportUs)
 	r.ballUs = float64(cfg.Machine.Movement.BallisticPerGateUs)
-	r.faulted = faulted
 	r.fstats, r.replayErr = FaultStats{}, nil
 	r.netBlocked = append(r.netBlocked[:0], make([]float64, len(cs))...)
 	r.routes = append(r.routes[:0], make([][]Link, nTiles*nTiles)...)
@@ -498,34 +488,30 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 		clear(r.linkIdx)
 	}
 	linkRatePerUs := cfg.linkRatePerMs() / 1000.0
-	if faulted {
-		r.linkDown = append(r.linkDown[:0], make([]bool, len(links))...)
-		r.linkDegraded = append(r.linkDegraded[:0], make([]bool, len(links))...)
-	}
+	r.linkDown = append(r.linkDown[:0], make([]bool, len(links))...)
+	r.linkDegraded = append(r.linkDegraded[:0], make([]bool, len(links))...)
 	for i, l := range links {
 		r.linkIdx[l] = i
 		rate, dead := linkRatePerUs, false
-		if faulted {
-			// The plan shapes the link before the run starts.  A dead
-			// entry wins over every degradation of the link in either
-			// order; among degradations the last factor wins.
-			for _, f := range cfg.Faults {
-				if f.Link != l {
-					continue
-				}
-				if f.Dead {
-					dead = true
-				} else {
-					rate = linkRatePerUs * f.RateFactor
-				}
+		// The plan shapes the link before the run starts.  A dead entry
+		// wins over every degradation of the link in either order; among
+		// degradations the last factor wins.
+		for _, f := range cfg.Faults {
+			if f.Link != l {
+				continue
 			}
-			if dead {
-				r.linkDown[i] = true
-				r.fstats.FailedLinks++
-			} else if rate != linkRatePerUs {
-				r.linkDegraded[i] = true
-				r.fstats.DegradedLinks++
+			if f.Dead {
+				dead = true
+			} else {
+				rate = linkRatePerUs * f.RateFactor
 			}
+		}
+		if dead {
+			r.linkDown[i] = true
+			r.fstats.FailedLinks++
+		} else if rate != linkRatePerUs {
+			r.linkDegraded[i] = true
+			r.fstats.DegradedLinks++
 		}
 		if i == len(r.bufs) {
 			r.bufs = append(r.bufs, new(sim.Resource))

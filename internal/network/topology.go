@@ -129,25 +129,13 @@ func (t Topology) walk(a, b int, xFirst bool) ([]Link, bool) {
 // the failures disconnect a from b it returns an error wrapping
 // ErrPartitioned.
 func (t Topology) RouteAvoiding(a, b int, down func(Link) bool) ([]Link, bool, error) {
-	if a == b {
-		return nil, false, nil
+	if r := t.Route(a, b); routeClear(r, down) {
+		return r, false, nil
 	}
-	// The hole-aware baseline: exactly what Route would pick.
-	first, altOrder := []Link(nil), false
-	if r, ok := t.walk(a, b, true); ok {
-		first = r
-	} else {
-		first, _ = t.walk(a, b, false)
-		altOrder = true
-	}
-	if routeClear(first, down) {
-		return first, false, nil
-	}
-	// The other dimension order, when it stays on populated tiles.
-	if !altOrder {
-		if r, ok := t.walk(a, b, false); ok && routeClear(r, down) {
-			return r, true, nil
-		}
+	// Y first, when it stays on populated tiles; where Route already took
+	// it, it is the blocked route again and falls through.
+	if r, ok := t.walk(a, b, false); ok && routeClear(r, down) {
+		return r, true, nil
 	}
 	if r := t.bfsRoute(a, b, down); r != nil {
 		return r, true, nil
