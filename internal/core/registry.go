@@ -377,7 +377,7 @@ func renderTechnology() (report.Section, error) {
 	for _, op := range iontrap.Ops() {
 		tb.AddRow(names[op], op.String(), float64(tech.LatencyOf(op)))
 	}
-	return report.NewSection("", tb), nil
+	return report.NewSection(tb), nil
 }
 
 func renderCharacterization(e Experiments, id string) (report.Section, error) {
@@ -396,7 +396,7 @@ func renderCharacterization(e Experiments, id string) (report.Section, error) {
 			tb.AddRow(r.Name, float64(r.DataOpLatency), pct(d), float64(r.QECInteractLatency), pct(i),
 				float64(r.AncillaPrepLatency), pct(p), float64(r.SpeedOfDataTime), r.Speedup())
 		}
-		return report.NewSection("", tb), nil
+		return report.NewSection(tb), nil
 	}
 	tb := report.Table{
 		Title:   "Table 3: average encoded ancilla bandwidths at the speed of data",
@@ -405,15 +405,15 @@ func renderCharacterization(e Experiments, id string) (report.Section, error) {
 	for _, r := range rows {
 		tb.AddRow(r.Name, r.ZeroBandwidthPerMs, r.Pi8BandwidthPerMs, r.TotalGates, r.Pi8Gates)
 	}
-	return report.NewSection("", tb), nil
+	return report.NewSection(tb), nil
 }
 
 func renderTable5(e Experiments) (report.Section, error) {
-	return report.NewSection("", unitTable("Table 5: pipelined zero-factory functional units", e.Table5())), nil
+	return report.NewSection(unitTable("Table 5: pipelined zero-factory functional units", e.Table5())), nil
 }
 
 func renderTable7(e Experiments) (report.Section, error) {
-	return report.NewSection("", unitTable("Table 7: encoded pi/8 factory stages", e.Table7())), nil
+	return report.NewSection(unitTable("Table 7: encoded pi/8 factory stages", e.Table7())), nil
 }
 
 func renderZeroFactory(e Experiments) (report.Section, error) {
@@ -433,7 +433,7 @@ func renderSimpleFactory(e Experiments) (report.Section, error) {
 	fmt.Fprintf(&b, "  latency    : %s = %v us\n", simple.Latency(), simple.LatencyUs())
 	fmt.Fprintf(&b, "  throughput : %.1f encoded ancillae / ms\n", simple.ThroughputPerMs())
 	fmt.Fprintf(&b, "  area       : %v macroblocks\n", simple.Area())
-	return report.NewSection("", report.Text(b.String())), nil
+	return report.NewSection(report.Text(b.String())), nil
 }
 
 func unitTable(title string, rows []Table5Row) report.Table {
@@ -459,7 +459,7 @@ func designSection(title string, d factory.Design) report.Section {
 	}
 	foot := fmt.Sprintf("functional area %v + crossbar area %v = %v macroblocks; throughput %.1f encoded ancillae/ms\n",
 		d.FunctionalArea(), d.CrossbarArea(), d.TotalArea(), d.ThroughputPerMs)
-	return report.NewSection("", tb, report.Text(foot))
+	return report.NewSection(tb, report.Text(foot))
 }
 
 func renderTable9(e Experiments) (report.Section, error) {
@@ -477,7 +477,7 @@ func renderTable9(e Experiments) (report.Section, error) {
 		tb.AddRow(r.Name, r.ZeroBandwidthPerMs, float64(r.DataArea), pct(d),
 			float64(r.QECFactoryArea), pct(q), float64(r.Pi8FactoryArea), pct(p), float64(r.TotalArea()))
 	}
-	return report.NewSection("", tb), nil
+	return report.NewSection(tb), nil
 }
 
 func renderFigure4(e Experiments, trials int, seed int64, sampling noise.Sampling) (report.Section, error) {
@@ -494,7 +494,7 @@ func renderFigure4(e Experiments, trials int, seed int64, sampling noise.Samplin
 		tb.AddRow(r.Name, r.PaperRate, r.FirstOrder.UncorrectableRate, r.MonteCarlo.UncorrectableRate,
 			r.MonteCarlo.ResidualRate, r.MonteCarlo.RejectRate, r.Ops.Total())
 	}
-	return report.NewSection("", tb), nil
+	return report.NewSection(tb), nil
 }
 
 func renderFigure4CI(e Experiments, epsilon, confidence float64, maxTrials int, seed int64) (report.Section, error) {
@@ -518,7 +518,7 @@ func renderFigure4CI(e Experiments, epsilon, confidence float64, maxTrials int, 
 	}
 	note := report.Text("Unconverged rows spent the full trial cap without meeting the half-width target " +
 		"(rare-event rates need more trials; raise -trials or loosen -ci).\n")
-	return report.NewSection("", tb, note), nil
+	return report.NewSection(tb, note), nil
 }
 
 func renderFigure7(e Experiments, buckets int) (report.Section, error) {
@@ -577,7 +577,7 @@ func renderFigure15(e Experiments, benchName string, maxScale int, archName stri
 			tb.AddRow(arch.String(), p.Scale, p.AreaMacroblocks, p.ExecutionTimeMs)
 		}
 	}
-	return report.NewSection("", tb), nil
+	return report.NewSection(tb), nil
 }
 
 // parseFig15Selection resolves the benchmark and optional architecture filter
@@ -619,7 +619,7 @@ func renderFigure15Buffered(e Experiments, benchName string, maxScale int, archN
 				p.AncillaStallMs, p.BufferHighWater)
 		}
 	}
-	return report.NewSection("", tb), nil
+	return report.NewSection(tb), nil
 }
 
 func renderBufferSweep(e Experiments, benchName, archName string) (report.Section, error) {
@@ -648,7 +648,7 @@ func renderBufferSweep(e Experiments, benchName, archName string) (report.Sectio
 			r.ProducerStallTime.Milliseconds(), r.BufferHighWater, r.Events)
 	}
 	note := report.Text("The final row is the infinite-buffer (closed-form) reference the finite capacities converge to.\n")
-	return report.NewSection("", tb, note), nil
+	return report.NewSection(tb, note), nil
 }
 
 func renderContention(e Experiments, buffer int) (report.Section, error) {
@@ -671,7 +671,7 @@ func renderContention(e Experiments, buffer int) (report.Section, error) {
 	}
 	note := report.Text("Each supply level replays all benchmarks concurrently against one factory bank; " +
 		"bursty neighbours steal headroom even when the average supply matches the average demand.\n")
-	return report.NewSection("", tb, note), nil
+	return report.NewSection(tb, note), nil
 }
 
 func renderFactorySim(e Experiments, buffer int) (report.Section, error) {
@@ -717,7 +717,7 @@ func renderNetSweep(e Experiments, benchName string, tiles, buffer int) (report.
 	}
 	note := report.Text("Each row replays the benchmark on a routed 2D mesh with per-link EPR-pair generators; " +
 		"raising the link bandwidth monotonically drains the network-blocked share of the makespan.\n")
-	return report.NewSection("", tb, note), nil
+	return report.NewSection(tb, note), nil
 }
 
 func renderNetContention(e Experiments, tiles, buffer int) (report.Section, error) {
@@ -741,7 +741,7 @@ func renderNetContention(e Experiments, tiles, buffer int) (report.Section, erro
 	}
 	note := report.Text("All benchmarks run concurrently on one mesh: cross-tile teleports from different " +
 		"programs queue at the same EPR links, so a chatty neighbour inflates everyone's network-blocked time.\n")
-	return report.NewSection("", tb, note), nil
+	return report.NewSection(tb, note), nil
 }
 
 func renderNetFault(e Experiments, benchName string, tiles, buffer int) (report.Section, error) {
@@ -770,7 +770,7 @@ func renderNetFault(e Experiments, benchName string, tiles, buffer int) (report.
 		"damage; any damage costs makespan over the pristine mesh, and at matched bandwidth and above the dead " +
 		"link (detours) costs more than uniform degradation (at starved factors slowing every link can hurt more " +
 		"than losing one).\n")
-	return report.NewSection("", tb, note), nil
+	return report.NewSection(tb, note), nil
 }
 
 func renderNetDegrade(e Experiments, benchName string, tiles, buffer, faults int) (report.Section, error) {
@@ -799,7 +799,7 @@ func renderNetDegrade(e Experiments, benchName string, tiles, buffer, faults int
 	}
 	note := report.Text("Mesh boundaries die one by one (both directions each) in stable order while teleports " +
 		"re-route around the damage; rows past the partition point report Partitioned instead of a makespan.\n")
-	return report.NewSection("", tb, note), nil
+	return report.NewSection(tb, note), nil
 }
 
 // bufferLabel renders a buffer capacity, spelling out the infinite case.
@@ -830,7 +830,7 @@ func renderFowler(e Experiments) (report.Section, error) {
 	for _, c := range res.Cascade {
 		tb2.AddRow(c.K, c.AncillaFactories, c.WorstCaseCX, c.ExpectedCX, c.ExpectedX)
 	}
-	return report.NewSection("", tb, note, tb2), nil
+	return report.NewSection(tb, note, tb2), nil
 }
 
 func renderShor(e Experiments) (report.Section, error) {
@@ -848,7 +848,7 @@ func renderShor(e Experiments) (report.Section, error) {
 			est.ZeroBandwidthPerMs, est.Pi8BandwidthPerMs, est.ZeroFactories, est.Pi8Factories,
 			float64(est.ChipArea), est.Speedup())
 	}
-	return report.NewSection("", tb), nil
+	return report.NewSection(tb), nil
 }
 
 func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }

@@ -24,33 +24,36 @@ type CacheBackend interface {
 }
 
 // BackendStats describes a cache backend's effectiveness and footprint; the
-// serving tier reports it on /v1/healthz.  Backends expose it through the
-// optional StatBackend interface.
+// serving tier reports it as /v1/healthz's "store" object, in the JSON
+// below.  Backends expose it through the optional StatBackend interface.
 type BackendStats struct {
 	// Hits and Misses count Get lookups that found / did not find a usable
 	// record (stale-version and corrupt records count as misses).
-	Hits, Misses int64
-	// Puts counts records persisted; Skipped counts Put values the backend
-	// declined (unregistered result type or encoding failure).
-	Puts, Skipped int64
+	Hits, Misses int64 `json:"-"`
 	// Entries is the number of live keys; LiveBytes their record bytes.
-	Entries   int
-	LiveBytes int64
+	Entries   int   `json:"entries"`
+	LiveBytes int64 `json:"live_bytes"`
 	// DeadBytes is the garbage awaiting compaction (superseded, evicted and
 	// stale-version records); FileBytes the total on-disk segment size.
-	DeadBytes, FileBytes int64
+	DeadBytes int64 `json:"dead_bytes"`
+	FileBytes int64 `json:"file_bytes"`
+	// Puts counts records persisted; Skipped counts Put values the backend
+	// declined (unregistered result type or encoding failure).
+	Puts    int64 `json:"puts"`
+	Skipped int64 `json:"skipped"`
 	// Evicted counts entries dropped to keep the store under its byte bound;
 	// Stale counts records invalidated by a result-type version bump.
-	Evicted, Stale int64
+	Evicted int64 `json:"evicted"`
+	Stale   int64 `json:"stale"`
+	// ReadOnly reports a reader-mode backend (borrowing another process's
+	// results; Put is a no-op).
+	ReadOnly bool `json:"read_only"`
 	// Compactions counts snapshot+compaction passes;
 	// LastCompactionReclaimedBytes and LastCompactionLiveEntries describe
 	// the most recent one.
-	Compactions                  int64
-	LastCompactionReclaimedBytes int64
-	LastCompactionLiveEntries    int
-	// ReadOnly reports a reader-mode backend (borrowing another process's
-	// results; Put is a no-op).
-	ReadOnly bool
+	Compactions                  int64 `json:"compactions"`
+	LastCompactionReclaimedBytes int64 `json:"last_compaction_reclaimed_bytes"`
+	LastCompactionLiveEntries    int   `json:"last_compaction_live_entries"`
 }
 
 // StatBackend is implemented by backends that report their effectiveness.

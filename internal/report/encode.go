@@ -1,8 +1,6 @@
 package report
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -233,9 +231,8 @@ func (w *jsonWriter) optString(k, s string) {
 }
 
 // cell appends a table cell: nil as null, a finite float at full precision,
-// NaN and infinities as their strings ("NaN", "+Inf"), and any other value
-// as json.Marshal encodes it, or as its %v string when json.Marshal cannot,
-// so one odd cell never fails a whole document.
+// and NaN and infinities as their strings ("NaN", "+Inf"), so one odd float
+// never fails a whole document.
 func (w *jsonWriter) cell(c Cell) {
 	switch v := c.v.(type) {
 	case nil:
@@ -252,16 +249,6 @@ func (w *jsonWriter) cell(c Cell) {
 		w.b = appendJSONString(w.b, v)
 	case bool:
 		w.b = strconv.AppendBool(w.b, v)
-	default:
-		m, err := json.Marshal(v)
-		if err != nil {
-			w.b = appendJSONString(w.b, fmt.Sprintf("%v", v))
-			return
-		}
-		// Indent the value as the enclosing document is indented.
-		buf := bytes.NewBuffer(w.b)
-		_ = json.Indent(buf, m, strings.Repeat("  ", w.depth), "  ") // m is valid JSON
-		w.b = buf.Bytes()
 	}
 }
 
@@ -393,18 +380,16 @@ func appendCSVRecordStart(b []byte, id, kind string) []byte {
 }
 
 // appendCSV appends the cell as one CSV field: a float at full round-trip
-// precision, and a string or another value's %v text quoted as a field.
+// precision, a string quoted as a field, and nil, an int or a bool as the
+// text encoder writes it, which never needs quoting.
 func (c Cell) appendCSV(b []byte) []byte {
 	switch v := c.v.(type) {
 	case float64:
 		return strconv.AppendFloat(b, v, 'g', -1, 64)
-	case nil, int, bool:
-		return c.appendText(b) // never quoted
 	case string:
 		return appendCSVField(b, v)
-	default:
-		return appendCSVField(b, fmt.Sprintf("%v", v))
 	}
+	return c.appendText(b)
 }
 
 // appendCSVField appends f as encoding/csv's Writer writes a field: quoted,

@@ -159,7 +159,7 @@ func TestParseFormat(t *testing.T) {
 }
 
 func TestSectionText(t *testing.T) {
-	sec := NewSection("id", Text("a\n"), Text("b\n"))
+	sec := NewSection(Text("a\n"), Text("b\n"))
 	if got := textOf(Document{Sections: []Section{sec}}); got != "a\nb\n" {
 		t.Errorf("section text = %q", got)
 	}
@@ -176,7 +176,7 @@ func TestEncodeAllocations(t *testing.T) {
 	for i := range 40 {
 		tb.AddRow(fmt.Sprintf("row %d", i), i*37, float64(i)*1234.5678, 1/float64(i+3), i*i, "ok")
 	}
-	d := Document{Sections: []Section{NewSection("alloc", tb)}}
+	d := Document{Sections: []Section{{ID: "alloc", Blocks: []Block{tb}}}}
 	for _, f := range []Format{FormatJSON, FormatText, FormatCSV} {
 		allocs := testing.AllocsPerRun(20, func() {
 			if err := d.Encode(io.Discard, f); err != nil {

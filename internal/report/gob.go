@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -18,30 +17,25 @@ func init() {
 	gob.Register(Text(""))
 }
 
-// Cell wire format: one tag byte followed by the value.  The scalar tags
-// cover every type the experiment layers put in cells and preserve the exact
-// Go type and bits, so a section decoded from disk renders byte-identically
-// in every encoder (text %v formatting, JSON and CSV full precision).
+// Cell wire format: one tag byte followed by the value, which keeps the
+// exact Go type and bits, so a section decoded from disk renders
+// byte-identically in every encoder.  The tags are on disk in every store
+// an earlier build wrote, so a tag is never renumbered
+// (TestCellWireFormatIsStable).  Tags 4, 5, 7 and 8 are retired and must
+// not be reused: earlier builds could write int64, uint64, float32 and
+// nested-gob cells under them.  A record holding one fails to decode, which
+// the store counts as a miss.
 const (
-	cellNil     byte = iota // no payload
-	cellString              // raw bytes
-	cellFloat64             // 8-byte big-endian IEEE 754 bits
-	cellInt                 // varint
-	cellInt64               // varint
-	cellUint64              // uvarint
-	cellBool                // one byte, 0 or 1
-	cellFloat32             // 4-byte big-endian IEEE 754 bits
-	cellGob                 // gob-encoded interface (type must be gob-registered)
+	cellNil     byte = 0 // no payload
+	cellString  byte = 1 // raw bytes
+	cellFloat64 byte = 2 // 8-byte big-endian IEEE 754 bits
+	cellInt     byte = 3 // varint
+	cellBool    byte = 6 // one byte, 0 or 1
 )
 
-// GobEncode implements gob.GobEncoder.  Cells holding a type outside the
-// scalar fast paths fall back to a nested gob encoding, which fails for
-// unregistered concrete types — the error propagates so a store declines to
-// persist the section instead of storing a lossy rendering.
+// GobEncode implements gob.GobEncoder.
 func (c Cell) GobEncode() ([]byte, error) {
 	switch v := c.v.(type) {
-	case nil:
-		return []byte{cellNil}, nil
 	case string:
 		return append([]byte{cellString}, v...), nil
 	case float64:
@@ -51,29 +45,14 @@ func (c Cell) GobEncode() ([]byte, error) {
 		return b[:], nil
 	case int:
 		return binary.AppendVarint([]byte{cellInt}, int64(v)), nil
-	case int64:
-		return binary.AppendVarint([]byte{cellInt64}, v), nil
-	case uint64:
-		return binary.AppendUvarint([]byte{cellUint64}, v), nil
 	case bool:
 		b := []byte{cellBool, 0}
 		if v {
 			b[1] = 1
 		}
 		return b, nil
-	case float32:
-		var b [5]byte
-		b[0] = cellFloat32
-		binary.BigEndian.PutUint32(b[1:], math.Float32bits(v))
-		return b[:], nil
-	default:
-		var buf bytes.Buffer
-		buf.WriteByte(cellGob)
-		if err := gob.NewEncoder(&buf).Encode(&c.v); err != nil {
-			return nil, fmt.Errorf("report: cell value %T: %w", c.v, err)
-		}
-		return buf.Bytes(), nil
 	}
+	return []byte{cellNil}, nil
 }
 
 // GobDecode implements gob.GobDecoder.
@@ -98,34 +77,11 @@ func (c *Cell) GobDecode(data []byte) error {
 			return fmt.Errorf("report: bad int cell")
 		}
 		c.v = int(v)
-	case cellInt64:
-		v, n := binary.Varint(payload)
-		if n <= 0 {
-			return fmt.Errorf("report: bad int64 cell")
-		}
-		c.v = v
-	case cellUint64:
-		v, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return fmt.Errorf("report: bad uint64 cell")
-		}
-		c.v = v
 	case cellBool:
 		if len(payload) != 1 {
 			return fmt.Errorf("report: bad bool cell length %d", len(payload))
 		}
 		c.v = payload[0] != 0
-	case cellFloat32:
-		if len(payload) != 4 {
-			return fmt.Errorf("report: bad float32 cell length %d", len(payload))
-		}
-		c.v = math.Float32frombits(binary.BigEndian.Uint32(payload))
-	case cellGob:
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&v); err != nil {
-			return fmt.Errorf("report: cell gob payload: %w", err)
-		}
-		c.v = v
 	default:
 		return fmt.Errorf("report: unknown cell tag %d", tag)
 	}

@@ -137,10 +137,7 @@ func oracleTableText(t Table) string {
 // maximum Y.  It panics on a bar of negative length: a negative, NaN or
 // +Inf Y under a positive maximum.
 func oracleSeriesText(s Series) string {
-	width := s.Width
-	if width <= 0 {
-		width = 50
-	}
+	const width = 50
 	maxY := 0.0
 	for _, p := range s.Points {
 		if p.Y > maxY {
@@ -251,22 +248,15 @@ func (p oraclePoint) MarshalJSON() ([]byte, error) {
 	}{p.X, p.Y})
 }
 
-// oracleJSONValue returns the cell's value for JSON encoding.  Values the
-// encoder cannot represent (channels, functions, NaN/Inf floats) fall back
-// to their %v string so one odd cell never fails a whole document.
+// oracleJSONValue returns the cell's value for JSON encoding.  NaN and
+// infinite floats, which JSON cannot represent, fall back to their string
+// so one odd cell never fails a whole document.
 func oracleJSONValue(c Cell) any {
 	if f, ok := c.v.(float64); ok {
 		// JSON has no NaN/Inf literals.
 		if _, err := json.Marshal(f); err != nil {
 			return oracleCellMachine(c)
 		}
-		return f
-	}
-	if c.v == nil {
-		return nil
-	}
-	if _, err := json.Marshal(c.v); err != nil {
-		return fmt.Sprintf("%v", c.v)
 	}
 	return c.v
 }

@@ -3,15 +3,14 @@
 // renders them through pluggable encoders: aligned plain text (the historical
 // qsd output format, byte-for-byte), JSON and CSV.
 //
-// Values stay typed all the way to the encoder.  A Cell holds the original
-// Go value; the text encoder applies the paper's compact float formatting
-// while the machine-readable encoders emit full-precision values, so a JSON
-// consumer can round-trip every number exactly even though the terminal
-// rendering rounds for readability.
+// Values stay typed all the way to the encoder.  A Cell holds nil, a
+// string, a float64, an int or a bool; the text encoder applies the paper's
+// compact float formatting while the machine-readable encoders emit
+// full-precision values, so a JSON consumer can round-trip every number
+// exactly even though the terminal rendering rounds for readability.
 //
-// Each encoder appends one document into one byte slice: cells of the
-// common types (nil, float64, int, string, bool) are formatted with strconv
-// and copied, never through reflection or fmt.
+// Each encoder appends one document into one byte slice, formatting every
+// cell with strconv or copying it, never through reflection or fmt.
 package report
 
 import (
@@ -21,20 +20,29 @@ import (
 	"unicode/utf8"
 )
 
-// Cell is one typed table value.  The zero Cell holds nil and renders empty.
+// Cell is one typed table value: nil, a string, a float64, an int or a
+// bool, and nothing else, so every encoder's switch over it is total.  The
+// zero Cell holds nil and renders empty.
 type Cell struct {
 	v any
 }
 
-// CellOf wraps a value in a Cell.
-func CellOf(v any) Cell { return Cell{v: v} }
+// CellOf wraps a value in a Cell.  It panics on a value of any other type
+// than nil, string, float64, int and bool, naming the type: a named type
+// such as time.Duration is another type, so convert it first.
+func CellOf(v any) Cell {
+	switch v.(type) {
+	case nil, string, float64, int, bool:
+		return Cell{v: v}
+	}
+	panic(fmt.Sprintf("report: cell value of type %T, want string, float64, int or bool", v))
+}
 
 // appendText renders the cell for the plain-text encoder: floats compactly
-// via appendCompact, strings verbatim, everything else as %v prints it.
+// via appendCompact, strings verbatim, ints and bools as strconv prints
+// them, and nil as nothing.
 func (c Cell) appendText(b []byte) []byte {
 	switch v := c.v.(type) {
-	case nil:
-		return b
 	case float64:
 		return appendCompact(b, v)
 	case string:
@@ -43,9 +51,8 @@ func (c Cell) appendText(b []byte) []byte {
 		return strconv.AppendInt(b, int64(v), 10)
 	case bool:
 		return strconv.AppendBool(b, v)
-	default:
-		return fmt.Appendf(b, "%v", v)
 	}
+	return b
 }
 
 // Table is a titled grid of typed cells.
@@ -55,7 +62,8 @@ type Table struct {
 	Rows    [][]Cell
 }
 
-// AddRow appends a row of arbitrary values, each stored as a typed Cell.
+// AddRow appends a row of values, each stored as a Cell by CellOf, which
+// panics on a type a Cell cannot hold.
 func (t *Table) AddRow(cells ...interface{}) {
 	row := make([]Cell, len(cells))
 	for i, c := range cells {
@@ -158,17 +166,18 @@ func (t Table) appendText(b []byte) []byte {
 	return b[:start+n]
 }
 
-// Series is a one-dimensional curve rendered as an ASCII bar chart by the
-// text encoder and as an (x, y) point list by the machine encoders, used for
-// the figure reproductions.
+// Series is a one-dimensional curve rendered as an ASCII bar chart, with
+// bars up to seriesWidth characters, by the text encoder and as an (x, y)
+// point list by the machine encoders, used for the figure reproductions.
 type Series struct {
 	Title  string
 	XLabel string
 	YLabel string
 	Points []SeriesPoint
-	// Width is the bar width in characters (default 50).
-	Width int
 }
+
+// seriesWidth is the length of a series' longest bar in characters.
+const seriesWidth = 50
 
 // SeriesPoint is one (x, y) sample.
 type SeriesPoint struct {
@@ -181,13 +190,10 @@ func (s *Series) Add(x, y float64) {
 }
 
 // appendText renders the series with one bar per point, scaled to the
-// maximum Y.  Each bar is clamped to [0, Width]: a negative or NaN Y draws
-// an empty bar, as does every point of a series whose maximum is infinite.
+// maximum Y.  Each bar is clamped to [0, seriesWidth]: a negative or NaN Y
+// draws an empty bar, as does every point of a series whose maximum is
+// infinite.
 func (s Series) appendText(b []byte) []byte {
-	width := s.Width
-	if width <= 0 {
-		width = 50
-	}
 	maxY := 0.0
 	for _, p := range s.Points {
 		if p.Y > maxY {
@@ -207,8 +213,8 @@ func (s Series) appendText(b []byte) []byte {
 		n := 0
 		if maxY > 0 {
 			// NaN, from a NaN or infinite Y, fails both tests and draws nothing.
-			if bar := math.Round(p.Y / maxY * float64(width)); bar >= float64(width) {
-				n = width
+			if bar := math.Round(p.Y / maxY * seriesWidth); bar >= seriesWidth {
+				n = seriesWidth
 			} else if bar > 0 {
 				n = int(bar)
 			}
@@ -217,7 +223,7 @@ func (s Series) appendText(b []byte) []byte {
 		b = appendRepeat(b, ' ', 12-len(xs))
 		b = append(append(b, xs...), " | "...)
 		b = appendRepeat(b, '#', n)
-		b = appendRepeat(b, ' ', width-n+1)
+		b = appendRepeat(b, ' ', seriesWidth-n+1)
 		b = append(appendCompact(b, p.Y), '\n')
 	}
 	return b
@@ -244,9 +250,10 @@ type Section struct {
 	Blocks []Block
 }
 
-// NewSection builds a section from blocks.
-func NewSection(id string, blocks ...Block) Section {
-	return Section{ID: id, Blocks: blocks}
+// NewSection builds a section from blocks with an empty ID, which the
+// registry that runs the experiment sets to the experiment id.
+func NewSection(blocks ...Block) Section {
+	return Section{Blocks: blocks}
 }
 
 // Document collects experiment sections in presentation order.  The qsd tool

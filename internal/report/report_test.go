@@ -2,9 +2,11 @@ package report
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -63,7 +65,7 @@ func TestFormatFloat(t *testing.T) {
 }
 
 func TestSeriesRendering(t *testing.T) {
-	s := Series{Title: "Figure 8", XLabel: "ancillae/ms", YLabel: "ms", Width: 20}
+	s := Series{Title: "Figure 8", XLabel: "ancillae/ms", YLabel: "ms"}
 	s.Add(10, 100)
 	s.Add(20, 50)
 	s.Add(40, 25)
@@ -95,24 +97,47 @@ func TestSeriesEmptyAndZero(t *testing.T) {
 
 // TestSeriesClampsBars: under a positive maximum, a negative, NaN or
 // infinite Y once gave a bar of negative length, and strings.Repeat
-// panicked.  Each bar is clamped to [0, Width], NaN drawing nothing.
+// panicked.  Each bar is clamped to [0, 50], NaN drawing nothing.
 func TestSeriesClampsBars(t *testing.T) {
-	s := Series{Width: 4, Points: []SeriesPoint{{0, 1}, {1, -1}, {2, math.NaN()}, {3, 0.5}}}
+	s := Series{Points: []SeriesPoint{{0, 1}, {1, -1}, {2, math.NaN()}, {3, 0.5}}}
 	want := "" +
-		"           0 | #### 1\n" +
-		"           1 |      -1\n" +
-		"           2 |      NaN\n" +
-		"           3 | ##   0.5\n"
+		"           0 | " + strings.Repeat("#", 50) + " 1\n" +
+		"           1 | " + strings.Repeat(" ", 51) + "-1\n" +
+		"           2 | " + strings.Repeat(" ", 51) + "NaN\n" +
+		"           3 | " + strings.Repeat("#", 25) + strings.Repeat(" ", 26) + "0.5\n"
 	if got := textOf(s); got != want {
 		t.Errorf("clamped bars:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	inf := Series{Width: 4, Points: []SeriesPoint{{0, 1}, {1, math.Inf(1)}}}
+	inf := Series{Points: []SeriesPoint{{0, 1}, {1, math.Inf(1)}}}
 	if got := textOf(inf); strings.Contains(got, "#") {
 		t.Errorf("an infinite maximum should draw no bars:\n%s", got)
 	}
 	var buf bytes.Buffer
-	d := Document{Sections: []Section{NewSection("s", Series{Points: []SeriesPoint{{0, 1}, {1, -1}}})}}
+	d := Document{Sections: []Section{{ID: "s", Blocks: []Block{Series{Points: []SeriesPoint{{0, 1}, {1, -1}}}}}}}
 	if err := d.Encode(&buf, FormatText); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCellOfRejectsOtherKinds: a Cell holds nil, a string, a float64, an
+// int or a bool, which is what keeps every encoder's switch over it total,
+// so CellOf, and AddRow through it, panics on any other type, naming it.
+func TestCellOfRejectsOtherKinds(t *testing.T) {
+	type namedFloat float64
+	for _, v := range []any{
+		int64(1), uint64(1), float32(1), namedFloat(1), time.Second,
+		struct{ X int }{1}, []float64{1},
+	} {
+		name := fmt.Sprintf("%T", v)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, name) {
+					t.Errorf("CellOf(%s): panic %q, want one naming %s", name, msg, name)
+				}
+			}()
+			var tb Table
+			tb.AddRow("ok", 1.5, 2, true, nil, v)
+		}()
 	}
 }

@@ -16,10 +16,10 @@ import (
 // Config tunes the serving tier's admission control: how many experiment
 // requests may execute at once, how many may wait, how long they may wait,
 // how long an admitted run may take, and the per-client request rate.  The
-// zero value of any field selects the documented default; use DefaultConfig
-// for an explicit baseline.  These are operator knobs (qsd serve flags), not
-// client parameters — Validate rejects nonsensical settings at startup just
-// as queryParams bounds client effort per request.
+// zero value of any field selects the documented default.  These are
+// operator knobs (qsd serve flags), not client parameters — Validate rejects
+// nonsensical settings at startup just as queryParams bounds client effort
+// per request.
 type Config struct {
 	// MaxConcurrent bounds experiment requests executing concurrently
 	// (admitted past the gate).  Requests beyond it queue.  0 selects
@@ -73,16 +73,6 @@ func DefaultMaxConcurrent() int {
 		n = 4
 	}
 	return n
-}
-
-// DefaultConfig returns the serving defaults with every field explicit.
-func DefaultConfig() Config {
-	return Config{
-		MaxConcurrent:  DefaultMaxConcurrent(),
-		MaxQueue:       DefaultMaxQueue,
-		QueueTimeout:   DefaultQueueTimeout,
-		RequestTimeout: DefaultRequestTimeout,
-	}
 }
 
 // Validate rejects operator configurations no server can run.  Zero values

@@ -317,7 +317,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero config: %v", err)
 	}
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := (Config{}).withDefaults().Validate(); err != nil {
 		t.Errorf("default config: %v", err)
 	}
 	bad := []Config{

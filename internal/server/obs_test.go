@@ -23,9 +23,7 @@ func newObsServer(t *testing.T) (*httptest.Server, *obs.Obs) {
 	exp := core.NewExperiments()
 	exp.Engine = engine.New(2)
 	o := obs.New()
-	cfg := DefaultConfig()
-	cfg.Obs = o
-	ts := httptest.NewServer(NewWithConfig(exp, core.DefaultRunParams(), cfg))
+	ts := httptest.NewServer(NewWithConfig(exp, core.DefaultRunParams(), Config{Obs: o}))
 	t.Cleanup(ts.Close)
 	return ts, o
 }

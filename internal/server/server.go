@@ -66,9 +66,9 @@ type Server struct {
 	runReport func(ctx context.Context, exp core.Experiments, p core.RunParams, ids []string) (report.Document, error)
 }
 
-// New builds a server with DefaultConfig admission settings.
+// New builds a server with the default admission settings.
 func New(exp core.Experiments, defaults core.RunParams) *Server {
-	return NewWithConfig(exp, defaults, DefaultConfig())
+	return NewWithConfig(exp, defaults, Config{})
 }
 
 // NewWithConfig builds a server around the given experiment runner, whose
@@ -326,26 +326,8 @@ type healthStatus struct {
 	// StoreHitRate is the fraction of memory misses the persistent store
 	// resolved; Store carries the store's own gauges.  Both are present only
 	// when the server was started with a store backend (-store).
-	StoreHitRate float64      `json:"store_hit_rate,omitempty"`
-	Store        *storeHealth `json:"store,omitempty"`
-}
-
-// storeHealth is the persistent result store's corner of /v1/healthz.
-type storeHealth struct {
-	Entries   int   `json:"entries"`
-	LiveBytes int64 `json:"live_bytes"`
-	DeadBytes int64 `json:"dead_bytes"`
-	FileBytes int64 `json:"file_bytes"`
-	Puts      int64 `json:"puts"`
-	Skipped   int64 `json:"skipped"`
-	Evicted   int64 `json:"evicted"`
-	Stale     int64 `json:"stale"`
-	ReadOnly  bool  `json:"read_only"`
-	// Compaction history: total passes, and the bytes reclaimed / live
-	// entries kept by the most recent one.
-	Compactions                  int64 `json:"compactions"`
-	LastCompactionReclaimedBytes int64 `json:"last_compaction_reclaimed_bytes"`
-	LastCompactionLiveEntries    int   `json:"last_compaction_live_entries"`
+	StoreHitRate float64              `json:"store_hit_rate,omitempty"`
+	Store        *engine.BackendStats `json:"store,omitempty"`
 }
 
 func rate(hits, misses int) float64 {
@@ -377,20 +359,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		st.StoreHitRate = rate(tiers.StoreHits, tiers.StoreMisses)
 		if sb, ok := backend.(engine.StatBackend); ok {
 			bs := sb.Stats()
-			st.Store = &storeHealth{
-				Entries:                      bs.Entries,
-				LiveBytes:                    bs.LiveBytes,
-				DeadBytes:                    bs.DeadBytes,
-				FileBytes:                    bs.FileBytes,
-				Puts:                         bs.Puts,
-				Skipped:                      bs.Skipped,
-				Evicted:                      bs.Evicted,
-				Stale:                        bs.Stale,
-				ReadOnly:                     bs.ReadOnly,
-				Compactions:                  bs.Compactions,
-				LastCompactionReclaimedBytes: bs.LastCompactionReclaimedBytes,
-				LastCompactionLiveEntries:    bs.LastCompactionLiveEntries,
-			}
+			st.Store = &bs
 		}
 	}
 	if s.draining.Load() {

@@ -167,7 +167,7 @@ func TestUnencodableDocumentIs500(t *testing.T) {
 		s := report.Series{Title: "nan"}
 		s.Add(0, 1)
 		s.Add(1, math.NaN())
-		return report.Document{Sections: []report.Section{report.NewSection(ids[0], s)}}, nil
+		return report.Document{Sections: []report.Section{{ID: ids[0], Blocks: []report.Block{s}}}}, nil
 	}
 	serve := func(format string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
